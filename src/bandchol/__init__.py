@@ -44,6 +44,7 @@ from .simulate import (
     ExperimentResult,
     RepRecord,
     TrueModelSpec,
+    ar1_precision,
     evaluate_losses,
     make_ar1_cov,
     make_ar4_precision,
@@ -51,6 +52,6 @@ from .simulate import (
     run_experiment,
     sample_gaussian,
 )
-from .stats import BandedRegressionStats, banded_regression, gram_matrix, sample_moments
+from .stats import BandedRegressionStats, banded_regression, gram_matrix
 
 __version__ = "0.1.0"

@@ -73,9 +73,8 @@ def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior, gram=No
     st = banded_regression(data, k, nu0=prior.nu0, gram=gram)
     n = st.n
     log_n_2pi = np.log(n / (2.0 * np.pi))
-    logdet = np.array(
-        [2.0 * np.sum(np.log(np.diag(low))) if low.size else 0.0 for low in st.shat_chol]
-    )
+    # padded slots of the factors hold ones and add log 1 = 0
+    logdet = 2.0 * np.sum(np.log(np.diagonal(st.shat_chol, axis1=1, axis2=2)), axis=1)
     half_nj = st.nj / 2.0
     rate = n * st.dhat / 2.0
     col_terms = (
@@ -144,7 +143,7 @@ def select_k_resampling(data, kmax, splits=50, ref_bandwidth=20, rng=0,
         )
     if splits < 1:
         raise ValueError("splits must be at least 1")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     n1 = n // 3
     k_values = np.arange(1, kmax + 1)
     risk = np.zeros(kmax)

@@ -23,7 +23,7 @@ from scipy.special import gammaincc, gammainccinv
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, compose
-from .stats import banded_regression
+from .stats import _band_to_lower, banded_regression
 
 TRUNC_MASS_FLOOR = 1e-300
 
@@ -104,17 +104,17 @@ def plug_in_estimator(model):
 def _sample_columns(model, draws, rng):
     """Vectorized posterior draws, one RNG substream per column.
 
-    Returns (d, a) where d has shape (draws, p) and a is a list of
-    (draws, kj) coefficient arrays. Innovation variances come from the
-    truncated inverse-gamma via the inverse upper-tail CDF on the
-    precision scale, which stays accurate when the truncation mass is
-    tiny.
+    Returns (d, a) where d has shape (draws, p) and a is a (draws, p, keff)
+    band array of coefficients, zero in the padded slots like ahat.
+    Innovation variances come from the truncated inverse-gamma via the
+    inverse upper-tail CDF on the precision scale, which stays accurate
+    when the truncation mass is tiny.
     """
     st = model.stats
-    p = st.p
+    p, keff = st.ahat.shape
     streams = rng.spawn(p)
     d = np.empty((draws, p))
-    a = []
+    a = np.zeros((draws, p, keff))
     scale = np.sqrt(1.0 / st.n)
     for j in range(p):
         gen = streams[j]
@@ -124,41 +124,27 @@ def _sample_columns(model, draws, rng):
         d[:, j] = 1.0 / theta
         kj = st.kj[j]
         if kj == 0:
-            a.append(np.zeros((draws, 0)))
             continue
         z = gen.standard_normal((draws, kj))
-        # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, so map z through L^{-T}
-        w = solve_triangular(st.shat_chol[j], z.T, trans="T", lower=True).T
-        a.append(st.ahat[j][None, :] + (scale * np.sqrt(d[:, j]))[:, None] * w)
+        # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, so map z through L^{-T},
+        # with L the trailing kj block of the padded factor
+        lo = keff - kj
+        w = solve_triangular(st.shat_chol[j, lo:, lo:], z.T, trans="T", lower=True).T
+        a[:, j, lo:] = st.ahat[j, lo:] + (scale * np.sqrt(d[:, j]))[:, None] * w
     return d, a
-
-
-def _coerce_rng(rng):
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 def sample_posterior(model, rng):
     """Draw one factor (A, d) from the joint posterior."""
-    rng = _coerce_rng(rng)
-    d, a = _sample_columns(model, 1, rng)
-    st = model.stats
-    amat = np.zeros((st.p, st.p))
-    for j in range(1, st.p):
-        amat[j, j - st.kj[j] : j] = a[j][0]
-    return CholeskyFactor(a=amat, d=d[0])
+    d, a = _sample_columns(model, 1, np.random.default_rng(rng))
+    return CholeskyFactor(a=_band_to_lower(a[0]), d=d[0])
 
 
 def _iter_composed(model, draws, rng):
     """Yield composed precision draws omega_s without storing them all."""
-    rng = _coerce_rng(rng)
-    d, a = _sample_columns(model, draws, rng)
-    st = model.stats
-    amat = np.zeros((st.p, st.p))
+    d, a = _sample_columns(model, draws, np.random.default_rng(rng))
     for s in range(draws):
-        amat[:] = 0.0
-        for j in range(1, st.p):
-            amat[j, j - st.kj[j] : j] = a[j][s]
-        yield compose(CholeskyFactor(a=amat, d=d[s]))
+        yield compose(CholeskyFactor(a=_band_to_lower(a[s]), d=d[s]))
 
 
 def posterior_mean_omega(model, draws, rng):

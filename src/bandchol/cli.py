@@ -2,10 +2,10 @@
 
 Matrices travel as CSV files with 17 significant digits, so a written
 estimate reparses to the same floats. Every command writes a JSON sidecar
-echoing its fully resolved parameters, defaults and seed included.
-Execution-only knobs (--threads) never appear in outputs and never change
-results, so reruns are byte-identical. Exit codes: 0 success, 2 bad
-input, 3 numerical failure.
+echoing its fully resolved parameters, defaults and seed included. The
+one execution-only knob, simulate --threads, never appears in outputs and
+never changes results, so reruns are byte-identical. Exit codes: 0
+success, 2 bad input, 3 numerical failure.
 """
 
 import argparse
@@ -286,8 +286,6 @@ def build_parser():
     est.add_argument("--select-k", choices=("mode", "resampling"), default="mode",
                      help="bandwidth selection scheme when --k is absent")
     _add_model_flags(est)
-    est.add_argument("--threads", type=int, default=None,
-                     help="worker cap; never changes results")
     est.set_defaults(func=cmd_estimate)
 
     bw = subs.add_parser("bandwidth", help="evaluate bandwidth selection profiles")
@@ -298,8 +296,6 @@ def build_parser():
     bw.add_argument("--scheme", choices=("mode", "resampling", "both"),
                     default="mode", help="which profiles to compute")
     _add_model_flags(bw)
-    bw.add_argument("--threads", type=int, default=None,
-                    help="worker cap; never changes results")
     bw.set_defaults(func=cmd_bandwidth)
 
     sim = subs.add_parser("simulate", help="run a simulation experiment from a config")

@@ -94,12 +94,6 @@ def norm_fro(m):
     return float(np.sqrt(np.sum(m * m)))
 
 
-def norm_max(m):
-    """Largest entry in absolute value."""
-    m = check_finite(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # banding operators
 # ---------------------------------------------------------------------------
@@ -114,19 +108,6 @@ def band_matrix(m, k):
     rows = np.arange(m.shape[0])[:, None]
     cols = np.arange(m.shape[1])[None, :]
     return np.where(np.abs(rows - cols) <= k, m, 0.0)
-
-
-def band_vector(v, k, j):
-    """Keep entries of v within k positions of coordinate j (1-based)."""
-    v = check_finite(v, "vector")
-    if v.ndim != 1:
-        raise ValueError("band_vector expects a vector")
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
-    if not 1 <= j <= v.size:
-        raise ValueError(f"coordinate j={j} out of range 1..{v.size}")
-    idx = np.arange(1, v.size + 1)
-    return np.where(np.abs(idx - j) <= k, v, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,5 +144,4 @@ NORMS_BY_NAME = {
     "l1": norm_l1,
     "linf": norm_linf,
     "fro": norm_fro,
-    "max": norm_max,
 }

@@ -155,7 +155,7 @@ def sample_gaussian(sigma, n, rng):
     sigma = linalg.as_spd(sigma, "covariance matrix")
     if n < 1:
         raise ValueError("n must be positive")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     low = np.linalg.cholesky(sigma)
     return rng.standard_normal((n, sigma.shape[0])) @ low.T
 

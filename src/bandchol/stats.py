@@ -14,6 +14,9 @@ import numpy as np
 from .errors import DegenerateResidual, SingularDesign
 
 RESIDUAL_FLOOR = 1e-14
+# a squared Cholesky pivot at most this fraction of its diagonal entry
+# sends the batch to the column-by-column checks
+PIVOT_RECHECK = 1e-10
 
 
 def as_data_matrix(x):
@@ -35,31 +38,19 @@ def gram_matrix(x):
     return (g + g.T) / 2.0
 
 
-def predecessor_range(j, k):
-    """Half-open 0-based index range of the k closest predecessors of column j (1-based)."""
-    return max(0, j - 1 - k), j - 1
+def _band_to_lower(band):
+    """Scatter a (p, keff) band array into a strictly lower p x p matrix.
 
-
-def sample_moments(data, j, k):
-    """Raw moments of column j against its k closest predecessors.
-
-    Returns (shat, chat, varhat): the Gram block of the predecessor
-    columns, their cross moments with column j, and the mean square of
-    column j itself.
+    Row j of the band holds the entries of columns j-keff, ..., j-1; slots
+    left of the first column are dropped.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
-    if not 1 <= j <= p:
-        raise ValueError(f"column j={j} out of range 1..{p}")
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
-    lo, hi = predecessor_range(j, k)
-    z = x[:, lo:hi]
-    y = x[:, j - 1]
-    shat = z.T @ z / n
-    chat = z.T @ y / n
-    varhat = float(y @ y / n)
-    return (shat + shat.T) / 2.0, chat, varhat
+    p, keff = band.shape
+    rows = np.arange(p)[:, None].repeat(keff, axis=1)
+    cols = rows - keff + np.arange(keff)
+    real = cols >= 0
+    out = np.zeros((p, p))
+    out[rows[real], cols[real]] = band[real]
+    return out
 
 
 @dataclass
@@ -67,9 +58,12 @@ class BandedRegressionStats:
     """Per-column least-squares statistics at a common bandwidth k.
 
     Column j (1-based) regresses on its kj[j-1] = min(j-1, k) closest
-    predecessors. Lists are indexed 0-based by column; entries for j = 1
-    are empty arrays. shat_chol holds the lower Cholesky factors of the
-    Gram blocks shat. nj = n + nu0 - kj - 4 is the posterior degrees-of-
+    predecessors. Banded arrays are indexed 0-based by column and hold
+    keff = min(k, p-1) slots for the predecessors j-keff, ..., j-1, of
+    which the trailing kj are real: ahat (p, keff) holds the coefficients
+    and is zero in the padded slots, and shat_chol (p, keff, keff) holds
+    the lower Cholesky factors of the predecessor Gram blocks, padded with
+    the identity. nj = n + nu0 - kj - 4 is the posterior degrees-of-
     freedom vector used downstream.
     """
 
@@ -80,19 +74,42 @@ class BandedRegressionStats:
     kj: np.ndarray
     dhat: np.ndarray
     nj: np.ndarray
-    varhat: np.ndarray
-    shat: list = field(repr=False)
-    chat: list = field(repr=False)
-    ahat: list = field(repr=False)
-    shat_chol: list = field(repr=False)
+    ahat: np.ndarray = field(repr=False)
+    shat_chol: np.ndarray = field(repr=False)
 
     def coefficient_matrix(self):
         """Strictly lower triangular matrix with row j holding ahat_j."""
-        a = np.zeros((self.p, self.p))
-        for j in range(1, self.p):
-            lo = j - self.kj[j]
-            a[j, lo:j] = self.ahat[j]
-        return a
+        return _band_to_lower(self.ahat)
+
+
+def _check_columns(blocks):
+    """Name the column behind a failed or nearly singular batched factorization.
+
+    A batched factorization does not say which block failed, and near a
+    singular block rounding decides whether it fails at all. So the checks
+    are repeated column by column on the real Gram blocks: SingularDesign
+    at the first column whose predecessor block cannot be factored and
+    solved comes before DegenerateResidual at the first column that its
+    predecessors fit exactly. Returns when neither is found.
+    """
+    keff = blocks.shape[1] - 1
+    dhat = np.empty(len(blocks))
+    for j, block in enumerate(blocks):
+        lo = max(keff - j, 0)
+        shat, chat = block[lo:keff, lo:keff], block[lo:keff, keff]
+        try:
+            np.linalg.cholesky(shat)
+            coef = np.linalg.solve(shat, chat)
+        except np.linalg.LinAlgError:
+            raise SingularDesign(j + 1) from None
+        try:
+            np.linalg.cholesky(block)
+            dhat[j] = max(block[keff, keff] - chat @ coef, 0.0)
+        except np.linalg.LinAlgError:
+            dhat[j] = 0.0
+    bad = np.nonzero(dhat <= RESIDUAL_FLOOR)[0]
+    if bad.size:
+        raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
 
 
 def banded_regression(data, k, nu0=2.0, gram=None, enforce_dof=True):
@@ -115,63 +132,36 @@ def banded_regression(data, k, nu0=2.0, gram=None, enforce_dof=True):
             f"need n + nu0 - min(k, p-1) - 4 > 0, got n={n}, nu0={nu0}, k={k}"
         )
     g = gram_matrix(x) if gram is None else gram
-    var = np.diag(g).copy()
 
-    kj = np.minimum(np.arange(p), keff)
-    shat = [np.zeros((0, 0))] * p
-    chat = [np.zeros(0)] * p
-    ahat = [np.zeros(0)] * p
-    chol = [np.zeros((0, 0))] * p
-    # columns with no predecessors keep their raw mean square
-    dhat = var.copy()
+    # Gram block of columns j-keff, ..., j for every column j. Predecessors
+    # left of the first column are padded as unit-variance coordinates
+    # uncorrelated with the rest, which leaves the real block's factor as is.
+    idx = np.arange(p)[:, None] - keff + np.arange(keff + 1)
+    real = idx >= 0
+    blocks = np.where(real[:, :, None] & real[:, None, :],
+                      g[idx[:, :, None], idx[:, None, :]], np.eye(keff + 1))
+    try:
+        low = np.linalg.cholesky(blocks)
+        pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
+        recheck = np.any(pivots <= PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
+    except np.linalg.LinAlgError:
+        recheck = True
+    if recheck:
+        # raises whenever the batched factorization failed
+        _check_columns(blocks)
 
-    # columns with fewer than k predecessors, solved one by one
-    for j in range(1, min(keff, p)):
-        lo = j - kj[j]
-        block = (g[lo:j, lo:j] + g[lo:j, lo:j].T) / 2.0
-        cvec = g[lo:j, j]
-        try:
-            low = np.linalg.cholesky(block)
-            coef = np.linalg.solve(block, cvec)
-        except np.linalg.LinAlgError:
-            raise SingularDesign(j + 1) from None
-        shat[j], chat[j], ahat[j], chol[j] = block, cvec, coef, low
-        dhat[j] = var[j] - cvec @ coef
-
-    # columns with exactly keff predecessors, solved as one batch
-    if keff >= 1 and p > keff:
-        m = p - keff
-        windows = np.lib.stride_tricks.sliding_window_view(g, (keff, keff))
-        blocks = windows[np.arange(m), np.arange(m)]
-        blocks = (blocks + blocks.transpose(0, 2, 1)) / 2.0
-        cvecs = np.empty((m, keff))
-        for i in range(m):
-            cvecs[i] = g[i : i + keff, i + keff]
-        try:
-            lows = np.linalg.cholesky(blocks)
-            coefs = np.linalg.solve(blocks, cvecs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # identify the offending column; batched routines report none
-            for i in range(m):
-                try:
-                    np.linalg.cholesky(blocks[i])
-                    np.linalg.solve(blocks[i], cvecs[i])
-                except np.linalg.LinAlgError:
-                    raise SingularDesign(keff + i + 1) from None
-            raise
-        dhat[keff:] = var[keff:] - np.sum(cvecs * coefs, axis=1)
-        for i in range(m):
-            j = keff + i
-            shat[j], chat[j], ahat[j], chol[j] = blocks[i], cvecs[i], coefs[i], lows[i]
-
-    # residual variances are least-squares residuals, so nonnegative up to rounding
-    np.maximum(dhat, 0.0, out=dhat)
+    # with L the factor of [[S, c], [c', v]]: S = L_S L_S', the last row
+    # is (L_S^{-1} c, sqrt(v - c' S^{-1} c)), so ahat = L_S^{-T} L_S^{-1} c
+    shat_chol = np.ascontiguousarray(low[:, :keff, :keff])
+    ahat = np.linalg.solve(shat_chol.transpose(0, 2, 1), low[:, keff, :keff, None])[:, :, 0]
+    dhat = pivots[:, keff]
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR)[0]
     if bad.size:
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
 
+    kj = np.minimum(np.arange(p), keff)
     nj = n + nu0 - kj - 4
     return BandedRegressionStats(
         n=n, p=p, k=int(k), nu0=float(nu0), kj=kj, dhat=dhat, nj=nj,
-        varhat=var, shat=shat, chat=chat, ahat=ahat, shat_chol=chol,
+        ahat=ahat, shat_chol=shat_chol,
     )

@@ -18,6 +18,7 @@ from bandchol.cli import main
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.mcd import CholeskyFactor, compose, decompose
 from bandchol.simulate import ExperimentConfig, TrueModelSpec, run_experiment
+from bandchol.stats import gram_matrix
 
 REPORT_LINES = []
 
@@ -137,7 +138,7 @@ def test_criterion_07_posterior_moment_oracle():
         k = int(rng.integers(0, 4))
         x = rng.standard_normal((n, p))
         model = fit_posterior(x, PriorConfig(k=k))
-        models.append(model)
+        models.append((x, model))
         d, _ = _sample_columns(model, draws, np.random.default_rng(rng.integers(2**32)))
         theta = 1.0 / d
         st = model.stats
@@ -148,7 +149,7 @@ def test_criterion_07_posterior_moment_oracle():
         mean_ok &= z <= 3.0
     cov_ok = True
     worst_cov_z = 0.0
-    for model in models[:5]:
+    for x, model in models[:5]:
         st = model.stats
         j = st.p - 1
         if st.kj[j] == 0:
@@ -156,10 +157,12 @@ def test_criterion_07_posterior_moment_oracle():
         d, a = _sample_columns(model, draws, np.random.default_rng(7))
         # dividing by sqrt(d) removes the variance mixing, so w is exactly
         # Gaussian with covariance shat^{-1}/n and entrywise MC error
-        # sqrt((T_ii T_jj + T_ij^2) / draws)
-        w = (a[j] - st.ahat[j][None, :]) / np.sqrt(d[:, j])[:, None]
+        # sqrt((T_ii T_jj + T_ij^2) / draws); the last column's band has
+        # no padded slots
+        w = (a[:, j] - st.ahat[j][None, :]) / np.sqrt(d[:, j])[:, None]
         emp = w.T @ w / draws
-        target = np.linalg.inv(st.shat[j]) / st.n
+        shat = gram_matrix(x)[j - st.kj[j]:j, j - st.kj[j]:j]
+        target = np.linalg.inv(shat) / st.n
         diag = np.diag(target)
         stderr = np.sqrt((np.outer(diag, diag) + target**2) / draws)
         z = np.max(np.abs(emp - target) / stderr)

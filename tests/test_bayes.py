@@ -16,6 +16,7 @@ from bandchol.bayes import (
 )
 from bandchol.errors import TruncationMassZero
 from bandchol.mcd import compose
+from bandchol.stats import gram_matrix
 
 
 def fitted(rng, n=80, p=6, k=2, M=1e6, nu0=2.0):
@@ -126,17 +127,17 @@ def test_sampled_moments_match_inverse_gamma():
 
 
 def test_sampled_coefficient_covariance():
-    rng = np.random.default_rng(6)
-    model = fitted(rng, n=200, p=4, k=2)
+    x = np.random.default_rng(6).standard_normal((200, 4))
+    model = fit_posterior(x, PriorConfig(k=2))
     draws = 200_000
     from bandchol.bayes import _sample_columns
 
     d, a = _sample_columns(model, draws, np.random.default_rng(7))
-    j = 3  # 0-based column with kj = 2
+    j = 3  # 0-based column with kj = 2, its predecessors are columns 1 and 2
     st = model.stats
-    centered = a[j] - st.ahat[j][None, :]
+    centered = a[:, j] - st.ahat[j][None, :]
     cov = centered.T @ centered / draws
-    target = np.mean(d[:, j]) / st.n * np.linalg.inv(st.shat[j])
+    target = np.mean(d[:, j]) / st.n * np.linalg.inv(gram_matrix(x)[1:3, 1:3])
     np.testing.assert_allclose(cov, target, rtol=0.05, atol=1e-6)
 
 

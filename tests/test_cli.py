@@ -12,6 +12,7 @@ import pytest
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
+import bandchol
 from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
 from bandchol.bandwidth import select_k_posterior_mode
 from bandchol.cli import default_sidecar, main, resolve_threads
@@ -67,6 +68,10 @@ def test_estimate_explicit_k_matches_library(tmp_path):
     assert sidecar["parameters"]["seed"] == 0
     assert sidecar["input"]["n"] == 60 and sidecar["input"]["p"] == 8
     assert "threads" not in json.dumps(sidecar)
+    # --threads belongs to simulate only
+    for command in ("estimate", "bandwidth"):
+        with pytest.raises(SystemExit):
+            main([command, str(data), "-o", str(out), "--threads", "1"])
 
 
 def test_estimate_selected_k_matches_explicit(tmp_path):
@@ -253,10 +258,23 @@ def test_bundled_reference_config(tmp_path):
 
 
 def test_module_invocation_subprocess(tmp_path):
+    # the child imports the bandchol under test, installed or not
+    src = str(pathlib.Path(bandchol.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bandchol", "estimate", "missing.csv",
          "-o", str(tmp_path / "x.csv"), "--k", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
+    data = tmp_path / "data.csv"
+    write_data(data, n=30, p=4)
+    out = tmp_path / "omega.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bandchol", "estimate", str(data), "-o", str(out), "--k", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert np.loadtxt(out, delimiter=",").shape == (4, 4)

@@ -35,7 +35,6 @@ def test_norm_l1_linf_max():
     m = np.array([[1.0, 2.0], [3.0, -4.0]])
     assert linalg.norm_l1(m) == 6.0
     assert linalg.norm_linf(m) == 7.0
-    assert linalg.norm_max(m) == 4.0
 
 
 def test_norm_fro():
@@ -47,7 +46,7 @@ def test_norm_fro():
 def test_norms_reject_non_finite():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     for fn in (linalg.norm_spectral, linalg.norm_l1, linalg.norm_linf,
-               linalg.norm_fro, linalg.norm_max):
+               linalg.norm_fro):
         with pytest.raises(ValueError):
             fn(bad)
 
@@ -98,23 +97,6 @@ def test_band_matrix_idempotent_and_monotone():
         wider = linalg.band_matrix(m, k + 1)
         mask = banded != 0
         np.testing.assert_array_equal(wider[mask], banded[mask])
-
-
-def test_band_vector():
-    ones = np.ones(5)
-    np.testing.assert_array_equal(linalg.band_vector(ones, 0, 3),
-                                  np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(linalg.band_vector(ones, 4, 1), ones)
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(linalg.band_vector(v, 1, 2),
-                                  np.array([1.0, 2.0, 3.0, 0.0]))
-
-
-def test_band_vector_index_out_of_range():
-    with pytest.raises(ValueError):
-        linalg.band_vector(np.ones(3), 1, 0)
-    with pytest.raises(ValueError):
-        linalg.band_vector(np.ones(3), 1, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from bandchol.stats import (
     as_data_matrix,
     banded_regression,
     gram_matrix,
-    predecessor_range,
-    sample_moments,
 )
 
 
@@ -28,35 +26,14 @@ def test_gram_matrix_symbolic():
     np.testing.assert_allclose(gram_matrix(x), [[1.0, 1.0], [1.0, 2.0]])
 
 
-def test_predecessor_range():
-    assert predecessor_range(1, 3) == (0, 0)
-    assert predecessor_range(2, 1) == (0, 1)
-    assert predecessor_range(5, 2) == (2, 4)
-    assert predecessor_range(5, 10) == (0, 4)
-
-
-def test_sample_moments_symbolic():
-    x = np.array([[1.0, 2.0], [-1.0, 0.0]])
-    shat, chat, varhat = sample_moments(x, 2, 1)
-    np.testing.assert_allclose(shat, [[1.0]])
-    np.testing.assert_allclose(chat, [1.0])
-    assert varhat == pytest.approx(2.0)
-    shat1, chat1, varhat1 = sample_moments(x, 1, 1)
-    assert shat1.shape == (0, 0) and chat1.shape == (0,)
-    assert varhat1 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sample_moments(x, 3, 1)
-    with pytest.raises(ValueError):
-        sample_moments(x, 1, -1)
-
-
 def test_banded_regression_symbolic():
     x = np.array([[1.0, 2.0], [-1.0, 0.0]])
     stats = banded_regression(x, 1, enforce_dof=False)
     # regression of column 2 on column 1 under raw moments: slope 1, d = 1
-    np.testing.assert_allclose(stats.ahat[1], [1.0])
+    np.testing.assert_allclose(stats.ahat, [[0.0], [1.0]])
     np.testing.assert_allclose(stats.dhat, [1.0, 1.0])
-    np.testing.assert_allclose(stats.varhat, [1.0, 2.0])
+    # column 1 has only a padded slot, column 2 the factor of shat = [[1]]
+    np.testing.assert_allclose(stats.shat_chol, [[[1.0]], [[1.0]]])
     np.testing.assert_array_equal(stats.kj, [0, 1])
     a = stats.coefficient_matrix()
     np.testing.assert_allclose(a, [[0.0, 0.0], [1.0, 0.0]])
@@ -71,20 +48,31 @@ def test_banded_regression_dof_precondition():
     np.testing.assert_array_equal(stats.kj, [0, 1, 2, 2])
 
 
-def test_banded_regression_head_tail_consistency():
-    # every column must match its own direct least-squares fit
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((40, 9))
-    k = 3
+@pytest.mark.parametrize("n, p, k", [
+    (40, 9, 3), (20, 6, 0), (30, 6, 5), (30, 6, 9), (10, 1, 0), (10, 1, 2),
+    (12, 2, 1), (12, 2, 4),
+])
+def test_banded_regression_head_tail_consistency(n, p, k):
+    # every column must match its own direct least-squares fit, with the
+    # padded band slots of the first columns left at zero and identity
+    x = np.random.default_rng(1).standard_normal((n, p))
     stats = banded_regression(x, k)
-    n = 40
-    for j in range(1, 10):
-        lo, hi = predecessor_range(j, k)
-        z = x[:, lo:hi]
-        coef = np.linalg.lstsq(z, x[:, j - 1], rcond=None)[0]
-        resid = x[:, j - 1] - z @ coef
-        np.testing.assert_allclose(stats.ahat[j - 1], coef, atol=1e-10)
-        assert stats.dhat[j - 1] == pytest.approx(resid @ resid / n, abs=1e-12)
+    keff = min(k, p - 1)
+    assert stats.ahat.shape == (p, keff)
+    assert stats.shat_chol.shape == (p, keff, keff)
+    for j in range(p):
+        lo, pad = max(0, j - k), keff - stats.kj[j]
+        z = x[:, lo:j]
+        coef = np.linalg.lstsq(z, x[:, j], rcond=None)[0]
+        resid = x[:, j] - z @ coef
+        np.testing.assert_allclose(stats.ahat[j, pad:], coef, atol=1e-10)
+        np.testing.assert_array_equal(stats.ahat[j, :pad], 0.0)
+        low = stats.shat_chol[j]
+        np.testing.assert_allclose(low[pad:, pad:] @ low[pad:, pad:].T, z.T @ z / n,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(low[:pad], np.eye(keff)[:pad])
+        np.testing.assert_array_equal(low[:, :pad], np.eye(keff)[:, :pad])
+        assert stats.dhat[j] == pytest.approx(resid @ resid / n, abs=1e-12)
 
 
 def test_full_band_recovers_gram_inverse():
@@ -119,12 +107,23 @@ def test_gram_shortcut_matches_direct():
 
 
 def test_singular_design_reports_column():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((10, 4))
-    x[:, 1] = x[:, 0]  # duplicate predecessors break column 3's Gram block
+    # duplicate predecessors break column 3's Gram block; rounding decides
+    # whether a factorization of it fails or passes with a tiny pivot, and
+    # these seeds cover both
+    for seed in range(5, 15):
+        x = np.random.default_rng(seed).standard_normal((10, 4))
+        x[:, 1] = x[:, 0]
+        with pytest.raises(SingularDesign) as info:
+            banded_regression(x, 2)
+        assert info.value.column == 3
+    # a singular predecessor block anywhere is reported before a residual
+    # that vanishes at an earlier column
+    x = np.random.default_rng(5).standard_normal((10, 7))
+    x[:, 2] = x[:, 0] + x[:, 1]  # exact fit of column 3
+    x[:, 5] = x[:, 4]  # duplicate predecessors break column 7's Gram block
     with pytest.raises(SingularDesign) as info:
         banded_regression(x, 2)
-    assert info.value.column == 3
+    assert info.value.column == 7
 
 
 def test_degenerate_residual_reports_column():
@@ -141,4 +140,4 @@ def test_bandwidth_zero_gives_diagonal_moments():
     x = rng.standard_normal((20, 5))
     stats = banded_regression(x, 0)
     np.testing.assert_allclose(stats.dhat, np.mean(x * x, axis=0))
-    assert all(a.size == 0 for a in stats.ahat)
+    assert stats.ahat.shape == (5, 0) and stats.shat_chol.shape == (5, 0, 0)
