@@ -14,6 +14,7 @@ from .bayes import (
     estimate_p_loss,
     fit_posterior,
     ig_cdf,
+    max_bandwidth,
     plug_in_estimator,
     posterior_mean_omega,
     sample_posterior,

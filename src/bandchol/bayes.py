@@ -1,17 +1,18 @@
 """Conjugate posterior over banded Cholesky factors and its estimators.
 
 The model treats each column j of the data as a Gaussian autoregression on
-its min(j-1, k) closest predecessors. Under a flat prior on the in-band
-coefficients and the improper density d^(nu0/2 - 1) on (0, M] for each
-innovation variance, the posterior factorizes over columns:
+its kj = min(j-1, k) closest predecessors. Under a flat prior on the
+in-band coefficients and the improper density d^(nu0/2 - 1) on (0, M] for
+each innovation variance, the posterior factorizes over columns:
 
     d_j | X   ~ inverse-gamma(nj/2, rate n*dhat_j/2) truncated to (0, M]
     a_j | d_j ~ normal(ahat_j, (d_j/n) * shat_j^{-1})
 
-with nj = n + nu0 - min(j-1, k) - 4 and the hatted quantities from
-banded_regression. The plug-in estimator composes the posterior means
-E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), the latter ignoring the
-truncation (negligible for large M).
+with nj = n + nu0 - kj - 4 and the hatted quantities from
+banded_regression. A bandwidth k is admissible when every nj is positive,
+that is when k <= max_bandwidth(n, p, nu0). The plug-in estimator composes
+the posterior means E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), the
+latter ignoring the truncation (negligible for large M).
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from scipy.special import gammaincc, gammainccinv
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, compose
-from .stats import _band_to_lower, banded_regression
+from .stats import _band_to_lower, as_data_matrix, banded_regression
 
 TRUNC_MASS_FLOOR = 1e-300
 
@@ -72,16 +73,35 @@ class PosteriorModel:
         return self.stats.p
 
 
+def max_bandwidth(n, p, nu0):
+    """Largest bandwidth k <= p - 1 whose posterior degrees of freedom
+    n + nu0 - k - 4 are positive; negative when not even k = 0 is."""
+    if not np.isfinite(nu0):
+        raise ValueError("nu0 must be finite")
+    return min(p - 1, int(np.ceil(n + nu0 - 4)) - 1)
+
+
+def _conjugate_update(data, k, prior, gram):
+    """(stats, shape, rate, mass) at bandwidth k: the regressions, then each
+    column's inverse-gamma shape nj/2, rate n*dhat/2 and mass below M."""
+    x = as_data_matrix(data)
+    n, p = x.shape
+    if min(k, p - 1) > max_bandwidth(n, p, prior.nu0):
+        raise ValueError(f"need n + nu0 - min(k, p-1) - 4 > 0, got n={n}, "
+                         f"nu0={prior.nu0}, k={k}")
+    st = banded_regression(x, k, gram=gram)
+    shape = (n + prior.nu0 - st.kj - 4) / 2.0
+    rate = n * st.dhat / 2.0
+    return st, shape, rate, ig_cdf(prior.M, shape, rate)
+
+
 def fit_posterior(data, prior, gram=None):
     """Fit the column posteriors at the prior's bandwidth.
 
-    Raises TruncationMassZero(j) when the cap M leaves column j's
-    innovation-variance posterior without numerical mass.
+    Raises ValueError when k exceeds max_bandwidth, and TruncationMassZero(j)
+    when the cap M leaves column j's posterior without numerical mass.
     """
-    st = banded_regression(data, prior.k, nu0=prior.nu0, gram=gram)
-    shape = st.nj / 2.0
-    rate = st.n * st.dhat / 2.0
-    mass = ig_cdf(prior.M, shape, rate)
+    st, shape, rate, mass = _conjugate_update(data, prior.k, prior, gram)
     bad = np.nonzero(mass < TRUNC_MASS_FLOOR)[0]
     if bad.size:
         raise TruncationMassZero(bad[0] + 1, prior.M)
@@ -95,10 +115,8 @@ def plug_in_estimator(model):
 
     Returns (I - Ahat)' diag(nj / (n*dhat_j)) (I - Ahat).
     """
-    st = model.stats
-    a = st.coefficient_matrix()
-    d = st.n * st.dhat / st.nj
-    return compose(CholeskyFactor(a=a, d=d))
+    d = model.ig_rate / model.ig_shape
+    return compose(CholeskyFactor(a=model.stats.coefficient_matrix(), d=d))
 
 
 def _sample_columns(model, draws, rng):

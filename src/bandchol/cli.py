@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bandwidth import select_k_posterior_mode, select_k_resampling
-from .bayes import PriorConfig, fit_posterior, plug_in_estimator
+from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError
 from .simulate import ExperimentConfig, records_csv_text, run_experiment, summary_payload
@@ -101,9 +101,12 @@ def resolve_threads(value):
     return value
 
 
-def _default_kmax(n, p, nu0):
-    # largest grid allowed by the selection preconditions, capped at 20
-    return min(20, p - 1, int(np.floor(n + nu0 - 5 + 1e-12)))
+def _selection_grid(args, n, p):
+    """--kmax and --ref-bandwidth, by default the widest the data admit, at most 20."""
+    kmax = args.kmax if args.kmax is not None else min(20, max_bandwidth(n, p, args.nu0))
+    ref = args.ref_bandwidth if args.ref_bandwidth is not None \
+        else max(1, min(20, n - 1, p - 1))
+    return kmax, ref
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +126,7 @@ def _input_echo(args, n, p):
 def cmd_estimate(args):
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
-    kmax = args.kmax if args.kmax is not None else _default_kmax(n, p, args.nu0)
-    splits = args.splits
-    ref = args.ref_bandwidth if args.ref_bandwidth is not None \
-        else max(1, min(20, n - 1, p - 1))
+    kmax, ref = _selection_grid(args, n, p)
     prior_kwargs = {"M": args.cap, "nu0": args.nu0}
 
     if args.k is not None:
@@ -136,7 +136,7 @@ def cmd_estimate(args):
         source = "mode"
     else:
         k = select_k_resampling(
-            x, kmax, splits=splits, ref_bandwidth=ref,
+            x, kmax, splits=args.splits, ref_bandwidth=ref,
             rng=np.random.default_rng(args.seed),
         ).mode
         source = "resampling"
@@ -158,7 +158,7 @@ def cmd_estimate(args):
             "k": args.k,
             "select_k": args.select_k,
             "kmax": kmax,
-            "splits": splits,
+            "splits": args.splits,
             "reference_bandwidth": ref,
             "M": args.cap,
             "nu0": args.nu0,
@@ -173,9 +173,7 @@ def cmd_estimate(args):
 def cmd_bandwidth(args):
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
-    kmax = args.kmax if args.kmax is not None else _default_kmax(n, p, args.nu0)
-    ref = args.ref_bandwidth if args.ref_bandwidth is not None \
-        else max(1, min(20, n - 1, p - 1))
+    kmax, ref = _selection_grid(args, n, p)
     schemes = ("mode", "resampling") if args.scheme == "both" else (args.scheme,)
 
     lines = ["scheme,k,value"]
@@ -251,7 +249,7 @@ def _add_data_flags(sub):
 def _add_model_flags(sub):
     sub.add_argument("--kmax", type=int, default=None,
                      help="largest bandwidth on the selection grid "
-                          "(default: min(20, p-1, n+nu0-5))")
+                          "(default: the largest admissible bandwidth, at most 20)")
     sub.add_argument("--nu0", type=float, default=2.0,
                      help="shape offset of the variance prior (default 2)")
     sub.add_argument("--cap", type=float, default=1e6, metavar="M",

@@ -22,7 +22,7 @@ def bl_banded_estimator(data, k, gram=None):
     Ahat and dhat are the column-wise least-squares coefficients and
     divisor-n residual variances at bandwidth k.
     """
-    st = banded_regression(data, k, nu0=0.0, gram=gram, enforce_dof=False)
+    st = banded_regression(data, k, gram=gram)
     return compose(CholeskyFactor(a=st.coefficient_matrix(), d=st.dhat))
 
 

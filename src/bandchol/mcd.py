@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .stats import _regress
 
 
 @dataclass(frozen=True)
@@ -74,27 +75,12 @@ def population_coefficients(sigma, k):
     For each coordinate j, regress on the k closest predecessors under
     sigma: a_j solves sigma[Z_j, Z_j] a_j = sigma[Z_j, j], and d_j is the
     residual variance. k >= p - 1 reproduces decompose(inv(sigma)).
+    Raises DegenerateResidual(j) when coordinate j is a numerically exact
+    combination of its predecessors.
     """
     sigma = linalg.as_spd(sigma, "covariance matrix")
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
-    p = sigma.shape[0]
-    a = np.zeros((p, p))
-    d = np.empty(p)
-    d[0] = sigma[0, 0]
-    for j in range(1, p):
-        lo = max(0, j - k)
-        if lo == j:
-            d[j] = sigma[j, j]
-            continue
-        block = sigma[lo:j, lo:j]
-        cvec = sigma[lo:j, j]
-        coef = linalg.spd_solve(block, cvec)
-        a[j, lo:j] = coef
-        d[j] = sigma[j, j] - cvec @ coef
-    if np.any(d <= 0.0):
-        raise ValueError("covariance matrix yields nonpositive residual variances")
-    return CholeskyFactor(a=a, d=d)
+    st = _regress(sigma, k, np.inf)
+    return CholeskyFactor(a=st.coefficient_matrix(), d=st.dhat)
 
 
 # ---------------------------------------------------------------------------

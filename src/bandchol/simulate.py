@@ -17,8 +17,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import linalg
-from .bandwidth import select_k_posterior_mode, select_k_resampling
-from .bayes import PriorConfig, fit_posterior, plug_in_estimator
+from .bandwidth import _check_resampling, select_k_posterior_mode, select_k_resampling
+from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError, ExperimentFailed
 from .stats import gram_matrix
@@ -373,20 +373,12 @@ def _rep_task(args):
 
 
 def _validate_runtime(config):
-    n, p = config.n, config.p
-    kmax_cap = min(n + config.nu0 - 5, p - 1)
-    if config.kmax > kmax_cap:
-        raise ValueError(
-            f"selection.kmax={config.kmax} exceeds min(n + nu0 - 5, p - 1) = {kmax_cap}"
-        )
+    cap = max_bandwidth(config.n, config.p, config.nu0)
+    if config.kmax > cap:
+        raise ValueError(f"selection.kmax={config.kmax} exceeds the largest "
+                         f"admissible bandwidth {cap}")
     if "BL1" in config.estimators:
-        if n < 6:
-            raise ValueError("resampling selection needs n >= 6")
-        if config.ref_bandwidth > min(n - 1, p - 1):
-            raise ValueError(
-                f"selection.reference_bandwidth={config.ref_bandwidth} exceeds "
-                f"min(n - 1, p - 1) = {min(n - 1, p - 1)}"
-            )
+        _check_resampling(config.n, config.p, config.ref_bandwidth)
 
 
 def run_experiment(config, workers=1):

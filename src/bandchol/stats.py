@@ -1,10 +1,10 @@
-"""Column-wise banded regression statistics of a data matrix.
+"""Column-wise banded least-squares regressions of a data matrix.
 
 All moments are raw (uncentered) with divisor n: var(X_j) is the mean of
 squares of column j, and the Gram blocks feeding each regression are taken
 from X'X / n. Column indices in the public API are 1-based, matching the
 math convention for ordered coordinates; error messages use the same
-numbering.
+numbering. Which bandwidths the posterior admits is decided in bayes.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DegenerateResidual, SingularDesign
 
+# a residual variance at most this fraction of its column's second moment
+# counts as an exact fit
 RESIDUAL_FLOOR = 1e-14
 # a squared Cholesky pivot at most this fraction of its diagonal entry
 # sends the batch to the column-by-column checks
@@ -32,9 +34,12 @@ def as_data_matrix(x):
 
 
 def gram_matrix(x):
-    """Raw second-moment matrix X'X / n."""
+    """Raw second-moment matrix X'X / n; ValueError when it overflows."""
     x = as_data_matrix(x)
-    g = x.T @ x / x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.T @ x / x.shape[0]
+    if not np.all(np.isfinite(g)):
+        raise ValueError("second moments X'X/n overflow; rescale the data")
     return (g + g.T) / 2.0
 
 
@@ -63,17 +68,13 @@ class BandedRegressionStats:
     which the trailing kj are real: ahat (p, keff) holds the coefficients
     and is zero in the padded slots, and shat_chol (p, keff, keff) holds
     the lower Cholesky factors of the predecessor Gram blocks, padded with
-    the identity. nj = n + nu0 - kj - 4 is the posterior degrees-of-
-    freedom vector used downstream.
+    the identity.
     """
 
     n: int
     p: int
-    k: int
-    nu0: float
     kj: np.ndarray
     dhat: np.ndarray
-    nj: np.ndarray
     ahat: np.ndarray = field(repr=False)
     shat_chol: np.ndarray = field(repr=False)
 
@@ -82,20 +83,23 @@ class BandedRegressionStats:
         return _band_to_lower(self.ahat)
 
 
-def _check_columns(blocks):
+def _check_columns(blocks, n):
     """Name the column behind a failed or nearly singular batched factorization.
 
     A batched factorization does not say which block failed, and near a
     singular block rounding decides whether it fails at all. So the checks
     are repeated column by column on the real Gram blocks: SingularDesign
-    at the first column whose predecessor block cannot be factored and
-    solved comes before DegenerateResidual at the first column that its
-    predecessors fit exactly. Returns when neither is found.
+    at the first column whose predecessor block is wider than n or cannot
+    be factored and solved comes before DegenerateResidual at the first
+    column that its predecessors fit exactly. Returns when neither is found.
     """
     keff = blocks.shape[1] - 1
     dhat = np.empty(len(blocks))
     for j, block in enumerate(blocks):
-        lo = max(keff - j, 0)
+        kj = min(j, keff)
+        if kj > n:
+            raise SingularDesign(j + 1, f"{kj} predecessors from {n} rows")
+        lo = keff - kj
         shat, chat = block[lo:keff, lo:keff], block[lo:keff, keff]
         try:
             np.linalg.cholesky(shat)
@@ -107,31 +111,21 @@ def _check_columns(blocks):
             dhat[j] = max(block[keff, keff] - chat @ coef, 0.0)
         except np.linalg.LinAlgError:
             dhat[j] = 0.0
-    bad = np.nonzero(dhat <= RESIDUAL_FLOOR)[0]
+    bad = np.nonzero(dhat <= RESIDUAL_FLOOR * blocks[:, keff, keff])[0]
     if bad.size:
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
 
 
-def banded_regression(data, k, nu0=2.0, gram=None, enforce_dof=True):
-    """Least-squares fit of every column on its k closest predecessors.
+def _regress(g, k, n):
+    """Least squares of every coordinate of g on its k closest predecessors.
 
-    Requires n + nu0 - min(k, p-1) - 4 > 0 so that every nj is positive;
-    enforce_dof=False skips that requirement for estimators that use only
-    the least-squares statistics. A precomputed gram_matrix(data) can be
-    passed to share work across bandwidths. Raises SingularDesign(j) when
-    a Gram block cannot be factored and DegenerateResidual(j) when a
-    residual variance falls to zero.
+    g is a second-moment matrix built from n rows (np.inf for a population
+    covariance). Raises as banded_regression does, for coordinates of g.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
     if k < 0:
         raise ValueError("bandwidth k must be nonnegative")
+    p = g.shape[0]
     keff = min(k, p - 1)
-    if enforce_dof and n + nu0 - keff - 4 <= 0:
-        raise ValueError(
-            f"need n + nu0 - min(k, p-1) - 4 > 0, got n={n}, nu0={nu0}, k={k}"
-        )
-    g = gram_matrix(x) if gram is None else gram
 
     # Gram block of columns j-keff, ..., j for every column j. Predecessors
     # left of the first column are padded as unit-variance coordinates
@@ -143,25 +137,34 @@ def banded_regression(data, k, nu0=2.0, gram=None, enforce_dof=True):
     try:
         low = np.linalg.cholesky(blocks)
         pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
-        recheck = np.any(pivots <= PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
+        # blocks wider than n are singular, whatever rounding lets through
+        recheck = keff > n or np.any(
+            pivots <= PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
     except np.linalg.LinAlgError:
         recheck = True
     if recheck:
         # raises whenever the batched factorization failed
-        _check_columns(blocks)
+        _check_columns(blocks, n)
 
     # with L the factor of [[S, c], [c', v]]: S = L_S L_S', the last row
     # is (L_S^{-1} c, sqrt(v - c' S^{-1} c)), so ahat = L_S^{-T} L_S^{-1} c
     shat_chol = np.ascontiguousarray(low[:, :keff, :keff])
     ahat = np.linalg.solve(shat_chol.transpose(0, 2, 1), low[:, keff, :keff, None])[:, :, 0]
     dhat = pivots[:, keff]
-    bad = np.nonzero(dhat <= RESIDUAL_FLOOR)[0]
+    bad = np.nonzero(dhat <= RESIDUAL_FLOOR * np.diagonal(g))[0]
     if bad.size:
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
+    return BandedRegressionStats(n=n, p=p, kj=np.minimum(np.arange(p), keff), dhat=dhat,
+                                 ahat=ahat, shat_chol=shat_chol)
 
-    kj = np.minimum(np.arange(p), keff)
-    nj = n + nu0 - kj - 4
-    return BandedRegressionStats(
-        n=n, p=p, k=int(k), nu0=float(nu0), kj=kj, dhat=dhat, nj=nj,
-        ahat=ahat, shat_chol=shat_chol,
-    )
+
+def banded_regression(data, k, gram=None):
+    """Least-squares fit of every column on its k closest predecessors.
+
+    A precomputed gram_matrix(data) can be passed to share work across
+    bandwidths. Raises SingularDesign(j) when column j's predecessor block
+    is singular, and DegenerateResidual(j) when column j's residual
+    variance is at most RESIDUAL_FLOOR times its second moment.
+    """
+    x = as_data_matrix(data)
+    return _regress(gram_matrix(x) if gram is None else gram, k, x.shape[0])

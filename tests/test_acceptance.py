@@ -142,7 +142,8 @@ def test_criterion_07_posterior_moment_oracle():
         d, _ = _sample_columns(model, draws, np.random.default_rng(rng.integers(2**32)))
         theta = 1.0 / d
         st = model.stats
-        target = st.nj / (st.n * st.dhat)
+        nj = st.n + 2.0 - st.kj - 4  # default nu0 = 2
+        target = nj / (st.n * st.dhat)
         stderr = theta.std(axis=0, ddof=1) / np.sqrt(draws)
         z = np.max(np.abs(theta.mean(axis=0) - target) / stderr)
         worst_z = max(worst_z, z)

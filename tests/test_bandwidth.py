@@ -10,7 +10,7 @@ from bandchol.bandwidth import (
     select_k_posterior_mode,
     select_k_resampling,
 )
-from bandchol.bayes import PriorConfig, ig_cdf
+from bandchol.bayes import PriorConfig, fit_posterior, ig_cdf
 from bandchol.errors import EmptyGrid, NonFiniteLogPosterior
 from bandchol.stats import banded_regression
 
@@ -54,8 +54,9 @@ def test_log_marginal_matches_quadrature_oracle():
         val, _ = integrate.dblquad(integrand, -8, 8, 0, M,
                                    epsabs=1e-300, epsrel=1e-8)
         oracle += np.log(val)
-    st = banded_regression(x, k, nu0=nu0)
-    oracle += np.log(ig_cdf(M, st.nj[0] / 2.0, n * st.dhat[0] / 2.0))
+    st = banded_regression(x, k)
+    # the first column regresses on nothing: nj = n + nu0 - 0 - 4
+    oracle += np.log(ig_cdf(M, (n + nu0 - 4) / 2.0, n * st.dhat[0] / 2.0))
     offset = (p - 1) * (n / 2.0) * np.log(2.0 * np.pi)
     mine = log_marginal_k(x, k, prior=PriorConfig(0, M=M, nu0=nu0))
     assert mine == pytest.approx(oracle + offset, abs=1e-6)
@@ -84,6 +85,22 @@ def test_log_marginal_nonfinite_raises():
     x = 1e3 * rng.standard_normal((20, 4))
     with pytest.raises(NonFiniteLogPosterior):
         log_marginal_k(x, 1, prior=PriorConfig(0, M=1e-6))
+
+
+def test_fractional_nu0_grid_matches_fit():
+    # n + nu0 - k - 4 is 0.5 at k=8 and -0.5 at k=9: the grid, the fit and
+    # the marginal all admit exactly the bandwidths with positive nj
+    x = np.random.default_rng(8).standard_normal((10, 20))
+    prior = PriorConfig(0, nu0=2.5)
+    assert np.isfinite(log_marginal_k(x, 8, prior))
+    fit_posterior(x, PriorConfig(8, nu0=2.5))
+    assert select_k_posterior_mode(x, 8, prior).k_values[-1] == 8
+    with pytest.raises(ValueError):
+        log_marginal_k(x, 9, prior)
+    with pytest.raises(ValueError):
+        fit_posterior(x, PriorConfig(9, nu0=2.5))
+    with pytest.raises(ValueError):
+        select_k_posterior_mode(x, 9, prior)
 
 
 def test_mode_two_column_grid():

@@ -5,16 +5,18 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from bandchol.bandwidth import log_marginal_k
 from bandchol.bayes import (
     PriorConfig,
     estimate_p_loss,
     fit_posterior,
     ig_cdf,
+    max_bandwidth,
     plug_in_estimator,
     posterior_mean_omega,
     sample_posterior,
 )
-from bandchol.errors import TruncationMassZero
+from bandchol.errors import SingularDesign, TruncationMassZero
 from bandchol.mcd import compose
 from bandchol.stats import gram_matrix
 
@@ -44,6 +46,37 @@ def test_ig_cdf_against_quadrature():
                 assert ig_cdf(x, shape, rate) == pytest.approx(num, abs=1e-10)
 
 
+def test_posterior_dof_precondition():
+    x = np.array([[1.0, 2.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError):
+        fit_posterior(x, PriorConfig(k=1))  # n + nu0 - k - 4 = -1
+    with pytest.raises(ValueError):
+        log_marginal_k(x, 1)
+    rng = np.random.default_rng(0)
+    model = fit_posterior(rng.standard_normal((8, 4)), PriorConfig(k=2))
+    np.testing.assert_array_equal(2.0 * model.ig_shape, [6.0, 5.0, 4.0, 4.0])
+    np.testing.assert_array_equal(model.stats.kj, [0, 1, 2, 2])
+    # the bound is checked before the regression can fail
+    x = rng.standard_normal((6, 5))
+    x[:, 1] = x[:, 0]
+    with pytest.raises(ValueError):
+        fit_posterior(x, PriorConfig(k=4))  # 6 + 2 - 4 - 4 = 0
+    with pytest.raises(ValueError):
+        log_marginal_k(x, 4)
+    with pytest.raises(SingularDesign):
+        fit_posterior(x, PriorConfig(k=3))
+
+
+def test_max_bandwidth():
+    assert max_bandwidth(10, 20, 2.0) == 7  # 10 + 2 - 7 - 4 = 1
+    assert max_bandwidth(10, 20, 2.5) == 8  # 10 + 2.5 - 8 - 4 = 0.5
+    assert max_bandwidth(10, 20, 2.9) == 8
+    assert max_bandwidth(10, 5, 2.0) == 4  # capped at p - 1
+    assert max_bandwidth(2, 5, 2.0) == -1  # not even k = 0 is admissible
+    with pytest.raises(ValueError):
+        max_bandwidth(10, 20, np.inf)
+
+
 def test_fit_posterior_symbolic_single_column():
     data = np.array([[1.0], [-1.0]])
     model = fit_posterior(data, PriorConfig(k=0, M=10.0, nu0=6.0))
@@ -66,7 +99,8 @@ def test_plug_in_matches_composed_means():
     model = fitted(rng, n=60, p=5, k=2)
     st = model.stats
     omega = plug_in_estimator(model)
-    manual = compose_from(st.coefficient_matrix(), st.n * st.dhat / st.nj)
+    nj = st.n + 2.0 - st.kj - 4
+    manual = compose_from(st.coefficient_matrix(), st.n * st.dhat / nj)
     np.testing.assert_allclose(omega, manual, atol=1e-14)
 
 

@@ -205,6 +205,24 @@ def test_parse_error_exit_code_and_line_number(tmp_path, capsys):
     assert "line 2" in err and "oops" in err
 
 
+def test_overflowing_moments_exit_code(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    x = write_data(data, n=20, p=4)
+    np.savetxt(data, 1e160 * x, delimiter=",", fmt="%.17g")
+    out = tmp_path / "omega.csv"
+    assert main(["estimate", str(data), "-o", str(out)]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_default_kmax_is_largest_admissible_bandwidth(tmp_path):
+    # n + nu0 - k - 4 > 0 admits k = 8 at n=10 and nu0=2.5
+    data = tmp_path / "data.csv"
+    write_data(data, n=10, p=20)
+    out = tmp_path / "omega.csv"
+    assert main(["estimate", str(data), "-o", str(out), "--nu0", "2.5"]) == 0
+    assert json.loads((tmp_path / "omega.json").read_text())["parameters"]["kmax"] == 8
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((20, 4))

@@ -1,0 +1,78 @@
+"""Property test: degenerate inputs fail with typed errors, never with NaNs.
+
+Every fitting entry point either returns finite values (with positive
+residual variances where it reports them) or raises a BandcholError
+subclass or a ValueError; a bare LinAlgError, itself a ValueError, is a
+failure. Inputs mix duplicate, zero and constant columns, sample sizes
+close to the bandwidth and scales from 1e-8 to 1e160.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bandchol.bandwidth import log_marginal_k
+from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
+from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
+from bandchol.errors import BandcholError
+from bandchol.stats import banded_regression
+
+
+@st.composite
+def degenerate_data(draw):
+    p = draw(st.integers(1, 8))
+    k = draw(st.integers(0, p + 1))
+    n = draw(st.integers(max(1, k - 2), k + 8))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, p))
+    columns = st.integers(0, p - 1)
+    edits = st.one_of(
+        st.tuples(st.just("duplicate"), columns, columns),
+        st.tuples(st.just("zero"), columns),
+        st.tuples(st.just("constant"), columns, st.floats(-3.0, 3.0)),
+    )
+    for edit in draw(st.lists(edits, max_size=3)):
+        if edit[0] == "duplicate":
+            x[:, edit[1]] = x[:, edit[2]]
+        elif edit[0] == "zero":
+            x[:, edit[1]] = 0.0
+        else:
+            x[:, edit[1]] = edit[2]
+    return 10.0 ** draw(st.integers(-8, 160)) * x, k
+
+
+def outcome(fn, *args):
+    """fn(*args), or None when it raised a typed error or a ValueError."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as err:
+        pytest.fail(f"{fn.__name__} raised a bare LinAlgError: {err}")
+    except (BandcholError, ValueError):
+        return None
+
+
+def assert_finite(name, *arrays):
+    for a in arrays:
+        assert np.all(np.isfinite(a)), f"{name} returned non-finite values"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(degenerate_data())
+def test_degenerate_inputs_fail_typed(case):
+    x, k = case
+    stats = outcome(banded_regression, x, k)
+    if stats is not None:
+        assert_finite("banded_regression", stats.dhat, stats.ahat, stats.shat_chol)
+        assert np.all(stats.dhat > 0.0)
+    model = outcome(fit_posterior, x, PriorConfig(k))
+    if model is not None:
+        assert_finite("fit_posterior", model.ig_shape, model.ig_rate, model.trunc_mass)
+        assert np.all(model.stats.dhat > 0.0)
+        assert_finite("plug_in_estimator", plug_in_estimator(model))
+    value = outcome(log_marginal_k, x, k)
+    if value is not None:
+        assert_finite("log_marginal_k", value)
+    for fn in (bl_banded_estimator, graphical_mle_banded):
+        omega = outcome(fn, x, k)
+        if omega is not None:
+            assert_finite(fn.__name__, omega)

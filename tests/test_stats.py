@@ -1,4 +1,4 @@
-"""Raw-moment column regressions and their degrees-of-freedom bookkeeping."""
+"""Raw-moment column regressions: least-squares statistics and their failures."""
 
 import numpy as np
 import pytest
@@ -26,9 +26,17 @@ def test_gram_matrix_symbolic():
     np.testing.assert_allclose(gram_matrix(x), [[1.0, 1.0], [1.0, 2.0]])
 
 
+def test_gram_matrix_overflow_is_value_error():
+    x = 1e160 * np.random.default_rng(9).standard_normal((20, 4))
+    with pytest.raises(ValueError, match="overflow"):
+        gram_matrix(x)
+    with pytest.raises(ValueError, match="overflow"):
+        banded_regression(x, 1)
+
+
 def test_banded_regression_symbolic():
     x = np.array([[1.0, 2.0], [-1.0, 0.0]])
-    stats = banded_regression(x, 1, enforce_dof=False)
+    stats = banded_regression(x, 1)
     # regression of column 2 on column 1 under raw moments: slope 1, d = 1
     np.testing.assert_allclose(stats.ahat, [[0.0], [1.0]])
     np.testing.assert_allclose(stats.dhat, [1.0, 1.0])
@@ -37,15 +45,6 @@ def test_banded_regression_symbolic():
     np.testing.assert_array_equal(stats.kj, [0, 1])
     a = stats.coefficient_matrix()
     np.testing.assert_allclose(a, [[0.0, 0.0], [1.0, 0.0]])
-
-
-def test_banded_regression_dof_precondition():
-    x = np.array([[1.0, 2.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError):
-        banded_regression(x, 1)  # n + nu0 - k - 4 = -1
-    stats = banded_regression(np.random.default_rng(0).standard_normal((8, 4)), 2)
-    np.testing.assert_array_equal(stats.nj, [6.0, 5.0, 4.0, 4.0])
-    np.testing.assert_array_equal(stats.kj, [0, 1, 2, 2])
 
 
 @pytest.mark.parametrize("n, p, k", [
@@ -124,6 +123,19 @@ def test_singular_design_reports_column():
     with pytest.raises(SingularDesign) as info:
         banded_regression(x, 2)
     assert info.value.column == 7
+    # a predecessor block wider than the n rows is singular, whatever
+    # rounding lets through: column 28 is the first with 27 predecessors
+    # from 26 rows
+    for seed in range(5):
+        x = np.random.default_rng(seed).standard_normal((26, 36))
+        with pytest.raises(SingularDesign) as info:
+            banded_regression(x, 35)
+        assert info.value.column == 28
+    # an earlier collinear column is still named first
+    x[:, 5] = x[:, 4]
+    with pytest.raises(SingularDesign) as info:
+        banded_regression(x, 35)
+    assert info.value.column == 7
 
 
 def test_degenerate_residual_reports_column():
@@ -133,6 +145,21 @@ def test_degenerate_residual_reports_column():
     with pytest.raises(DegenerateResidual) as info:
         banded_regression(x, 2)
     assert info.value.column == 3
+
+
+def test_residual_floor_is_relative_to_scale():
+    x = np.random.default_rng(8).standard_normal((50, 5))
+    base = banded_regression(x, 2)
+    for s in (1e-8, 1e8):
+        st = banded_regression(s * x, 2)
+        np.testing.assert_allclose(st.dhat, s**2 * base.dhat, rtol=1e-12)
+        np.testing.assert_allclose(st.ahat, base.ahat, rtol=1e-12, atol=1e-14)
+        # a duplicated column is still an exact fit at every scale
+        dup = s * x
+        dup[:, 3] = dup[:, 2]
+        with pytest.raises(DegenerateResidual) as info:
+            banded_regression(dup, 1)
+        assert info.value.column == 4
 
 
 def test_bandwidth_zero_gives_diagonal_moments():
