@@ -24,7 +24,7 @@ from scipy.special import gammaincc, gammainccinv
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, compose
-from .stats import _band_to_lower, as_data_matrix, banded_regression
+from .stats import _band_to_lower, banded_regression
 
 TRUNC_MASS_FLOOR = 1e-300
 
@@ -83,15 +83,19 @@ def max_bandwidth(n, p, nu0):
 
 def _conjugate_update(data, k, prior, gram):
     """(stats, shape, rate, mass) at bandwidth k: the regressions, then each
-    column's inverse-gamma shape nj/2, rate n*dhat/2 and mass below M."""
-    x = as_data_matrix(data)
-    n, p = x.shape
-    if min(k, p - 1) > max_bandwidth(n, p, prior.nu0):
-        raise ValueError(f"need n + nu0 - min(k, p-1) - 4 > 0, got n={n}, "
+    column's inverse-gamma shape nj/2, rate n*dhat/2 and mass below M.
+
+    The bound on k is checked on the shape of the data, before the
+    regression validates the data, so its ValueError comes before
+    SingularDesign or DegenerateResidual.
+    """
+    dims = np.shape(data)
+    if len(dims) == 2 and min(k, dims[1] - 1) > max_bandwidth(*dims, prior.nu0):
+        raise ValueError(f"need n + nu0 - min(k, p-1) - 4 > 0, got n={dims[0]}, "
                          f"nu0={prior.nu0}, k={k}")
-    st = banded_regression(x, k, gram=gram)
-    shape = (n + prior.nu0 - st.kj - 4) / 2.0
-    rate = n * st.dhat / 2.0
+    st = banded_regression(data, k, gram=gram)
+    shape = (st.n + prior.nu0 - st.kj - 4) / 2.0
+    rate = st.n * st.dhat / 2.0
     return st, shape, rate, ig_cdf(prior.M, shape, rate)
 
 

@@ -21,7 +21,7 @@ from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError
 from .simulate import ExperimentConfig, records_csv_text, run_experiment, summary_payload
-from .stats import as_data_matrix
+from .stats import as_data_matrix, gram_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,10 +129,14 @@ def cmd_estimate(args):
     kmax, ref = _selection_grid(args, n, p)
     prior_kwargs = {"M": args.cap, "nu0": args.nu0}
 
+    # X'X/n, computed once, serves the posterior-mode grid and the estimate
+    gram = gram_matrix(x)
+
     if args.k is not None:
         k, source = args.k, "explicit"
     elif args.select_k == "mode":
-        k = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, **prior_kwargs)).mode
+        k = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, **prior_kwargs),
+                                    gram=gram).mode
         source = "mode"
     else:
         k = select_k_resampling(
@@ -142,11 +146,11 @@ def cmd_estimate(args):
         source = "resampling"
 
     if args.estimator == "ll":
-        omega = plug_in_estimator(fit_posterior(x, PriorConfig(k, **prior_kwargs)))
+        omega = plug_in_estimator(fit_posterior(x, PriorConfig(k, **prior_kwargs), gram=gram))
     elif args.estimator == "bl":
-        omega = bl_banded_estimator(x, k)
+        omega = bl_banded_estimator(x, k, gram=gram)
     else:
-        omega = graphical_mle_banded(x, k)
+        omega = graphical_mle_banded(x, k, gram=gram)
 
     write_matrix_csv(args.output, omega)
     sidecar = args.sidecar or default_sidecar(args.output)

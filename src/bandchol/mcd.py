@@ -47,8 +47,11 @@ def compose(factor):
     The result is symmetric positive definite by construction, and is
     exactly k-banded whenever A is k-banded.
     """
-    ident = np.eye(factor.p)
-    b = (ident - factor.a) / np.sqrt(factor.d)[:, None]
+    # I - A is built in place: at large p these p x p arrays set the peak
+    # memory of an estimate
+    b = np.eye(factor.p)
+    b -= factor.a
+    b /= np.sqrt(factor.d)[:, None]
     omega = b.T @ b
     return (omega + omega.T) / 2.0
 

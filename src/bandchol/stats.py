@@ -127,16 +127,21 @@ def _regress(g, k, n):
     p = g.shape[0]
     keff = min(k, p - 1)
 
-    # Gram block of columns j-keff, ..., j for every column j. Predecessors
-    # left of the first column are padded as unit-variance coordinates
-    # uncorrelated with the rest, which leaves the real block's factor as is.
-    idx = np.arange(p)[:, None] - keff + np.arange(keff + 1)
-    real = idx >= 0
-    blocks = np.where(real[:, :, None] & real[:, None, :],
-                      g[idx[:, :, None], idx[:, None, :]], np.eye(keff + 1))
+    # Copied into the lower-right corner of an identity of order p + keff, g
+    # holds the Gram block of columns j-keff, ..., j in the diagonal window
+    # at offset j, so one read-only strided view gives every block without
+    # a gather. The leading identity pads the missing predecessors of the
+    # first columns as unit-variance coordinates uncorrelated with the rest,
+    # which leaves the real block's factor as is.
+    padded = np.eye(p + keff)
+    padded[keff:, keff:] = g
+    s0, s1 = padded.strides
+    blocks = np.lib.stride_tricks.as_strided(
+        padded, (p, keff + 1, keff + 1), (s0 + s1, s0, s1), writeable=False)
     try:
         low = np.linalg.cholesky(blocks)
-        pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
+        diag = np.diagonal(low, axis1=1, axis2=2)
+        pivots = diag ** 2
         # blocks wider than n are singular, whatever rounding lets through
         recheck = keff > n or np.any(
             pivots <= PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
@@ -146,10 +151,18 @@ def _regress(g, k, n):
         # raises whenever the batched factorization failed
         _check_columns(blocks, n)
 
-    # with L the factor of [[S, c], [c', v]]: S = L_S L_S', the last row
-    # is (L_S^{-1} c, sqrt(v - c' S^{-1} c)), so ahat = L_S^{-T} L_S^{-1} c
-    shat_chol = np.ascontiguousarray(low[:, :keff, :keff])
-    ahat = np.linalg.solve(shat_chol.transpose(0, 2, 1), low[:, keff, :keff, None])[:, :, 0]
+    # with L the factor of [[S, c], [c', v]]: S = L_S L_S' and the last row
+    # is (l', sqrt(v - c' S^{-1} c)) with l = L_S^{-1} c, so ahat solves
+    # L_S' ahat = l. Back-substitution over the keff slots, last first and
+    # for all columns at once: slot i is final once divided by L_S[i, i],
+    # and its term L_S[i, :i] * ahat_i leaves the slots before it. A padded
+    # slot has l = 0, no term from the real slots and L_S[i, i] = 1, so its
+    # coefficient stays exactly zero.
+    shat_chol = low[:, :keff, :keff].copy()
+    ahat = low[:, keff, :keff].copy()
+    for i in range(keff - 1, -1, -1):
+        ahat[:, i] /= diag[:, i]
+        ahat[:, :i] -= shat_chol[:, i, :i] * ahat[:, i, None]
     dhat = pivots[:, keff]
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR * np.diagonal(g))[0]
     if bad.size:

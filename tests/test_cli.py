@@ -91,6 +91,29 @@ def test_estimate_selected_k_matches_explicit(tmp_path):
     assert sidecar["parameters"]["kmax"] == 7
 
 
+def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
+    # the posterior-mode grid and the estimator share one X'X/n
+    data = tmp_path / "data.csv"
+    write_data(data)
+    calls = []
+    real = bandchol.stats.gram_matrix
+
+    def counted(x):
+        calls.append(1)
+        return real(x)
+
+    for module in (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.competitors):
+        monkeypatch.setattr(module, "gram_matrix", counted)
+    for estimator in ("ll", "bl", "mle"):
+        calls.clear()
+        assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"),
+                     "--estimator", estimator]) == 0
+        assert len(calls) == 1, estimator
+    calls.clear()
+    assert main(["bandwidth", str(data), "-o", str(tmp_path / "profile.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_estimate_resampling_scheme(tmp_path):
     data = tmp_path / "data.csv"
     write_data(data, n=45, p=6)

@@ -1,10 +1,12 @@
-"""Property test: degenerate inputs fail with typed errors, never with NaNs.
+"""Property tests of the fitting entry points.
 
-Every fitting entry point either returns finite values (with positive
-residual variances where it reports them) or raises a BandcholError
-subclass or a ValueError; a bare LinAlgError, itself a ValueError, is a
-failure. Inputs mix duplicate, zero and constant columns, sample sizes
-close to the bandwidth and scales from 1e-8 to 1e160.
+Degenerate inputs fail with typed errors, never with NaNs: every fitting
+entry point either returns finite values (with positive residual
+variances where it reports them) or raises a BandcholError subclass or a
+ValueError; a bare LinAlgError, itself a ValueError, is a failure.
+Inputs mix duplicate, zero and constant columns, sample sizes close to
+the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
+batched regressions match a per-column least-squares oracle.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from bandchol.bandwidth import log_marginal_k
 from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
-from bandchol.errors import BandcholError
+from bandchol.errors import BandcholError, DegenerateResidual, SingularDesign
 from bandchol.stats import banded_regression
 
 
@@ -76,3 +78,39 @@ def test_degenerate_inputs_fail_typed(case):
         omega = outcome(fn, x, k)
         if omega is not None:
             assert_finite(fn.__name__, omega)
+
+
+@st.composite
+def regression_data(draw):
+    p = draw(st.integers(1, 12))
+    k = draw(st.integers(0, p + 1))
+    n = draw(st.integers(max(1, min(k, p - 1) - 1), k + 10))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, p))
+    return x, k
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(regression_data())
+def test_banded_regression_matches_lstsq(case):
+    # every column's coefficients and residual variance match a direct
+    # least-squares fit on its real predecessors; a band as wide as the
+    # sample leaves some column an exact fit or a singular design
+    x, k = case
+    n, p = x.shape
+    keff = min(k, p - 1)
+    if keff >= n:
+        with pytest.raises((SingularDesign, DegenerateResidual)):
+            banded_regression(x, k)
+        return
+    stats = banded_regression(x, k)
+    for j in range(p):
+        kj = stats.kj[j]
+        z = x[:, j - kj:j]
+        coef = np.linalg.lstsq(z, x[:, j], rcond=None)[0]
+        resid = x[:, j] - z @ coef
+        # the kernel solves the normal equations, whose error grows with
+        # the squared condition number of the design
+        tol = 1e-14 * (np.linalg.cond(x[:, j - kj:j + 1]) ** 2 if kj else 1.0)
+        np.testing.assert_allclose(stats.ahat[j, keff - kj:], coef, rtol=0, atol=tol)
+        np.testing.assert_array_equal(stats.ahat[j, :keff - kj], 0.0)
+        assert abs(stats.dhat[j] - resid @ resid / n) <= tol * np.mean(x[:, j] ** 2)

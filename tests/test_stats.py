@@ -49,7 +49,7 @@ def test_banded_regression_symbolic():
 
 @pytest.mark.parametrize("n, p, k", [
     (40, 9, 3), (20, 6, 0), (30, 6, 5), (30, 6, 9), (10, 1, 0), (10, 1, 2),
-    (12, 2, 1), (12, 2, 4),
+    (12, 2, 1), (12, 2, 4), (33, 100, 20), (21, 30, 20),
 ])
 def test_banded_regression_head_tail_consistency(n, p, k):
     # every column must match its own direct least-squares fit, with the
@@ -72,6 +72,21 @@ def test_banded_regression_head_tail_consistency(n, p, k):
         np.testing.assert_array_equal(low[:pad], np.eye(keff)[:pad])
         np.testing.assert_array_equal(low[:, :pad], np.eye(keff)[:, :pad])
         assert stats.dhat[j] == pytest.approx(resid @ resid / n, abs=1e-12)
+
+
+def test_gram_left_unchanged_and_outputs_own_their_data():
+    # the kernel reads the Gram blocks through a read-only view of a padded
+    # copy; neither the caller's gram nor that buffer may leak out
+    x = np.random.default_rng(10).standard_normal((30, 8))
+    g = gram_matrix(x)
+    before = g.copy()
+    stats = banded_regression(x, 3, gram=g)
+    np.testing.assert_array_equal(g, before)
+    for a in (stats.ahat, stats.shat_chol):
+        assert a.flags.writeable and a.flags.owndata
+    stats.ahat[:] = 0.0
+    stats.shat_chol[:] = 0.0
+    np.testing.assert_array_equal(g, before)
 
 
 def test_full_band_recovers_gram_inverse():
