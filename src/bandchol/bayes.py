@@ -18,13 +18,12 @@ latter ignoring the truncation (negligible for large M).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaincc, gammainccinv
 
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, compose
-from .stats import _band_to_lower, banded_regression
+from .stats import banded_regression
 
 TRUNC_MASS_FLOOR = 1e-300
 
@@ -108,7 +107,8 @@ def fit_posterior(data, prior, gram=None):
     st, shape, rate, mass = _conjugate_update(data, prior.k, prior, gram)
     bad = np.nonzero(mass < TRUNC_MASS_FLOOR)[0]
     if bad.size:
-        raise TruncationMassZero(bad[0] + 1, prior.M)
+        j = bad[0]
+        raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
     return PosteriorModel(
         stats=st, prior=prior, ig_shape=shape, ig_rate=rate, trunc_mass=mass
     )
@@ -120,7 +120,7 @@ def plug_in_estimator(model):
     Returns (I - Ahat)' diag(nj / (n*dhat_j)) (I - Ahat).
     """
     d = model.ig_rate / model.ig_shape
-    return compose(CholeskyFactor(a=model.stats.coefficient_matrix(), d=d))
+    return compose(CholeskyFactor(a=model.stats.ahat, d=d))
 
 
 def _sample_columns(model, draws, rng):
@@ -128,45 +128,46 @@ def _sample_columns(model, draws, rng):
 
     Returns (d, a) where d has shape (draws, p) and a is a (draws, p, keff)
     band array of coefficients, zero in the padded slots like ahat.
-    Innovation variances come from the truncated inverse-gamma via the
-    inverse upper-tail CDF on the precision scale, which stays accurate
-    when the truncation mass is tiny.
+    Column j's substream gives its draws uniforms, then its draws x kj
+    standard normals. Innovation variances come from the truncated
+    inverse-gamma via the inverse upper-tail CDF on the precision scale,
+    which stays accurate when the truncation mass is tiny.
     """
     st = model.stats
     p, keff = st.ahat.shape
-    streams = rng.spawn(p)
-    d = np.empty((draws, p))
-    a = np.zeros((draws, p, keff))
-    scale = np.sqrt(1.0 / st.n)
-    for j in range(p):
-        gen = streams[j]
-        u = 1.0 - gen.random(draws)
-        tail = u * model.trunc_mass[j]
-        theta = gammainccinv(model.ig_shape[j], tail) / model.ig_rate[j]
-        d[:, j] = 1.0 / theta
+    u = np.empty((draws, p))
+    # the normals z, turned into L^{-T} z in place below
+    w = np.zeros((draws, p, keff))
+    for j, gen in enumerate(rng.spawn(p)):
+        u[:, j] = gen.random(draws)
         kj = st.kj[j]
-        if kj == 0:
-            continue
-        z = gen.standard_normal((draws, kj))
-        # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, so map z through L^{-T},
-        # with L the trailing kj block of the padded factor
-        lo = keff - kj
-        w = solve_triangular(st.shat_chol[j, lo:, lo:], z.T, trans="T", lower=True).T
-        a[:, j, lo:] = st.ahat[j, lo:] + (scale * np.sqrt(d[:, j]))[:, None] * w
+        if kj:
+            w[:, j, keff - kj:] = gen.standard_normal((draws, kj))
+    tail = (1.0 - u) * model.trunc_mass
+    d = 1.0 / (gammainccinv(model.ig_shape, tail) / model.ig_rate)
+    # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, so w = L^{-T} z solves
+    # L' w = z: back-substitution over the keff slots, last first, for all
+    # draws and columns at once. The padded factor is the identity outside
+    # the trailing kj block, where z is zero, so w stays zero there.
+    low = st.shat_chol
+    for i in range(keff - 1, -1, -1):
+        w[..., i] /= low[:, i, i]
+        w[..., :i] -= low[:, i, :i] * w[..., i, None]
+    a = st.ahat + (np.sqrt(1.0 / st.n) * np.sqrt(d))[..., None] * w
     return d, a
 
 
 def sample_posterior(model, rng):
     """Draw one factor (A, d) from the joint posterior."""
     d, a = _sample_columns(model, 1, np.random.default_rng(rng))
-    return CholeskyFactor(a=_band_to_lower(a[0]), d=d[0])
+    return CholeskyFactor(a=a[0], d=d[0])
 
 
 def _iter_composed(model, draws, rng):
     """Yield composed precision draws omega_s without storing them all."""
     d, a = _sample_columns(model, draws, np.random.default_rng(rng))
     for s in range(draws):
-        yield compose(CholeskyFactor(a=_band_to_lower(a[s]), d=d[s]))
+        yield compose(CholeskyFactor(a=a[s], d=d[s]))
 
 
 def posterior_mean_omega(model, draws, rng):

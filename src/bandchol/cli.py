@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,37 +36,58 @@ MATRIX_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 
 def read_data_csv(path, header=False, center=False):
-    """Load an observations-by-variables CSV, reporting bad lines by number."""
-    rows = []
+    """Load an observations-by-variables CSV, reporting bad lines by number.
+
+    np.loadtxt reads a plain numeric file. A file it rejects is read again
+    by _parse_csv, which accepts what the csv module and float() accept,
+    such as whitespace-only lines and quoted numbers, or names the bad line.
+    """
     try:
         fh = open(path, newline="")
     except OSError as err:
         raise ValueError(f"cannot read {path}: {err}") from None
     with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if header and lineno == 1:
-                continue
-            if not row or all(tok.strip() == "" for tok in row):
-                continue
-            values = []
-            for tok in row:
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: could not parse {tok.strip()!r} "
-                        "as a number"
-                    ) from None
-            rows.append(values)
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows warns; _parse_csv reports it
+                warnings.simplefilter("ignore", UserWarning)
+                x = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                               skiprows=int(header))
+        except ValueError:
+            x = None
+        if x is None or x.size == 0:
+            fh.seek(0)
+            x = _parse_csv(fh, path, header)
+    x = as_data_matrix(x)
+    if center:
+        x = x - x.mean(axis=0)
+    return x
+
+
+def _parse_csv(fh, path, header):
+    """Rows of a CSV file through csv.reader and float(), naming a bad line."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if header and lineno == 1:
+            continue
+        if not row or all(tok.strip() == "" for tok in row):
+            continue
+        values = []
+        for tok in row:
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: could not parse {tok.strip()!r} "
+                    "as a number"
+                ) from None
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise ValueError(f"{path}: rows have inconsistent lengths {sorted(widths)}")
-    x = as_data_matrix(np.array(rows))
-    if center:
-        x = x - x.mean(axis=0)
-    return x
+    return np.array(rows)
 
 
 def write_matrix_csv(path, m):
@@ -257,7 +279,8 @@ def _add_model_flags(sub):
     sub.add_argument("--nu0", type=float, default=2.0,
                      help="shape offset of the variance prior (default 2)")
     sub.add_argument("--cap", type=float, default=1e6, metavar="M",
-                     help="upper truncation M of the variance prior (default 1e6)")
+                     help="upper truncation M of the variance prior, absolute, in "
+                          "squared data units (default 1e6)")
     sub.add_argument("--splits", type=int, default=50,
                      help="resampling splits (default 50)")
     sub.add_argument("--ref-bandwidth", type=int, default=None,

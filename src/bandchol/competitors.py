@@ -23,7 +23,7 @@ def bl_banded_estimator(data, k, gram=None):
     divisor-n residual variances at bandwidth k.
     """
     st = banded_regression(data, k, gram=gram)
-    return compose(CholeskyFactor(a=st.coefficient_matrix(), d=st.dhat))
+    return compose(CholeskyFactor(a=st.ahat, d=st.dhat))
 
 
 def graphical_mle_banded(data, k, gram=None):

@@ -36,12 +36,18 @@ class DegenerateResidual(BandcholError):
 
 
 class TruncationMassZero(BandcholError):
-    """The truncated inverse-gamma posterior carries no mass below the cap."""
+    """The truncated inverse-gamma posterior carries no mass below the cap.
 
-    def __init__(self, column, cap):
+    scale is the column's variance scale n*dhat/nj, the reciprocal of the
+    untruncated posterior mean of its innovation precision 1/d.
+    """
+
+    def __init__(self, column, cap, scale):
         self.column = int(column)
         super().__init__(
-            f"posterior mass of d_{self.column} on (0, {cap:g}] underflows to zero"
+            f"posterior mass of d_{self.column} on (0, {cap:g}] underflows to zero: "
+            f"the column's variance scale n*dhat/nj is {scale:.3g}, and the cap M "
+            "is absolute, in squared data units"
         )
 
 

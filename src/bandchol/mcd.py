@@ -5,6 +5,12 @@ strictly lower triangular and D = diag(d) positive. Row j of A holds the
 coefficients of the regression of coordinate j on its predecessors, and
 d_j is the innovation variance of that regression. Banding A by k is the
 same as truncating each regression to the k closest predecessors.
+
+A k-banded A is stored as its (p, k) coefficient band, the layout of
+BandedRegressionStats.ahat: row j holds the coefficients on coordinates
+j-k, ..., j-1, nearest last, and the slots left of the first coordinate
+are zero. compose builds omega from the bands in O(p k^2) and returns it
+dense; decompose returns the full band, k = p - 1.
 """
 
 from dataclasses import dataclass
@@ -17,20 +23,24 @@ from .stats import _regress
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Pair (A, d) of regression coefficients and innovation variances."""
+    """Pair (A, d): A as its (p, k) coefficient band a, k < p, and the
+    innovation variances d, all positive."""
 
     a: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        a = linalg.check_finite(self.a, "coefficient matrix")
+        a = linalg.check_finite(self.a, "coefficient band")
         d = linalg.check_finite(self.d, "innovation variances")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if d.shape != (a.shape[0],):
-            raise ValueError("innovation variances must match the matrix order")
-        if np.any(np.triu(a) != 0.0):
-            raise ValueError("coefficient matrix must be strictly lower triangular")
+        if a.ndim != 2 or d.shape != (a.shape[0],):
+            raise ValueError("coefficient band must have shape (p, k) and d shape (p,)")
+        p, k = a.shape
+        if k >= p:
+            raise ValueError(f"coefficient band must have fewer than p = {p} columns, got {k}")
+        # row j < k has k - j slots before the first coordinate
+        slots = np.arange(k)
+        if np.any(a[:k][slots[:, None] + slots < k] != 0.0):
+            raise ValueError("coefficient band must be zero before the first coordinate")
         if np.any(d <= 0.0):
             raise ValueError("innovation variances must be positive")
         object.__setattr__(self, "a", a)
@@ -42,33 +52,56 @@ class CholeskyFactor:
 
 
 def compose(factor):
-    """Assemble omega = (I - A)' D^{-1} (I - A).
+    """Assemble omega = (I - A)' D^{-1} (I - A) as a dense symmetric matrix.
 
-    The result is symmetric positive definite by construction, and is
-    exactly k-banded whenever A is k-banded.
+    The result is symmetric positive definite by construction, and exactly
+    k-banded for a k-wide coefficient band.
     """
-    # I - A is built in place: at large p these p x p arrays set the peak
-    # memory of an estimate
-    b = np.eye(factor.p)
-    b -= factor.a
-    b /= np.sqrt(factor.d)[:, None]
-    omega = b.T @ b
-    return (omega + omega.T) / 2.0
+    p, k = factor.a.shape
+    # b[m, t] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
+    # past slot k and past the last row
+    b = np.zeros((p + 2 * k, 2 * k + 1))
+    b[:p, 0] = 1.0
+    b[:p, 1:k + 1] = -factor.a[:, ::-1]
+    b[:p, :k + 1] /= np.sqrt(factor.d)[:, None]
+    # omega[c+s, c] = sum_t B[c+s+t, c+s] * B[c+s+t, c]
+    #              = sum_t b[c+s+t, t] * b[c+s+t, t+s],
+    # for every offset s at once from two strided views of b; the terms that
+    # leave the band or the matrix read its zeros
+    s0, s1 = b.strides
+    left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
+    right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
+    bands = np.einsum("sct,sct->sc", left, right)
+    # bands[s, c] goes to omega[c, c+s] and omega[c+s, c]. Past c = p-1-s it
+    # is zero, and the strided writes of those zeros land in k spare rows
+    # below omega or, from the upper band, in its strictly lower part, which
+    # the lower band is written over next.
+    full = np.zeros((p + k, p))
+    e = full.itemsize
+    np.ndarray((k + 1, p), buffer=full, strides=(e, (p + 1) * e))[:] = bands
+    np.ndarray((k + 1, p), buffer=full, strides=(p * e, (p + 1) * e))[:] = bands
+    return full[:p]
 
 
 def decompose(omega):
-    """Recover the factor (A, d) of an SPD precision matrix.
+    """Recover the factor (A, d) of an SPD precision matrix, A as its full band.
 
     Uses the reversed Cholesky factorization: with J the exchange matrix,
     J omega J = L L', and T = J L' J is lower triangular with
     omega = T' T. Then d = diag(T)^{-2} and A = I - diag(T)^{-1} T.
     """
     omega = linalg.as_spd(omega, "precision matrix")
+    p = omega.shape[0]
     low = np.linalg.cholesky(omega[::-1, ::-1])
     t = low[::-1, ::-1].T
     tdiag = np.diag(t).copy()
-    a = -t / tdiag[:, None]
-    np.fill_diagonal(a, 0.0)
+    # after p-1 zero columns, row j of -T/diag(T) holds the coefficients
+    # on columns 0, ..., j-1 in columns p-1, ..., p+j-2, so its band
+    # (columns j-p+1, ..., j-1, nearest last) is wide[j, j:j+p-1]
+    wide = np.zeros((p, 2 * p - 1))
+    wide[:, p - 1:] = -t / tdiag[:, None]
+    s0, s1 = wide.strides
+    a = np.ndarray((p, p - 1), buffer=wide, strides=(s0 + s1, s1)).copy()
     return CholeskyFactor(a=a, d=1.0 / tdiag**2)
 
 
@@ -83,7 +116,7 @@ def population_coefficients(sigma, k):
     """
     sigma = linalg.as_spd(sigma, "covariance matrix")
     st = _regress(sigma, k, np.inf)
-    return CholeskyFactor(a=st.coefficient_matrix(), d=st.dhat)
+    return CholeskyFactor(a=st.ahat, d=st.dhat)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +193,8 @@ def class_membership(omega, eps0, gamma, scale=1.0):
     eps0_ok = bool(eps0 <= lmin and lmax <= 1.0 / eps0)
     a = decompose(omega).a
     ks = np.arange(1, p)
-    factor_profile = np.array([linalg.norm_linf(a - linalg.band_matrix(a, k)) for k in ks])
+    # band slots 0 .. p-2-k hold the coefficients more than k places away
+    factor_profile = np.array([linalg.norm_linf(a[:, :p - 1 - k]) for k in ks])
     omega_profile = np.array(
         [linalg.norm_linf(omega - linalg.band_matrix(omega, k)) for k in ks]
     )

@@ -43,21 +43,6 @@ def gram_matrix(x):
     return (g + g.T) / 2.0
 
 
-def _band_to_lower(band):
-    """Scatter a (p, keff) band array into a strictly lower p x p matrix.
-
-    Row j of the band holds the entries of columns j-keff, ..., j-1; slots
-    left of the first column are dropped.
-    """
-    p, keff = band.shape
-    rows = np.arange(p)[:, None].repeat(keff, axis=1)
-    cols = rows - keff + np.arange(keff)
-    real = cols >= 0
-    out = np.zeros((p, p))
-    out[rows[real], cols[real]] = band[real]
-    return out
-
-
 @dataclass
 class BandedRegressionStats:
     """Per-column least-squares statistics at a common bandwidth k.
@@ -66,7 +51,8 @@ class BandedRegressionStats:
     predecessors. Banded arrays are indexed 0-based by column and hold
     keff = min(k, p-1) slots for the predecessors j-keff, ..., j-1, of
     which the trailing kj are real: ahat (p, keff) holds the coefficients
-    and is zero in the padded slots, and shat_chol (p, keff, keff) holds
+    and is zero in the padded slots, the band layout of mcd.CholeskyFactor,
+    and shat_chol (p, keff, keff) holds
     the lower Cholesky factors of the predecessor Gram blocks, padded with
     the identity.
     """
@@ -77,10 +63,6 @@ class BandedRegressionStats:
     dhat: np.ndarray
     ahat: np.ndarray = field(repr=False)
     shat_chol: np.ndarray = field(repr=False)
-
-    def coefficient_matrix(self):
-        """Strictly lower triangular matrix with row j holding ahat_j."""
-        return _band_to_lower(self.ahat)
 
 
 def _check_columns(blocks, n):

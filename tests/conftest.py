@@ -1,4 +1,33 @@
-"""Shared pytest hooks: surface the acceptance report in the summary."""
+"""Shared pytest hooks and test helpers.
+
+The acceptance report is surfaced in the terminal summary. lower(band)
+builds the dense strictly lower A of a coefficient band for oracles, and
+random_band draws a band.
+"""
+
+import numpy as np
+
+
+def lower(band):
+    """Dense strictly lower p x p matrix of a (p, k) coefficient band.
+
+    Row j of the band holds the coefficients on columns j-k, ..., j-1;
+    slots left of column 0 are dropped.
+    """
+    band = np.asarray(band, dtype=float)
+    p, k = band.shape
+    out = np.zeros((p, p))
+    for j in range(p):
+        for s in range(k):
+            if j - k + s >= 0:
+                out[j, j - k + s] = band[j, s]
+    return out
+
+
+def random_band(rng, p, k, scale=1.0):
+    """A (p, k) coefficient band of normal entries, zero before the first coordinate."""
+    real = np.add.outer(np.arange(p), np.arange(k)) >= k
+    return np.where(real, scale * rng.standard_normal((p, k)), 0.0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,7 +11,6 @@ import json
 import numpy as np
 import pytest
 
-from bandchol import linalg
 from bandchol.bayes import PriorConfig, fit_posterior
 from bandchol.bayes import _sample_columns
 from bandchol.cli import main
@@ -19,6 +18,7 @@ from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.mcd import CholeskyFactor, compose, decompose
 from bandchol.simulate import ExperimentConfig, TrueModelSpec, run_experiment
 from bandchol.stats import gram_matrix
+from conftest import random_band
 
 REPORT_LINES = []
 
@@ -117,7 +117,7 @@ def test_criterion_06_mcd_roundtrip_and_band_closure():
     for _ in range(50):
         p = int(rng.integers(3, 101))
         k = int(rng.integers(1, 6))
-        a = linalg.band_matrix(np.tril(rng.standard_normal((p, p)) * 0.3, -1), k)
+        a = random_band(rng, p, min(k, p - 1), 0.3)
         omega = compose(CholeskyFactor(a=a, d=rng.uniform(0.5, 2.0, p)))
         off = np.abs(np.subtract.outer(range(p), range(p))) > k
         banded_ok &= bool(np.all(omega[off] == 0.0))

@@ -19,6 +19,7 @@ from bandchol.bayes import (
 from bandchol.errors import SingularDesign, TruncationMassZero
 from bandchol.mcd import compose
 from bandchol.stats import gram_matrix
+from conftest import lower
 
 
 def fitted(rng, n=80, p=6, k=2, M=1e6, nu0=2.0):
@@ -100,14 +101,9 @@ def test_plug_in_matches_composed_means():
     st = model.stats
     omega = plug_in_estimator(model)
     nj = st.n + 2.0 - st.kj - 4
-    manual = compose_from(st.coefficient_matrix(), st.n * st.dhat / nj)
-    np.testing.assert_allclose(omega, manual, atol=1e-14)
-
-
-def compose_from(a, d):
-    from bandchol.mcd import CholeskyFactor
-
-    return compose(CholeskyFactor(a=a, d=d))
+    # dense oracle (I - A)' D^{-1} (I - A)
+    b = (np.eye(st.p) - lower(st.ahat)) / np.sqrt(st.n * st.dhat / nj)[:, None]
+    np.testing.assert_allclose(omega, b.T @ b, atol=1e-14)
 
 
 def test_truncation_mass_zero():
@@ -137,7 +133,49 @@ def test_sampled_factor_shape_and_truncation():
     for seed in range(50):
         f = sample_posterior(model, seed)
         assert np.all(f.d <= 1.0) and np.all(f.d > 0.0)
-        assert np.all(np.triu(f.a) == 0.0)
+        # a (5, 2) band, zero before the first coordinate
+        assert f.a.shape == (5, 2) and f.a[0, 0] == f.a[0, 1] == f.a[1, 0] == 0.0
+
+
+def sample_columns_oracle(model, draws, rng):
+    """Column-by-column sampler: a solve_triangular per column."""
+    from scipy.linalg import solve_triangular
+    from scipy.special import gammainccinv
+
+    st = model.stats
+    p, keff = st.ahat.shape
+    d = np.empty((draws, p))
+    a = np.zeros((draws, p, keff))
+    for j, gen in enumerate(rng.spawn(p)):
+        tail = (1.0 - gen.random(draws)) * model.trunc_mass[j]
+        d[:, j] = 1.0 / (gammainccinv(model.ig_shape[j], tail) / model.ig_rate[j])
+        kj = st.kj[j]
+        if kj == 0:
+            continue
+        z = gen.standard_normal((draws, kj))
+        lo = keff - kj
+        w = solve_triangular(st.shat_chol[j, lo:, lo:], z.T, trans="T", lower=True).T
+        a[:, j, lo:] = st.ahat[j, lo:] + (np.sqrt(1.0 / st.n) * np.sqrt(d[:, j]))[:, None] * w
+    return d, a
+
+
+@pytest.mark.parametrize("n, p, k", [(40, 6, 0), (60, 8, 2), (30, 5, 4), (90, 12, 7)])
+def test_vectorized_sampler_matches_column_oracle(n, p, k):
+    from bandchol.bayes import _sample_columns
+
+    data = np.random.default_rng(n + k).standard_normal((n, p))
+    model = fit_posterior(data, PriorConfig(k=k, M=2.0))
+    for seed in range(5):
+        for draws in (1, 7):
+            d, a = _sample_columns(model, draws, np.random.default_rng(seed))
+            d0, a0 = sample_columns_oracle(model, draws, np.random.default_rng(seed))
+            np.testing.assert_array_equal(d, d0)
+            np.testing.assert_allclose(a, a0, rtol=0, 
+                                       atol=1e-13 * np.max(np.abs(a0), initial=0.0))
+            # padded slots, and every slot of a kj = 0 column, stay exactly zero
+            keff = a.shape[2]
+            for j in range(p):
+                np.testing.assert_array_equal(a[:, j, :keff - model.stats.kj[j]], 0.0)
 
 
 def test_sampled_moments_match_inverse_gamma():

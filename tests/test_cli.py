@@ -13,9 +13,12 @@ import pytest
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 import bandchol
+from bandchol import cli
 from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
 from bandchol.bandwidth import select_k_posterior_mode
 from bandchol.cli import default_sidecar, main, resolve_threads
+from bandchol.errors import TruncationMassZero
+from bandchol.stats import as_data_matrix
 from bandchol.simulate import TrueModelSpec, make_ar1_cov, sample_gaussian
 
 
@@ -226,6 +229,71 @@ def test_parse_error_exit_code_and_line_number(tmp_path, capsys):
     assert main(["estimate", str(data), "-o", str(out), "--k", "1"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "oops" in err
+
+
+@pytest.mark.parametrize("text, header", [
+    ("1,2\n3,4\n", False),
+    ("a,b\n1,2\n3,4\n", True),
+    ("1,2\n\n3,4\n\n", False),
+    ("1,2\n   \n3,4\n", False),
+    ('"1",2\n3," 4"\n', False),
+    ('"a,b",c\n1,2\n', True),
+    ("1,2\n3\n", False),
+    ("# note\n1,2\n", False),
+    ("1,2\n# note\n", True),
+    ("1,2,\n3,4,\n", False),
+    ("1_0,2\n3,4\n", False),
+    ("1,2\r\n3,4\r\n", False),
+    ("", False),
+    ("a,b\n", True),
+    ("\n  \n", False),
+    ("1,inf\n3,4\n", False),
+])
+def test_csv_fast_path_matches_csv_module(tmp_path, text, header):
+    # np.loadtxt and the csv-module loop give the same matrix or the same error
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+
+    def outcome(read):
+        try:
+            return "ok", read()
+        except ValueError as err:
+            return "error", str(err)
+
+    def with_csv_module():
+        with open(path, newline="") as fh:
+            return as_data_matrix(cli._parse_csv(fh, str(path), header))
+
+    fast = outcome(lambda: cli.read_data_csv(str(path), header=header))
+    slow = outcome(with_csv_module)
+    assert fast[0] == slow[0]
+    if fast[0] == "ok":
+        np.testing.assert_array_equal(fast[1], slow[1])
+    else:
+        assert fast[1] == slow[1]
+
+
+def test_csv_plain_file_skips_csv_module(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    x = write_data(path, n=5, p=3)
+    monkeypatch.setattr(cli, "_parse_csv", None)
+    np.testing.assert_array_equal(cli.read_data_csv(str(path)), x)
+
+
+def test_variance_cap_is_absolute(tmp_path, capsys):
+    # innovation variances near 1e8 lie above the default cap M = 1e6
+    data = tmp_path / "data.csv"
+    x = 1e4 * np.random.default_rng(3).standard_normal((100, 10))
+    np.savetxt(data, x, delimiter=",", fmt="%.17g")
+    scale = r"variance scale n\*dhat/nj is [0-9.]+e\+07, .* in squared data units"
+    with pytest.raises(TruncationMassZero, match=scale):
+        fit_posterior(x, PriorConfig(k=1))
+    out = tmp_path / "omega.csv"
+    assert main(["estimate", str(data), "-o", str(out), "--k", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "d_1 on (0, 1e+06]" in err and "squared data units" in err
+    assert main(["estimate", str(data), "-o", str(out), "--k", "1", "--cap", "1e12"]) == 0
+    assert main(["estimate", str(data), "-o", str(out), "--cap", "1e12"]) == 0
 
 
 def test_overflowing_moments_exit_code(tmp_path, capsys):

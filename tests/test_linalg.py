@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvals_banded
 
 from bandchol import linalg
 from bandchol.errors import SingularMatrix
@@ -29,6 +30,24 @@ def test_norm_spectral_general_matches_svd():
     # largest singular value of [[1,2],[3,4]], frozen from np.linalg.svd
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert linalg.norm_spectral(m) == pytest.approx(5.464985704219043, abs=1e-12)
+
+
+def test_norm_spectral_uses_banded_solver_on_narrow_bands(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvals_banded(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigvals_banded", counted)
+    p = 2 * linalg.BANDED_EIG_RATIO
+    idx = np.arange(p)
+    for b, banded in ((0, True), (2, True), (3, False)):
+        m = np.where(np.abs(idx[:, None] - idx) <= b, 1.0 / (1.0 + idx[:, None] + idx), 0.0)
+        calls.clear()
+        expected = np.max(np.abs(np.linalg.eigvalsh(m)))
+        assert linalg.norm_spectral(m) == pytest.approx(expected, rel=1e-13)
+        assert calls == ([(b + 1, p)] if banded else [])
 
 
 def test_norm_l1_linf_max():

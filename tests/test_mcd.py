@@ -12,6 +12,7 @@ from bandchol.mcd import (
     decompose,
     population_coefficients,
 )
+from conftest import lower, random_band
 
 
 def random_spd(rng, p, cond=100.0):
@@ -43,14 +44,14 @@ def regression_factor(sigma):
 # ---------------------------------------------------------------------------
 
 def test_compose_identity():
-    factor = CholeskyFactor(a=np.zeros((3, 3)), d=np.ones(3))
-    np.testing.assert_array_equal(compose(factor), np.eye(3))
+    for k in (0, 2):
+        factor = CholeskyFactor(a=np.zeros((3, k)), d=np.ones(3))
+        np.testing.assert_array_equal(compose(factor), np.eye(3))
 
 
 def test_compose_2x2_symbolic():
     a, d1, d2 = 0.7, 2.0, 0.5
-    factor = CholeskyFactor(a=np.array([[0.0, 0.0], [a, 0.0]]),
-                            d=np.array([d1, d2]))
+    factor = CholeskyFactor(a=np.array([[0.0], [a]]), d=np.array([d1, d2]))
     expected = np.array([[1.0 / d1 + a * a / d2, -a / d2],
                          [-a / d2, 1.0 / d2]])
     np.testing.assert_allclose(compose(factor), expected, atol=1e-15)
@@ -58,9 +59,8 @@ def test_compose_2x2_symbolic():
 
 def test_compose_ar1_factor_matches_inverse_covariance():
     rho, p = 0.3, 40
-    a = np.zeros((p, p))
-    idx = np.arange(p - 1)
-    a[idx + 1, idx] = rho
+    a = np.zeros((p, 1))
+    a[1:, 0] = rho
     d = np.full(p, 1.0 - rho * rho)
     d[0] = 1.0
     omega = compose(CholeskyFactor(a=a, d=d))
@@ -71,19 +71,22 @@ def test_compose_banded_factor_gives_banded_precision():
     # exact zeros outside the band, not merely small ones
     rng = np.random.default_rng(0)
     p, k = 12, 3
-    a = np.tril(rng.standard_normal((p, p)) * 0.2, -1)
-    a = linalg.band_matrix(a, k)
-    omega = compose(CholeskyFactor(a=a, d=rng.uniform(0.5, 2.0, p)))
+    omega = compose(CholeskyFactor(a=random_band(rng, p, k, 0.2),
+                                   d=rng.uniform(0.5, 2.0, p)))
     assert np.all(omega[np.abs(np.subtract.outer(range(p), range(p))) > k] == 0.0)
 
 
 def test_factor_validation():
     with pytest.raises(ValueError):
-        CholeskyFactor(a=np.eye(2), d=np.ones(2))  # diagonal not zero
+        CholeskyFactor(a=np.ones((2, 1)), d=np.ones(2))  # slot before column 0
     with pytest.raises(ValueError):
-        CholeskyFactor(a=np.zeros((2, 2)), d=np.array([1.0, 0.0]))
+        CholeskyFactor(a=np.zeros((2, 2)), d=np.ones(2))  # band as wide as p
     with pytest.raises(ValueError):
-        CholeskyFactor(a=np.zeros((2, 2)), d=np.ones(3))
+        CholeskyFactor(a=np.zeros((2, 1)), d=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        CholeskyFactor(a=np.zeros((2, 1)), d=np.ones(3))
+    with pytest.raises(ValueError):
+        CholeskyFactor(a=np.zeros(2), d=np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_factor_validation():
 
 def test_decompose_identity():
     factor = decompose(np.eye(4))
-    np.testing.assert_array_equal(factor.a, np.zeros((4, 4)))
+    np.testing.assert_array_equal(factor.a, np.zeros((4, 3)))
     np.testing.assert_allclose(factor.d, np.ones(4))
 
 
@@ -103,7 +106,7 @@ def test_decompose_ar1_known_coefficients():
     expected_a = np.zeros((p, p))
     idx = np.arange(p - 1)
     expected_a[idx + 1, idx] = rho
-    np.testing.assert_allclose(factor.a, expected_a, atol=1e-10)
+    np.testing.assert_allclose(lower(factor.a), expected_a, atol=1e-10)
     np.testing.assert_allclose(factor.d, [1.0] + [0.91] * (p - 1), atol=1e-10)
 
 
@@ -114,7 +117,7 @@ def test_decompose_matches_regression_oracle():
         sigma = np.linalg.inv(omega)
         a_oracle, d_oracle = regression_factor(sigma)
         factor = decompose(omega)
-        np.testing.assert_allclose(factor.a, a_oracle, atol=1e-8)
+        np.testing.assert_allclose(lower(factor.a), a_oracle, atol=1e-8)
         np.testing.assert_allclose(factor.d, d_oracle, atol=1e-8)
 
 
@@ -139,7 +142,7 @@ def test_decompose_rejects_indefinite():
 
 def test_population_coefficients_identity():
     factor = population_coefficients(np.eye(5), 2)
-    np.testing.assert_array_equal(factor.a, np.zeros((5, 5)))
+    np.testing.assert_array_equal(factor.a, np.zeros((5, 2)))
     np.testing.assert_allclose(factor.d, np.ones(5))
 
 
@@ -149,11 +152,11 @@ def test_population_coefficients_ar1():
     idx = np.arange(p - 1)
     expected_a = np.zeros((p, p))
     expected_a[idx + 1, idx] = rho
-    np.testing.assert_allclose(factor.a, expected_a, atol=1e-12)
+    np.testing.assert_allclose(lower(factor.a), expected_a, atol=1e-12)
     np.testing.assert_allclose(factor.d, [1.0] + [1 - rho**2] * (p - 1), atol=1e-12)
     # extra bandwidth adds nothing for a first-order process
     wide = population_coefficients(ar1_cov(rho, p), 3)
-    np.testing.assert_allclose(wide.a, expected_a, atol=1e-12)
+    np.testing.assert_allclose(lower(wide.a), expected_a, atol=1e-12)
 
 
 def test_population_coefficients_full_band_matches_decompose():
@@ -205,8 +208,8 @@ def test_class_membership_identity():
 def test_class_membership_banded_factor_profile_vanishes():
     rng = np.random.default_rng(4)
     p, k0 = 10, 2
-    a = linalg.band_matrix(np.tril(rng.standard_normal((p, p)) * 0.3, -1), k0)
-    omega = compose(CholeskyFactor(a=a, d=rng.uniform(0.5, 2.0, p)))
+    omega = compose(CholeskyFactor(a=random_band(rng, p, k0, 0.3),
+                                   d=rng.uniform(0.5, 2.0, p)))
     report = class_membership(omega, 1e-6, GammaSpec(kind="exact", k0=k0))
     assert np.all(report.factor_profile[k0:] == 0.0)
     assert report.member_u
@@ -216,7 +219,7 @@ def test_class_membership_profiles_match_cumsum_oracle():
     rng = np.random.default_rng(5)
     omega = random_spd(rng, 9, cond=50.0)
     report = class_membership(omega, 1e-6, GammaSpec(kind="polynomial", alpha=1.0))
-    a = decompose(omega).a
+    a = lower(decompose(omega).a)
     for arr, prof in ((a, report.factor_profile), (omega, report.omega_profile)):
         for k in range(1, 9):
             mask = np.abs(np.subtract.outer(range(9), range(9))) > k
@@ -229,8 +232,10 @@ def test_class_membership_exponential_scale_sweep():
     # multiple of the same decay bound covers the precision tails too
     rng = np.random.default_rng(6)
     p, beta = 12, 1.5
-    rows = np.subtract.outer(np.arange(p), np.arange(p)).astype(float)
-    a = np.where(rows >= 1, 0.5 * np.exp(-beta * rows), 0.0)
+    # the full band: slot s of row j is the coefficient p-1-s places back
+    lag = np.arange(p - 1, 0, -1.0)
+    real = lag <= np.arange(p)[:, None]
+    a = np.where(real, 0.5 * np.exp(-beta * lag), 0.0)
     omega = compose(CholeskyFactor(a=a, d=np.full(p, 1.0)))
     lmin, lmax = linalg.eig_extremes(omega)
     eps0 = 0.9 * min(lmin, 1.0 / lmax)

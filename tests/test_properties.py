@@ -1,4 +1,4 @@
-"""Property tests of the fitting entry points.
+"""Property tests of the fitting entry points and the band arithmetic.
 
 Degenerate inputs fail with typed errors, never with NaNs: every fitting
 entry point either returns finite values (with positive residual
@@ -7,6 +7,12 @@ ValueError; a bare LinAlgError, itself a ValueError, is a failure.
 Inputs mix duplicate, zero and constant columns, sample sizes close to
 the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
 batched regressions match a per-column least-squares oracle.
+
+compose of a coefficient band matches the dense product built from
+lower(band), norm_spectral matches the dense symmetric eigensolver on
+either side of its switch to the banded one, CholeskyFactor rejects
+every malformed band, and the CSV reader's fast path agrees with its
+csv-module path on arbitrary small files.
 """
 
 import numpy as np
@@ -18,7 +24,10 @@ from bandchol.bandwidth import log_marginal_k
 from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.errors import BandcholError, DegenerateResidual, SingularDesign
-from bandchol.stats import banded_regression
+from bandchol import cli, linalg
+from bandchol.mcd import CholeskyFactor, compose
+from bandchol.stats import as_data_matrix, banded_regression
+from conftest import lower, random_band
 
 
 @st.composite
@@ -114,3 +123,134 @@ def test_banded_regression_matches_lstsq(case):
         np.testing.assert_allclose(stats.ahat[j, keff - kj:], coef, rtol=0, atol=tol)
         np.testing.assert_array_equal(stats.ahat[j, :keff - kj], 0.0)
         assert abs(stats.dhat[j] - resid @ resid / n) <= tol * np.mean(x[:, j] ** 2)
+
+
+@st.composite
+def band_factors(draw):
+    p = draw(st.integers(1, 40))
+    k = draw(st.integers(0, p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_band(rng, p, k, 10.0 ** draw(st.integers(-3, 1)))
+    d = 10.0 ** rng.uniform(-2.0, 2.0, p)
+    return a, d
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(band_factors())
+def test_compose_matches_dense_oracle(case):
+    a, d = case
+    p, k = a.shape
+    b = (np.eye(p) - lower(a)) / np.sqrt(d)[:, None]
+    oracle = b.T @ b
+    omega = compose(CholeskyFactor(a=a, d=d))
+    assert omega.shape == (p, p)
+    np.testing.assert_array_equal(omega, omega.T)
+    assert np.max(np.abs(omega - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    outside = np.abs(np.subtract.outer(np.arange(p), np.arange(p))) > k
+    assert np.all(omega[outside] == 0.0)
+
+
+@st.composite
+def symmetric_bands(draw):
+    p = draw(st.integers(1, 120))
+    switch = p // linalg.BANDED_EIG_RATIO
+    b = draw(st.sampled_from(sorted({0, min(1, p - 1), switch, min(switch + 1, p - 1), p - 1})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((p, p))
+    m = m + m.T
+    m[np.abs(np.subtract.outer(np.arange(p), np.arange(p))) > b] = 0.0
+    return m
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(symmetric_bands())
+def test_norm_spectral_matches_dense_eigensolver(m):
+    oracle = np.max(np.abs(np.linalg.eigvalsh(m)))
+    assert linalg.norm_spectral(m) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def malformed_factors(draw):
+    p = draw(st.integers(1, 12))
+    k = draw(st.integers(0, p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_band(rng, p, k)
+    d = rng.uniform(0.5, 2.0, p)
+    fault = draw(st.sampled_from(["none", "non-finite a", "non-finite d", "padded slot",
+                                  "too wide", "d not positive"]))
+    if fault == "non-finite a" and k:
+        a[draw(st.integers(0, p - 1)), draw(st.integers(0, k - 1))] = \
+            draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif fault == "non-finite d":
+        d[draw(st.integers(0, p - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    elif fault == "padded slot" and k:
+        row = draw(st.integers(0, k - 1))
+        a[row, draw(st.integers(0, k - 1 - row))] = draw(st.sampled_from([1.0, -1e-300]))
+    elif fault == "too wide":
+        a = np.hstack([np.zeros((p, p - k)), a])
+    elif fault == "d not positive":
+        d[draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, -1.0]))
+    else:
+        fault = "none"
+    return a, d, fault
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(malformed_factors())
+def test_cholesky_factor_rejects_malformed_bands(case):
+    a, d, fault = case
+    if fault == "none":
+        factor = CholeskyFactor(a=a, d=d)
+        assert factor.p == len(d)
+    else:
+        with pytest.raises(ValueError):
+            CholeskyFactor(a=a, d=d)
+
+
+CSV_TOKENS = ["1", "-2.5", " 3e-2 ", "1_0", "0x10", '"4"', '" 5"', "", " ", "#", "nan",
+              "1e400", "x", "7.", "+8"]
+
+
+@st.composite
+def csv_files(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "spaces", "comment"]))
+        if kind == "row":
+            width = draw(st.integers(1, 3))
+            tokens = [draw(st.sampled_from(CSV_TOKENS[:3] * 4 + CSV_TOKENS))
+                      for _ in range(width)]
+            lines.append(",".join(tokens) + draw(st.sampled_from(["", "", ","])))
+        else:
+            lines.append({"blank": "", "spaces": "  ", "comment": "# note"}[kind])
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending])), draw(st.booleans())
+
+
+def read_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+def read_with_csv_module(path, header):
+    with open(path, newline="") as fh:
+        return as_data_matrix(cli._parse_csv(fh, path, header))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(csv_files())
+def test_csv_fast_path_matches_csv_module(tmp_path_factory, case):
+    text, header = case
+    path = str(tmp_path_factory.mktemp("csv") / "data.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    fast = read_outcome(cli.read_data_csv, path, header)
+    slow = read_outcome(read_with_csv_module, path, header)
+    assert fast[0] == slow[0]
+    if fast[0] == "ok":
+        np.testing.assert_array_equal(fast[1], slow[1])
+        assert fast[1].dtype == slow[1].dtype
+    else:
+        assert fast[1] == slow[1]

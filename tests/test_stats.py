@@ -10,6 +10,7 @@ from bandchol.stats import (
     banded_regression,
     gram_matrix,
 )
+from conftest import lower
 
 
 def test_as_data_matrix_validation():
@@ -43,8 +44,7 @@ def test_banded_regression_symbolic():
     # column 1 has only a padded slot, column 2 the factor of shat = [[1]]
     np.testing.assert_allclose(stats.shat_chol, [[[1.0]], [[1.0]]])
     np.testing.assert_array_equal(stats.kj, [0, 1])
-    a = stats.coefficient_matrix()
-    np.testing.assert_allclose(a, [[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_allclose(lower(stats.ahat), [[0.0, 0.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("n, p, k", [
@@ -93,7 +93,7 @@ def test_full_band_recovers_gram_inverse():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((60, 8))
     stats = banded_regression(x, 7)
-    omega = compose(CholeskyFactor(a=stats.coefficient_matrix(), d=stats.dhat))
+    omega = compose(CholeskyFactor(a=stats.ahat, d=stats.dhat))
     np.testing.assert_allclose(omega, np.linalg.inv(gram_matrix(x)), atol=1e-8)
 
 
@@ -116,8 +116,7 @@ def test_gram_shortcut_matches_direct():
     direct = banded_regression(x, 2)
     viagram = banded_regression(x, 2, gram=gram_matrix(x))
     np.testing.assert_array_equal(direct.dhat, viagram.dhat)
-    np.testing.assert_array_equal(direct.coefficient_matrix(),
-                                  viagram.coefficient_matrix())
+    np.testing.assert_array_equal(direct.ahat, viagram.ahat)
 
 
 def test_singular_design_reports_column():
