@@ -14,6 +14,15 @@ mass below the cap M on the innovation variances, both from bayes. The
 default prior on k is proportional to exp(-k^4), which concentrates on
 very small bandwidths unless the data strongly favor a wider band.
 
+The whole grid k = 1..kmax comes from one factorization. Column j's
+regressions on its 1, 2, ..., kmax nearest predecessors are nested, so one
+Cholesky factor of its Gram block, ordered nearest first, holds dhat_j and
+logdet(shat_j) for every k (stats._regress_nested); log_marginal_k is the
+last row of the same computation. Where that factor is too close to
+singular to tell, the regressions run once per k, which raises what they
+raise at the smallest failing k. The mode's normalized probability and its
+log-gap to the runner-up say how clearly the data pick it.
+
 The resampling selector repeatedly splits the rows into a small
 estimation group and a large reference group, compares the banded
 regression estimator at each candidate k against a wide-band reference
@@ -26,16 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .bayes import PriorConfig, _conjugate_update, max_bandwidth
+from .bayes import PriorConfig, _check_admissible, _conjugate_terms, max_bandwidth
 from .errors import (
     DegenerateResidual,
     EmptyGrid,
     NonFiniteLogPosterior,
     SingularDesign,
+    TruncationMassZero,
 )
 from .competitors import bl_banded_estimator
 from .linalg import norm_l1
-from .stats import as_data_matrix, gram_matrix
+from .stats import _regress_nested, as_data_matrix, gram_matrix
 
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
@@ -54,6 +64,19 @@ class BandwidthPosterior:
     log_posterior: np.ndarray
     mode: int
 
+    @property
+    def mode_probability(self):
+        """Posterior probability of the mode, normalized over the grid."""
+        return float(1.0 / np.sum(np.exp(self.log_posterior - np.max(self.log_posterior))))
+
+    @property
+    def log_gap(self):
+        """Log posterior of the mode minus the runner-up's; None on a one-point grid."""
+        if len(self.log_posterior) < 2:
+            return None
+        top2 = np.partition(self.log_posterior, -2)[-2:]
+        return float(top2[1] - top2[0])
+
 
 @dataclass(frozen=True)
 class ResamplingSelection:
@@ -64,38 +87,69 @@ class ResamplingSelection:
     mode: int
 
 
-def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior, gram=None):
-    """Unnormalized log posterior of bandwidth k.
+def _log_posterior(x, k_values, prior, log_k_prior, gram):
+    """Unnormalized log posterior at each of the ascending bandwidths k_values.
 
-    prior supplies the cap M and shape offset nu0; its own bandwidth field
-    is ignored in favor of the k argument. Raises ValueError when k
-    exceeds max_bandwidth, and NonFiniteLogPosterior when the value is NaN
-    or infinite, which happens when some residual variance underflows or
-    the cap M removes all posterior mass.
+    One nested factorization gives every k (stats._regress_nested), and the
+    column terms are evaluated over the (bandwidths, p) arrays at once. The
+    smallest k that fails raises, as evaluating them one by one would: its
+    SingularDesign or DegenerateResidual first, else NonFiniteLogPosterior.
     """
-    if prior is None:
-        prior = PriorConfig(k=0)
-    st, half_nj, rate, mass = _conjugate_update(data, k, prior, gram)
-    # padded slots of the factors hold ones and add log 1 = 0
-    logdet = 2.0 * np.sum(np.log(np.diagonal(st.shat_chol, axis1=1, axis2=2)), axis=1)
+    n, p = x.shape
+    g = gram_matrix(x) if gram is None else gram
+    dhat, logdet, err = _regress_nested(g, k_values, n)
+    done = k_values[:len(dhat)]
+    kj = np.minimum(np.arange(p), done[:, None])
+    half_nj, rate, mass = _conjugate_terms(n, kj, dhat, prior)
     col_terms = (
-        -0.5 * (st.kj * np.log(st.n / (2.0 * np.pi)) + logdet)
+        -0.5 * (kj * np.log(n / (2.0 * np.pi)) + logdet)
         + gammaln(half_nj)
         - half_nj * np.log(rate)
     )
     with np.errstate(divide="ignore"):
         trunc_terms = np.log(mass)
-    total = float(log_k_prior(k) + np.sum(col_terms[1:]) + np.sum(trunc_terms))
-    if not np.isfinite(total):
-        raise NonFiniteLogPosterior(k, total)
+    total = (np.array([log_k_prior(int(k)) for k in done], dtype=float)
+             + np.sum(col_terms[:, 1:], axis=1) + np.sum(trunc_terms, axis=1))
+    bad = np.nonzero(~np.isfinite(total))[0]
+    if bad.size:
+        i = bad[0]
+        zero = np.nonzero(mass[i] == 0.0)[0]
+        cause = None
+        if zero.size:
+            j = zero[0]
+            cause = TruncationMassZero(j + 1, prior.M, rate[i, j] / half_nj[i, j])
+        raise NonFiniteLogPosterior(done[i], total[i], cause)
+    if err is not None:
+        raise err
     return total
+
+
+def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior, gram=None):
+    """Unnormalized log posterior of bandwidth k.
+
+    The value is the last row of the grid computation of
+    select_k_posterior_mode with kmax = k, from the same one factorization.
+    prior supplies the cap M and shape offset nu0; its own bandwidth field
+    is ignored in favor of the k argument. Raises ValueError when k
+    exceeds max_bandwidth, and NonFiniteLogPosterior when the value is NaN
+    or infinite, which happens when some residual variance underflows or
+    the cap M removes all posterior mass; the error then names the column
+    whose mass is zero.
+    """
+    if prior is None:
+        prior = PriorConfig(k=0)
+    _check_admissible(data, k, prior.nu0)
+    x = as_data_matrix(data)
+    return float(_log_posterior(x, np.array([k]), prior, log_k_prior, gram)[0])
 
 
 def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_prior,
                             gram=None):
     """Evaluate the bandwidth posterior on 1..kmax and return its mode.
 
-    Ties resolve to the smallest k. kmax may not exceed
+    The whole grid comes from one nested factorization of each column's
+    Gram block and raises what log_marginal_k at k = 1, ..., kmax in turn
+    would. Ties resolve to the smallest k. kmax may not exceed
     max_bandwidth(n, p, nu0), the largest bandwidth the posterior admits.
     """
     x = as_data_matrix(data)
@@ -107,11 +161,8 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     cap = max_bandwidth(n, p, prior.nu0)
     if kmax > cap:
         raise ValueError(f"kmax={kmax} exceeds the largest admissible bandwidth {cap}")
-    g = gram_matrix(x) if gram is None else gram
     k_values = np.arange(1, kmax + 1)
-    log_post = np.array(
-        [log_marginal_k(x, int(k), prior, log_k_prior, gram=g) for k in k_values]
-    )
+    log_post = _log_posterior(x, k_values, prior, log_k_prior, gram)
     # argmax returns the first maximizer, hence the smallest k on ties
     mode = int(k_values[int(np.argmax(log_post))])
     return BandwidthPosterior(k_values=k_values, log_posterior=log_post, mode=mode)

@@ -80,22 +80,27 @@ def max_bandwidth(n, p, nu0):
     return min(p - 1, int(np.ceil(n + nu0 - 4)) - 1)
 
 
-def _conjugate_update(data, k, prior, gram):
-    """(stats, shape, rate, mass) at bandwidth k: the regressions, then each
-    column's inverse-gamma shape nj/2, rate n*dhat/2 and mass below M.
+def _check_admissible(data, k, nu0):
+    """ValueError when bandwidth k leaves a column without positive degrees
+    of freedom n + nu0 - kj - 4.
 
-    The bound on k is checked on the shape of the data, before the
-    regression validates the data, so its ValueError comes before
-    SingularDesign or DegenerateResidual.
+    The bound is checked on the shape of the data, before the regressions
+    validate the data, so its ValueError comes before SingularDesign or
+    DegenerateResidual.
     """
     dims = np.shape(data)
-    if len(dims) == 2 and min(k, dims[1] - 1) > max_bandwidth(*dims, prior.nu0):
+    if len(dims) == 2 and min(k, dims[1] - 1) > max_bandwidth(*dims, nu0):
         raise ValueError(f"need n + nu0 - min(k, p-1) - 4 > 0, got n={dims[0]}, "
-                         f"nu0={prior.nu0}, k={k}")
-    st = banded_regression(data, k, gram=gram)
-    shape = (st.n + prior.nu0 - st.kj - 4) / 2.0
-    rate = st.n * st.dhat / 2.0
-    return st, shape, rate, ig_cdf(prior.M, shape, rate)
+                         f"nu0={nu0}, k={k}")
+
+
+def _conjugate_terms(n, kj, dhat, prior):
+    """(shape, rate, mass) of the columns' inverse-gamma posteriors: shape nj/2,
+    rate n*dhat/2 and the mass below M, elementwise over kj and dhat of any
+    one shape, such as one bandwidth's (p,) or a grid's (bandwidths, p)."""
+    shape = (n + prior.nu0 - kj - 4) / 2.0
+    rate = n * dhat / 2.0
+    return shape, rate, ig_cdf(prior.M, shape, rate)
 
 
 def fit_posterior(data, prior, gram=None):
@@ -104,7 +109,9 @@ def fit_posterior(data, prior, gram=None):
     Raises ValueError when k exceeds max_bandwidth, and TruncationMassZero(j)
     when the cap M leaves column j's posterior without numerical mass.
     """
-    st, shape, rate, mass = _conjugate_update(data, prior.k, prior, gram)
+    _check_admissible(data, prior.k, prior.nu0)
+    st = banded_regression(data, prior.k, gram=gram)
+    shape, rate, mass = _conjugate_terms(st.n, st.kj, st.dhat, prior)
     bad = np.nonzero(mass < TRUNC_MASS_FLOOR)[0]
     if bad.size:
         j = bad[0]

@@ -4,8 +4,10 @@ Matrices travel as CSV files with 17 significant digits, so a written
 estimate reparses to the same floats. Every command writes a JSON sidecar
 echoing its fully resolved parameters, defaults and seed included. The
 one execution-only knob, simulate --threads, never appears in outputs and
-never changes results, so reruns are byte-identical. Exit codes: 0
-success, 2 bad input, 3 numerical failure.
+never changes results, so reruns are byte-identical. A bandwidth chosen by
+posterior mode is reported in the sidecar with its normalized posterior
+probability and its log-gap to the runner-up (null on a one-point grid).
+Exit codes: 0 success, 2 bad input, 3 numerical failure.
 """
 
 import argparse
@@ -145,6 +147,12 @@ def _input_echo(args, n, p):
     }
 
 
+def _mode_diagnostics(post):
+    """How clearly the posterior picked its mode: the mode's normalized
+    probability and its log-gap to the runner-up (null on a one-point grid)."""
+    return {"mode_probability": post.mode_probability, "mode_log_gap": post.log_gap}
+
+
 def cmd_estimate(args):
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
@@ -154,12 +162,13 @@ def cmd_estimate(args):
     # X'X/n, computed once, serves the posterior-mode grid and the estimate
     gram = gram_matrix(x)
 
+    diagnostics = {}
     if args.k is not None:
         k, source = args.k, "explicit"
     elif args.select_k == "mode":
-        k = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, **prior_kwargs),
-                                    gram=gram).mode
-        source = "mode"
+        post = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, **prior_kwargs),
+                                       gram=gram)
+        k, source, diagnostics = post.mode, "mode", _mode_diagnostics(post)
     else:
         k = select_k_resampling(
             x, kmax, splits=args.splits, ref_bandwidth=ref,
@@ -190,7 +199,7 @@ def cmd_estimate(args):
             "nu0": args.nu0,
             "seed": args.seed,
         },
-        "result": {"bandwidth": int(k), "bandwidth_source": source},
+        "result": {"bandwidth": int(k), "bandwidth_source": source, **diagnostics},
         "output": args.output,
     })
     return EXIT_OK
@@ -204,10 +213,12 @@ def cmd_bandwidth(args):
 
     lines = ["scheme,k,value"]
     selected = {}
+    result = {"selected": selected}
     if "mode" in schemes:
         post = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, M=args.cap,
                                                                   nu0=args.nu0))
         selected["mode"] = post.mode
+        result.update(_mode_diagnostics(post))
         for k, value in zip(post.k_values, post.log_posterior):
             lines.append(f"mode,{k},{format(value, '.17g')}")
     if "resampling" in schemes:
@@ -234,7 +245,7 @@ def cmd_bandwidth(args):
             "nu0": args.nu0,
             "seed": args.seed,
         },
-        "result": {"selected": selected},
+        "result": result,
         "output": args.output,
     })
     return EXIT_OK

@@ -52,11 +52,20 @@ class TruncationMassZero(BandcholError):
 
 
 class NonFiniteLogPosterior(BandcholError):
-    """A bandwidth log posterior evaluated to NaN or infinity."""
+    """A bandwidth log posterior evaluated to NaN or infinity.
 
-    def __init__(self, k, value):
+    mass_zero, when given, is the TruncationMassZero of the first column
+    whose truncation mass is zero at bandwidth k, the cause of a -inf; the
+    message repeats its column, cap and variance scale.
+    """
+
+    def __init__(self, k, value, mass_zero=None):
         self.k = int(k)
-        super().__init__(f"log posterior at bandwidth {self.k} is {value}")
+        self.mass_zero = mass_zero
+        msg = f"log posterior at bandwidth {self.k} is {value}"
+        if mass_zero is not None:
+            msg += f": {mass_zero}"
+        super().__init__(msg)
 
 
 class SingularClique(BandcholError):

@@ -48,6 +48,12 @@ def as_spd(m, name="matrix"):
     Cholesky factorization, which fails exactly when the smallest
     eigenvalue is not positive.
     """
+    return _spd_factor(m, name)[0]
+
+
+def _spd_factor(m, name="matrix"):
+    """as_spd's symmetrized copy of m and the lower Cholesky factor that
+    established its positive definiteness."""
     m = check_finite(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
@@ -55,10 +61,10 @@ def as_spd(m, name="matrix"):
         raise ValueError(f"{name} is not symmetric to relative tolerance {SYM_TOL}")
     m = (m + m.T) / 2.0
     try:
-        np.linalg.cholesky(m)
+        low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise SingularMatrix(f"{name} is not positive definite") from None
-    return m
+    return m, low
 
 
 # ---------------------------------------------------------------------------

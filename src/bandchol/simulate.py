@@ -152,11 +152,10 @@ def _truth(model):
 
 def sample_gaussian(sigma, n, rng):
     """n rows drawn from N(0, sigma), as L z with L the Cholesky factor."""
-    sigma = linalg.as_spd(sigma, "covariance matrix")
+    sigma, low = linalg._spd_factor(sigma, "covariance matrix")
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(rng)
-    low = np.linalg.cholesky(sigma)
     return rng.standard_normal((n, sigma.shape[0])) @ low.T
 
 

@@ -98,6 +98,24 @@ def _check_columns(blocks, n):
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
 
 
+def _predecessor_blocks(g, keff):
+    """Read-only (p, keff+1, keff+1) view of the Gram blocks of columns j-keff, ..., j.
+
+    Copied into the lower-right corner of an identity of order p + keff, g
+    holds the Gram block of columns j-keff, ..., j in the diagonal window
+    at offset j, so one strided view gives every block without a gather.
+    The leading identity pads the missing predecessors of the first columns
+    as unit-variance coordinates uncorrelated with the rest, which leaves
+    the real block's factor as is.
+    """
+    p = g.shape[0]
+    padded = np.eye(p + keff)
+    padded[keff:, keff:] = g
+    s0, s1 = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, (p, keff + 1, keff + 1), (s0 + s1, s0, s1), writeable=False)
+
+
 def _regress(g, k, n):
     """Least squares of every coordinate of g on its k closest predecessors.
 
@@ -108,18 +126,7 @@ def _regress(g, k, n):
         raise ValueError("bandwidth k must be nonnegative")
     p = g.shape[0]
     keff = min(k, p - 1)
-
-    # Copied into the lower-right corner of an identity of order p + keff, g
-    # holds the Gram block of columns j-keff, ..., j in the diagonal window
-    # at offset j, so one read-only strided view gives every block without
-    # a gather. The leading identity pads the missing predecessors of the
-    # first columns as unit-variance coordinates uncorrelated with the rest,
-    # which leaves the real block's factor as is.
-    padded = np.eye(p + keff)
-    padded[keff:, keff:] = g
-    s0, s1 = padded.strides
-    blocks = np.lib.stride_tricks.as_strided(
-        padded, (p, keff + 1, keff + 1), (s0 + s1, s0, s1), writeable=False)
+    blocks = _predecessor_blocks(g, keff)
     try:
         low = np.linalg.cholesky(blocks)
         diag = np.diagonal(low, axis1=1, axis2=2)
@@ -151,6 +158,63 @@ def _regress(g, k, n):
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
     return BandedRegressionStats(n=n, p=p, kj=np.minimum(np.arange(p), keff), dhat=dhat,
                                  ahat=ahat, shat_chol=shat_chol)
+
+
+def _regress_nested(g, k_values, n):
+    """Residual variances and predecessor log determinants at several bandwidths.
+
+    Row i of dhat and of logdet, both (len(k_values), p), holds what
+    _regress(g, k_values[i], n) gives every column, up to rounding: its
+    residual variance and the log determinant of its predecessor Gram block
+    (padded slots add log 1 = 0). k_values ascend.
+
+    The regressions on the 1, 2, ..., K nearest predecessors are nested
+    (the order recursion of Levinson and Durbin, which Pourahmadi (1999)
+    applied to the modified Cholesky factor), so one factorization serves
+    every k <= K. Ordered nearest first as [j-1, ..., j-K, j], column j's
+    block factors as L = [[L_S, 0], [l', .]], and at bandwidth k
+
+        dhat_k = g_jj - sum_{i<k} l_i^2,  logdet_k = 2 sum_{i<k} log L_S[i, i].
+
+    These values stand only where no block is wider than n and every squared
+    pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
+    dhat_K, the smallest dhat_k, so every residual variance then lies 10^4
+    times above RESIDUAL_FLOOR, far beyond the rounding of either order, and
+    no block is near singular. Otherwise _regress runs at each k in turn,
+    which gives its values and raises its errors. Returns (dhat, logdet,
+    err): err is None, or the error that _regress raised at the smallest k,
+    and then the rows stop before that k.
+    """
+    if min(k_values) < 0:
+        raise ValueError("bandwidth k must be nonnegative")
+    p = g.shape[0]
+    keffs = np.minimum(k_values, p - 1)
+    kmax = int(keffs[-1])
+    order = np.append(np.arange(kmax - 1, -1, -1), kmax)
+    blocks = _predecessor_blocks(g, kmax)[:, order[:, None], order]
+    try:
+        low = np.linalg.cholesky(blocks)
+        diag = np.diagonal(low, axis1=1, axis2=2)
+        trusted = kmax <= n and np.all(
+            diag ** 2 > PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
+    except np.linalg.LinAlgError:
+        trusted = False
+    if trusted:
+        gjj = np.diagonal(g)
+        # rows k = 0, ..., kmax
+        dhat = np.vstack([gjj, gjj - np.cumsum(low[:, kmax, :kmax] ** 2, axis=1).T])
+        logdet = np.vstack([np.zeros(p), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
+        return dhat[keffs], logdet[keffs], None
+    dhat = np.empty((len(k_values), p))
+    logdet = np.empty((len(k_values), p))
+    for i, k in enumerate(k_values):
+        try:
+            st = _regress(g, int(k), n)
+        except (SingularDesign, DegenerateResidual) as err:
+            return dhat[:i], logdet[:i], err
+        dhat[i] = st.dhat
+        logdet[i] = 2.0 * np.sum(np.log(np.diagonal(st.shat_chol, axis1=1, axis2=2)), axis=1)
+    return dhat, logdet, None
 
 
 def banded_regression(data, k, gram=None):

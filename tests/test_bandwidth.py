@@ -11,7 +11,14 @@ from bandchol.bandwidth import (
     select_k_resampling,
 )
 from bandchol.bayes import PriorConfig, fit_posterior, ig_cdf
-from bandchol.errors import EmptyGrid, NonFiniteLogPosterior
+from bandchol import stats
+from bandchol.errors import (
+    DegenerateResidual,
+    EmptyGrid,
+    NonFiniteLogPosterior,
+    SingularDesign,
+    TruncationMassZero,
+)
 from bandchol.stats import banded_regression
 
 
@@ -85,6 +92,82 @@ def test_log_marginal_nonfinite_raises():
     x = 1e3 * rng.standard_normal((20, 4))
     with pytest.raises(NonFiniteLogPosterior):
         log_marginal_k(x, 1, prior=PriorConfig(0, M=1e-6))
+
+
+def test_nonfinite_log_posterior_names_zero_mass_column():
+    # every column's variances lie far above the cap, so the first column
+    # with zero truncation mass is column 1, as in fit_posterior
+    x = 1e3 * np.random.default_rng(1).standard_normal((20, 4))
+    prior = PriorConfig(0, M=1e-6)
+    with pytest.raises(TruncationMassZero) as fit:
+        fit_posterior(x, PriorConfig(1, M=1e-6))
+    for call in (lambda: log_marginal_k(x, 1, prior),
+                 lambda: select_k_posterior_mode(x, 3, prior)):
+        with pytest.raises(NonFiniteLogPosterior) as info:
+            call()
+        assert info.value.k == 1
+        assert info.value.mass_zero.column == 1
+        assert str(info.value) == f"log posterior at bandwidth 1 is -inf: {fit.value}"
+    # a non-finite prior term is reported without a column
+    with pytest.raises(NonFiniteLogPosterior) as info:
+        select_k_posterior_mode(x, 3, log_k_prior=lambda k: -np.inf if k == 2 else 0.0)
+    assert info.value.k == 2 and info.value.mass_zero is None
+    assert str(info.value) == "log posterior at bandwidth 2 is -inf"
+
+
+def test_grid_error_precedence():
+    # the smallest failing k wins; at one k the regression error comes
+    # before the non-finite total
+    base = 1e3 * np.random.default_rng(9).standard_normal((20, 6))
+    prior = PriorConfig(0, M=1e-6)
+    lag2 = base.copy()
+    lag2[:, 4] = lag2[:, 2]  # an exact fit from k = 2 on; mass zero from k = 1
+    with pytest.raises(NonFiniteLogPosterior) as info:
+        select_k_posterior_mode(lag2, 3, prior)
+    assert info.value.k == 1
+    with pytest.raises(DegenerateResidual) as info:
+        select_k_posterior_mode(lag2, 3)
+    assert info.value.column == 5
+    lag1 = base.copy()
+    lag1[:, 4] = lag1[:, 3]  # an exact fit from k = 1 on
+    with pytest.raises(DegenerateResidual) as info:
+        select_k_posterior_mode(lag1, 3, prior)
+    assert info.value.column == 5
+
+
+def test_grid_factors_once(monkeypatch):
+    # a well-conditioned grid takes one batched factorization of the
+    # nearest-first blocks, no per-k regression and one prior term per k
+    chol = np.linalg.cholesky(ar1_cov(0.3, 30))
+    x = np.random.default_rng(42).standard_normal((150, 30)) @ chol.T
+    factored, regressed, priors = [], [], []
+    real_cholesky, real_regress = np.linalg.cholesky, stats._regress
+
+    def cholesky(a):
+        factored.append(np.shape(a))
+        return real_cholesky(a)
+
+    def regress(g, k, n):
+        regressed.append(k)
+        return real_regress(g, k, n)
+
+    def log_k_prior(k):
+        priors.append(k)
+        return default_log_k_prior(k)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(stats, "_regress", regress)
+    post = select_k_posterior_mode(x, 5, log_k_prior=log_k_prior)
+    assert factored == [(30, 6, 6)] and regressed == [] and priors == [1, 2, 3, 4, 5]
+    assert post.mode == 1
+    factored.clear()
+    log_marginal_k(x, 3)
+    assert factored == [(30, 4, 4)] and regressed == []
+    # a duplicated column takes the per-k regressions, which raise
+    x[:, 7] = x[:, 6]
+    with pytest.raises((SingularDesign, DegenerateResidual)):
+        select_k_posterior_mode(x, 5)
+    assert regressed == [1]
 
 
 def test_fractional_nu0_grid_matches_fit():

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -92,6 +93,15 @@ def test_estimate_selected_k_matches_explicit(tmp_path):
     assert sidecar["result"]["bandwidth_source"] == "mode"
     assert sidecar["result"]["bandwidth"] == mode
     assert sidecar["parameters"]["kmax"] == 7
+    # the mode's normalized posterior probability and log-gap to the runner-up
+    post = select_k_posterior_mode(x, 7)
+    weights = np.exp(post.log_posterior - post.log_posterior.max())
+    assert sidecar["result"]["mode_probability"] == pytest.approx(1.0 / weights.sum(), rel=1e-12)
+    runner_up = np.sort(post.log_posterior)[-2]
+    assert sidecar["result"]["mode_log_gap"] == pytest.approx(
+        post.log_posterior.max() - runner_up, rel=1e-12)
+    assert 0.0 < sidecar["result"]["mode_probability"] <= 1.0
+    assert sidecar["result"]["mode_log_gap"] >= 0.0
 
 
 def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
@@ -171,8 +181,18 @@ def test_bandwidth_both_schemes(tmp_path):
     schemes = [line.split(",")[0] for line in lines[1:]]
     assert schemes == ["mode"] * 3 + ["resampling"] * 3
     sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert set(sidecar["result"]) == {"selected", "mode_probability", "mode_log_gap"}
     assert set(sidecar["result"]["selected"]) == {"mode", "resampling"}
     assert sidecar["result"]["selected"]["mode"] in (1, 2, 3)
+    values = np.array([float(line.split(",")[2]) for line in lines[1:4]])
+    assert sidecar["result"]["mode_probability"] == pytest.approx(
+        1.0 / np.exp(values - values.max()).sum(), rel=1e-12)
+    assert sidecar["result"]["mode_log_gap"] == pytest.approx(
+        values.max() - np.sort(values)[-2], rel=1e-12)
+    assert main(["bandwidth", str(data), "-o", str(out), "--scheme", "resampling",
+                 "--kmax", "3", "--splits", "5"]) == 0
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert set(sidecar["result"]) == {"selected"}
 
 
 def test_bandwidth_two_columns(tmp_path):
@@ -182,6 +202,10 @@ def test_bandwidth_two_columns(tmp_path):
     assert main(["bandwidth", str(data), "-o", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("mode,1,")
+    # a one-point grid gives the mode all the mass and no runner-up
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert sidecar["result"]["mode_probability"] == 1.0
+    assert sidecar["result"]["mode_log_gap"] is None
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -294,6 +318,22 @@ def test_variance_cap_is_absolute(tmp_path, capsys):
     assert "d_1 on (0, 1e+06]" in err and "squared data units" in err
     assert main(["estimate", str(data), "-o", str(out), "--k", "1", "--cap", "1e12"]) == 0
     assert main(["estimate", str(data), "-o", str(out), "--cap", "1e12"]) == 0
+
+
+def test_mode_selection_names_variance_cap(tmp_path, capsys):
+    # the posterior-mode grid fails on the same data as fit_posterior above,
+    # and its -inf log posterior names the column, the cap and the scale
+    data = tmp_path / "data.csv"
+    x = 1e4 * np.random.default_rng(3).standard_normal((100, 10))
+    np.savetxt(data, x, delimiter=",", fmt="%.17g")
+    out = tmp_path / "omega.csv"
+    assert main(["estimate", str(data), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "log posterior at bandwidth 1 is -inf" in err
+    assert "d_1 on (0, 1e+06]" in err
+    assert re.search(r"variance scale n\*dhat/nj is [0-9.]+e\+07, .* in squared data units",
+                     err)
+    assert not out.exists()
 
 
 def test_overflowing_moments_exit_code(tmp_path, capsys):

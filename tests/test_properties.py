@@ -6,7 +6,9 @@ variances where it reports them) or raises a BandcholError subclass or a
 ValueError; a bare LinAlgError, itself a ValueError, is a failure.
 Inputs mix duplicate, zero and constant columns, sample sizes close to
 the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
-batched regressions match a per-column least-squares oracle.
+batched regressions match a per-column least-squares oracle. The
+posterior-mode grid and log_marginal_k match a per-bandwidth evaluation
+over _regress, errors included.
 
 compose of a coefficient band matches the dense product built from
 lower(band), norm_spectral matches the dense symmetric eigensolver on
@@ -15,18 +17,26 @@ every malformed band, and the CSV reader's fast path agrees with its
 csv-module path on arbitrary small files.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from bandchol.bandwidth import log_marginal_k
-from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
+from bandchol.bandwidth import default_log_k_prior, log_marginal_k, select_k_posterior_mode
+from bandchol.bayes import PriorConfig, fit_posterior, ig_cdf, max_bandwidth, plug_in_estimator
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
-from bandchol.errors import BandcholError, DegenerateResidual, SingularDesign
-from bandchol import cli, linalg
+from bandchol.errors import (
+    BandcholError,
+    DegenerateResidual,
+    NonFiniteLogPosterior,
+    SingularDesign,
+)
+from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose
-from bandchol.stats import as_data_matrix, banded_regression
+from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_matrix
 from conftest import lower, random_band
 
 
@@ -123,6 +133,104 @@ def test_banded_regression_matches_lstsq(case):
         np.testing.assert_allclose(stats.ahat[j, keff - kj:], coef, rtol=0, atol=tol)
         np.testing.assert_array_equal(stats.ahat[j, :keff - kj], 0.0)
         assert abs(stats.dhat[j] - resid @ resid / n) <= tol * np.mean(x[:, j] ** 2)
+
+
+def grid_oracle(x, k_values):
+    """The per-k grid: _regress at each k in turn, then that k's total.
+
+    Returns (total, scale) rows, scale the sum of the absolute values of
+    the terms added, or (error type, column, k) for the first failure: a
+    regression error at k before a non-finite total at k, whose column is
+    the first with zero truncation mass.
+    """
+    n, p = x.shape
+    prior = PriorConfig(0)
+    try:
+        g = gram_matrix(x)
+    except ValueError:
+        return ValueError, None, None
+    totals = []
+    for k in k_values:
+        try:
+            fit = _regress(g, k, n)
+        except (SingularDesign, DegenerateResidual) as err:
+            return type(err), err.column, k
+        shape = (n + prior.nu0 - fit.kj - 4) / 2.0
+        rate = n * fit.dhat / 2.0
+        logdet = 2.0 * np.sum(np.log(np.diagonal(fit.shat_chol, axis1=1, axis2=2)), axis=1)
+        col_terms = (-0.5 * (fit.kj * np.log(n / (2.0 * np.pi)) + logdet)
+                     + gammaln(shape) - shape * np.log(rate))
+        mass = ig_cdf(prior.M, shape, rate)
+        with np.errstate(divide="ignore"):
+            trunc_terms = np.log(mass)
+        terms = [default_log_k_prior(k), np.sum(col_terms[1:]), np.sum(trunc_terms)]
+        total = terms[0] + terms[1] + terms[2]
+        if not np.isfinite(total):
+            zero = np.nonzero(mass == 0.0)[0]
+            return NonFiniteLogPosterior, zero[0] + 1 if zero.size else None, k
+        scale = abs(terms[0]) + np.sum(np.abs(col_terms[1:])) + np.sum(np.abs(trunc_terms))
+        totals.append((total, scale))
+    return np.array(totals)
+
+
+def grid_outcome(fn, *args):
+    """fn(*args), or (error type, column, k) of what it raised: k is that of
+    the failing _regress call or NonFiniteLogPosterior's own, and the
+    latter's column that of its zero truncation mass."""
+    calls = []
+    real = stats._regress
+
+    def regress(g, k, n):
+        calls.append(k)
+        return real(g, k, n)
+
+    try:
+        with mock.patch.object(stats, "_regress", regress):
+            return fn(*args)
+    except (SingularDesign, DegenerateResidual) as err:
+        return type(err), err.column, calls[-1]
+    except NonFiniteLogPosterior as err:
+        return type(err), err.mass_zero and err.mass_zero.column, err.k
+    except ValueError as err:
+        assert not isinstance(err, np.linalg.LinAlgError), err
+        return ValueError, None, None
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(regression_data(), degenerate_data()))
+def test_grid_matches_per_k_oracle(case):
+    """The grid and log_marginal_k match the per-k evaluation of grid_oracle.
+
+    Both evaluate the same closed form from Cholesky factors of the same
+    Gram blocks, taken in two orders. Where the grid trusts its nested
+    factor (every squared pivot, the last of which is the smallest residual
+    variance, above PIVOT_RECHECK = 1e-10 of its diagonal entry), rounding
+    in either order stays many orders of magnitude below 1e-9 of the sum of
+    the absolute values of the terms added (the prior, the column terms and
+    the log truncation masses) on these inputs, Gaussian columns or exactly
+    degenerate ones, and that is the tolerance; elsewhere it replays the
+    per-k regressions. The mode is the same, and where the oracle raises,
+    the grid raises the same type at the same column and k.
+    """
+    x, k = case
+    n, p = x.shape
+    kmax = min(k, max_bandwidth(n, p, 2.0))
+    checks = []
+    if kmax >= 1:
+        checks.append((lambda: select_k_posterior_mode(x, kmax), np.arange(1, kmax + 1)))
+    if min(k, p - 1) <= max_bandwidth(n, p, 2.0):
+        checks.append((lambda: log_marginal_k(x, k), [k]))
+    for fn, k_values in checks:
+        oracle = grid_oracle(x, k_values)
+        got = grid_outcome(fn)
+        if isinstance(oracle, tuple):
+            assert got == oracle
+            continue
+        assert not isinstance(got, tuple), got
+        values = np.atleast_1d(got.log_posterior if hasattr(got, "mode") else got)
+        assert np.all(np.abs(values - oracle[:, 0]) <= 1e-9 * oracle[:, 1])
+        if hasattr(got, "mode"):
+            assert got.mode == k_values[int(np.argmax(oracle[:, 0]))]
 
 
 @st.composite

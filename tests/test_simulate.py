@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bandchol.errors import ExperimentFailed
+from bandchol.errors import ExperimentFailed, SingularMatrix
 from bandchol.linalg import eig_extremes, norm_fro, norm_linf, norm_spectral
 from bandchol.simulate import (
     ExperimentConfig,
@@ -98,6 +98,32 @@ def test_sample_gaussian_deterministic():
     b = sample_gaussian(sigma, 7, np.random.default_rng(3))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (7, 5)
+
+
+def test_sample_gaussian_factors_sigma_once(monkeypatch):
+    # the Cholesky factor that validates sigma also draws the rows, so the
+    # draws equal L z for the factor of the symmetrized sigma, bit for bit
+    sigma = make_ar1_cov(0.4, 6)
+    sigma[0, 5] += 1e-14
+    low = np.linalg.cholesky((sigma + sigma.T) / 2.0)
+    expected = np.random.default_rng(3).standard_normal((9, 6)) @ low.T
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    x = sample_gaussian(sigma, 9, np.random.default_rng(3))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(x, expected)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sample_gaussian(np.array([[1.0, 0.5], [0.0, 1.0]]), 3, 0)
+    with pytest.raises(SingularMatrix):
+        sample_gaussian(np.diag([1.0, 0.0]), 3, 0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        sample_gaussian(sigma, 0, 0)
 
 
 def test_sample_gaussian_moments():
