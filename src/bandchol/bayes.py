@@ -49,8 +49,10 @@ def ig_cdf(x, shape, rate):
     """P(d <= x) for d inverse-gamma with the given shape and rate.
 
     Equals the regularized upper incomplete gamma function Q(shape, rate/x).
+    A ratio that overflows is infinite, where the probability is 0.
     """
-    return gammaincc(shape, rate / x)
+    with np.errstate(over="ignore"):
+        return gammaincc(shape, rate / x)
 
 
 @dataclass

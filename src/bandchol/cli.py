@@ -23,6 +23,7 @@ from .bandwidth import select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError
+from .linalg import _row_spans
 from .simulate import ExperimentConfig, records_csv_text, run_experiment, summary_payload
 from .stats import as_data_matrix, gram_matrix
 
@@ -93,7 +94,26 @@ def _parse_csv(fh, path, header):
 
 
 def write_matrix_csv(path, m):
-    np.savetxt(path, np.asarray(m), delimiter=",", fmt=MATRIX_FMT)
+    """Write the matrix m byte for byte as np.savetxt(path, m, fmt=MATRIX_FMT,
+    delimiter=",") does, formatting only the span of each row from its first
+    to its last entry that is not +0.0. The +0.0 entries around it print as
+    0, as MATRIX_FMT prints them (-0.0 prints as -0, so it counts as
+    nonzero), and a banded estimate costs O(p k) formatting, not O(p^2).
+    """
+    m = np.asarray(m)
+    first, last, has = _row_spans((m != 0) | np.signbit(m))
+    width = m.shape[1]
+    # the format of a span of w entries is a prefix of the full row's
+    full = ",".join([MATRIX_FMT] * width)
+    unit = len(MATRIX_FMT) + 1
+    zero_row = ",".join(["0"] * width)
+    with open(path, "w") as fh:
+        for row, lo, hi, nonzero in zip(m, first, last, has):
+            if nonzero:
+                span = full[:unit * (hi - lo + 1) - 1] % tuple(row[lo:hi + 1])
+                fh.write("0," * lo + span + ",0" * (width - 1 - hi) + "\n")
+            else:
+                fh.write(zero_row + "\n")
 
 
 def write_json(path, payload):

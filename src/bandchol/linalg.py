@@ -2,22 +2,29 @@
 
 All functions accept anything convertible to a float ndarray and reject
 non-finite entries. Symmetry is always checked in relative terms against
-the largest entry magnitude. Inputs are dense matrices; norm_spectral finds
-the bandwidth of a symmetric input and solves a narrow band with the
-banded eigensolver, a wide one with the dense solver.
+the largest entry magnitude; the check finds the lower and upper bandwidth
+in one scan for nonzeros and reads only the diagonals inside a narrow
+band. Inputs are dense matrices. norm_spectral takes a narrow symmetric
+band to a bisection for its extreme eigenvalues by Cholesky factorizations
+of the band, O(p b^2) each, and a wide one to the dense solver.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve, eigvals_banded
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpbtrf
 
 from .errors import SingularMatrix
 
 SYM_TOL = 1e-12
-# norm_spectral solves a symmetric matrix of order p and lower bandwidth b
-# as a band when BANDED_EIG_RATIO * b <= p. Timed against eigvalsh for
-# p = 50...1000 (one thread, 2-core Xeon at 2.0 GHz), the banded solver
-# broke even at p/b of about 12 to 16 and was 1.15x to 1.7x faster at p/b
-# of 25 to 31 for p >= 100; the margin covers a faster dense solver.
+# norm_spectral takes a symmetric matrix of order p and lower bandwidth b
+# to the Cholesky bisection on its band when BANDED_EIG_RATIO * b <= p, to
+# eigvalsh otherwise; is_symmetric scans a band that narrow diagonal by
+# diagonal. Timed against eigvalsh (one thread, 2-core Xeon at 2.0 GHz,
+# medians over five random bands), the bisection at p/b = 25 was 1.7x,
+# 1.3x and 2.8x faster at p = 200, 500 and 1000, and 0.55x and 0.25x as
+# fast at p = 100 and 50, where either takes under 1 ms. At p/b = 12.5 it
+# lost up to p = 200 and was 1.1x and 3x faster at p = 500 and 1000. No
+# other single ratio fits every p better, so it stays at 25.
 BANDED_EIG_RATIO = 25
 
 
@@ -34,10 +41,48 @@ def is_symmetric(m, tol=SYM_TOL):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    scale = np.max(np.abs(m))
-    if scale == 0.0:
-        return True
-    return np.max(np.abs(m - m.T)) <= tol * scale
+    return _symmetric_within(m, max(_bandwidths(m)), tol)
+
+
+def _row_spans(mask):
+    """First and last True column of each row of a boolean matrix, and
+    whether the row has one at all (both spans read 0 and p-1 if not)."""
+    first = np.argmax(mask, axis=1)
+    last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+    return first, last, mask[np.arange(len(mask)), first]
+
+
+def _bandwidths(m):
+    """Lower and upper bandwidth of a square matrix: the largest i - j and
+    j - i over its nonzero entries m[i, j], and 0 when there are none."""
+    p = m.shape[0]
+    if p and m[-1, 0] != 0 and m[0, -1] != 0:
+        return p - 1, p - 1
+    first, last, has = _row_spans(m != 0)
+    rows = np.arange(p)
+    return (int(np.max((rows - first)[has], initial=0)),
+            int(np.max((last - rows)[has], initial=0)))
+
+
+def _symmetric_within(m, width, tol):
+    """is_symmetric for a square m with no nonzero entry more than width
+    diagonals off the main one.
+
+    Outside that band m and m.T are both exactly zero, so the largest entry
+    and the largest |m - m.T| are found on the 2 * width + 1 diagonals in
+    it, in O(p * width). A wide band takes the dense formula, which is then
+    the cheaper one.
+    """
+    if BANDED_EIG_RATIO * width > m.shape[0]:
+        scale = np.max(np.abs(m))
+        return scale == 0.0 or np.max(np.abs(m - m.T)) <= tol * scale
+    scale = np.max(np.abs(np.diagonal(m)))
+    asym = 0.0
+    for d in range(1, width + 1):
+        below, above = np.diagonal(m, -d), np.diagonal(m, d)
+        scale = max(scale, np.max(np.abs(below)), np.max(np.abs(above)))
+        asym = max(asym, np.max(np.abs(below - above)))
+    return scale == 0.0 or asym <= tol * scale
 
 
 def as_spd(m, name="matrix"):
@@ -71,34 +116,100 @@ def _spd_factor(m, name="matrix"):
 # norms
 # ---------------------------------------------------------------------------
 
-def _symmetric_eigvals(m):
-    """Eigenvalues of a symmetric matrix from its lower triangle, as eigvalsh."""
+def _lower_band(m, b):
+    """The lower band of a square m in LAPACK storage: row d holds diagonal
+    -d, padded with zeros at the end; Fortran order, as dpbtrf reads it."""
     p = m.shape[0]
-    # the lower bandwidth, from each row's first nonzero entry; an all-zero
-    # row i counts as reaching back to column 0, which only widens the band
-    b = max(int(np.max(np.arange(p) - np.argmax(m != 0, axis=1))), 0)
-    if BANDED_EIG_RATIO * b > p:
-        return np.linalg.eigvalsh(m)
-    band = np.zeros((b + 1, p))
-    for i in range(b + 1):
-        band[i, :p - i] = np.diagonal(m, -i)
-    return eigvals_banded(band, lower=True, check_finite=False)
+    band = np.zeros((b + 1, p), order="F")
+    for d in range(b + 1):
+        band[d, :p - d] = np.diagonal(m, -d)
+    return band
+
+
+def _top_eigenvalue(minus_band, lo, hi, tol):
+    """Bisect lo <= lambda_max(A) <= hi down to a width of at most tol.
+
+    minus_band is -A in the storage of _lower_band. sigma * I - A has a
+    Cholesky factor exactly when sigma > lambda_max(A), so each dpbtrf
+    moves one end of the bracket to its midpoint. Returns the upper end.
+    """
+    work = np.empty_like(minus_band, order="F")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        work[...] = minus_band
+        work[0] += mid
+        if dpbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _band_norm(band):
+    """Spectral norm of a symmetric band, max(lambda_max, -lambda_min), by
+    bisection on Cholesky factorizations (Barth, Martin & Wilkinson 1967).
+
+    band is the lower band, of lower bandwidth b, from _lower_band. It is
+    scaled by an exact power of two to entries below 1 in magnitude, so no
+    step overflows, and only entries some 1e-308 times smaller than the
+    largest can underflow. lambda_max is bisected first, then one
+    more dpbtrf, of lambda_max * I + M, tells whether -lambda_min can exceed
+    it, and only then is lambda_max(-M) bisected. Each bracket starts at
+    the largest diagonal entry and the Gershgorin bound, at most ||M||_inf
+    apart, and stops at a width of at most 4 * eps * ||M||_inf. A rounded
+    midpoint is off by at most eps/2 * ||M||_inf, so k halvings leave a
+    width of at most 2^-k * ||M||_inf + eps * ||M||_inf, and 51 halvings
+    suffice: a norm costs at most 2 * 51 + 1 factorizations of O(p b^2)
+    each. Since
+    ||M||_inf <= sqrt(2b + 1) * ||M||_2 for at most 2b + 1 entries in a
+    row, the returned upper end of the bracket is within a relative
+    4 * eps * sqrt(2b + 1) of the norm, plus the rounding of the Cholesky
+    tests and of the Gershgorin bound, each O(b * eps) relative.
+    """
+    peak = np.max(np.abs(band))
+    if peak == 0.0:
+        return 0.0
+    exponent = int(np.frexp(peak)[1])
+    band = np.ldexp(band, -exponent)
+    b, p = band.shape[0] - 1, band.shape[1]
+    # row sums of |M|: row i holds diagonal -d at band[d, i - d] and, by
+    # symmetry, diagonal d at band[d, i]
+    rows = np.abs(band).sum(axis=0)
+    for d in range(1, b + 1):
+        rows[d:] += np.abs(band[d, :p - d])
+    diag = band[0]
+    radius = rows - np.abs(diag)
+    tol = 4.0 * np.finfo(float).eps * np.max(rows)
+    top = _top_eigenvalue(-band, np.max(diag), np.max(diag + radius), tol)
+    shifted = np.array(band, order="F")
+    shifted[0] += top
+    if dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+        # top * I + M is positive definite: -lambda_min < lambda_max
+        return float(np.ldexp(top, exponent))
+    bottom = _top_eigenvalue(band, max(top, np.max(-diag)), np.max(radius - diag), tol)
+    return float(np.ldexp(max(top, bottom), exponent))
 
 
 def norm_spectral(m):
     """Largest singular value.
 
-    Symmetric inputs use a symmetric eigensolver directly, the banded one
-    when their bandwidth is narrow; general inputs go through the Gram
-    matrix m.T @ m.
+    A symmetric input of order p and lower bandwidth b is its largest
+    absolute eigenvalue: by Cholesky bisection on its lower band when
+    BANDED_EIG_RATIO * b <= p (see _band_norm), by eigvalsh otherwise.
+    General inputs go through the Gram matrix m.T @ m.
     """
     m = check_finite(m)
     if m.ndim != 2:
         raise ValueError("norm_spectral expects a matrix")
     if m.size == 0:
         return 0.0
-    if is_symmetric(m):
-        return float(np.max(np.abs(_symmetric_eigvals(m))))
+    p = m.shape[0]
+    if p == m.shape[1]:
+        lower, upper = _bandwidths(m)
+        if _symmetric_within(m, max(lower, upper), SYM_TOL):
+            if BANDED_EIG_RATIO * lower <= p:
+                return _band_norm(_lower_band(m, lower))
+            return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     gram = m.T @ m
     gram = (gram + gram.T) / 2.0
     # eigvalsh can return a tiny negative value for a rank-deficient Gram

@@ -90,7 +90,10 @@ def _check_columns(blocks, n):
             raise SingularDesign(j + 1) from None
         try:
             np.linalg.cholesky(block)
-            dhat[j] = max(block[keff, keff] - chat @ coef, 0.0)
+            # a product that overflows on a nearly singular block of huge
+            # entries is left to the residual check below, without a warning
+            with np.errstate(over="ignore"):
+                dhat[j] = max(block[keff, keff] - chat @ coef, 0.0)
         except np.linalg.LinAlgError:
             dhat[j] = 0.0
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR * blocks[:, keff, keff])[0]

@@ -1,5 +1,7 @@
 """Bandwidth selection by marginal posterior mode and by resampling risk."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -113,6 +115,24 @@ def test_nonfinite_log_posterior_names_zero_mass_column():
         select_k_posterior_mode(x, 3, log_k_prior=lambda k: -np.inf if k == 2 else 0.0)
     assert info.value.k == 2 and info.value.mass_zero is None
     assert str(info.value) == "log posterior at bandwidth 2 is -inf"
+
+
+def test_overflowing_variance_ratio_fails_typed_without_warnings():
+    # data of scale 1e150 against M = 1e-10: ig_cdf's rate / M overflows to
+    # inf, where the mass is 0, and the typed errors carry the same messages
+    # without a RuntimeWarning on the way
+    x = np.random.default_rng(0).standard_normal((40, 6)) * 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationMassZero) as fit:
+            fit_posterior(x, PriorConfig(1, M=1e-10))
+        with pytest.raises(NonFiniteLogPosterior) as info:
+            select_k_posterior_mode(x, 3, prior=PriorConfig(0, M=1e-10))
+    assert str(fit.value) == (
+        "posterior mass of d_1 on (0, 1e-10] underflows to zero: the column's variance "
+        "scale n*dhat/nj is 1.15e+300, and the cap M is absolute, in squared data units")
+    assert info.value.k == 1 and info.value.mass_zero.column == 1
+    assert str(info.value) == f"log posterior at bandwidth 1 is -inf: {fit.value}"
 
 
 def test_grid_error_precedence():

@@ -57,6 +57,27 @@ def test_resolve_threads_env():
             os.environ["BANDCHOL_THREADS"] = saved
 
 
+WRITER_CASES = {
+    "banded": np.diag(np.arange(1.0, 7.0)) + np.diag([0.5, -0.25, 1e-300, 3.0, 1e300], -1)
+              + np.diag([0.5, -0.25, 1e-300, 3.0, 1e300], 1),
+    "dense": np.random.default_rng(3).standard_normal((5, 4)) * 10.0 ** np.arange(-2, 2),
+    "all zero": np.zeros((3, 4)),
+    "signed zeros": np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 1.5], [0.0, 0.0, 0.0]]),
+    "1x1": np.array([[2.0 / 3.0]]),
+    "1x1 zero": np.array([[0.0]]),
+    "single row": np.array([[0.0, 0.0, 1.0, -2.0, 0.0, 0.0]]),
+    "integers": np.array([[0, 3], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_write_matrix_csv_matches_savetxt_bytes(tmp_path, name):
+    m = WRITER_CASES[name]
+    cli.write_matrix_csv(tmp_path / "fast.csv", m)
+    np.savetxt(tmp_path / "savetxt.csv", m, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
 def test_estimate_explicit_k_matches_library(tmp_path):
     data = tmp_path / "data.csv"
     x = write_data(data)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvals_banded
 
 from bandchol import linalg
 from bandchol.errors import SingularMatrix
@@ -33,21 +32,31 @@ def test_norm_spectral_general_matches_svd():
 
 
 def test_norm_spectral_uses_banded_solver_on_narrow_bands(monkeypatch):
-    calls = []
+    # a symmetric input of lower bandwidth b goes to the Cholesky bisection
+    # on its band when BANDED_EIG_RATIO * b <= p, to eigvalsh otherwise
+    band_calls, dense_calls = [], []
+    band_norm, eigvalsh = linalg._band_norm, np.linalg.eigvalsh
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigvals_banded(*args, **kwargs)
+    def counted_band(band):
+        band_calls.append(band.shape)
+        return band_norm(band)
 
-    monkeypatch.setattr(linalg, "eigvals_banded", counted)
+    def counted_dense(m):
+        dense_calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(linalg, "_band_norm", counted_band)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_dense)
     p = 2 * linalg.BANDED_EIG_RATIO
     idx = np.arange(p)
     for b, banded in ((0, True), (2, True), (3, False)):
         m = np.where(np.abs(idx[:, None] - idx) <= b, 1.0 / (1.0 + idx[:, None] + idx), 0.0)
-        calls.clear()
-        expected = np.max(np.abs(np.linalg.eigvalsh(m)))
+        expected = np.max(np.abs(eigvalsh(m)))
+        band_calls.clear()
+        dense_calls.clear()
         assert linalg.norm_spectral(m) == pytest.approx(expected, rel=1e-13)
-        assert calls == ([(b + 1, p)] if banded else [])
+        assert band_calls == ([(b + 1, p)] if banded else [])
+        assert dense_calls == ([] if banded else [(p, p)])
 
 
 def test_norm_l1_linf_max():

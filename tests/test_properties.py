@@ -12,9 +12,12 @@ over _regress, errors included.
 
 compose of a coefficient band matches the dense product built from
 lower(band), norm_spectral matches the dense symmetric eigensolver on
-either side of its switch to the banded one, CholeskyFactor rejects
-every malformed band, and the CSV reader's fast path agrees with its
-csv-module path on arbitrary small files.
+either side of its switch to the band bisection and on adversarial bands,
+within its bound on factorizations, is_symmetric matches the dense
+formula, estimate_p_loss in the spectral norm matches eigvalsh over the
+same draws, CholeskyFactor rejects every malformed band, and the CSV
+reader's fast path agrees with its csv-module path on arbitrary small
+files.
 """
 
 from unittest import mock
@@ -26,7 +29,15 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from bandchol.bandwidth import default_log_k_prior, log_marginal_k, select_k_posterior_mode
-from bandchol.bayes import PriorConfig, fit_posterior, ig_cdf, max_bandwidth, plug_in_estimator
+from bandchol.bayes import (
+    PriorConfig,
+    _sample_columns,
+    estimate_p_loss,
+    fit_posterior,
+    ig_cdf,
+    max_bandwidth,
+    plug_in_estimator,
+)
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.errors import (
     BandcholError,
@@ -36,6 +47,7 @@ from bandchol.errors import (
 )
 from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose
+from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
 from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_matrix
 from conftest import lower, random_band
 
@@ -275,6 +287,142 @@ def symmetric_bands(draw):
 def test_norm_spectral_matches_dense_eigensolver(m):
     oracle = np.max(np.abs(np.linalg.eigvalsh(m)))
     assert linalg.norm_spectral(m) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+ADVERSARIAL_KINDS = ["random", "zero", "diagonal", "negative definite",
+                     "negative semidefinite", "clustered"]
+
+
+@st.composite
+def adversarial_bands(draw):
+    """A symmetric band narrow enough for the bisection, of one of
+    ADVERSARIAL_KINDS, scaled by 1, 1e-300 or 1e300, or into the subnormal
+    range (1e-315) or near overflow (1e306, row sums up to about 1.4e308)."""
+    p = draw(st.sampled_from([1, 2, 7]) if draw(st.integers(0, 5)) == 0 else st.integers(25, 200))
+    b = p // linalg.BANDED_EIG_RATIO - draw(st.integers(0, p // linalg.BANDED_EIG_RATIO))
+    kind = draw(st.sampled_from(ADVERSARIAL_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    m = rng.standard_normal((p, p))
+    m = np.where(offsets <= b, m + m.T, 0.0)
+    if kind == "zero":
+        m[:] = 0.0
+    elif kind == "diagonal":
+        m = np.diag(np.diagonal(m))
+    elif kind == "negative definite":
+        m -= np.diag(np.sum(np.abs(m), axis=1) + rng.uniform(0.1, 2.0))
+    elif kind == "negative semidefinite":
+        # minus a graph Laplacian: rows sum to 0, so lambda_max = 0
+        w = np.where(offsets > 0, np.abs(m), 0.0)
+        m = w - np.diag(np.sum(w, axis=1))
+    elif kind == "clustered":
+        m = draw(st.sampled_from([-3.0, 3.0])) * np.eye(p) + 10.0 ** rng.uniform(-14, -6) * m
+    return draw(st.sampled_from([1.0, 1e-300, 1e300, 1e-315, 1e306])) * m
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(adversarial_bands())
+def test_band_norm_matches_dense_eigensolver_on_adversarial_bands(m):
+    """The Cholesky bisection of a narrow band agrees with eigvalsh.
+
+    _band_norm's bracket stops at 4 * eps * ||M||_inf, and ||M||_inf <=
+    sqrt(2b + 1) * ||M||_2, so its error is at most 4 * eps * sqrt(2b + 1)
+    relative (below 1e-14 for b <= 6 here) plus O(b * eps) from the
+    Cholesky tests; eigvalsh carries O(p * eps). Tolerance: 1e-12 relative,
+    and exactly 0 for the zero matrix.
+    """
+    oracle = np.max(np.abs(np.linalg.eigvalsh(m)))
+    got = linalg.norm_spectral(m)
+    if oracle == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(adversarial_bands())
+def test_band_norm_factorization_count_within_bound(m):
+    """A norm costs at most 2 * 51 + 1 dpbtrf calls, as _band_norm's
+    docstring bounds it: 51 halvings per extreme and one test between."""
+    calls = []
+    real = linalg.dpbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(linalg, "dpbtrf", counted):
+        linalg.norm_spectral(m)
+    assert len(calls) <= 2 * 51 + 1
+
+
+@st.composite
+def lopsided_bands(draw):
+    """A square matrix with independent lower and upper bandwidths, made
+    symmetric but for a perturbation of relative size around SYM_TOL."""
+    p = draw(st.integers(1, 150))
+    # narrow bands take the diagonal scan, wide ones the dense formula
+    widths = st.integers(0, p // linalg.BANDED_EIG_RATIO) | st.integers(0, p - 1)
+    lower_width, upper_width = draw(widths), draw(widths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = np.subtract.outer(np.arange(p), np.arange(p))
+    inside = (offsets <= lower_width) & (-offsets <= upper_width)
+    base = rng.standard_normal((p, p))
+    base = base + base.T
+    noise = draw(st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-6, 1.0]))
+    m = np.where(inside, base + noise * rng.standard_normal((p, p)), 0.0)
+    # all-zero rows and columns count for neither bandwidth
+    holes = draw(st.lists(st.integers(0, p - 1), max_size=3))
+    m[holes, :] = 0.0
+    m[:, holes] = 0.0
+    return draw(st.sampled_from([1.0, 1e-300, 1e300])) * m
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(lopsided_bands())
+def test_is_symmetric_matches_dense_formula(m):
+    """is_symmetric, which reads only the in-band diagonals of a narrow band,
+    gives exactly the dense formula's answer, and _bandwidths the largest
+    i - j and j - i over the nonzero entries."""
+    scale = np.max(np.abs(m))
+    dense = scale == 0.0 or np.max(np.abs(m - m.T)) <= linalg.SYM_TOL * scale
+    assert linalg.is_symmetric(m) == dense
+    rows, cols = np.nonzero(m)
+    expected = (int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0)))
+    assert linalg._bandwidths(m) == expected
+
+
+@st.composite
+def p_loss_cases(draw):
+    p = draw(st.integers(2, 60))
+    k = draw(st.integers(0, 2))
+    n = p + draw(st.integers(5, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = sample_gaussian(make_ar1_cov(0.5, p), n, rng)
+    return fit_posterior(x, PriorConfig(k)), ar1_precision(0.5, p), draw(st.integers(1, 5)), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(p_loss_cases())
+def test_estimate_p_loss_spectral_matches_dense_eigensolver(case):
+    """estimate_p_loss(norm="spectral") against the largest absolute
+    eigenvalue from eigvalsh of each draw's difference, the draws taken from
+    _sample_columns with the same rng.
+
+    Each norm is within 1e-12 relative of eigvalsh's (the adversarial test
+    above), so the mean is within 1e-12 relative; the sample standard
+    deviation moves by at most sqrt(2) * 1e-12 * max|value|, and stderr by
+    that over sqrt(draws): tolerance 2e-12 * max|value| on stderr.
+    """
+    model, omega0, draws, seed = case
+    d, a = _sample_columns(model, draws, np.random.default_rng(seed))
+    values = np.array([np.max(np.abs(np.linalg.eigvalsh(
+        compose(CholeskyFactor(a=a[s], d=d[s])) - omega0))) for s in range(draws)])
+    stderr = np.std(values, ddof=1) / np.sqrt(draws) if draws > 1 else 0.0
+    mean, err = estimate_p_loss(model, omega0, draws, norm="spectral", rng=seed)
+    assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0.0)
+    assert abs(err - stderr) <= 2e-12 * np.max(values)
 
 
 @st.composite
