@@ -6,26 +6,40 @@ the largest entry magnitude; the check finds the lower and upper bandwidth
 in one scan for nonzeros and reads only the diagonals inside a narrow
 band. Inputs are dense matrices. norm_spectral takes a narrow symmetric
 band to a bisection for its extreme eigenvalues by Cholesky factorizations
-of the band, O(p b^2) each, and a wide one to the dense solver.
+of the band, O(p b^2) each. Every other spectral quantity, the norm of a
+wide symmetric or a general matrix and eig_extremes, comes from one
+Householder reduction to tridiagonal form, O(p^3), and a bisection of the
+tridiagonal for its two extreme eigenvalues only.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dpbtrf, dstebz, dsytrd, dsytrd_lwork
 
 from .errors import SingularMatrix
 
 SYM_TOL = 1e-12
-# norm_spectral takes a symmetric matrix of order p and lower bandwidth b
-# to the Cholesky bisection on its band when BANDED_EIG_RATIO * b <= p, to
-# eigvalsh otherwise; is_symmetric scans a band that narrow diagonal by
-# diagonal. Timed against eigvalsh (one thread, 2-core Xeon at 2.0 GHz,
-# medians over five random bands), the bisection at p/b = 25 was 1.7x,
-# 1.3x and 2.8x faster at p = 200, 500 and 1000, and 0.55x and 0.25x as
-# fast at p = 100 and 50, where either takes under 1 ms. At p/b = 12.5 it
-# lost up to p = 200 and was 1.1x and 3x faster at p = 500 and 1000. No
-# other single ratio fits every p better, so it stays at 25.
-BANDED_EIG_RATIO = 25
+# norm_spectral bisects a symmetric matrix of order p and lower bandwidth b
+# on its band (_band_norm) when BAND_BISECTION_LIMIT * b^2 <= p^3, and takes
+# _dense_extremes otherwise. Timed against each other (one thread, 2-core
+# Xeon at 2.0 GHz, medians over seven random bands, ms, bisection/dense):
+#   p = 50:   b = 0  0.025/0.048   b = 1  0.28/0.076   b = 2  0.18/0.084
+#   p = 100:  b = 2  0.22/0.26     b = 4  0.46/0.26    b = 6  0.55/0.28
+#   p = 200:  b = 4  0.80/0.92     b = 6  0.61/0.92    b = 8  1.16/0.94
+#   p = 300:  b = 12 1.35/2.27     b = 16 3.19/2.63    b = 20 3.95/2.31
+#   p = 500:  b = 4  1.23/6.82     b = 24 7.36/6.86    b = 40 14.6/6.97
+#   p = 700:  b = 32 9.00/21.8     b = 40 28.9/26.6    b = 56 33.1/28.0
+#   p = 1000: b = 16 10.2/75.0     b = 64 29.9/73.8    b = 128 45.0/77.8
+# The even point grows about as b^2 ~ p^3 / 160000 (b near 2, 8, 14, 28,
+# 45 at p = 100 ... 700, above 128 at p = 1000; a fixed ratio p/b misses
+# one end or the other), and the limit sits a little on the dense side:
+# the widest bisected band is b = 0, 2, 6, 11, 25, 41, 70 at p = 50, 100,
+# 200, 300, 500, 700, 1000.
+BAND_BISECTION_LIMIT = 200_000
+# is_symmetric reads only the 2w + 1 in-band diagonals of a matrix whose
+# wider bandwidth w has SYM_SCAN_RATIO * w <= p, one strided read each, and
+# takes the dense formula over all p^2 entries otherwise
+SYM_SCAN_RATIO = 25
 
 
 def check_finite(m, name="matrix"):
@@ -73,7 +87,7 @@ def _symmetric_within(m, width, tol):
     it, in O(p * width). A wide band takes the dense formula, which is then
     the cheaper one.
     """
-    if BANDED_EIG_RATIO * width > m.shape[0]:
+    if SYM_SCAN_RATIO * width > m.shape[0]:
         scale = np.max(np.abs(m))
         return scale == 0.0 or np.max(np.abs(m - m.T)) <= tol * scale
     scale = np.max(np.abs(np.diagonal(m)))
@@ -190,13 +204,44 @@ def _band_norm(band):
     return float(np.ldexp(max(top, bottom), exponent))
 
 
+def _dense_extremes(m):
+    """Smallest and largest eigenvalue of a symmetric m, read from its lower
+    triangle as eigvalsh reads it.
+
+    m is scaled by an exact power of two to entries below 1 in magnitude,
+    as in _band_norm. LAPACK dsytrd reduces it by Householder reflections
+    to a symmetric tridiagonal T with the same eigenvalues, in O(p^3): the
+    reduction eigvalsh makes before it finds all p eigenvalues. Here dstebz
+    bisects T by Sturm counts for the eigenvalues of index 1 and p alone,
+    O(p) per step, each to LAPACK's default absolute tolerance (abstol = 0),
+    about eps * ||T||_1.
+    """
+    p = m.shape[0]
+    exponent = int(np.frexp(np.max(np.abs(m)))[1])
+    # the transpose is the Fortran-ordered array LAPACK reads in place, and
+    # its upper triangle is m's lower one
+    _, diag, off, _, _ = dsytrd(np.ldexp(m.T, -exponent), lower=0,
+                                lwork=int(dsytrd_lwork(p)[0]), overwrite_a=1)
+    if p == 1:
+        # scipy's dstebz wrapper rejects the empty off-diagonal of order 1
+        off = np.zeros(1)
+    extremes = []
+    for i in (1, p):
+        _, vals, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, i, i, 0.0, b"E")
+        if info:
+            raise np.linalg.LinAlgError("tridiagonal bisection did not converge")
+        extremes.append(float(np.ldexp(vals[0], exponent)))
+    return tuple(extremes)
+
+
 def norm_spectral(m):
     """Largest singular value.
 
     A symmetric input of order p and lower bandwidth b is its largest
     absolute eigenvalue: by Cholesky bisection on its lower band when
-    BANDED_EIG_RATIO * b <= p (see _band_norm), by eigvalsh otherwise.
-    General inputs go through the Gram matrix m.T @ m.
+    BAND_BISECTION_LIMIT * b^2 <= p^3 (see _band_norm), from _dense_extremes
+    otherwise. General inputs go through the Gram matrix m.T @ m, formed
+    after scaling m by a power of two so that it cannot overflow.
     """
     m = check_finite(m)
     if m.ndim != 2:
@@ -207,13 +252,17 @@ def norm_spectral(m):
     if p == m.shape[1]:
         lower, upper = _bandwidths(m)
         if _symmetric_within(m, max(lower, upper), SYM_TOL):
-            if BANDED_EIG_RATIO * lower <= p:
+            if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
                 return _band_norm(_lower_band(m, lower))
-            return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+            lo, hi = _dense_extremes(m)
+            return max(-lo, hi)
+    exponent = int(np.frexp(np.max(np.abs(m)))[1])
+    m = np.ldexp(m, -exponent)
     gram = m.T @ m
     gram = (gram + gram.T) / 2.0
-    # eigvalsh can return a tiny negative value for a rank-deficient Gram
-    return float(np.sqrt(max(np.max(np.linalg.eigvalsh(gram)), 0.0)))
+    # the top eigenvalue of a nonzero Gram matrix is positive; the clamp
+    # only guards the square root
+    return float(np.ldexp(np.sqrt(max(_dense_extremes(gram)[1], 0.0)), exponent))
 
 
 def norm_l1(m):
@@ -259,8 +308,7 @@ def eig_extremes(m):
     m = check_finite(m)
     if not is_symmetric(m):
         raise ValueError("eig_extremes requires a symmetric matrix")
-    vals = np.linalg.eigvalsh((m + m.T) / 2.0)
-    return float(vals[0]), float(vals[-1])
+    return _dense_extremes((m + m.T) / 2.0)
 
 
 def spd_cholesky(m, name="matrix"):

@@ -5,7 +5,8 @@ bandwidth, forms the requested estimators, and records losses against the
 true precision matrix over many replications. Replication r derives its
 RNG streams from (seed, r) by counter-based mixing, so results do not
 depend on worker count or scheduling, and a rerun with the same config is
-byte-identical.
+byte-identical. Each process builds a truth once and keeps the Cholesky
+factor of its covariance, which draws every replication's data.
 """
 
 import time
@@ -147,16 +148,23 @@ class TrueModelSpec:
 
 @lru_cache(maxsize=8)
 def _truth(model):
-    return model.build()
+    """(low, omega): the lower Cholesky factor of the truth's covariance,
+    checked and factored as sample_gaussian does, and its precision."""
+    sigma, omega = model.build()
+    return linalg._spd_factor(sigma, "covariance matrix")[1], omega
+
+
+def _draw(low, n, rng):
+    """n rows of N(0, low @ low.T) from the Generator rng."""
+    return rng.standard_normal((n, low.shape[0])) @ low.T
 
 
 def sample_gaussian(sigma, n, rng):
     """n rows drawn from N(0, sigma), as L z with L the Cholesky factor."""
-    sigma, low = linalg._spd_factor(sigma, "covariance matrix")
+    _, low = linalg._spd_factor(sigma, "covariance matrix")
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(rng)
-    return rng.standard_normal((n, sigma.shape[0])) @ low.T
+    return _draw(low, n, np.random.default_rng(rng))
 
 
 def evaluate_losses(estimate, truth, losses=LOSSES):
@@ -329,9 +337,9 @@ def _rep_streams(seed, rep):
 def _run_rep(config, rep):
     start = time.perf_counter()
     record = RepRecord(rep=rep)
-    sigma, omega0 = _truth(config.model)
+    low, omega0 = _truth(config.model)
     data_rng, split_rng = _rep_streams(config.seed, rep)
-    data = sample_gaussian(sigma, config.n, data_rng)
+    data = _draw(low, config.n, data_rng)
     try:
         gram = gram_matrix(data)
         estimates = {}

@@ -82,6 +82,12 @@ def _check_columns(blocks, n):
         if kj > n:
             raise SingularDesign(j + 1, f"{kj} predecessors from {n} rows")
         lo = keff - kj
+        # scaled by an even power of two, so that the solve and the Cholesky
+        # factors scale exactly, to real entries below 1 in magnitude:
+        # c' S^{-1} c, whose terms are huge on a nearly singular S of huge
+        # entries, then cannot overflow (smaller entries are left as they are)
+        exponent = 2 * max(0, (int(np.frexp(np.max(np.abs(block[lo:, lo:])))[1]) + 1) // 2)
+        block = np.ldexp(block, -exponent)
         shat, chat = block[lo:keff, lo:keff], block[lo:keff, keff]
         try:
             np.linalg.cholesky(shat)
@@ -90,10 +96,7 @@ def _check_columns(blocks, n):
             raise SingularDesign(j + 1) from None
         try:
             np.linalg.cholesky(block)
-            # a product that overflows on a nearly singular block of huge
-            # entries is left to the residual check below, without a warning
-            with np.errstate(over="ignore"):
-                dhat[j] = max(block[keff, keff] - chat @ coef, 0.0)
+            dhat[j] = np.ldexp(max(block[keff, keff] - chat @ coef, 0.0), exponent)
         except np.linalg.LinAlgError:
             dhat[j] = 0.0
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR * blocks[:, keff, keff])[0]

@@ -1,11 +1,16 @@
 """Shared pytest hooks and test helpers.
 
 The acceptance report is surfaced in the terminal summary. lower(band)
-builds the dense strictly lower A of a coefficient band for oracles, and
-random_band draws a band.
+builds the dense strictly lower A of a coefficient band for oracles,
+random_band draws a band, and widest_bisected_band gives the switch of
+norm_spectral between its band and dense paths.
 """
 
+import math
+
 import numpy as np
+
+from bandchol import linalg
 
 
 def lower(band):
@@ -28,6 +33,11 @@ def random_band(rng, p, k, scale=1.0):
     """A (p, k) coefficient band of normal entries, zero before the first coordinate."""
     real = np.add.outer(np.arange(p), np.arange(k)) >= k
     return np.where(real, scale * rng.standard_normal((p, k)), 0.0)
+
+
+def widest_bisected_band(p):
+    """The largest lower bandwidth that norm_spectral bisects at order p."""
+    return math.isqrt(p ** 3 // linalg.BAND_BISECTION_LIMIT)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,6 +5,7 @@ import pytest
 
 from bandchol import linalg
 from bandchol.errors import SingularMatrix
+from conftest import widest_bisected_band
 
 
 def random_spd(rng, p, cond=100.0):
@@ -32,10 +33,11 @@ def test_norm_spectral_general_matches_svd():
 
 
 def test_norm_spectral_uses_banded_solver_on_narrow_bands(monkeypatch):
-    # a symmetric input of lower bandwidth b goes to the Cholesky bisection
-    # on its band when BANDED_EIG_RATIO * b <= p, to eigvalsh otherwise
+    # a symmetric input of order p and lower bandwidth b goes to the
+    # Cholesky bisection on its band when BAND_BISECTION_LIMIT * b^2 <= p^3,
+    # to the dense tridiagonal reduction otherwise
     band_calls, dense_calls = [], []
-    band_norm, eigvalsh = linalg._band_norm, np.linalg.eigvalsh
+    band_norm, dense_extremes = linalg._band_norm, linalg._dense_extremes
 
     def counted_band(band):
         band_calls.append(band.shape)
@@ -43,20 +45,23 @@ def test_norm_spectral_uses_banded_solver_on_narrow_bands(monkeypatch):
 
     def counted_dense(m):
         dense_calls.append(m.shape)
-        return eigvalsh(m)
+        return dense_extremes(m)
 
     monkeypatch.setattr(linalg, "_band_norm", counted_band)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_dense)
-    p = 2 * linalg.BANDED_EIG_RATIO
+    monkeypatch.setattr(linalg, "_dense_extremes", counted_dense)
+    p = 200
+    switch = widest_bisected_band(p)
     idx = np.arange(p)
-    for b, banded in ((0, True), (2, True), (3, False)):
+    for b, banded in ((0, True), (switch, True), (switch + 1, False)):
         m = np.where(np.abs(idx[:, None] - idx) <= b, 1.0 / (1.0 + idx[:, None] + idx), 0.0)
-        expected = np.max(np.abs(eigvalsh(m)))
+        expected = np.max(np.abs(np.linalg.eigvalsh(m)))
         band_calls.clear()
         dense_calls.clear()
         assert linalg.norm_spectral(m) == pytest.approx(expected, rel=1e-13)
         assert band_calls == ([(b + 1, p)] if banded else [])
         assert dense_calls == ([] if banded else [(p, p)])
+    # p = 500, b = 4, the bandwidth of a P-loss draw at k = 4, bisects
+    assert 4 <= widest_bisected_band(500)
 
 
 def test_norm_l1_linf_max():

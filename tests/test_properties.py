@@ -13,11 +13,12 @@ over _regress, errors included.
 compose of a coefficient band matches the dense product built from
 lower(band), norm_spectral matches the dense symmetric eigensolver on
 either side of its switch to the band bisection and on adversarial bands,
-within its bound on factorizations, is_symmetric matches the dense
-formula, estimate_p_loss in the spectral norm matches eigvalsh over the
-same draws, CholeskyFactor rejects every malformed band, and the CSV
-reader's fast path agrees with its csv-module path on arbitrary small
-files.
+within its bound on factorizations, the dense extreme eigenvalues match it
+on adversarial dense matrices, the norm of a general matrix matches the
+SVD, is_symmetric matches the dense formula, estimate_p_loss in the
+spectral norm matches eigvalsh over the same draws, CholeskyFactor rejects
+every malformed band, and the CSV reader's fast path agrees with its
+csv-module path on arbitrary small files.
 """
 
 from unittest import mock
@@ -49,7 +50,7 @@ from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
 from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_matrix
-from conftest import lower, random_band
+from conftest import lower, random_band, widest_bisected_band
 
 
 @st.composite
@@ -273,7 +274,7 @@ def test_compose_matches_dense_oracle(case):
 @st.composite
 def symmetric_bands(draw):
     p = draw(st.integers(1, 120))
-    switch = p // linalg.BANDED_EIG_RATIO
+    switch = widest_bisected_band(p)
     b = draw(st.sampled_from(sorted({0, min(1, p - 1), switch, min(switch + 1, p - 1), p - 1})))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = rng.standard_normal((p, p))
@@ -293,13 +294,16 @@ ADVERSARIAL_KINDS = ["random", "zero", "diagonal", "negative definite",
                      "negative semidefinite", "clustered"]
 
 
-@st.composite
-def adversarial_bands(draw):
-    """A symmetric band narrow enough for the bisection, of one of
-    ADVERSARIAL_KINDS, scaled by 1, 1e-300 or 1e300, or into the subnormal
-    range (1e-315) or near overflow (1e306, row sums up to about 1.4e308)."""
-    p = draw(st.sampled_from([1, 2, 7]) if draw(st.integers(0, 5)) == 0 else st.integers(25, 200))
-    b = p // linalg.BANDED_EIG_RATIO - draw(st.integers(0, p // linalg.BANDED_EIG_RATIO))
+SCALES = [1.0, 1e-300, 1e300, 1e-315, 1e306]
+
+
+def adversarial_order(draw):
+    return draw(st.sampled_from([1, 2, 7]) if draw(st.integers(0, 5)) == 0 else st.integers(25, 200))
+
+
+def adversarial_symmetric(draw, p, b):
+    """A symmetric matrix of order p and lower bandwidth at most b, of one of
+    ADVERSARIAL_KINDS."""
     kind = draw(st.sampled_from(ADVERSARIAL_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offsets = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
@@ -317,7 +321,19 @@ def adversarial_bands(draw):
         m = w - np.diag(np.sum(w, axis=1))
     elif kind == "clustered":
         m = draw(st.sampled_from([-3.0, 3.0])) * np.eye(p) + 10.0 ** rng.uniform(-14, -6) * m
-    return draw(st.sampled_from([1.0, 1e-300, 1e300, 1e-315, 1e306])) * m
+    return m
+
+
+@st.composite
+def adversarial_bands(draw):
+    """A symmetric band narrow enough for the bisection, of one of
+    ADVERSARIAL_KINDS, scaled by 1, 1e-300 or 1e300, or into the subnormal
+    range (1e-315) or near overflow (1e306, row sums up to about 2.5e307)."""
+    p = adversarial_order(draw)
+    switch = widest_bisected_band(p)
+    b = switch - draw(st.integers(0, switch))
+    m = adversarial_symmetric(draw, p, b)
+    return draw(st.sampled_from(SCALES)) * m
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -357,12 +373,96 @@ def test_band_norm_factorization_count_within_bound(m):
 
 
 @st.composite
+def adversarial_dense(draw):
+    """A dense symmetric matrix of one of ADVERSARIAL_KINDS, divided by its
+    largest absolute row sum (so that no entry, row sum or eigenvalue
+    exceeds 1), then scaled by one of SCALES."""
+    p = adversarial_order(draw)
+    m = adversarial_symmetric(draw, p, p - 1)
+    rows = np.max(np.sum(np.abs(m), axis=1))
+    if rows:
+        m = m / rows
+    return draw(st.sampled_from(SCALES)) * m
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(adversarial_dense())
+def test_dense_extremes_match_dense_eigensolver(m):
+    """_dense_extremes, eig_extremes and norm_spectral on dense symmetric
+    matrices against eigvalsh.
+
+    The Householder reduction is backward stable, with an error of O(p *
+    eps) * ||M||_2 on each eigenvalue, as in eigvalsh, which makes the same
+    reduction; the bisection of the tridiagonal T stops at about eps * ||T||_1
+    <= sqrt(p) * eps * ||M||_2. Both are below 1e-13 * ||M||_2 for p <= 200.
+    Tolerance: each extreme within 1e-12 * max|eigenvalue| of eigvalsh's
+    (absolute, since an extreme can be 0, as for the negative semidefinite
+    kind), the norm within 1e-12 relative, and all exactly 0 for the zero
+    matrix.
+    """
+    vals = np.linalg.eigvalsh(m)
+    oracle = np.max(np.abs(vals))
+    for lo, hi in (linalg._dense_extremes(m), linalg.eig_extremes(m)):
+        if oracle == 0.0:
+            assert (lo, hi) == (0.0, 0.0)
+        else:
+            assert abs(lo - vals[0]) <= 1e-12 * oracle
+            assert abs(hi - vals[-1]) <= 1e-12 * oracle
+    got = linalg.norm_spectral(m)
+    if oracle == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def general_matrices(draw):
+    """A matrix that is not symmetric: rectangular, or square with an
+    asymmetric part far above SYM_TOL; of normal entries, of rank one, with
+    zero rows and columns, or all zero; scaled by one of SCALES."""
+    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        cols = rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "rank one", "holes", "zero"]))
+    m = rng.standard_normal((rows, cols))
+    if kind == "rank one":
+        m = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    elif kind == "holes":
+        m[draw(st.lists(st.integers(0, rows - 1), max_size=3)), :] = 0.0
+        m[:, draw(st.lists(st.integers(0, cols - 1), max_size=3))] = 0.0
+    elif kind == "zero":
+        m[:] = 0.0
+    return draw(st.sampled_from(SCALES)) * m
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(general_matrices())
+def test_norm_spectral_of_general_matrices_matches_svd(m):
+    """norm_spectral on inputs that are not symmetric against np.linalg.norm
+    (m, 2), the largest singular value from the SVD.
+
+    m is scaled by a power of two, exactly, before its Gram matrix is formed,
+    so the Gram matrix neither overflows nor underflows at any of SCALES; its
+    rounding, O(n * eps) * ||m||_2^2 for n <= 60, and the extreme eigenvalue's
+    error move the square root by well under 1e-13 relative. Tolerance: 1e-12
+    relative, and exactly 0 for the zero matrix.
+    """
+    oracle = np.linalg.norm(m, 2)
+    got = linalg.norm_spectral(m)
+    if oracle == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@st.composite
 def lopsided_bands(draw):
     """A square matrix with independent lower and upper bandwidths, made
     symmetric but for a perturbation of relative size around SYM_TOL."""
     p = draw(st.integers(1, 150))
     # narrow bands take the diagonal scan, wide ones the dense formula
-    widths = st.integers(0, p // linalg.BANDED_EIG_RATIO) | st.integers(0, p - 1)
+    widths = st.integers(0, p // linalg.SYM_SCAN_RATIO) | st.integers(0, p - 1)
     lower_width, upper_width = draw(widths), draw(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offsets = np.subtract.outer(np.arange(p), np.arange(p))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bandchol import linalg, simulate
 from bandchol.errors import ExperimentFailed, SingularMatrix
 from bandchol.linalg import eig_extremes, norm_fro, norm_linf, norm_spectral
 from bandchol.simulate import (
@@ -124,6 +125,39 @@ def test_sample_gaussian_factors_sigma_once(monkeypatch):
         sample_gaussian(np.diag([1.0, 0.0]), 3, 0)
     with pytest.raises(ValueError, match="n must be positive"):
         sample_gaussian(sigma, 0, 0)
+
+
+@pytest.mark.parametrize("model", [TrueModelSpec("ar1", 8, rho=0.4),
+                                   TrueModelSpec("ar4", 9),
+                                   TrueModelSpec("fgn", 10, hurst=0.8)])
+def test_replication_data_from_cached_factor(monkeypatch, model):
+    # a replication draws its data from the truth's cached factor, bit for
+    # bit as sample_gaussian draws them from sigma, and sigma is checked and
+    # factored once for all replications of the model
+    config = small_config(model=model, reps=3, estimators=("LL",), losses=("fro",))
+    simulate._truth.cache_clear()
+    data, factored = [], []
+    real_gram, real_factor = simulate.gram_matrix, linalg._spd_factor
+
+    def gram(x):
+        data.append(x)
+        return real_gram(x)
+
+    def factor(m, name):
+        factored.append(name)
+        return real_factor(m, name)
+
+    monkeypatch.setattr(simulate, "gram_matrix", gram)
+    monkeypatch.setattr(linalg, "_spd_factor", factor)
+    for rep in range(config.reps):
+        simulate._run_rep(config, rep)
+    assert factored == ["covariance matrix"]
+    monkeypatch.undo()
+    sigma = model.build()[0]
+    for rep, x in enumerate(data):
+        data_rng = simulate._rep_streams(config.seed, rep)[0]
+        np.testing.assert_array_equal(x, sample_gaussian(sigma, config.n, data_rng))
+    simulate._truth.cache_clear()
 
 
 def test_sample_gaussian_moments():

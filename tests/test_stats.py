@@ -161,6 +161,21 @@ def test_degenerate_residual_reports_column():
     assert info.value.column == 3
 
 
+def test_recheck_of_nearly_collinear_huge_columns_fits():
+    # column 2 is nearly collinear with column 1 (squared pivot ~1e-11 of
+    # its diagonal entry, so the per-column recheck runs) and every second
+    # moment is ~1e306; the residual of column 3 is 1e153 * w, far above
+    # the floor, and must not be lost to an overflow in the recheck
+    u, v, w = np.eye(3)
+    x = 1e153 * np.column_stack([u, u + 3.2e-6 * v, u - 0.316 * v + w])
+    stats = banded_regression(x, 2)
+    coef = np.linalg.lstsq(x[:, :2], x[:, 2], rcond=None)[0]
+    resid = x[:, 2] - x[:, :2] @ coef
+    # the normal equations' error bound of test_banded_regression_matches_lstsq
+    tol = 1e-14 * np.linalg.cond(x) ** 2 * np.mean(x[:, 2] ** 2)
+    assert abs(stats.dhat[2] - resid @ resid / 3) <= tol
+
+
 def test_residual_floor_is_relative_to_scale():
     x = np.random.default_rng(8).standard_normal((50, 5))
     base = banded_regression(x, 2)
