@@ -124,7 +124,7 @@ def _log_posterior(x, k_values, prior, log_k_prior, gram):
     return total
 
 
-def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior, gram=None):
+def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior):
     """Unnormalized log posterior of bandwidth k.
 
     The value is the last row of the grid computation of
@@ -140,7 +140,7 @@ def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior, gram=No
         prior = PriorConfig(k=0)
     _check_admissible(data, k, prior.nu0)
     x = as_data_matrix(data)
-    return float(_log_posterior(x, np.array([k]), prior, log_k_prior, gram)[0])
+    return float(_log_posterior(x, np.array([k]), prior, log_k_prior, None)[0])
 
 
 def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_prior,

@@ -60,7 +60,6 @@ class PosteriorModel:
     """Closed-form column posteriors fitted to one data matrix."""
 
     stats: object
-    prior: PriorConfig
     ig_shape: np.ndarray
     ig_rate: np.ndarray
     trunc_mass: np.ndarray
@@ -118,9 +117,7 @@ def fit_posterior(data, prior, gram=None):
     if bad.size:
         j = bad[0]
         raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
-    return PosteriorModel(
-        stats=st, prior=prior, ig_shape=shape, ig_rate=rate, trunc_mass=mass
-    )
+    return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass)
 
 
 def plug_in_estimator(model):
@@ -155,13 +152,9 @@ def _sample_columns(model, draws, rng):
     tail = (1.0 - u) * model.trunc_mass
     d = 1.0 / (gammainccinv(model.ig_shape, tail) / model.ig_rate)
     # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, so w = L^{-T} z solves
-    # L' w = z: back-substitution over the keff slots, last first, for all
-    # draws and columns at once. The padded factor is the identity outside
-    # the trailing kj block, where z is zero, so w stays zero there.
-    low = st.shat_chol
-    for i in range(keff - 1, -1, -1):
-        w[..., i] /= low[:, i, i]
-        w[..., :i] -= low[:, i, :i] * w[..., i, None]
+    # L' w = z, for all draws and columns at once; the padded slots, where
+    # z is zero, stay zero
+    linalg._solve_lower_transposed(st.shat_chol, w)
     a = st.ahat + (np.sqrt(1.0 / st.n) * np.sqrt(d))[..., None] * w
     return d, a
 

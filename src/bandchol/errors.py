@@ -1,4 +1,5 @@
-"""Exception types for numerical failures.
+"""Exception types for numerical failures, under BandcholError, and for an
+empty bandwidth grid, which is bad input and so a ValueError.
 
 Column and clique indices reported by these errors are 1-based, matching
 the row/column numbering of the input data file.
@@ -78,7 +79,7 @@ class SingularClique(BandcholError):
         )
 
 
-class EmptyGrid(BandcholError):
+class EmptyGrid(ValueError):
     """A bandwidth search grid contained no candidate values."""
 
 

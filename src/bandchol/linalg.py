@@ -1,4 +1,4 @@
-"""Matrix norms, banding operators, and SPD helpers.
+"""Matrix norms, banding operators, and the SPD factorization.
 
 All functions accept anything convertible to a float ndarray and reject
 non-finite entries. Symmetry is always checked in relative terms against
@@ -10,10 +10,13 @@ of the band, O(p b^2) each. Every other spectral quantity, the norm of a
 wide symmetric or a general matrix and eig_extremes, comes from one
 Householder reduction to tridiagonal form, O(p^3), and a bisection of the
 tridiagonal for its two extreme eigenvalues only.
+
+_spd_factor is the one step that validates and factors an SPD input, and
+_solve_lower_transposed the one back-substitution on a stack of padded
+band factors, shared by the regressions and the posterior sampler.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpbtrf, dstebz, dsytrd, dsytrd_lwork
 
 from .errors import SingularMatrix
@@ -50,12 +53,12 @@ def check_finite(m, name="matrix"):
     return out
 
 
-def is_symmetric(m, tol=SYM_TOL):
-    """True when m equals its transpose to relative tolerance tol."""
+def is_symmetric(m):
+    """True when m equals its transpose to relative tolerance SYM_TOL."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return _symmetric_within(m, max(_bandwidths(m)), tol)
+    return _symmetric_within(m, max(_bandwidths(m)))
 
 
 def _row_spans(mask):
@@ -78,7 +81,7 @@ def _bandwidths(m):
             int(np.max((last - rows)[has], initial=0)))
 
 
-def _symmetric_within(m, width, tol):
+def _symmetric_within(m, width):
     """is_symmetric for a square m with no nonzero entry more than width
     diagonals off the main one.
 
@@ -89,30 +92,24 @@ def _symmetric_within(m, width, tol):
     """
     if SYM_SCAN_RATIO * width > m.shape[0]:
         scale = np.max(np.abs(m))
-        return scale == 0.0 or np.max(np.abs(m - m.T)) <= tol * scale
+        return scale == 0.0 or np.max(np.abs(m - m.T)) <= SYM_TOL * scale
     scale = np.max(np.abs(np.diagonal(m)))
     asym = 0.0
     for d in range(1, width + 1):
         below, above = np.diagonal(m, -d), np.diagonal(m, d)
         scale = max(scale, np.max(np.abs(below)), np.max(np.abs(above)))
         asym = max(asym, np.max(np.abs(below - above)))
-    return scale == 0.0 or asym <= tol * scale
-
-
-def as_spd(m, name="matrix"):
-    """Validate a symmetric positive definite matrix.
-
-    Symmetry is required up to relative tolerance 1e-12; the returned copy
-    is exactly symmetrized. Positive definiteness is established through a
-    Cholesky factorization, which fails exactly when the smallest
-    eigenvalue is not positive.
-    """
-    return _spd_factor(m, name)[0]
+    return scale == 0.0 or asym <= SYM_TOL * scale
 
 
 def _spd_factor(m, name="matrix"):
-    """as_spd's symmetrized copy of m and the lower Cholesky factor that
-    established its positive definiteness."""
+    """Validate a symmetric positive definite matrix and factor it.
+
+    Returns the exactly symmetrized copy of m and its lower Cholesky factor.
+    Symmetry is required up to relative tolerance SYM_TOL. Positive
+    definiteness is established by the factorization, which fails, raising
+    SingularMatrix, exactly when the smallest eigenvalue is not positive.
+    """
     m = check_finite(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
@@ -124,6 +121,21 @@ def _spd_factor(m, name="matrix"):
     except np.linalg.LinAlgError:
         raise SingularMatrix(f"{name} is not positive definite") from None
     return m, low
+
+
+def _solve_lower_transposed(low, x):
+    """Solve L' y = x in place, for (p, k, k) lower factors L and x of shape
+    (..., p, k), and return x.
+
+    Back-substitution over the k slots, last first, for all factors at once:
+    slot i is final once divided by L[i, i], and its term L[i, :i] * y_i
+    leaves the slots before it. A padded slot (identity factor, zero
+    right-hand side) gets no term from the real slots and keeps y = 0.
+    """
+    for i in range(low.shape[-1] - 1, -1, -1):
+        x[..., i] /= low[:, i, i]
+        x[..., :i] -= low[:, i, :i] * x[..., i, None]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +263,7 @@ def norm_spectral(m):
     p = m.shape[0]
     if p == m.shape[1]:
         lower, upper = _bandwidths(m)
-        if _symmetric_within(m, max(lower, upper), SYM_TOL):
+        if _symmetric_within(m, max(lower, upper)):
             if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
                 return _band_norm(_lower_band(m, lower))
             lo, hi = _dense_extremes(m)
@@ -300,7 +312,7 @@ def band_matrix(m, k):
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigenvalues and SPD factorizations
+# symmetric eigenvalues
 # ---------------------------------------------------------------------------
 
 def eig_extremes(m):
@@ -309,22 +321,6 @@ def eig_extremes(m):
     if not is_symmetric(m):
         raise ValueError("eig_extremes requires a symmetric matrix")
     return _dense_extremes((m + m.T) / 2.0)
-
-
-def spd_cholesky(m, name="matrix"):
-    """Lower Cholesky factor of an SPD matrix, raising SingularMatrix on failure."""
-    m = check_finite(m, name)
-    try:
-        return np.linalg.cholesky((m + m.T) / 2.0)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix(f"{name} is not positive definite") from None
-
-
-def spd_solve(m, rhs):
-    """Solve m @ x = rhs for SPD m via its Cholesky factor."""
-    low = spd_cholesky(m)
-    rhs = check_finite(rhs, "rhs")
-    return cho_solve((low, True), rhs)
 
 
 NORMS_BY_NAME = {

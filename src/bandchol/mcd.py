@@ -83,16 +83,13 @@ def compose(factor):
     return full[:p]
 
 
-def decompose(omega):
-    """Recover the factor (A, d) of an SPD precision matrix, A as its full band.
-
-    Uses the reversed Cholesky factorization: with J the exchange matrix,
-    J omega J = L L', and T = J L' J is lower triangular with
-    omega = T' T. Then d = diag(T)^{-2} and A = I - diag(T)^{-1} T.
-    """
-    omega = linalg.as_spd(omega, "precision matrix")
-    p = omega.shape[0]
-    low = np.linalg.cholesky(omega[::-1, ::-1])
+def _reversed_factor(omega):
+    """_spd_factor's symmetrized omega and decompose(omega), from one Cholesky
+    factorization: with J the exchange matrix, J omega J = L L', and
+    T = J L' J is lower triangular with omega = T' T. Then d = diag(T)^{-2}
+    and A = I - diag(T)^{-1} T. J omega J is SPD exactly when omega is."""
+    rev, low = linalg._spd_factor(np.flip(omega), "precision matrix")
+    p = rev.shape[0]
     t = low[::-1, ::-1].T
     tdiag = np.diag(t).copy()
     # after p-1 zero columns, row j of -T/diag(T) holds the coefficients
@@ -102,7 +99,13 @@ def decompose(omega):
     wide[:, p - 1:] = -t / tdiag[:, None]
     s0, s1 = wide.strides
     a = np.ndarray((p, p - 1), buffer=wide, strides=(s0 + s1, s1)).copy()
-    return CholeskyFactor(a=a, d=1.0 / tdiag**2)
+    return np.flip(rev), CholeskyFactor(a=a, d=1.0 / tdiag**2)
+
+
+def decompose(omega):
+    """Recover the factor (A, d) of an SPD precision matrix, A as its full band,
+    by the reversed Cholesky factorization of _reversed_factor."""
+    return _reversed_factor(omega)[1]
 
 
 def population_coefficients(sigma, k):
@@ -114,7 +117,7 @@ def population_coefficients(sigma, k):
     Raises DegenerateResidual(j) when coordinate j is a numerically exact
     combination of its predecessors.
     """
-    sigma = linalg.as_spd(sigma, "covariance matrix")
+    sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
     st = _regress(sigma, k, np.inf)
     return CholeskyFactor(a=st.ahat, d=st.dhat)
 
@@ -181,7 +184,7 @@ def class_membership(omega, eps0, gamma, scale=1.0):
     scale * gamma(k) over 1 <= k <= p-1 and requires all eigenvalues of
     omega inside [eps0, 1/eps0].
     """
-    omega = linalg.as_spd(omega, "precision matrix")
+    omega, factor = _reversed_factor(omega)
     if not 0 < eps0 <= 1:
         raise ValueError("eps0 must lie in (0, 1]")
     if scale <= 0:
@@ -191,7 +194,7 @@ def class_membership(omega, eps0, gamma, scale=1.0):
         raise ValueError("profiles need p >= 2")
     lmin, lmax = linalg.eig_extremes(omega)
     eps0_ok = bool(eps0 <= lmin and lmax <= 1.0 / eps0)
-    a = decompose(omega).a
+    a = factor.a
     ks = np.arange(1, p)
     # band slots 0 .. p-2-k hold the coefficients more than k places away
     factor_profile = np.array([linalg.norm_linf(a[:, :p - 1 - k]) for k in ks])

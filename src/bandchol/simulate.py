@@ -16,12 +16,13 @@ from functools import lru_cache
 from multiprocessing import get_context
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import linalg
 from .bandwidth import _check_resampling, select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
-from .errors import BandcholError, ExperimentFailed
+from .errors import BandcholError, EmptyGrid, ExperimentFailed
 from .stats import gram_matrix
 
 ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
@@ -116,10 +117,12 @@ class TrueModelSpec:
             return make_ar1_cov(self.rho, self.p), ar1_precision(self.rho, self.p)
         if self.variant == "ar4":
             omega = make_ar4_precision(self.p, self.coeffs)
-            sigma = linalg.spd_solve(omega, np.eye(self.p))
+            low = linalg._spd_factor(omega, "precision matrix")[1]
+            sigma = cho_solve((low, True), np.eye(self.p))
             return (sigma + sigma.T) / 2.0, omega
         sigma = make_fgn_cov(self.hurst, self.p)
-        omega = linalg.spd_solve(sigma, np.eye(self.p))
+        low = linalg._spd_factor(sigma, "covariance matrix")[1]
+        omega = cho_solve((low, True), np.eye(self.p))
         return sigma, (omega + omega.T) / 2.0
 
     def to_dict(self):
@@ -380,6 +383,8 @@ def _rep_task(args):
 
 
 def _validate_runtime(config):
+    if config.kmax < 1:
+        raise EmptyGrid(f"bandwidth grid 1..{config.kmax} is empty")
     cap = max_bandwidth(config.n, config.p, config.nu0)
     if config.kmax > cap:
         raise ValueError(f"selection.kmax={config.kmax} exceeds the largest "

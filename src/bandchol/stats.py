@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateResidual, SingularDesign
+from .linalg import _solve_lower_transposed
 
 # a residual variance at most this fraction of its column's second moment
 # counts as an exact fit
@@ -36,11 +37,13 @@ def as_data_matrix(x):
 def gram_matrix(x):
     """Raw second-moment matrix X'X / n; ValueError when it overflows."""
     x = as_data_matrix(x)
+    # checked after the symmetrization, whose sum can overflow too
     with np.errstate(over="ignore", invalid="ignore"):
         g = x.T @ x / x.shape[0]
+        g = (g + g.T) / 2.0
     if not np.all(np.isfinite(g)):
         raise ValueError("second moments X'X/n overflow; rescale the data")
-    return (g + g.T) / 2.0
+    return g
 
 
 @dataclass
@@ -135,8 +138,7 @@ def _regress(g, k, n):
     blocks = _predecessor_blocks(g, keff)
     try:
         low = np.linalg.cholesky(blocks)
-        diag = np.diagonal(low, axis1=1, axis2=2)
-        pivots = diag ** 2
+        pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
         # blocks wider than n are singular, whatever rounding lets through
         recheck = keff > n or np.any(
             pivots <= PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
@@ -148,16 +150,9 @@ def _regress(g, k, n):
 
     # with L the factor of [[S, c], [c', v]]: S = L_S L_S' and the last row
     # is (l', sqrt(v - c' S^{-1} c)) with l = L_S^{-1} c, so ahat solves
-    # L_S' ahat = l. Back-substitution over the keff slots, last first and
-    # for all columns at once: slot i is final once divided by L_S[i, i],
-    # and its term L_S[i, :i] * ahat_i leaves the slots before it. A padded
-    # slot has l = 0, no term from the real slots and L_S[i, i] = 1, so its
-    # coefficient stays exactly zero.
+    # L_S' ahat = l; a padded slot has l = 0 and keeps a zero coefficient
     shat_chol = low[:, :keff, :keff].copy()
-    ahat = low[:, keff, :keff].copy()
-    for i in range(keff - 1, -1, -1):
-        ahat[:, i] /= diag[:, i]
-        ahat[:, :i] -= shat_chol[:, i, :i] * ahat[:, i, None]
+    ahat = _solve_lower_transposed(shat_chol, low[:, keff, :keff].copy())
     dhat = pivots[:, keff]
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR * np.diagonal(g))[0]
     if bad.size:

@@ -1,6 +1,9 @@
 """Shared pytest hooks and test helpers.
 
-The acceptance report is surfaced in the terminal summary. lower(band)
+Every hypothesis property test is deterministic: the profile loaded here
+derandomizes it, keeps no example database and sets no deadline, so a
+test's @settings states only its max_examples. The acceptance report is
+surfaced in the terminal summary. lower(band)
 builds the dense strictly lower A of a coefficient band for oracles,
 random_band draws a band, and widest_bisected_band gives the switch of
 norm_spectral between its band and dense paths.
@@ -9,8 +12,12 @@ norm_spectral between its band and dense paths.
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from bandchol import linalg
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def lower(band):

@@ -267,6 +267,25 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "-o", "omega.csv"],
+    ["estimate", "-o", "omega.csv", "--select-k", "resampling"],
+    ["bandwidth", "-o", "profile.csv"],
+    ["bandwidth", "-o", "profile.csv", "--scheme", "resampling"],
+])
+def test_empty_bandwidth_grid_is_bad_input(tmp_path, capsys, command):
+    # --kmax 0 leaves no bandwidth to select from: bad input (exit 2), not
+    # a numerical failure (exit 3)
+    data = tmp_path / "data.csv"
+    write_data(data)
+    name, flag, out, *rest = command
+    argv = [name, str(data), flag, str(tmp_path / out), "--kmax", "0", *rest]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bandwidth grid 1..0 is empty" in err and "numerical failure" not in err
+    assert not (tmp_path / out).exists()
+
+
 def test_parse_error_exit_code_and_line_number(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1.0,2.0\n3.0,oops\n")

@@ -1,4 +1,4 @@
-"""Norms, banding operators, and SPD helpers."""
+"""Norms, banding operators, and the SPD factorization."""
 
 import numpy as np
 import pytest
@@ -167,39 +167,30 @@ def test_eig_extremes_requires_symmetry():
 
 
 def test_spd_cholesky_diagonal():
-    np.testing.assert_allclose(linalg.spd_cholesky(np.diag([4.0, 9.0])),
-                               np.diag([2.0, 3.0]))
+    m, low = linalg._spd_factor(np.diag([4.0, 9.0]))
+    np.testing.assert_array_equal(m, np.diag([4.0, 9.0]))
+    np.testing.assert_allclose(low, np.diag([2.0, 3.0]))
 
 
 def test_spd_cholesky_reconstructs():
     rng = np.random.default_rng(9)
     for _ in range(20):
         m = random_spd(rng, 20, cond=1e6)
-        low = linalg.spd_cholesky(m)
+        low = linalg._spd_factor(m)[1]
         np.testing.assert_allclose(low @ low.T, m, atol=1e-10 * np.max(np.abs(m)))
 
 
 def test_spd_cholesky_rejects_indefinite():
-    with pytest.raises(SingularMatrix):
-        linalg.spd_cholesky(np.diag([1.0, -1.0]))
+    with pytest.raises(SingularMatrix, match="covariance matrix is not positive definite"):
+        linalg._spd_factor(np.diag([1.0, -1.0]), "covariance matrix")
 
 
-def test_spd_solve_residual():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        m = random_spd(rng, 15, cond=1e4)
-        rhs = rng.standard_normal(15)
-        x = linalg.spd_solve(m, rhs)
-        assert np.linalg.norm(m @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
-    np.testing.assert_allclose(linalg.spd_solve(np.eye(3), np.arange(3.0)),
-                               np.arange(3.0))
-
-
-def test_as_spd_symmetrizes_and_validates():
+def test_spd_factor_symmetrizes_and_validates():
     m = np.array([[2.0, 0.3], [0.3 + 1e-14, 1.0]])
-    out = linalg.as_spd(m)
+    out, low = linalg._spd_factor(m)
     np.testing.assert_array_equal(out, out.T)
-    with pytest.raises(ValueError):
-        linalg.as_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    np.testing.assert_array_equal(low, np.linalg.cholesky(out))
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg._spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(SingularMatrix):
-        linalg.as_spd(np.diag([1.0, 0.0]))
+        linalg._spd_factor(np.diag([1.0, 0.0]))

@@ -8,7 +8,9 @@ Inputs mix duplicate, zero and constant columns, sample sizes close to
 the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
 batched regressions match a per-column least-squares oracle. The
 posterior-mode grid and log_marginal_k match a per-bandwidth evaluation
-over _regress, errors included.
+over _regress, errors included. On singular and nearly singular
+matrices, the SPD factorization, decompose and population_coefficients
+fail with typed errors too.
 
 compose of a coefficient band matches the dense product built from
 lower(band), norm_spectral matches the dense symmetric eigensolver on
@@ -45,9 +47,10 @@ from bandchol.errors import (
     DegenerateResidual,
     NonFiniteLogPosterior,
     SingularDesign,
+    SingularMatrix,
 )
 from bandchol import cli, linalg, stats
-from bandchol.mcd import CholeskyFactor, compose
+from bandchol.mcd import CholeskyFactor, compose, decompose, population_coefficients
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
 from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_matrix
 from conftest import lower, random_band, widest_bisected_band
@@ -75,13 +78,14 @@ def degenerate_data(draw):
     return 10.0 ** draw(st.integers(-8, 160)) * x, k
 
 
-def outcome(fn, *args):
-    """fn(*args), or None when it raised a typed error or a ValueError."""
+def outcome(fn, *args, errors=(BandcholError, ValueError)):
+    """fn(*args), or None when it raised one of errors, by default a typed
+    error or a ValueError; a bare LinAlgError fails the test."""
     try:
         return fn(*args)
     except np.linalg.LinAlgError as err:
         pytest.fail(f"{fn.__name__} raised a bare LinAlgError: {err}")
-    except (BandcholError, ValueError):
+    except errors:
         return None
 
 
@@ -90,7 +94,7 @@ def assert_finite(name, *arrays):
         assert np.all(np.isfinite(a)), f"{name} returned non-finite values"
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(degenerate_data())
 def test_degenerate_inputs_fail_typed(case):
     x, k = case
@@ -113,6 +117,46 @@ def test_degenerate_inputs_fail_typed(case):
 
 
 @st.composite
+def near_singular_spd(draw):
+    """A rank-deficient a a' + ridge I, a of shape p x r with r < p and ridge
+    at most 1e-14, or an SPD matrix with one coordinate exactly duplicated;
+    and a bandwidth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 11))
+        a = rng.standard_normal((p, draw(st.integers(1, p - 1))))
+        m = a @ a.T + draw(st.sampled_from([0.0, 1e-16, 1e-15, 1e-14])) * np.eye(p)
+    else:
+        p = draw(st.integers(2, 40))
+        a = rng.standard_normal((p, p))
+        m = a @ a.T + np.eye(p)
+        i = draw(st.integers(0, p - 1))
+        j = (i + draw(st.integers(1, p - 1))) % p
+        m[j] = m[i]
+        m[:, j] = m[:, i]
+    return m, draw(st.integers(0, p))
+
+
+@settings(max_examples=300)
+@given(near_singular_spd())
+def test_near_singular_spd_inputs_fail_typed(case):
+    """The SPD entry points return finite values or raise SingularMatrix or
+    ValueError (population_coefficients also its DegenerateResidual and
+    SingularDesign) on singular and nearly singular matrices."""
+    m, k = case
+    spd = (SingularMatrix, ValueError)
+    factored = outcome(linalg._spd_factor, m, errors=spd)
+    if factored is not None:
+        assert_finite("_spd_factor", *factored)
+    for fn, args, errors in ((decompose, (m,), spd),
+                             (population_coefficients, (m, k),
+                              spd + (DegenerateResidual, SingularDesign))):
+        factor = outcome(fn, *args, errors=errors)
+        if factor is not None:
+            assert_finite(fn.__name__, factor.a, factor.d)
+
+
+@st.composite
 def regression_data(draw):
     p = draw(st.integers(1, 12))
     k = draw(st.integers(0, p + 1))
@@ -121,7 +165,7 @@ def regression_data(draw):
     return x, k
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(regression_data())
 def test_banded_regression_matches_lstsq(case):
     # every column's coefficients and residual variance match a direct
@@ -209,7 +253,7 @@ def grid_outcome(fn, *args):
         return ValueError, None, None
 
 
-@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@settings(max_examples=1000)
 @given(st.one_of(regression_data(), degenerate_data()))
 def test_grid_matches_per_k_oracle(case):
     """The grid and log_marginal_k match the per-k evaluation of grid_oracle.
@@ -256,7 +300,7 @@ def band_factors(draw):
     return a, d
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(band_factors())
 def test_compose_matches_dense_oracle(case):
     a, d = case
@@ -283,7 +327,7 @@ def symmetric_bands(draw):
     return m
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(symmetric_bands())
 def test_norm_spectral_matches_dense_eigensolver(m):
     oracle = np.max(np.abs(np.linalg.eigvalsh(m)))
@@ -336,7 +380,7 @@ def adversarial_bands(draw):
     return draw(st.sampled_from(SCALES)) * m
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(adversarial_bands())
 def test_band_norm_matches_dense_eigensolver_on_adversarial_bands(m):
     """The Cholesky bisection of a narrow band agrees with eigvalsh.
@@ -355,7 +399,7 @@ def test_band_norm_matches_dense_eigensolver_on_adversarial_bands(m):
         assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(adversarial_bands())
 def test_band_norm_factorization_count_within_bound(m):
     """A norm costs at most 2 * 51 + 1 dpbtrf calls, as _band_norm's
@@ -385,7 +429,7 @@ def adversarial_dense(draw):
     return draw(st.sampled_from(SCALES)) * m
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(adversarial_dense())
 def test_dense_extremes_match_dense_eigensolver(m):
     """_dense_extremes, eig_extremes and norm_spectral on dense symmetric
@@ -436,7 +480,7 @@ def general_matrices(draw):
     return draw(st.sampled_from(SCALES)) * m
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(general_matrices())
 def test_norm_spectral_of_general_matrices_matches_svd(m):
     """norm_spectral on inputs that are not symmetric against np.linalg.norm
@@ -478,7 +522,7 @@ def lopsided_bands(draw):
     return draw(st.sampled_from([1.0, 1e-300, 1e300])) * m
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(lopsided_bands())
 def test_is_symmetric_matches_dense_formula(m):
     """is_symmetric, which reads only the in-band diagonals of a narrow band,
@@ -503,7 +547,7 @@ def p_loss_cases(draw):
         draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(p_loss_cases())
 def test_estimate_p_loss_spectral_matches_dense_eigensolver(case):
     """estimate_p_loss(norm="spectral") against the largest absolute
@@ -551,7 +595,7 @@ def malformed_factors(draw):
     return a, d, fault
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(malformed_factors())
 def test_cholesky_factor_rejects_malformed_bands(case):
     a, d, fault = case
@@ -595,7 +639,7 @@ def read_with_csv_module(path, header):
         return as_data_matrix(cli._parse_csv(fh, path, header))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(csv_files())
 def test_csv_fast_path_matches_csv_module(tmp_path_factory, case):
     text, header = case

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandchol import linalg, simulate
-from bandchol.errors import ExperimentFailed, SingularMatrix
+from bandchol.errors import EmptyGrid, ExperimentFailed, SingularMatrix
 from bandchol.linalg import eig_extremes, norm_fro, norm_linf, norm_spectral
 from bandchol.simulate import (
     ExperimentConfig,
@@ -132,8 +132,11 @@ def test_sample_gaussian_factors_sigma_once(monkeypatch):
                                    TrueModelSpec("fgn", 10, hurst=0.8)])
 def test_replication_data_from_cached_factor(monkeypatch, model):
     # a replication draws its data from the truth's cached factor, bit for
-    # bit as sample_gaussian draws them from sigma, and sigma is checked and
-    # factored once for all replications of the model
+    # bit as sample_gaussian draws them from sigma. Every SPD factorization
+    # of the truth goes through _spd_factor, once for all replications of
+    # the model: sigma's for the draws and, for ar4 and fgn, the one through
+    # which build() inverts the matrix it starts from (omega for ar4, sigma
+    # for fgn)
     config = small_config(model=model, reps=3, estimators=("LL",), losses=("fro",))
     simulate._truth.cache_clear()
     data, factored = [], []
@@ -151,7 +154,9 @@ def test_replication_data_from_cached_factor(monkeypatch, model):
     monkeypatch.setattr(linalg, "_spd_factor", factor)
     for rep in range(config.reps):
         simulate._run_rep(config, rep)
-    assert factored == ["covariance matrix"]
+    assert factored == {"ar1": ["covariance matrix"],
+                        "ar4": ["precision matrix", "covariance matrix"],
+                        "fgn": ["covariance matrix", "covariance matrix"]}[model.variant]
     monkeypatch.undo()
     sigma = model.build()[0]
     for rep, x in enumerate(data):
@@ -250,6 +255,13 @@ def test_run_experiment_single_rep_sd_zero():
     result = run_experiment(small_config(reps=1, estimators=("LL",)))
     for loss_stats in result.summary["LL"].values():
         assert loss_stats["sd"] == 0.0
+
+
+def test_empty_grid_is_rejected_before_any_replication(monkeypatch):
+    # kmax = 0 is bad input, refused up front, not a failure of every replication
+    monkeypatch.setattr(simulate, "_run_rep", lambda *args: pytest.fail("replication ran"))
+    with pytest.raises(EmptyGrid, match="1..0 is empty"):
+        run_experiment(small_config(kmax=0))
 
 
 def test_run_experiment_failure_threshold():

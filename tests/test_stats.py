@@ -33,6 +33,10 @@ def test_gram_matrix_overflow_is_value_error():
         gram_matrix(x)
     with pytest.raises(ValueError, match="overflow"):
         banded_regression(x, 1)
+    # X'X/n is finite here, but its symmetrization g + g' overflows: a typed
+    # error, not inf entries and an overflow warning
+    with pytest.raises(ValueError, match="overflow"):
+        gram_matrix(np.array([[1.1e154, 1.1e154]]))
 
 
 def test_banded_regression_symbolic():
