@@ -33,9 +33,6 @@ from .errors import (
 )
 from .mcd import (
     CholeskyFactor,
-    ClassReport,
-    GammaSpec,
-    class_membership,
     compose,
     decompose,
     population_coefficients,

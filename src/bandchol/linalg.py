@@ -1,4 +1,4 @@
-"""Matrix norms, banding operators, and the SPD factorization.
+"""Matrix norms, the symmetry check, and the SPD factorization.
 
 All functions accept anything convertible to a float ndarray and reject
 non-finite entries. Symmetry is always checked in relative terms against
@@ -6,10 +6,9 @@ the largest entry magnitude; the check finds the lower and upper bandwidth
 in one scan for nonzeros and reads only the diagonals inside a narrow
 band. Inputs are dense matrices. norm_spectral takes a narrow symmetric
 band to a bisection for its extreme eigenvalues by Cholesky factorizations
-of the band, O(p b^2) each. Every other spectral quantity, the norm of a
-wide symmetric or a general matrix and eig_extremes, comes from one
-Householder reduction to tridiagonal form, O(p^3), and a bisection of the
-tridiagonal for its two extreme eigenvalues only.
+of the band, O(p b^2) each. The norm of a wide symmetric or a general
+matrix comes from one Householder reduction to tridiagonal form, O(p^3),
+and a bisection of the tridiagonal for its two extreme eigenvalues only.
 
 _spd_factor is the one step that validates and factors an SPD input, and
 _solve_lower_transposed the one back-substitution on a stack of padded
@@ -293,34 +292,6 @@ def norm_fro(m):
     """Frobenius norm."""
     m = check_finite(m)
     return float(np.sqrt(np.sum(m * m)))
-
-
-# ---------------------------------------------------------------------------
-# banding operators
-# ---------------------------------------------------------------------------
-
-def band_matrix(m, k):
-    """Zero out every entry with |i - j| > k."""
-    m = check_finite(m)
-    if m.ndim != 2:
-        raise ValueError("band_matrix expects a matrix")
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
-    rows = np.arange(m.shape[0])[:, None]
-    cols = np.arange(m.shape[1])[None, :]
-    return np.where(np.abs(rows - cols) <= k, m, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# symmetric eigenvalues
-# ---------------------------------------------------------------------------
-
-def eig_extremes(m):
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-    m = check_finite(m)
-    if not is_symmetric(m):
-        raise ValueError("eig_extremes requires a symmetric matrix")
-    return _dense_extremes((m + m.T) / 2.0)
 
 
 NORMS_BY_NAME = {

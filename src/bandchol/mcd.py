@@ -10,7 +10,8 @@ A k-banded A is stored as its (p, k) coefficient band, the layout of
 BandedRegressionStats.ahat: row j holds the coefficients on coordinates
 j-k, ..., j-1, nearest last, and the slots left of the first coordinate
 are zero. compose builds omega from the bands in O(p k^2) and returns it
-dense; decompose returns the full band, k = p - 1.
+dense; decompose returns the full band, k = p - 1, from one Cholesky
+factorization.
 """
 
 from dataclasses import dataclass
@@ -83,13 +84,16 @@ def compose(factor):
     return full[:p]
 
 
-def _reversed_factor(omega):
-    """_spd_factor's symmetrized omega and decompose(omega), from one Cholesky
-    factorization: with J the exchange matrix, J omega J = L L', and
-    T = J L' J is lower triangular with omega = T' T. Then d = diag(T)^{-2}
-    and A = I - diag(T)^{-1} T. J omega J is SPD exactly when omega is."""
-    rev, low = linalg._spd_factor(np.flip(omega), "precision matrix")
-    p = rev.shape[0]
+def decompose(omega):
+    """Recover the factor (A, d) of an SPD precision matrix, A as its full band.
+
+    One Cholesky factorization, of the reversed matrix: with J the exchange
+    matrix, J omega J = L L', and T = J L' J is lower triangular with
+    omega = T' T. Then d = diag(T)^{-2} and A = I - diag(T)^{-1} T. J omega J
+    is SPD exactly when omega is.
+    """
+    low = linalg._spd_factor(np.flip(omega), "precision matrix")[1]
+    p = low.shape[0]
     t = low[::-1, ::-1].T
     tdiag = np.diag(t).copy()
     # after p-1 zero columns, row j of -T/diag(T) holds the coefficients
@@ -99,13 +103,7 @@ def _reversed_factor(omega):
     wide[:, p - 1:] = -t / tdiag[:, None]
     s0, s1 = wide.strides
     a = np.ndarray((p, p - 1), buffer=wide, strides=(s0 + s1, s1)).copy()
-    return np.flip(rev), CholeskyFactor(a=a, d=1.0 / tdiag**2)
-
-
-def decompose(omega):
-    """Recover the factor (A, d) of an SPD precision matrix, A as its full band,
-    by the reversed Cholesky factorization of _reversed_factor."""
-    return _reversed_factor(omega)[1]
+    return CholeskyFactor(a=a, d=1.0 / tdiag**2)
 
 
 def population_coefficients(sigma, k):
@@ -120,94 +118,3 @@ def population_coefficients(sigma, k):
     sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
     st = _regress(sigma, k, np.inf)
     return CholeskyFactor(a=st.ahat, d=st.dhat)
-
-
-# ---------------------------------------------------------------------------
-# decay classes of precision matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaSpec:
-    """Nonincreasing decay bound gamma(k) on off-band mass.
-
-    kind "polynomial": gamma(k) = c * k^(-alpha)
-    kind "exponential": gamma(k) = c * exp(-beta * k)
-    kind "exact": no constraint up to k0, zero beyond
-    """
-
-    kind: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    c: float = 1.0
-    k0: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("polynomial", "exponential", "exact"):
-            raise ValueError(f"unknown gamma kind {self.kind!r}")
-        if self.kind == "polynomial" and (self.alpha <= 0 or self.c <= 0):
-            raise ValueError("polynomial decay needs alpha > 0 and c > 0")
-        if self.kind == "exponential" and (self.beta <= 0 or self.c <= 0):
-            raise ValueError("exponential decay needs beta > 0 and c > 0")
-        if self.kind == "exact" and self.k0 < 0:
-            raise ValueError("exact banding needs k0 >= 0")
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        if np.any(k < 1):
-            raise ValueError("gamma(k) is defined for k >= 1")
-        if self.kind == "polynomial":
-            out = self.c * k**-self.alpha
-        elif self.kind == "exponential":
-            out = self.c * np.exp(-self.beta * k)
-        else:
-            out = np.where(k > self.k0, 0.0, np.inf)
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    """Membership report for the decay classes of a precision matrix."""
-
-    eps0_ok: bool
-    factor_profile: np.ndarray
-    omega_profile: np.ndarray
-    member_u: bool
-    member_ustar: bool
-
-
-def class_membership(omega, eps0, gamma, scale=1.0):
-    """Check the decay-class membership of a precision matrix.
-
-    factor_profile[k-1] = max_i sum_{j < i-k} |a_ij| for the Cholesky
-    coefficients A of omega; omega_profile[k-1] is the analogous off-band
-    row mass of omega itself. Membership compares each profile against
-    scale * gamma(k) over 1 <= k <= p-1 and requires all eigenvalues of
-    omega inside [eps0, 1/eps0].
-    """
-    omega, factor = _reversed_factor(omega)
-    if not 0 < eps0 <= 1:
-        raise ValueError("eps0 must lie in (0, 1]")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    p = omega.shape[0]
-    if p < 2:
-        raise ValueError("profiles need p >= 2")
-    lmin, lmax = linalg.eig_extremes(omega)
-    eps0_ok = bool(eps0 <= lmin and lmax <= 1.0 / eps0)
-    a = factor.a
-    ks = np.arange(1, p)
-    # band slots 0 .. p-2-k hold the coefficients more than k places away
-    factor_profile = np.array([linalg.norm_linf(a[:, :p - 1 - k]) for k in ks])
-    omega_profile = np.array(
-        [linalg.norm_linf(omega - linalg.band_matrix(omega, k)) for k in ks]
-    )
-    bound = scale * gamma(ks)
-    member_u = eps0_ok and bool(np.all(factor_profile <= bound))
-    member_ustar = eps0_ok and bool(np.all(omega_profile <= bound))
-    return ClassReport(
-        eps0_ok=eps0_ok,
-        factor_profile=factor_profile,
-        omega_profile=omega_profile,
-        member_u=member_u,
-        member_ustar=member_ustar,
-    )

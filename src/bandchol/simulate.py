@@ -113,17 +113,23 @@ class TrueModelSpec:
 
     def build(self):
         """Return (sigma, omega): the covariance and precision of the truth."""
+        return self._build()[:2]
+
+    def _build(self):
+        """build()'s (sigma, omega) and, when inverting sigma factored it
+        (fgn), sigma's lower Cholesky factor as sample_gaussian checks and
+        factors it; None otherwise."""
         if self.variant == "ar1":
-            return make_ar1_cov(self.rho, self.p), ar1_precision(self.rho, self.p)
+            return make_ar1_cov(self.rho, self.p), ar1_precision(self.rho, self.p), None
         if self.variant == "ar4":
             omega = make_ar4_precision(self.p, self.coeffs)
             low = linalg._spd_factor(omega, "precision matrix")[1]
             sigma = cho_solve((low, True), np.eye(self.p))
-            return (sigma + sigma.T) / 2.0, omega
+            return (sigma + sigma.T) / 2.0, omega, None
         sigma = make_fgn_cov(self.hurst, self.p)
         low = linalg._spd_factor(sigma, "covariance matrix")[1]
         omega = cho_solve((low, True), np.eye(self.p))
-        return sigma, (omega + omega.T) / 2.0
+        return sigma, (omega + omega.T) / 2.0, low
 
     def to_dict(self):
         out = {"variant": self.variant}
@@ -152,9 +158,12 @@ class TrueModelSpec:
 @lru_cache(maxsize=8)
 def _truth(model):
     """(low, omega): the lower Cholesky factor of the truth's covariance,
-    checked and factored as sample_gaussian does, and its precision."""
-    sigma, omega = model.build()
-    return linalg._spd_factor(sigma, "covariance matrix")[1], omega
+    checked and factored as sample_gaussian does, and its precision. The
+    factor is build()'s when build() made one."""
+    sigma, omega, low = model._build()
+    if low is None:
+        low = linalg._spd_factor(sigma, "covariance matrix")[1]
+    return low, omega
 
 
 def _draw(low, n, rng):

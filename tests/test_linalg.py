@@ -1,4 +1,4 @@
-"""Norms, banding operators, and the SPD factorization."""
+"""Norms, extreme eigenvalues, and the SPD factorization."""
 
 import numpy as np
 import pytest
@@ -102,43 +102,12 @@ def test_symmetric_l1_equals_linf():
 
 
 # ---------------------------------------------------------------------------
-# banding
-# ---------------------------------------------------------------------------
-
-def test_band_matrix_k0_keeps_diagonal():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(linalg.band_matrix(m, 0), np.diag([1.0, 4.0]))
-    np.testing.assert_array_equal(linalg.band_matrix(np.eye(3), 0), np.eye(3))
-
-
-def test_band_matrix_against_indicator_oracle():
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((5, 5))
-    for k in range(5):
-        oracle = np.array([[m[i, j] if abs(i - j) <= k else 0.0
-                            for j in range(5)] for i in range(5)])
-        np.testing.assert_array_equal(linalg.band_matrix(m, k), oracle)
-
-
-def test_band_matrix_idempotent_and_monotone():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((8, 8))
-    for k in range(8):
-        banded = linalg.band_matrix(m, k)
-        np.testing.assert_array_equal(linalg.band_matrix(banded, k), banded)
-        # widening the band only adds entries
-        wider = linalg.band_matrix(m, k + 1)
-        mask = banded != 0
-        np.testing.assert_array_equal(wider[mask], banded[mask])
-
-
-# ---------------------------------------------------------------------------
 # eigenvalues and factorizations
 # ---------------------------------------------------------------------------
 
 def test_eig_extremes_simple():
-    assert linalg.eig_extremes(np.eye(4)) == (1.0, 1.0)
-    lmin, lmax = linalg.eig_extremes(np.diag([2.0, 0.5]))
+    assert linalg._dense_extremes(np.eye(4)) == (1.0, 1.0)
+    lmin, lmax = linalg._dense_extremes(np.diag([2.0, 0.5]))
     assert (lmin, lmax) == (0.5, 2.0)
 
 
@@ -146,7 +115,7 @@ def test_eig_extremes_ar1_frozen():
     # frozen from the dense symmetric eigensolver
     idx = np.arange(10)
     sig = 0.3 ** np.abs(idx[:, None] - idx[None, :])
-    lmin, lmax = linalg.eig_extremes(sig)
+    lmin, lmax = linalg._dense_extremes(sig)
     assert lmin == pytest.approx(0.5470227249594707, abs=1e-9)
     assert lmax == pytest.approx(1.7807220413199754, abs=1e-9)
 
@@ -154,16 +123,11 @@ def test_eig_extremes_ar1_frozen():
 def test_eig_extremes_bound_rayleigh_quotients():
     rng = np.random.default_rng(8)
     m = random_spd(rng, 12)
-    lmin, lmax = linalg.eig_extremes(m)
+    lmin, lmax = linalg._dense_extremes(m)
     for _ in range(50):
         v = rng.standard_normal(12)
         q = v @ m @ v / (v @ v)
         assert lmin - 1e-10 <= q <= lmax + 1e-10
-
-
-def test_eig_extremes_requires_symmetry():
-    with pytest.raises(ValueError):
-        linalg.eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_spd_cholesky_diagonal():

@@ -1,17 +1,15 @@
-"""Composition, decomposition, and decay-class membership."""
+"""Composition and decomposition."""
 
 import numpy as np
 import pytest
 
-from bandchol import linalg
 from bandchol.mcd import (
     CholeskyFactor,
-    GammaSpec,
-    class_membership,
     compose,
     decompose,
     population_coefficients,
 )
+from bandchol.simulate import make_ar4_precision
 from conftest import lower, random_band
 
 
@@ -136,6 +134,21 @@ def test_decompose_rejects_indefinite():
         decompose(np.diag([1.0, -2.0]))
 
 
+def test_decompose_of_banded_precision_vanishes_beyond_band():
+    # an exactly k0-banded omega has a k0-banded factor, and decompose
+    # returns exact zeros in every slot more than k0 places back
+    rng = np.random.default_rng(4)
+    p, k0 = 10, 2
+    omega = compose(CholeskyFactor(a=random_band(rng, p, k0, 0.3),
+                                   d=rng.uniform(0.5, 2.0, p)))
+    assert np.all(decompose(omega).a[:, :p - 1 - k0] == 0.0)
+    # the ar4 truth of the simulations, k0 = 4, and positive definite
+    for p in (50, 100, 400):
+        omega = make_ar4_precision(p)
+        assert np.all(decompose(omega).a[:, :p - 5] == 0.0)
+        assert np.linalg.eigvalsh(omega)[0] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # population coefficients
 # ---------------------------------------------------------------------------
@@ -168,86 +181,3 @@ def test_population_coefficients_full_band_matches_decompose():
     factor = decompose(omega)
     np.testing.assert_allclose(full.a, factor.a, atol=1e-9)
     np.testing.assert_allclose(full.d, factor.d, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# decay classes
-# ---------------------------------------------------------------------------
-
-def test_gamma_spec_kinds():
-    poly = GammaSpec(kind="polynomial", alpha=2.0, c=3.0)
-    assert poly(1) == 3.0
-    assert poly(2) == 0.75
-    expo = GammaSpec(kind="exponential", beta=1.0, c=1.0)
-    assert expo(2) == pytest.approx(np.exp(-2.0))
-    exact = GammaSpec(kind="exact", k0=3)
-    assert exact(3) == np.inf and exact(4) == 0.0
-    with pytest.raises(ValueError):
-        GammaSpec(kind="polynomial", alpha=-1.0)
-    with pytest.raises(ValueError):
-        GammaSpec(kind="nope")
-
-
-def test_gamma_spec_nonincreasing():
-    ks = np.arange(1, 20)
-    for spec in (GammaSpec(kind="polynomial", alpha=0.7, c=2.0),
-                 GammaSpec(kind="exponential", beta=0.3, c=2.0)):
-        vals = spec(ks)
-        assert np.all(np.diff(vals) <= 0.0)
-    step = GammaSpec(kind="exact", k0=5)(ks)
-    assert np.all(step[:5] == np.inf) and np.all(step[5:] == 0.0)
-
-
-def test_class_membership_identity():
-    report = class_membership(np.eye(6), 0.5, GammaSpec(kind="exact", k0=1))
-    assert report.eps0_ok and report.member_u and report.member_ustar
-    np.testing.assert_array_equal(report.factor_profile, np.zeros(5))
-    np.testing.assert_array_equal(report.omega_profile, np.zeros(5))
-
-
-def test_class_membership_banded_factor_profile_vanishes():
-    rng = np.random.default_rng(4)
-    p, k0 = 10, 2
-    omega = compose(CholeskyFactor(a=random_band(rng, p, k0, 0.3),
-                                   d=rng.uniform(0.5, 2.0, p)))
-    report = class_membership(omega, 1e-6, GammaSpec(kind="exact", k0=k0))
-    assert np.all(report.factor_profile[k0:] == 0.0)
-    assert report.member_u
-
-
-def test_class_membership_profiles_match_cumsum_oracle():
-    rng = np.random.default_rng(5)
-    omega = random_spd(rng, 9, cond=50.0)
-    report = class_membership(omega, 1e-6, GammaSpec(kind="polynomial", alpha=1.0))
-    a = lower(decompose(omega).a)
-    for arr, prof in ((a, report.factor_profile), (omega, report.omega_profile)):
-        for k in range(1, 9):
-            mask = np.abs(np.subtract.outer(range(9), range(9))) > k
-            oracle = np.max(np.sum(np.abs(np.where(mask, arr, 0.0)), axis=1))
-            assert prof[k - 1] == pytest.approx(oracle, abs=1e-14)
-
-
-def test_class_membership_exponential_scale_sweep():
-    # exponentially decaying factor rows stay in the class, and some scale
-    # multiple of the same decay bound covers the precision tails too
-    rng = np.random.default_rng(6)
-    p, beta = 12, 1.5
-    # the full band: slot s of row j is the coefficient p-1-s places back
-    lag = np.arange(p - 1, 0, -1.0)
-    real = lag <= np.arange(p)[:, None]
-    a = np.where(real, 0.5 * np.exp(-beta * lag), 0.0)
-    omega = compose(CholeskyFactor(a=a, d=np.full(p, 1.0)))
-    lmin, lmax = linalg.eig_extremes(omega)
-    eps0 = 0.9 * min(lmin, 1.0 / lmax)
-    c0 = 0.5 * np.exp(-beta) / (1.0 - np.exp(-beta))
-    gamma = GammaSpec(kind="exponential", beta=beta, c=c0)
-    assert class_membership(omega, eps0, gamma).member_u
-    scales = [2.0**i for i in range(0, 13)]
-    assert any(class_membership(omega, eps0, gamma, scale=s).member_ustar
-               for s in scales)
-
-
-def test_class_membership_eps0_gate():
-    report = class_membership(np.diag([10.0, 1.0, 0.1]), 0.5,
-                              GammaSpec(kind="exact", k0=1))
-    assert not report.eps0_ok and not report.member_u and not report.member_ustar
