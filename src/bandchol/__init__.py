@@ -50,6 +50,6 @@ from .simulate import (
     run_experiment,
     sample_gaussian,
 )
-from .stats import BandedRegressionStats, banded_regression, gram_matrix
+from .stats import BandedRegressionStats, banded_regression, gram_band, gram_matrix
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .competitors import bl_banded_estimator
 from .linalg import norm_l1
-from .stats import _regress_nested, as_data_matrix, gram_matrix
+from .stats import _checked_band, _regress_nested, as_data_matrix, gram_band
 
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
@@ -86,6 +86,14 @@ class ResamplingSelection:
     risk: np.ndarray
     mode: int
 
+    @property
+    def margin(self):
+        """Average risk of the runner-up minus the chosen k's; None on a one-point grid."""
+        if len(self.risk) < 2:
+            return None
+        low2 = np.partition(self.risk, 1)[:2]
+        return float(low2[1] - low2[0])
+
 
 def _log_posterior(x, k_values, prior, log_k_prior, gram):
     """Unnormalized log posterior at each of the ascending bandwidths k_values.
@@ -94,10 +102,14 @@ def _log_posterior(x, k_values, prior, log_k_prior, gram):
     column terms are evaluated over the (bandwidths, p) arrays at once. The
     smallest k that fails raises, as evaluating them one by one would: its
     SingularDesign or DegenerateResidual first, else NonFiniteLogPosterior.
+    gram is None or a gram_band of x at least min(k_values[-1], p-1) wide.
     """
     n, p = x.shape
-    g = gram_matrix(x) if gram is None else gram
-    dhat, logdet, err = _regress_nested(g, k_values, n)
+    if k_values[0] < 0:
+        raise ValueError("bandwidth k must be nonnegative")
+    kmax = int(k_values[-1])
+    band = gram_band(x, kmax) if gram is None else _checked_band(gram, p, min(kmax, p - 1))
+    dhat, logdet, err = _regress_nested(band, k_values, n)
     done = k_values[:len(dhat)]
     kj = np.minimum(np.arange(p), done[:, None])
     half_nj, rate, mass = _conjugate_terms(n, kj, dhat, prior)
@@ -151,6 +163,9 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     Gram block and raises what log_marginal_k at k = 1, ..., kmax in turn
     would. Ties resolve to the smallest k. kmax may not exceed
     max_bandwidth(n, p, nu0), the largest bandwidth the posterior admits.
+    gram may be gram_band(data, w) with w >= min(kmax, p-1), shared with
+    the fits at the chosen k; the grid is then bit-identical to the one
+    without it.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -206,7 +221,7 @@ def select_k_resampling(data, kmax, splits=50, ref_bandwidth=20, rng=0):
             try:
                 ref = bl_banded_estimator(x[perm[n1:]], ref_bandwidth)
                 g1 = x[perm[:n1]]
-                gram1 = gram_matrix(g1)
+                gram1 = gram_band(g1, kmax)
                 dists = [
                     norm_l1(bl_banded_estimator(g1, int(k), gram=gram1) - ref)
                     for k in k_values

@@ -109,6 +109,8 @@ def fit_posterior(data, prior, gram=None):
 
     Raises ValueError when k exceeds max_bandwidth, and TruncationMassZero(j)
     when the cap M leaves column j's posterior without numerical mass.
+    gram may be gram_band(data, w) with w >= min(k, p-1), as in
+    banded_regression.
     """
     _check_admissible(data, prior.k, prior.nu0)
     st = banded_regression(data, prior.k, gram=gram)

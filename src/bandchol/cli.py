@@ -6,7 +6,8 @@ echoing its fully resolved parameters, defaults and seed included. The
 one execution-only knob, simulate --threads, never appears in outputs and
 never changes results, so reruns are byte-identical. A bandwidth chosen by
 posterior mode is reported in the sidecar with its normalized posterior
-probability and its log-gap to the runner-up (null on a one-point grid).
+probability and its log-gap to the runner-up, and one chosen by resampling
+with its risk margin over the runner-up (each null on a one-point grid).
 Exit codes: 0 success, 2 bad input, 3 numerical failure.
 """
 
@@ -25,7 +26,7 @@ from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError
 from .linalg import _row_spans
 from .simulate import ExperimentConfig, records_csv_text, run_experiment, summary_payload
-from .stats import as_data_matrix, gram_matrix
+from .stats import as_data_matrix, gram_band
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -173,14 +174,21 @@ def _mode_diagnostics(post):
     return {"mode_probability": post.mode_probability, "mode_log_gap": post.log_gap}
 
 
+def _resampling_diagnostics(sel):
+    """How clearly the resampling risk picked its k: the runner-up's average
+    risk minus the chosen k's (null on a one-point grid)."""
+    return {"resampling_risk_margin": sel.margin}
+
+
 def cmd_estimate(args):
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
     kmax, ref = _selection_grid(args, n, p)
     prior_kwargs = {"M": args.cap, "nu0": args.nu0}
 
-    # X'X/n, computed once, serves the posterior-mode grid and the estimate
-    gram = gram_matrix(x)
+    # the band of X'X/n, computed once, serves the posterior-mode grid and
+    # the estimate at any bandwidth up to its width
+    gram = gram_band(x, max(0, args.k if args.k is not None else kmax))
 
     diagnostics = {}
     if args.k is not None:
@@ -190,11 +198,11 @@ def cmd_estimate(args):
                                        gram=gram)
         k, source, diagnostics = post.mode, "mode", _mode_diagnostics(post)
     else:
-        k = select_k_resampling(
+        sel = select_k_resampling(
             x, kmax, splits=args.splits, ref_bandwidth=ref,
             rng=np.random.default_rng(args.seed),
-        ).mode
-        source = "resampling"
+        )
+        k, source, diagnostics = sel.mode, "resampling", _resampling_diagnostics(sel)
 
     if args.estimator == "ll":
         omega = plug_in_estimator(fit_posterior(x, PriorConfig(k, **prior_kwargs), gram=gram))
@@ -247,6 +255,7 @@ def cmd_bandwidth(args):
             rng=np.random.default_rng(args.seed),
         )
         selected["resampling"] = res.mode
+        result.update(_resampling_diagnostics(res))
         for k, value in zip(res.k_values, res.risk):
             lines.append(f"resampling,{k},{format(value, '.17g')}")
     with open(args.output, "w") as fh:

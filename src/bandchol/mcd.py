@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .stats import _regress
+from .stats import _dense_to_band, _regress
 
 
 @dataclass(frozen=True)
@@ -116,5 +116,7 @@ def population_coefficients(sigma, k):
     combination of its predecessors.
     """
     sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
-    st = _regress(sigma, k, np.inf)
+    if k < 0:
+        raise ValueError("bandwidth k must be nonnegative")
+    st = _regress(_dense_to_band(sigma, min(k, sigma.shape[0] - 1)), k, np.inf)
     return CholeskyFactor(a=st.ahat, d=st.dhat)

@@ -23,7 +23,7 @@ from .bandwidth import _check_resampling, select_k_posterior_mode, select_k_resa
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError, EmptyGrid, ExperimentFailed
-from .stats import gram_matrix
+from .stats import gram_band
 
 ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
 LOSSES = ("spectral", "linf", "fro")
@@ -353,7 +353,9 @@ def _run_rep(config, rep):
     data_rng, split_rng = _rep_streams(config.seed, rep)
     data = _draw(low, config.n, data_rng)
     try:
-        gram = gram_matrix(data)
+        # every bandwidth below is at most kmax, so one band serves the
+        # grid and every estimator
+        gram = gram_band(data, config.kmax)
         estimates = {}
         if any(est in MODE_BASED for est in config.estimators):
             sel = select_k_posterior_mode(

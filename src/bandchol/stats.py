@@ -2,8 +2,18 @@
 
 All moments are raw (uncentered) with divisor n: var(X_j) is the mean of
 squares of column j, and the Gram blocks feeding each regression are taken
-from X'X / n. Column indices in the public API are 1-based, matching the
-math convention for ordered coordinates; error messages use the same
+from X'X / n. At bandwidth k every regression reads only the second
+moments within k of the diagonal, so the fits read them from
+gram_band(data, w), w >= k: X'X / n restricted to |i - j| <= w and stored
+as a padded row band of shape (p + w, 2w + 1). Row w + i, column w + d
+holds g[i, i+d] (zero where i + d falls outside the matrix), and the first
+w rows hold the identity's band, which pads the missing predecessors of
+the first columns. The band costs O(n p (GRAM_TILE + w)) flops and
+O(p w) memory, where the dense gram_matrix costs O(n p^2) and O(p^2);
+every Gram block is a zero-copy strided view of it (_predecessor_blocks).
+Each public gram= argument takes such a band, at least as wide as the
+bandwidth it fits. Column indices in the public API are 1-based, matching
+the math convention for ordered coordinates; error messages use the same
 numbering. Which bandwidths the posterior admits is decided in bayes.
 """
 
@@ -20,6 +30,8 @@ RESIDUAL_FLOOR = 1e-14
 # a squared Cholesky pivot at most this fraction of its diagonal entry
 # sends the batch to the column-by-column checks
 PIVOT_RECHECK = 1e-10
+# columns per BLAS product in gram_band
+GRAM_TILE = 64
 
 
 def as_data_matrix(x):
@@ -44,6 +56,91 @@ def gram_matrix(x):
     if not np.all(np.isfinite(g)):
         raise ValueError("second moments X'X/n overflow; rescale the data")
     return g
+
+
+def gram_band(data, width):
+    """X'X / n within width w of the diagonal, as a read-only padded row band.
+
+    w is width clamped to p - 1. Row w + i, column w + d of the (p + w,
+    2w + 1) result holds g[i, i+d] of g = X'X / n, and 0 where i + d lies
+    outside 0..p-1; the first w rows hold 1 in the centre column and 0
+    elsewhere, the identity's band. Raises gram_matrix's ValueError when
+    the moments overflow.
+
+    Each tile of GRAM_TILE columns c0..c1-1 takes one BLAS product
+    x[:, c0:c1]' x[:, c0:c1+w]: read along its diagonals, its row c0 + a
+    holds g[c0+a, c0+a+d], d = 0..w, which is band row c0 + a to the
+    right of the centre and, g being symmetric, band row c0 + a + d at
+    column w - d. Two strided views of the band take both halves of a tile
+    in one assignment each. numpy computes a block times its own transpose
+    by a symmetric rank-k update, whose rounding differs from the general
+    product, so the right factor reaches at least one column past the tile
+    whenever there is one: every tile but the last then takes the general
+    product whatever w is, and a band's entries do not depend on its width.
+    gram_matrix checks its symmetrization g + g' for overflow, so no entry
+    may exceed half the largest float; by Cauchy-Schwarz an entry off the
+    band exceeds it only where a diagonal entry does.
+    """
+    x = as_data_matrix(data)
+    if width < 0:
+        raise ValueError("band width must be nonnegative")
+    n, p = x.shape
+    w = min(int(width), p - 1)
+    cols = 2 * w + 1
+    # w spare rows below take the lower half's zeros from past the last column
+    band = np.zeros((p + 2 * w, cols))
+    e = band.itemsize
+    centre = (w * cols + w) * e
+    upper = np.ndarray((p, w + 1), buffer=band, offset=centre, strides=(cols * e, e))
+    lower = np.ndarray((p, w + 1), buffer=band, offset=centre,
+                       strides=(cols * e, (cols - 1) * e))
+    # columns past a tile that its product reaches, at least one (see above)
+    past = max(w, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, p, GRAM_TILE):
+            c1 = min(c0 + GRAM_TILE, p)
+            reach = min(c1 + past, p) - c0
+            prod = np.zeros((c1 - c0, c1 - c0 + past))
+            np.matmul(x[:, c0:c1].T, x[:, c0:c0 + reach], out=prod[:, :reach])
+            s0, s1 = prod.strides
+            diagonals = np.ndarray((c1 - c0, w + 1), buffer=prod, strides=(s0 + s1, s1))
+            upper[c0:c1] = diagonals
+            lower[c0:c1] = diagonals
+        band = band[:p + w]
+        band /= n
+    if not np.all(np.abs(band) <= np.finfo(float).max / 2.0):
+        raise ValueError("second moments X'X/n overflow; rescale the data")
+    band[:w, w] = 1.0
+    band.flags.writeable = False
+    return band
+
+
+def _dense_to_band(m, w):
+    """The padded row band of width w, gram_band's layout, of a dense symmetric
+    matrix m, in O(p w)."""
+    p = m.shape[0]
+    band = np.zeros((p + w, 2 * w + 1))
+    band[:w, w] = 1.0
+    rows, offsets = np.indices((p, 2 * w + 1))
+    cols = rows + offsets - w
+    inside = (cols >= 0) & (cols < p)
+    band[w:][inside] = m[rows[inside], cols[inside]]
+    return band
+
+
+def _checked_band(gram, p, keff):
+    """A gram= argument as gram_band(data, w) of data with p columns, w >= keff.
+
+    ValueError for anything else, such as the dense gram_matrix, a band of
+    data with another number of columns, or a band narrower than keff.
+    """
+    gram = np.ascontiguousarray(gram, dtype=float)
+    w = (gram.shape[-1] - 1) // 2 if gram.ndim == 2 else -1
+    if gram.shape != (p + w, 2 * w + 1) or not keff <= w <= p - 1:
+        raise ValueError(
+            f"gram must be gram_band(data, w) of the data's {p} columns with w >= {keff}, "
+            f"a ({p} + w, 2w + 1) band; got shape {gram.shape}")
+    return gram
 
 
 @dataclass
@@ -107,35 +204,35 @@ def _check_columns(blocks, n):
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
 
 
-def _predecessor_blocks(g, keff):
+def _predecessor_blocks(band, keff):
     """Read-only (p, keff+1, keff+1) view of the Gram blocks of columns j-keff, ..., j.
 
-    Copied into the lower-right corner of an identity of order p + keff, g
-    holds the Gram block of columns j-keff, ..., j in the diagonal window
-    at offset j, so one strided view gives every block without a gather.
-    The leading identity pads the missing predecessors of the first columns
-    as unit-variance coordinates uncorrelated with the rest, which leaves
-    the real block's factor as is.
+    band is a padded row band of width w >= keff, gram_band's layout, which
+    holds g[i, c] at row w + i, column w + c - i. Entry (a, b) of column j's
+    block, g[j-keff+a, j-keff+b], is then band[w-keff+j+a, w+b-a], so one
+    strided view with strides (s0, s0 - s1, s1) gives every block without a
+    copy. Where j-keff+a < 0 it reads the band's identity rows: the missing
+    predecessors of the first columns enter as unit-variance coordinates
+    uncorrelated with the rest, which leaves the real block's factor as is.
     """
-    p = g.shape[0]
-    padded = np.eye(p + keff)
-    padded[keff:, keff:] = g
-    s0, s1 = padded.strides
+    w = band.shape[1] // 2
+    p = band.shape[0] - w
+    s0, s1 = band.strides
     return np.lib.stride_tricks.as_strided(
-        padded, (p, keff + 1, keff + 1), (s0 + s1, s0, s1), writeable=False)
+        band[w - keff:, w:], (p, keff + 1, keff + 1), (s0, s0 - s1, s1), writeable=False)
 
 
-def _regress(g, k, n):
-    """Least squares of every coordinate of g on its k closest predecessors.
+def _regress(band, k, n):
+    """Least squares of every coordinate on its k closest predecessors.
 
-    g is a second-moment matrix built from n rows (np.inf for a population
-    covariance). Raises as banded_regression does, for coordinates of g.
+    band holds the second moments as a padded row band of width at least
+    min(k, p-1) (gram_band's layout), built from n rows (np.inf for a
+    population covariance). k is nonnegative. Raises as banded_regression does.
     """
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
-    p = g.shape[0]
+    w = band.shape[1] // 2
+    p = band.shape[0] - w
     keff = min(k, p - 1)
-    blocks = _predecessor_blocks(g, keff)
+    blocks = _predecessor_blocks(band, keff)
     try:
         low = np.linalg.cholesky(blocks)
         pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
@@ -154,20 +251,21 @@ def _regress(g, k, n):
     shat_chol = low[:, :keff, :keff].copy()
     ahat = _solve_lower_transposed(shat_chol, low[:, keff, :keff].copy())
     dhat = pivots[:, keff]
-    bad = np.nonzero(dhat <= RESIDUAL_FLOOR * np.diagonal(g))[0]
+    bad = np.nonzero(dhat <= RESIDUAL_FLOOR * band[w:, w])[0]
     if bad.size:
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
     return BandedRegressionStats(n=n, p=p, kj=np.minimum(np.arange(p), keff), dhat=dhat,
                                  ahat=ahat, shat_chol=shat_chol)
 
 
-def _regress_nested(g, k_values, n):
+def _regress_nested(band, k_values, n):
     """Residual variances and predecessor log determinants at several bandwidths.
 
     Row i of dhat and of logdet, both (len(k_values), p), holds what
-    _regress(g, k_values[i], n) gives every column, up to rounding: its
+    _regress(band, k_values[i], n) gives every column, up to rounding: its
     residual variance and the log determinant of its predecessor Gram block
-    (padded slots add log 1 = 0). k_values ascend.
+    (padded slots add log 1 = 0). k_values are nonnegative and ascend,
+    and band is at least min(k_values[-1], p-1) wide.
 
     The regressions on the 1, 2, ..., K nearest predecessors are nested
     (the order recursion of Levinson and Durbin, which Pourahmadi (1999)
@@ -186,13 +284,12 @@ def _regress_nested(g, k_values, n):
     err): err is None, or the error that _regress raised at the smallest k,
     and then the rows stop before that k.
     """
-    if min(k_values) < 0:
-        raise ValueError("bandwidth k must be nonnegative")
-    p = g.shape[0]
+    w = band.shape[1] // 2
+    p = band.shape[0] - w
     keffs = np.minimum(k_values, p - 1)
     kmax = int(keffs[-1])
     order = np.append(np.arange(kmax - 1, -1, -1), kmax)
-    blocks = _predecessor_blocks(g, kmax)[:, order[:, None], order]
+    blocks = _predecessor_blocks(band, kmax)[:, order[:, None], order]
     try:
         low = np.linalg.cholesky(blocks)
         diag = np.diagonal(low, axis1=1, axis2=2)
@@ -201,7 +298,7 @@ def _regress_nested(g, k_values, n):
     except np.linalg.LinAlgError:
         trusted = False
     if trusted:
-        gjj = np.diagonal(g)
+        gjj = band[w:, w]
         # rows k = 0, ..., kmax
         dhat = np.vstack([gjj, gjj - np.cumsum(low[:, kmax, :kmax] ** 2, axis=1).T])
         logdet = np.vstack([np.zeros(p), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
@@ -210,7 +307,7 @@ def _regress_nested(g, k_values, n):
     logdet = np.empty((len(k_values), p))
     for i, k in enumerate(k_values):
         try:
-            st = _regress(g, int(k), n)
+            st = _regress(band, int(k), n)
         except (SingularDesign, DegenerateResidual) as err:
             return dhat[:i], logdet[:i], err
         dhat[i] = st.dhat
@@ -221,10 +318,15 @@ def _regress_nested(g, k_values, n):
 def banded_regression(data, k, gram=None):
     """Least-squares fit of every column on its k closest predecessors.
 
-    A precomputed gram_matrix(data) can be passed to share work across
-    bandwidths. Raises SingularDesign(j) when column j's predecessor block
+    gram may be gram_band(data, w) with w >= min(k, p-1), computed once to
+    share work across bandwidths; the fit is then bit-identical to the one
+    without it. Raises SingularDesign(j) when column j's predecessor block
     is singular, and DegenerateResidual(j) when column j's residual
     variance is at most RESIDUAL_FLOOR times its second moment.
     """
     x = as_data_matrix(data)
-    return _regress(gram_matrix(x) if gram is None else gram, k, x.shape[0])
+    n, p = x.shape
+    if k < 0:
+        raise ValueError("bandwidth k must be nonnegative")
+    band = gram_band(x, k) if gram is None else _checked_band(gram, p, min(k, p - 1))
+    return _regress(band, k, n)

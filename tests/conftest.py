@@ -6,7 +6,8 @@ test's @settings states only its max_examples. The acceptance report is
 surfaced in the terminal summary. lower(band)
 builds the dense strictly lower A of a coefficient band for oracles,
 random_band draws a band, and widest_bisected_band gives the switch of
-norm_spectral between its band and dense paths.
+norm_spectral between its band and dense paths. FITS_WITH_GRAM calls each
+public function that takes a gram= argument.
 """
 
 import math
@@ -15,9 +16,22 @@ import numpy as np
 from hypothesis import settings
 
 from bandchol import linalg
+from bandchol.bandwidth import select_k_posterior_mode
+from bandchol.bayes import PriorConfig, fit_posterior
+from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
+from bandchol.stats import banded_regression
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# every public function with a gram= argument, fitted at bandwidth k
+FITS_WITH_GRAM = {
+    "banded_regression": lambda x, k, gram: banded_regression(x, k, gram=gram),
+    "bl_banded_estimator": lambda x, k, gram: bl_banded_estimator(x, k, gram=gram),
+    "graphical_mle_banded": lambda x, k, gram: graphical_mle_banded(x, k, gram=gram),
+    "fit_posterior": lambda x, k, gram: fit_posterior(x, PriorConfig(k), gram=gram),
+    "select_k_posterior_mode": lambda x, k, gram: select_k_posterior_mode(x, k, gram=gram),
+}
 
 
 def lower(band):

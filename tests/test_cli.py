@@ -126,26 +126,34 @@ def test_estimate_selected_k_matches_explicit(tmp_path):
 
 
 def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
-    # the posterior-mode grid and the estimator share one X'X/n
+    # the posterior-mode grid and the estimator share one band of X'X/n,
+    # and no command builds the dense p x p matrix
     data = tmp_path / "data.csv"
     write_data(data)
-    calls = []
-    real = bandchol.stats.gram_matrix
+    bands, dense = [], []
+    real_band, real_dense = bandchol.stats.gram_band, bandchol.stats.gram_matrix
 
-    def counted(x):
-        calls.append(1)
-        return real(x)
+    def counted(x, width):
+        bands.append(width)
+        return real_band(x, width)
 
-    for module in (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.competitors):
-        monkeypatch.setattr(module, "gram_matrix", counted)
+    def dense_counted(x):
+        dense.append(1)
+        return real_dense(x)
+
+    for module in (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.competitors,
+                   bandchol.simulate):
+        monkeypatch.setattr(module, "gram_band", counted, raising=False)
+        monkeypatch.setattr(module, "gram_matrix", dense_counted, raising=False)
     for estimator in ("ll", "bl", "mle"):
-        calls.clear()
+        bands.clear()
         assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"),
                      "--estimator", estimator]) == 0
-        assert len(calls) == 1, estimator
-    calls.clear()
+        assert len(bands) == 1, estimator
+    bands.clear()
     assert main(["bandwidth", str(data), "-o", str(tmp_path / "profile.csv")]) == 0
-    assert len(calls) == 1
+    assert len(bands) == 1
+    assert dense == []
 
 
 def test_estimate_resampling_scheme(tmp_path):
@@ -202,8 +210,14 @@ def test_bandwidth_both_schemes(tmp_path):
     schemes = [line.split(",")[0] for line in lines[1:]]
     assert schemes == ["mode"] * 3 + ["resampling"] * 3
     sidecar = json.loads((tmp_path / "profile.json").read_text())
-    assert set(sidecar["result"]) == {"selected", "mode_probability", "mode_log_gap"}
+    assert set(sidecar["result"]) == {"selected", "mode_probability", "mode_log_gap",
+                                      "resampling_risk_margin"}
     assert set(sidecar["result"]["selected"]) == {"mode", "resampling"}
+    # the margin is the runner-up's risk minus the chosen k's, as printed
+    risks = np.array([float(line.split(",")[2]) for line in lines[4:]])
+    assert sidecar["result"]["selected"]["resampling"] == 1 + int(np.argmin(risks))
+    assert sidecar["result"]["resampling_risk_margin"] == np.sort(risks)[1] - risks.min()
+    assert sidecar["result"]["resampling_risk_margin"] >= 0.0
     assert sidecar["result"]["selected"]["mode"] in (1, 2, 3)
     values = np.array([float(line.split(",")[2]) for line in lines[1:4]])
     assert sidecar["result"]["mode_probability"] == pytest.approx(
@@ -213,7 +227,18 @@ def test_bandwidth_both_schemes(tmp_path):
     assert main(["bandwidth", str(data), "-o", str(out), "--scheme", "resampling",
                  "--kmax", "3", "--splits", "5"]) == 0
     sidecar = json.loads((tmp_path / "profile.json").read_text())
-    assert set(sidecar["result"]) == {"selected"}
+    assert set(sidecar["result"]) == {"selected", "resampling_risk_margin"}
+    margin = sidecar["result"]["resampling_risk_margin"]
+    # estimate reports the same margin for the same splits
+    assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"), "--select-k",
+                 "resampling", "--kmax", "3", "--splits", "5"]) == 0
+    sidecar = json.loads((tmp_path / "omega.json").read_text())
+    assert sidecar["result"]["resampling_risk_margin"] == margin
+    # a one-point grid has no runner-up
+    assert main(["bandwidth", str(data), "-o", str(out), "--scheme", "resampling",
+                 "--kmax", "1", "--splits", "5"]) == 0
+    sidecar = json.loads((tmp_path / "profile.json").read_text())
+    assert sidecar["result"]["resampling_risk_margin"] is None
 
 
 def test_bandwidth_two_columns(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.errors import SingularClique
-from bandchol.stats import gram_matrix
+from bandchol.stats import gram_band, gram_matrix
 
 
 def test_bandwidth_zero_is_reciprocal_diagonal():
@@ -77,7 +77,7 @@ def test_singular_clique_reported():
 def test_gram_shortcut_matches_direct():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 8))
-    g = gram_matrix(x)
+    g = gram_band(x, 4)
     np.testing.assert_array_equal(bl_banded_estimator(x, 2),
                                   bl_banded_estimator(x, 2, gram=g))
     np.testing.assert_array_equal(graphical_mle_banded(x, 2),

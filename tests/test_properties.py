@@ -17,12 +17,16 @@ lower(band), norm_spectral matches the dense symmetric eigensolver on
 either side of its switch to the band bisection and on adversarial bands,
 within its bound on factorizations, the dense extreme eigenvalues match it
 on adversarial dense matrices, the norm of a general matrix matches the
-SVD, is_symmetric matches the dense formula, estimate_p_loss in the
-spectral norm matches eigvalsh over the same draws, CholeskyFactor rejects
-every malformed band, and the CSV reader's fast path agrees with its
-csv-module path on arbitrary small files.
+SVD, is_symmetric matches the dense formula, estimate_p_loss matches
+eigvalsh and numpy's dense l-infinity and Frobenius norms over the same
+draws, CholeskyFactor rejects every malformed band, and the CSV reader's
+fast path agrees with its csv-module path on arbitrary small files.
+gram_band matches gram_matrix within its width, its Gram blocks match the
+dense padded construction, and every fit given a gram_band is bit for bit
+the fit without one.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -52,8 +56,8 @@ from bandchol.errors import (
 from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose, decompose, population_coefficients
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
-from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_matrix
-from conftest import lower, random_band, widest_bisected_band
+from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_band, gram_matrix
+from conftest import FITS_WITH_GRAM, lower, random_band, widest_bisected_band
 
 
 @st.composite
@@ -203,7 +207,7 @@ def grid_oracle(x, k_values):
     n, p = x.shape
     prior = PriorConfig(0)
     try:
-        g = gram_matrix(x)
+        g = gram_band(x, max(k_values))
     except ValueError:
         return ValueError, None, None
     totals = []
@@ -288,6 +292,145 @@ def test_grid_matches_per_k_oracle(case):
         assert np.all(np.abs(values - oracle[:, 0]) <= 1e-9 * oracle[:, 1])
         if hasattr(got, "mode"):
             assert got.mode == k_values[int(np.argmax(oracle[:, 0]))]
+
+
+@st.composite
+def gram_band_cases(draw):
+    # p on both sides of every tile edge up to the third, widths from 0 to
+    # past p, one row, fewer rows than columns, and more rows than the 384
+    # past which numpy's symmetric and general products split their sums
+    # differently, three memory layouts and three scales, the last of which
+    # overflows
+    edges = [m * stats.GRAM_TILE + d for m in (1, 2, 3) for d in (-1, 0, 1)]
+    p = draw(st.one_of(st.sampled_from([1, 2] + edges), st.integers(1, 200)))
+    w = draw(st.one_of(st.just(0), st.integers(0, p + 2)))
+    n = draw(st.one_of(st.just(1), st.integers(1, max(1, p - 1)), st.integers(1, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        x = rng.standard_normal((2 * n, 3 * p))[::2, 1::3]
+    else:
+        x = np.asarray(rng.standard_normal((n, p)), order=layout)
+    return draw(st.sampled_from([1.0, 1e-300, 1e155])) * x, w
+
+
+def dense_of_band(band):
+    """The dense p x p matrix whose entries within w of the diagonal a padded
+    row band holds, zero elsewhere, row by row."""
+    w = band.shape[1] // 2
+    p = band.shape[0] - w
+    g = np.zeros((p, p))
+    for i in range(p):
+        lo, hi = max(0, i - w), min(p, i + w + 1)
+        g[i, lo:hi] = band[w + i, w + lo - i:w + hi - i]
+    return g
+
+
+@settings(max_examples=300)
+@given(gram_band_cases())
+def test_gram_band_matches_gram_matrix(case):
+    """gram_band(x, w) holds gram_matrix(x) within w of the diagonal.
+
+    Tolerance, fixed from the arithmetic before the first run: both compute
+    each entry as a dot product of n terms over n, in different summation
+    orders (a general product against a symmetric rank-k update), so each is
+    within n u ||x_i|| ||x_j|| / n + u |g_ij| of the exact value, u = eps/2,
+    and they differ by at most (n + 2) eps sqrt(g_ii g_jj) (Cauchy-Schwarz),
+    plus 2 n 2^-1074 for the products and partial sums that underflow at
+    scale 1e-300. The pad rows, the entries outside the matrix and the
+    symmetry of the band are exact, the band is read-only, a wider band
+    holds the same bits within the narrower one's width, and the band
+    overflows, with gram_matrix's ValueError, exactly when gram_matrix does.
+
+    The Gram blocks of every bandwidth k <= w, read as one strided view of
+    the band, equal exactly the windows of the dense padded construction
+    (the band's matrix in the lower-right corner of an identity of order
+    p + k).
+    """
+    x, width = case
+    n, p = x.shape
+    w = min(width, p - 1)
+    try:
+        dense = gram_matrix(x)
+    except ValueError as err:
+        with pytest.raises(ValueError, match="overflow"):
+            gram_band(x, width)
+        assert "overflow" in str(err)
+        return
+    band = gram_band(x, width)
+    assert band.shape == (p + w, 2 * w + 1) and not band.flags.writeable
+    pad = np.zeros((w, 2 * w + 1))
+    pad[:, w] = 1.0
+    np.testing.assert_array_equal(band[:w], pad)
+    g = dense_of_band(band)
+    rows, cols = np.indices((p, p))
+    inside = np.abs(rows - cols) <= w
+    root = np.sqrt(np.diagonal(dense))
+    tol = (n + 2) * np.finfo(float).eps * np.outer(root, root) + 2 * n * 2.0 ** -1074
+    assert np.all(np.abs(g - dense)[inside] <= tol[inside])
+    np.testing.assert_array_equal(g, g.T)
+    # the band holds nothing but the matrix's entries and the pad
+    assert np.count_nonzero(band[w:]) == np.count_nonzero(g[inside])
+    wide = gram_band(x, p)
+    for v in sorted({0, 1, w}):
+        v = min(v, p - 1)
+        np.testing.assert_array_equal(wide[p - 1 - v:, p - 1 - v:p + v], gram_band(x, v))
+    for k in sorted({0, w // 2, w}):
+        padded = np.eye(p + k)
+        padded[k:, k:] = g
+        blocks = stats._predecessor_blocks(band, k)
+        assert blocks.shape == (p, k + 1, k + 1) and not blocks.flags.writeable
+        assert all(np.array_equal(blocks[j], padded[j:j + k + 1, j:j + k + 1])
+                   for j in range(p))
+
+
+@st.composite
+def band_fit_cases(draw):
+    p = draw(st.sampled_from([1, 2, 5, 17, 63, 64, 65, 100, 129]))
+    k = draw(st.one_of(st.just(0), st.integers(0, min(p, 24))))
+    n = draw(st.one_of(st.integers(1, 80), st.integers(385, 450)))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, p))
+    return x, k, min(k, p - 1) + draw(st.integers(0, p))
+
+
+def fields(result):
+    """The arrays and numbers of a fit's result by name, through nested dataclasses."""
+    if not dataclasses.is_dataclass(result):
+        return {"": result}
+    return {f"{name}.{sub}": value for name, field in vars(result).items()
+            for sub, value in fields(field).items()}
+
+
+def band_fit_outcomes(x, k, gram):
+    """What each public function with a gram= argument returns at bandwidth
+    k, field by field, or the type and message of what it raises."""
+    out = {}
+    for name, fit in FITS_WITH_GRAM.items():
+        try:
+            out[name] = fields(fit(x, k, gram))
+        except (BandcholError, ValueError) as err:
+            out[name] = (type(err), str(err))
+    return out
+
+
+@settings(max_examples=150)
+@given(band_fit_cases())
+def test_fits_given_a_gram_band_are_bit_identical(case):
+    """Every public fit given gram=gram_band(x, w), w >= min(k, p-1), returns
+    exactly the bits of the same fit without gram, or raises the same error:
+    a band's entries do not depend on its width, and the blocks a fit reads
+    are views of them."""
+    x, k, w = case
+    got = band_fit_outcomes(x, k, gram_band(x, w))
+    expected = band_fit_outcomes(x, k, None)
+    for name, b in expected.items():
+        a = got[name]
+        if isinstance(b, tuple):
+            assert a == b, name
+            continue
+        assert a.keys() == b.keys(), name
+        for field in b:
+            np.testing.assert_array_equal(a[field], b[field], err_msg=f"{name} {field}")
 
 
 @st.composite
@@ -565,6 +708,37 @@ def test_estimate_p_loss_spectral_matches_dense_eigensolver(case):
         compose(CholeskyFactor(a=a[s], d=d[s])) - omega0))) for s in range(draws)])
     stderr = np.std(values, ddof=1) / np.sqrt(draws) if draws > 1 else 0.0
     mean, err = estimate_p_loss(model, omega0, draws, norm="spectral", rng=seed)
+    assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0.0)
+    assert abs(err - stderr) <= 2e-12 * np.max(values)
+
+
+DENSE_NORMS = {
+    "linf": lambda m: np.linalg.norm(m, np.inf),
+    "fro": lambda m: np.linalg.norm(m, "fro"),
+}
+
+
+@pytest.mark.parametrize("norm", sorted(DENSE_NORMS))
+@settings(max_examples=50)
+@given(p_loss_cases())
+def test_estimate_p_loss_linf_fro_match_dense_norms(norm, case):
+    """estimate_p_loss in the matrix l-infinity and Frobenius norms against
+    numpy's dense norm of each draw's difference, the draws taken from
+    _sample_columns with the same rng.
+
+    Tolerance, fixed from the arithmetic before the first run: the two sum
+    the same at most p^2 = 3600 nonnegative terms (a row's absolute values,
+    or all squares) in possibly different orders, which moves a sum by at
+    most 2 p^2 u < 4.0e-13 of itself, u = eps/2, and a square root halves
+    that: 1e-12 relative on each value and so on the mean, and, as in the
+    spectral test, 2e-12 * max|value| on stderr.
+    """
+    model, omega0, draws, seed = case
+    d, a = _sample_columns(model, draws, np.random.default_rng(seed))
+    values = np.array([DENSE_NORMS[norm](compose(CholeskyFactor(a=a[s], d=d[s])) - omega0)
+                       for s in range(draws)])
+    stderr = np.std(values, ddof=1) / np.sqrt(draws) if draws > 1 else 0.0
+    mean, err = estimate_p_loss(model, omega0, draws, norm=norm, rng=seed)
     assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0.0)
     assert abs(err - stderr) <= 2e-12 * np.max(values)
 

@@ -137,17 +137,17 @@ def test_replication_data_from_cached_factor(monkeypatch, model):
     config = small_config(model=model, reps=3, estimators=("LL",), losses=("fro",))
     simulate._truth.cache_clear()
     data, factored = [], []
-    real_gram, real_factor = simulate.gram_matrix, linalg._spd_factor
+    real_gram, real_factor = simulate.gram_band, linalg._spd_factor
 
-    def gram(x):
+    def gram(x, width):
         data.append(x)
-        return real_gram(x)
+        return real_gram(x, width)
 
     def factor(m, name):
         factored.append(name)
         return real_factor(m, name)
 
-    monkeypatch.setattr(simulate, "gram_matrix", gram)
+    monkeypatch.setattr(simulate, "gram_band", gram)
     monkeypatch.setattr(linalg, "_spd_factor", factor)
     for rep in range(config.reps):
         simulate._run_rep(config, rep)

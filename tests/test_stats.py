@@ -8,9 +8,10 @@ from bandchol.mcd import CholeskyFactor, compose
 from bandchol.stats import (
     as_data_matrix,
     banded_regression,
+    gram_band,
     gram_matrix,
 )
-from conftest import lower
+from conftest import FITS_WITH_GRAM, lower
 
 
 def test_as_data_matrix_validation():
@@ -27,6 +28,18 @@ def test_gram_matrix_symbolic():
     np.testing.assert_allclose(gram_matrix(x), [[1.0, 1.0], [1.0, 2.0]])
 
 
+def test_gram_band_symbolic():
+    # g = [[1, 1], [1, 2]]: a pad row, then each row's g[i, i-1..i+1]
+    x = np.array([[1.0, 2.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(gram_band(x, 1), [[0.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                                    [1.0, 2.0, 0.0]])
+    np.testing.assert_array_equal(gram_band(x, 5), gram_band(x, 1))
+    np.testing.assert_array_equal(gram_band(x, 0), [[1.0], [2.0]])
+    assert not gram_band(x, 1).flags.writeable
+    with pytest.raises(ValueError, match="nonnegative"):
+        gram_band(x, -1)
+
+
 def test_gram_matrix_overflow_is_value_error():
     x = 1e160 * np.random.default_rng(9).standard_normal((20, 4))
     with pytest.raises(ValueError, match="overflow"):
@@ -37,6 +50,10 @@ def test_gram_matrix_overflow_is_value_error():
     # error, not inf entries and an overflow warning
     with pytest.raises(ValueError, match="overflow"):
         gram_matrix(np.array([[1.1e154, 1.1e154]]))
+    # the band raises the same error, for the same doubled diagonal
+    for w in (0, 1):
+        with pytest.raises(ValueError, match="overflow"):
+            gram_band(np.array([[1.1e154, 1.1e154]]), w)
 
 
 def test_banded_regression_symbolic():
@@ -79,10 +96,10 @@ def test_banded_regression_head_tail_consistency(n, p, k):
 
 
 def test_gram_left_unchanged_and_outputs_own_their_data():
-    # the kernel reads the Gram blocks through a read-only view of a padded
-    # copy; neither the caller's gram nor that buffer may leak out
+    # the kernel reads the Gram blocks through a read-only view of the
+    # caller's band; neither the band nor that view may leak out
     x = np.random.default_rng(10).standard_normal((30, 8))
-    g = gram_matrix(x)
+    g = gram_band(x, 5)
     before = g.copy()
     stats = banded_regression(x, 3, gram=g)
     np.testing.assert_array_equal(g, before)
@@ -104,7 +121,7 @@ def test_full_band_recovers_gram_inverse():
 def test_dhat_monotone_in_bandwidth():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 12))
-    g = gram_matrix(x)
+    g = gram_band(x, 7)
     prev = None
     for k in range(1, 8):
         dhat = banded_regression(x, k, gram=g).dhat
@@ -118,7 +135,7 @@ def test_gram_shortcut_matches_direct():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 6))
     direct = banded_regression(x, 2)
-    viagram = banded_regression(x, 2, gram=gram_matrix(x))
+    viagram = banded_regression(x, 2, gram=gram_band(x, 4))
     np.testing.assert_array_equal(direct.dhat, viagram.dhat)
     np.testing.assert_array_equal(direct.ahat, viagram.ahat)
 
@@ -201,3 +218,17 @@ def test_bandwidth_zero_gives_diagonal_moments():
     stats = banded_regression(x, 0)
     np.testing.assert_allclose(stats.dhat, np.mean(x * x, axis=0))
     assert stats.ahat.shape == (5, 0) and stats.shat_chol.shape == (5, 0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(FITS_WITH_GRAM))
+def test_gram_must_be_a_band_at_least_as_wide_as_k(name):
+    # the dense matrix, a band of data with other columns and a band
+    # narrower than k are all rejected by name; a wide enough band is taken
+    fit = FITS_WITH_GRAM[name]
+    x = np.random.default_rng(11).standard_normal((40, 9))
+    for gram in (gram_matrix(x), gram_band(x[:, :8], 3), gram_band(x[:, :8], 4),
+                 gram_band(x.T, 3), gram_band(x, 2), gram_band(x, 3)[:, 1:-1]):
+        with pytest.raises(ValueError, match="gram_band"):
+            fit(x, 3, gram)
+    fit(x, 3, gram_band(x, 3))
+    fit(x, 3, gram_band(x, 8))
