@@ -50,6 +50,11 @@ from .stats import _checked_band, _regress_nested, as_data_matrix, gram_band
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
 
+# default widest bandwidth tried, splits and reference bandwidth of the selectors
+KMAX_CAP = 20
+SPLITS = 50
+REF_BANDWIDTH = 20
+
 
 def default_log_k_prior(k):
     """log of the bandwidth prior pi(k) proportional to exp(-k^4)."""
@@ -183,18 +188,18 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     return BandwidthPosterior(k_values=k_values, log_posterior=log_post, mode=mode)
 
 
-def _check_resampling(n, p, ref_bandwidth):
+def _check_resampling(n, p, ref_bandwidth, name="ref_bandwidth"):
     """Reject data too small to split, and a reference bandwidth it cannot fit."""
     if n < 6:
         raise ValueError(f"resampling needs n >= 6, got n={n}")
     if not 1 <= ref_bandwidth <= min(n - 1, p - 1):
         raise ValueError(
-            f"ref_bandwidth={ref_bandwidth} must lie in 1..min(n-1, p-1) = "
+            f"{name}={ref_bandwidth} must lie in 1..min(n-1, p-1) = "
             f"{min(n - 1, p - 1)}"
         )
 
 
-def select_k_resampling(data, kmax, splits=50, ref_bandwidth=20, rng=0):
+def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, rng=0):
     """Pick the bandwidth minimizing the average split-resampling risk.
 
     Each split sends floor(n/3) rows to the estimation group and the rest

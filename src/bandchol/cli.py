@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .bandwidth import select_k_posterior_mode, select_k_resampling
+from .bandwidth import KMAX_CAP, REF_BANDWIDTH, SPLITS, select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError
@@ -147,10 +147,10 @@ def resolve_threads(value):
 
 
 def _selection_grid(args, n, p):
-    """--kmax and --ref-bandwidth, by default the widest the data admit, at most 20."""
-    kmax = args.kmax if args.kmax is not None else min(20, max_bandwidth(n, p, args.nu0))
+    """--kmax and --ref-bandwidth, by default the widest the data admit, capped."""
+    kmax = args.kmax if args.kmax is not None else min(KMAX_CAP, max_bandwidth(n, p, args.nu0))
     ref = args.ref_bandwidth if args.ref_bandwidth is not None \
-        else max(1, min(20, n - 1, p - 1))
+        else max(1, min(REF_BANDWIDTH, n - 1, p - 1))
     return kmax, ref
 
 
@@ -314,20 +314,20 @@ def _add_data_flags(sub):
 
 def _add_model_flags(sub):
     sub.add_argument("--kmax", type=int, default=None,
-                     help="largest bandwidth on the selection grid "
-                          "(default: the largest admissible bandwidth, at most 20)")
-    sub.add_argument("--nu0", type=float, default=2.0,
-                     help="shape offset of the variance prior (default 2)")
-    sub.add_argument("--cap", type=float, default=1e6, metavar="M",
+                     help="largest bandwidth on the selection grid (default: the "
+                          f"largest admissible bandwidth, at most {KMAX_CAP})")
+    sub.add_argument("--nu0", type=float, default=PriorConfig.nu0,
+                     help="shape offset of the variance prior (default %(default)s)")
+    sub.add_argument("--cap", type=float, default=PriorConfig.M, metavar="M",
                      help="upper truncation M of the variance prior, absolute, in "
-                          "squared data units (default 1e6)")
-    sub.add_argument("--splits", type=int, default=50,
-                     help="resampling splits (default 50)")
+                          "squared data units (default %(default)s)")
+    sub.add_argument("--splits", type=int, default=SPLITS,
+                     help="resampling splits (default %(default)s)")
     sub.add_argument("--ref-bandwidth", type=int, default=None,
                      help="reference bandwidth of the resampling scheme "
-                          "(default min(20, n-1, p-1))")
+                          f"(default min({REF_BANDWIDTH}, n-1, p-1))")
     sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized step (default 0)")
+                     help="seed for any randomized step (default %(default)s)")
 
 
 def build_parser():

@@ -9,6 +9,8 @@ byte-identical. Each process builds a truth once and keeps the Cholesky
 factor of its covariance, which draws every replication's data.
 """
 
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +21,8 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import linalg
-from .bandwidth import _check_resampling, select_k_posterior_mode, select_k_resampling
+from .bandwidth import KMAX_CAP, REF_BANDWIDTH, SPLITS, _check_resampling
+from .bandwidth import select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError, EmptyGrid, ExperimentFailed
@@ -28,24 +31,33 @@ from .stats import gram_band
 ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
 LOSSES = ("spectral", "linf", "fro")
 MODE_BASED = ("LL", "BL2", "MLE")
+# the parameter each true model variant reads
+VARIANTS = {"ar1": "rho", "ar4": "coeffs", "fgn": "hurst"}
+# the fourth-order autoregression's precision entries on lags 1..4
+AR4_COEFFS = (0.4, 0.2, 0.2, 0.1)
 
 
 # ---------------------------------------------------------------------------
 # true models
 # ---------------------------------------------------------------------------
 
-def make_ar1_cov(rho, p):
-    """Covariance with entries rho^|i-j| (first-order autoregression)."""
+def _check_ar1(rho, p):
     if not abs(rho) < 1:
         raise ValueError("ar1 needs |rho| < 1")
     if p < 1:
         raise ValueError("p must be positive")
+
+
+def make_ar1_cov(rho, p):
+    """Covariance with entries rho^|i-j| (first-order autoregression)."""
+    _check_ar1(rho, p)
     idx = np.arange(p)
     return float(rho) ** np.abs(idx[:, None] - idx[None, :])
 
 
 def ar1_precision(rho, p):
     """Closed-form tridiagonal inverse of make_ar1_cov(rho, p)."""
+    _check_ar1(rho, p)
     if p == 1:
         return np.array([[1.0]])
     scale = 1.0 / (1.0 - rho * rho)
@@ -59,7 +71,7 @@ def ar1_precision(rho, p):
     return omega
 
 
-def make_ar4_precision(p, coeffs=(0.4, 0.2, 0.2, 0.1)):
+def make_ar4_precision(p, coeffs=AR4_COEFFS):
     """Banded Toeplitz precision: unit diagonal, coeffs on lags 1..4."""
     if p < 5:
         raise ValueError("fourth-order band needs p >= 5")
@@ -85,31 +97,67 @@ def make_fgn_cov(hurst, p):
     return 0.5 * ((m + 1.0) ** h2 - 2.0 * m**h2 + np.abs(m - 1.0) ** h2)
 
 
+def _integer(path, value, minimum=None):
+    """Reject value unless it is an integer, not a bool, and >= minimum if
+    given. Like each check of a config field, it names the JSON path."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{path}: expected an integer{bound}, got {value!r}")
+
+
+def _real(path, value, valid, expected):
+    """value as a float, if it is a real number, not a bool, that valid accepts."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not valid(value):
+        raise ValueError(f"{path}: expected {expected}, got {value!r}")
+    return float(value)
+
+
+def _names(path, value, allowed):
+    """value as a tuple, if it is a nonempty list of names from allowed."""
+    if not isinstance(value, (list, tuple)) or not value or any(v not in allowed for v in value):
+        raise ValueError(f"{path}: expected a nonempty list of names from "
+                         f"{list(allowed)}, got {value!r}")
+    return tuple(value)
+
+
+def _object(path, d, known, required=()):
+    """Reject d unless it is a JSON object with only known keys and every required one."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {d!r}")
+    if set(d) - set(known):
+        raise ValueError(f"{path}: unknown fields {sorted(set(d) - set(known))}")
+    for name in required:
+        if name not in d:
+            raise ValueError(f"{path}: required field {name!r} is missing")
+
+
 @dataclass(frozen=True)
 class TrueModelSpec:
-    """Declarative description of the data-generating truth."""
+    """Declarative description of the data-generating truth. Every field is
+    checked, whichever variant reads it."""
 
     variant: str
     p: int
     rho: float = 0.3
-    coeffs: tuple = (0.4, 0.2, 0.2, 0.1)
+    coeffs: tuple = AR4_COEFFS
     hurst: float = 0.7
 
     def __post_init__(self):
-        if self.variant not in ("ar1", "ar4", "fgn"):
-            raise ValueError(f"unknown model variant {self.variant!r}")
-        if self.p < 1:
-            raise ValueError("model.p must be positive")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.variant == "ar1" and not abs(self.rho) < 1:
-            raise ValueError("model.rho: |rho| < 1 required")
-        if self.variant == "ar4":
-            if self.p < 5:
-                raise ValueError("model: fourth-order band needs p >= 5")
-            if len(self.coeffs) != 4:
-                raise ValueError("model.coeffs: must supply lags 1..4")
-        if self.variant == "fgn" and not 0 < self.hurst < 1:
-            raise ValueError("model.hurst: must lie in (0, 1)")
+        if self.variant not in list(VARIANTS):  # a list: a JSON list is unhashable
+            raise ValueError(f"model.variant: unknown variant {self.variant!r}, "
+                             f"expected one of {list(VARIANTS)}")
+        _integer("p", self.p, 1)
+        _real("model.rho", self.rho, lambda v: abs(v) < 1, "a number with |rho| < 1")
+        _real("model.hurst", self.hurst, lambda v: 0 < v < 1, "a number in (0, 1)")
+        if not isinstance(self.coeffs, (list, tuple)) or len(self.coeffs) != 4:
+            raise ValueError("model.coeffs: expected a list of 4 numbers for lags "
+                             f"1..4, got {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", tuple(
+            _real(f"model.coeffs[{i}]", c, math.isfinite, "a finite number")
+            for i, c in enumerate(self.coeffs)))
+        if self.variant == "ar4" and self.p < 5:
+            raise ValueError("p: the ar4 model's fourth-order band needs p >= 5")
 
     def build(self):
         """Return (sigma, omega): the covariance and precision of the truth."""
@@ -132,27 +180,15 @@ class TrueModelSpec:
         return sigma, (omega + omega.T) / 2.0, low
 
     def to_dict(self):
-        out = {"variant": self.variant}
-        if self.variant == "ar1":
-            out["rho"] = self.rho
-        elif self.variant == "ar4":
-            out["coeffs"] = list(self.coeffs)
-        else:
-            out["hurst"] = self.hurst
-        return out
+        name = VARIANTS[self.variant]
+        value = getattr(self, name)
+        return {"variant": self.variant, name: list(value) if name == "coeffs" else value}
 
     @classmethod
     def from_dict(cls, d, p):
-        known = {"variant", "rho", "coeffs", "hurst"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"model: unknown fields {sorted(extra)}")
-        if "variant" not in d:
-            raise ValueError("model.variant: required")
-        kwargs = {k: d[k] for k in ("rho", "hurst") if k in d}
-        if "coeffs" in d:
-            kwargs["coeffs"] = tuple(d["coeffs"])
-        return cls(variant=d["variant"], p=p, **kwargs)
+        """Build the truth from a config's model object and its p."""
+        _object("model", d, ("variant", *VARIANTS.values()), required=("variant",))
+        return cls(p=p, **d)
 
 
 @lru_cache(maxsize=8)
@@ -200,9 +236,18 @@ def evaluate_losses(estimate, truth, losses=LOSSES):
 # experiment configuration
 # ---------------------------------------------------------------------------
 
+# JSON key -> ExperimentConfig field, in each nested object of a config
+SECTIONS = {
+    "selection": {"kmax": "kmax", "splits": "splits", "reference_bandwidth": "ref_bandwidth"},
+    "prior": {"M": "cap", "nu0": "nu0"},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved description of one simulation experiment."""
+    """Fully resolved description of one simulation experiment. Construction
+    checks every field: a bad one raises a ValueError naming its JSON path,
+    and an empty bandwidth grid raises EmptyGrid."""
 
     model: TrueModelSpec
     n: int
@@ -210,29 +255,34 @@ class ExperimentConfig:
     seed: int = 0
     estimators: tuple = ESTIMATORS
     losses: tuple = LOSSES
-    kmax: int = 20
-    splits: int = 50
-    ref_bandwidth: int = 20
-    cap: float = 1e6
-    nu0: float = 2.0
+    kmax: int = KMAX_CAP
+    splits: int = SPLITS
+    ref_bandwidth: int = REF_BANDWIDTH
+    cap: float = PriorConfig.M
+    nu0: float = PriorConfig.nu0
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "losses", tuple(self.losses))
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
-        for est in self.estimators:
-            if est not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r}")
-        if not self.estimators:
-            raise ValueError("estimators must be nonempty")
-        for loss in self.losses:
-            if loss not in LOSSES:
-                raise ValueError(f"unknown loss {loss!r}")
-        if not self.losses:
-            raise ValueError("losses must be nonempty")
+        _integer("n", self.n, 1)
+        _integer("reps", self.reps, 1)
+        _integer("seed", self.seed, 0)
+        object.__setattr__(self, "estimators", _names("estimators", self.estimators, ESTIMATORS))
+        object.__setattr__(self, "losses", _names("losses", self.losses, LOSSES))
+        _integer("selection.splits", self.splits, 1)
+        _integer("selection.reference_bandwidth", self.ref_bandwidth, 1)
+        object.__setattr__(self, "cap", _real("prior.M", self.cap, lambda v: v > 0,
+                                              "a positive number"))
+        object.__setattr__(self, "nu0", _real("prior.nu0", self.nu0, math.isfinite,
+                                              "a finite number"))
+        _integer("selection.kmax", self.kmax)
+        if self.kmax < 1:
+            raise EmptyGrid(f"selection.kmax: bandwidth grid 1..{self.kmax} is empty")
+        widest = max_bandwidth(self.n, self.p, self.nu0)
+        if self.kmax > widest:
+            raise ValueError(f"selection.kmax={self.kmax} exceeds the largest "
+                             f"admissible bandwidth {widest}")
+        if "BL1" in self.estimators:
+            _check_resampling(self.n, self.p, self.ref_bandwidth,
+                              name="selection.reference_bandwidth")
 
     @property
     def p(self):
@@ -240,7 +290,7 @@ class ExperimentConfig:
 
     def to_dict(self):
         """JSON-ready echo of every field, defaults included."""
-        return {
+        out = {
             "model": self.model.to_dict(),
             "n": self.n,
             "p": self.p,
@@ -248,69 +298,23 @@ class ExperimentConfig:
             "seed": self.seed,
             "estimators": list(self.estimators),
             "losses": list(self.losses),
-            "selection": {
-                "kmax": self.kmax,
-                "splits": self.splits,
-                "reference_bandwidth": self.ref_bandwidth,
-            },
-            "prior": {"M": self.cap, "nu0": self.nu0},
         }
+        for section, keys in SECTIONS.items():
+            out[section] = {key: getattr(self, name) for key, name in keys.items()}
+        return out
 
     @classmethod
     def from_dict(cls, d):
-        """Build a config from a parsed JSON dict, naming bad fields."""
-        if not isinstance(d, dict):
-            raise ValueError("config: expected a JSON object")
-        known = {"model", "n", "p", "reps", "seed", "estimators", "losses",
-                 "selection", "prior"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"config: unknown fields {sorted(extra)}")
-        for name in ("model", "n", "p"):
-            if name not in d:
-                raise ValueError(f"{name}: required")
-        def _int(path, value, minimum=1):
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise ValueError(f"{path}: expected integer >= {minimum}, got {value!r}")
-            return value
-        p = _int("p", d["p"])
-        if not isinstance(d["model"], dict):
-            raise ValueError("model: expected an object")
-        model = TrueModelSpec.from_dict(d["model"], p)
-        selection = d.get("selection", {})
-        if not isinstance(selection, dict):
-            raise ValueError("selection: expected an object")
-        prior = d.get("prior", {})
-        if not isinstance(prior, dict):
-            raise ValueError("prior: expected an object")
-        extra = set(selection) - {"kmax", "splits", "reference_bandwidth"}
-        if extra:
-            raise ValueError(f"selection: unknown fields {sorted(extra)}")
-        extra = set(prior) - {"M", "nu0"}
-        if extra:
-            raise ValueError(f"prior: unknown fields {sorted(extra)}")
-        cap = prior.get("M", 1e6)
-        if not isinstance(cap, (int, float)) or cap <= 0:
-            raise ValueError(f"prior.M: expected positive number, got {cap!r}")
-        nu0 = prior.get("nu0", 2.0)
-        if not isinstance(nu0, (int, float)):
-            raise ValueError(f"prior.nu0: expected number, got {nu0!r}")
-        return cls(
-            model=model,
-            n=_int("n", d["n"]),
-            reps=_int("reps", d.get("reps", 100)),
-            seed=_int("seed", d.get("seed", 0), minimum=0),
-            estimators=tuple(d.get("estimators", list(ESTIMATORS))),
-            losses=tuple(d.get("losses", list(LOSSES))),
-            kmax=_int("selection.kmax", selection.get("kmax", 20)),
-            splits=_int("selection.splits", selection.get("splits", 50)),
-            ref_bandwidth=_int(
-                "selection.reference_bandwidth",
-                selection.get("reference_bandwidth", 20),
-            ),
-            cap=float(cap),
-            nu0=float(nu0),
-        )
+        """Build a config from a parsed JSON dict, naming bad fields; a
+        missing key takes the field's default."""
+        _object("config", d, ("model", "n", "p", "reps", "seed", "estimators", "losses",
+                              *SECTIONS), required=("model", "n", "p"))
+        kwargs = {key: value for key, value in d.items() if key not in ("model", "p", *SECTIONS)}
+        for section, keys in SECTIONS.items():
+            given = d.get(section, {})
+            _object(section, given, keys)
+            kwargs.update((keys[key], value) for key, value in given.items())
+        return cls(model=TrueModelSpec.from_dict(d["model"], d["p"]), **kwargs)
 
 
 @dataclass
@@ -393,17 +397,6 @@ def _rep_task(args):
     return _run_rep(*args)
 
 
-def _validate_runtime(config):
-    if config.kmax < 1:
-        raise EmptyGrid(f"bandwidth grid 1..{config.kmax} is empty")
-    cap = max_bandwidth(config.n, config.p, config.nu0)
-    if config.kmax > cap:
-        raise ValueError(f"selection.kmax={config.kmax} exceeds the largest "
-                         f"admissible bandwidth {cap}")
-    if "BL1" in config.estimators:
-        _check_resampling(config.n, config.p, config.ref_bandwidth)
-
-
 def run_experiment(config, workers=1):
     """Run every replication and aggregate mean/sd losses.
 
@@ -412,7 +405,6 @@ def run_experiment(config, workers=1):
     5 percent of replications hit numerical errors; failed replications
     are excluded from the summary but kept in the records.
     """
-    _validate_runtime(config)
     tasks = [(config, rep) for rep in range(config.reps)]
     if workers is not None and workers > 1 and config.reps > 1:
         ctx = get_context("spawn")

@@ -292,6 +292,34 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("model.rho", {"model": {"variant": "ar1", "rho": "0.3"}}),
+    ("model.hurst", {"model": {"variant": "fgn", "hurst": None}}),
+    ("model.coeffs", {"model": {"variant": "ar4", "coeffs": 5}}),
+    ("model.rho", {"model": {"variant": "ar4", "rho": [1]}}),
+    ("estimators", {"estimators": 5}),
+    ("losses", {"losses": None}),
+    ("estimators", {"estimators": "LL"}),
+    ("model.coeffs", {"model": {"variant": "ar4", "coeffs": ["a", 1, 2, 3]}}),
+    ("prior.M", {"prior": {"M": True}}),
+], ids=["rho-string", "hurst-null", "coeffs-number", "rho-list-under-ar4",
+        "estimators-number", "losses-null", "estimators-string", "coeffs-string-entry",
+        "M-true"])
+def test_simulate_names_malformed_field(tmp_path, capsys, field, edit):
+    # a field of the wrong type is bad input that names the field, not a
+    # TypeError, and "M": true is not read as 1.0
+    config = {"model": {"variant": "ar1", "rho": 0.3}, "n": 30, "p": 8, "reps": 1,
+              "estimators": ["LL"], "losses": ["fro"], "selection": {"kmax": 2}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**config, **edit}))
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output-dir", str(out_dir),
+                 "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["estimate", "-o", "omega.csv"],
     ["estimate", "-o", "omega.csv", "--select-k", "resampling"],

@@ -8,7 +8,8 @@ Inputs mix duplicate, zero and constant columns, sample sizes close to
 the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
 batched regressions match a per-column least-squares oracle. The
 posterior-mode grid and log_marginal_k match a per-bandwidth evaluation
-over _regress, errors included. On singular and nearly singular
+over _regress, errors included. The resampling selector's risk matches a
+dense per-column lstsq replay of its splits. On singular and nearly singular
 matrices, the SPD factorization, decompose and population_coefficients
 fail with typed errors too.
 
@@ -35,7 +36,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from bandchol.bandwidth import default_log_k_prior, log_marginal_k, select_k_posterior_mode
+from bandchol.bandwidth import (
+    default_log_k_prior,
+    log_marginal_k,
+    select_k_posterior_mode,
+    select_k_resampling,
+)
 from bandchol.bayes import (
     PriorConfig,
     _sample_columns,
@@ -292,6 +298,78 @@ def test_grid_matches_per_k_oracle(case):
         assert np.all(np.abs(values - oracle[:, 0]) <= 1e-9 * oracle[:, 1])
         if hasattr(got, "mode"):
             assert got.mode == k_values[int(np.argmax(oracle[:, 0]))]
+
+
+@st.composite
+def resampling_cases(draw):
+    # an estimation group of at least 2p + 2 Gaussian rows, so no split
+    # is singular or close to it
+    p = draw(st.integers(2, 8))
+    n = draw(st.integers(6 * p + 6, 6 * p + 26))
+    rho = draw(st.floats(-0.9, 0.9))
+    x = sample_gaussian(make_ar1_cov(rho, p), n, draw(st.integers(0, 2**32 - 1)))
+    kmax = draw(st.integers(1, p - 1))
+    ref_bandwidth = draw(st.integers(1, p - 1))
+    return x, kmax, draw(st.integers(1, 5)), ref_bandwidth, draw(st.integers(0, 2**32 - 1))
+
+
+def dense_bl_oracle(x, k):
+    """(I - A)' D^{-1} (I - A) from per-column least squares of each column
+    on its min(j, k) predecessors, with divisor-n residual variances."""
+    n, p = x.shape
+    t = np.eye(p)
+    d = np.empty(p)
+    for j in range(p):
+        z = x[:, j - min(j, k):j]
+        coef = np.linalg.lstsq(z, x[:, j], rcond=None)[0]
+        t[j, j - min(j, k):j] = -coef
+        resid = x[:, j] - z @ coef
+        d[j] = resid @ resid / n
+    return t.T @ (t / d[:, None])
+
+
+@settings(max_examples=100)
+@given(resampling_cases())
+def test_resampling_matches_dense_lstsq_oracle(case):
+    """select_k_resampling's risk and mode against a dense replay.
+
+    The oracle draws np.random.default_rng(seed).permutation(n) once per
+    split, fits every k on the first n // 3 rows of the permutation and
+    the reference at ref_bandwidth on the rest by per-column lstsq,
+    composes each fit densely and averages the l1 distances. The selector
+    solves the normal equations instead, whose relative error in the
+    coefficients and residual variances grows as eps * kappa^2, kappa the
+    condition number of the design, at most that of its group's data
+    matrix. So the risk of k must match within
+        1e-12 * mean over splits of (kappa_est^2 * |fit_k|_1 + kappa_ref^2 * |ref|_1),
+    about 4500 eps times each matrix's l1 norm. The mode is the first
+    minimizer of the risk, and no smaller k has an oracle risk below the
+    mode's by more than both tolerances.
+    """
+    x, kmax, splits, ref_bandwidth, seed = case
+    n = x.shape[0]
+    sel = select_k_resampling(x, kmax, splits=splits, ref_bandwidth=ref_bandwidth, rng=seed)
+    rng = np.random.default_rng(seed)
+    n1 = n // 3
+    oracle = np.zeros(kmax)
+    tol = np.zeros(kmax)
+    for _ in range(splits):
+        perm = rng.permutation(n)
+        est, rest = x[perm[:n1]], x[perm[n1:]]
+        ref = dense_bl_oracle(rest, ref_bandwidth)
+        ref_scale = np.linalg.cond(rest) ** 2 * np.linalg.norm(ref, 1)
+        for i in range(kmax):
+            fit = dense_bl_oracle(est, i + 1)
+            oracle[i] += np.linalg.norm(fit - ref, 1)
+            tol[i] += 1e-12 * (np.linalg.cond(est) ** 2 * np.linalg.norm(fit, 1) + ref_scale)
+    oracle /= splits
+    tol /= splits
+    np.testing.assert_array_equal(sel.k_values, np.arange(1, kmax + 1))
+    assert np.all(np.abs(sel.risk - oracle) <= tol), np.max(np.abs(sel.risk - oracle) / tol)
+    m = sel.mode - 1
+    assert sel.risk[m] == sel.risk.min() and np.all(sel.risk[:m] > sel.risk[m])
+    assert np.all(oracle[:m] > oracle[m] - tol[:m] - tol[m])
+    assert np.all(oracle >= oracle[m] - tol - tol[m])
 
 
 @st.composite

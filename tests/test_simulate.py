@@ -1,5 +1,8 @@
 """Truth generators, replication harness, and deterministic serialization."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from bandchol.simulate import (
     summary_payload,
 )
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 
 # ---------------------------------------------------------------------------
 # truth generators
@@ -39,6 +44,17 @@ def test_ar1_precision_inverts_cov():
     # tridiagonal by construction
     idx = np.arange(10)
     np.testing.assert_array_equal(omega[np.abs(idx[:, None] - idx) > 1], 0.0)
+
+
+@pytest.mark.parametrize("rho, p", [(1.0, 5), (1.5, 4), (0.3, 0)])
+def test_ar1_precision_rejects_what_make_ar1_cov_rejects(rho, p):
+    # |rho| = 1 divided by zero, |rho| > 1 gave an indefinite matrix and
+    # p = 0 indexed out of range
+    with pytest.raises(ValueError) as cov:
+        make_ar1_cov(rho, p)
+    with pytest.raises(ValueError) as precision:
+        ar1_precision(rho, p)
+    assert str(precision.value) == str(cov.value)
 
 
 def test_ar4_precision_values():
@@ -226,6 +242,30 @@ def test_config_dict_round_trip():
     with pytest.raises(ValueError) as info:
         ExperimentConfig.from_dict(bad)
     assert "splits" in str(info.value)
+
+
+def test_config_checks_run_at_construction():
+    # a config built in Python fails as the same config read from a file
+    # does, and a key a file leaves out takes the field's default
+    model = TrueModelSpec("ar1", 100)
+    with pytest.raises(ValueError) as built:
+        ExperimentConfig(model, n=100, splits=0)
+    bad = ExperimentConfig(model, n=100).to_dict()
+    bad["selection"]["splits"] = 0
+    with pytest.raises(ValueError) as read:
+        ExperimentConfig.from_dict(bad)
+    assert str(built.value) == str(read.value)
+    assert str(built.value).startswith("selection.splits:")
+    minimal = {"model": {"variant": "ar1"}, "n": 100, "p": 100}
+    assert ExperimentConfig.from_dict(minimal) == ExperimentConfig(model, n=100)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_configs_parse_and_round_trip(path):
+    config = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    # a prior given as integers echoes as floats
+    assert isinstance(config.to_dict()["prior"]["nu0"], float)
 
 
 def test_run_experiment_deterministic():
