@@ -27,7 +27,8 @@ The resampling selector repeatedly splits the rows into a small
 estimation group and a large reference group, compares the banded
 regression estimator at each candidate k against a wide-band reference
 estimate in matrix l1 norm, and picks the k with the smallest average
-distance.
+distance. Within a split, one nested factorization of the estimation
+group's Gram blocks gives every candidate's fit (stats.NestedFactor).
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .competitors import bl_banded_estimator
 from .linalg import norm_l1
-from .stats import _checked_band, _regress_nested, as_data_matrix, gram_band
+from .stats import _checked_band, _factor_nested, _regress_nested, as_data_matrix, gram_band
 
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
@@ -188,15 +189,28 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     return BandwidthPosterior(k_values=k_values, log_posterior=log_post, mode=mode)
 
 
-def _check_resampling(n, p, ref_bandwidth, name="ref_bandwidth"):
-    """Reject data too small to split, and a reference bandwidth it cannot fit."""
+def _check_resampling(n, p, kmax, ref_bandwidth, names=("kmax", "ref_bandwidth")):
+    """Reject data too small to split, and a grid or reference bandwidth
+    that its splits cannot fit.
+
+    A split fits every k on its n//3 estimation rows and the reference on
+    the other rows. A fit on as many predecessors as rows is exact or
+    singular whatever the rows hold, so min(kmax, p-1) must stay below the
+    first group's size and ref_bandwidth, at most p-1, below the second's.
+    names are how the caller calls kmax and ref_bandwidth.
+    """
     if n < 6:
         raise ValueError(f"resampling needs n >= 6, got n={n}")
-    if not 1 <= ref_bandwidth <= min(n - 1, p - 1):
+    n1 = n // 3
+    if min(kmax, p - 1) > n1 - 1:
         raise ValueError(
-            f"{name}={ref_bandwidth} must lie in 1..min(n-1, p-1) = "
-            f"{min(n - 1, p - 1)}"
-        )
+            f"{names[0]}={kmax} exceeds n//3 - 1 = {n1 - 1}: a split fits each "
+            f"bandwidth on its {n1} estimation rows")
+    if not 1 <= ref_bandwidth <= min(n - n1 - 1, p - 1):
+        raise ValueError(
+            f"{names[1]}={ref_bandwidth} must lie in 1..min(n - n//3 - 1, p-1) = "
+            f"{min(n - n1 - 1, p - 1)}: a split fits the reference on its "
+            f"{n - n1} other rows")
 
 
 def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, rng=0):
@@ -207,13 +221,22 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
     between the estimation-group banded estimator at k and the
     reference-group estimator at ref_bandwidth, averaged over splits.
     Splits that hit a singular design are redrawn, at most MAX_RETRIES
-    times each. Ties resolve to the smallest k.
+    times each. Ties resolve to the smallest k. ValueError unless
+    min(kmax, p-1) <= n//3 - 1 and 1 <= ref_bandwidth <= min(n - n//3 - 1,
+    p-1): wider bands are exact or singular fits in every split.
+
+    Each split attempt factors the estimation group's Gram blocks once, at
+    width min(kmax, p-1) (stats.NestedFactor), and every k's
+    bl_banded_estimator reads its fit from that factor through gram=. Where
+    the factor is untrusted, each k is fitted on its Gram band instead and
+    raises what the band path raises. The reference is fitted without a
+    shared Gram band.
     """
     x = as_data_matrix(data)
     n, p = x.shape
     if kmax < 1:
         raise EmptyGrid(f"bandwidth grid 1..{kmax} is empty")
-    _check_resampling(n, p, ref_bandwidth)
+    _check_resampling(n, p, kmax, ref_bandwidth)
     if splits < 1:
         raise ValueError("splits must be at least 1")
     rng = np.random.default_rng(rng)
@@ -226,9 +249,10 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
             try:
                 ref = bl_banded_estimator(x[perm[n1:]], ref_bandwidth)
                 g1 = x[perm[:n1]]
-                gram1 = gram_band(g1, kmax)
+                nested = _factor_nested(gram_band(g1, kmax), min(kmax, p - 1), n1,
+                                        coefficients=True)
                 dists = [
-                    norm_l1(bl_banded_estimator(g1, int(k), gram=gram1) - ref)
+                    norm_l1(bl_banded_estimator(g1, int(k), gram=nested) - ref)
                     for k in k_values
                 ]
                 break

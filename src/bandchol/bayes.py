@@ -168,7 +168,8 @@ def sample_posterior(model, rng):
 
 
 def _iter_composed(model, draws, rng):
-    """Yield composed precision draws omega_s without storing them all."""
+    """Yield composed precision draws omega_s, each a fresh matrix, without
+    storing them all."""
     d, a = _sample_columns(model, draws, np.random.default_rng(rng))
     for s in range(draws):
         yield compose(CholeskyFactor(a=a[s], d=d[s]))
@@ -200,7 +201,9 @@ def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):
         raise ValueError("draws must be at least 1")
     fn = linalg.NORMS_BY_NAME[norm]
     vals = np.empty(draws)
+    # each draw is a fresh matrix, so omega0 is subtracted in place
     for s, omega in enumerate(_iter_composed(model, draws, rng)):
-        vals[s] = fn(omega - omega0)
+        omega -= omega0
+        vals[s] = fn(omega)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
     return float(np.mean(vals)), stderr

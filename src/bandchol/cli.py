@@ -20,7 +20,14 @@ import warnings
 
 import numpy as np
 
-from .bandwidth import KMAX_CAP, REF_BANDWIDTH, SPLITS, select_k_posterior_mode, select_k_resampling
+from .bandwidth import (
+    KMAX_CAP,
+    REF_BANDWIDTH,
+    SPLITS,
+    _check_resampling,
+    select_k_posterior_mode,
+    select_k_resampling,
+)
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError
@@ -146,11 +153,24 @@ def resolve_threads(value):
     return value
 
 
-def _selection_grid(args, n, p):
-    """--kmax and --ref-bandwidth, by default the widest the data admit, capped."""
+def _selection_grid(args, n, p, resampling):
+    """--kmax and --ref-bandwidth, by default the widest the data admit, capped.
+
+    When a resampling scheme runs, the defaults are also capped at the
+    widest bands its splits can fit, n//3 - 1 and n - n//3 - 1, and a
+    nonempty grid is checked as select_k_resampling checks it, naming the
+    flags.
+    """
     kmax = args.kmax if args.kmax is not None else min(KMAX_CAP, max_bandwidth(n, p, args.nu0))
     ref = args.ref_bandwidth if args.ref_bandwidth is not None \
         else max(1, min(REF_BANDWIDTH, n - 1, p - 1))
+    if resampling:
+        if args.kmax is None:
+            kmax = min(kmax, max(1, n // 3 - 1))
+        if args.ref_bandwidth is None:
+            ref = max(1, min(ref, n - n // 3 - 1))
+        if kmax >= 1:
+            _check_resampling(n, p, kmax, ref, names=("--kmax", "--ref-bandwidth"))
     return kmax, ref
 
 
@@ -183,7 +203,8 @@ def _resampling_diagnostics(sel):
 def cmd_estimate(args):
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
-    kmax, ref = _selection_grid(args, n, p)
+    resampling = args.k is None and args.select_k == "resampling"
+    kmax, ref = _selection_grid(args, n, p, resampling)
     prior_kwargs = {"M": args.cap, "nu0": args.nu0}
 
     # the band of X'X/n, computed once, serves the posterior-mode grid and
@@ -236,8 +257,8 @@ def cmd_estimate(args):
 def cmd_bandwidth(args):
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
-    kmax, ref = _selection_grid(args, n, p)
     schemes = ("mode", "resampling") if args.scheme == "both" else (args.scheme,)
+    kmax, ref = _selection_grid(args, n, p, "resampling" in schemes)
 
     lines = ["scheme,k,value"]
     selected = {}
@@ -315,7 +336,8 @@ def _add_data_flags(sub):
 def _add_model_flags(sub):
     sub.add_argument("--kmax", type=int, default=None,
                      help="largest bandwidth on the selection grid (default: the "
-                          f"largest admissible bandwidth, at most {KMAX_CAP})")
+                          f"largest admissible bandwidth, at most {KMAX_CAP}, and with "
+                          "resampling at most n//3 - 1)")
     sub.add_argument("--nu0", type=float, default=PriorConfig.nu0,
                      help="shape offset of the variance prior (default %(default)s)")
     sub.add_argument("--cap", type=float, default=PriorConfig.M, metavar="M",
@@ -325,7 +347,8 @@ def _add_model_flags(sub):
                      help="resampling splits (default %(default)s)")
     sub.add_argument("--ref-bandwidth", type=int, default=None,
                      help="reference bandwidth of the resampling scheme "
-                          f"(default min({REF_BANDWIDTH}, n-1, p-1))")
+                          f"(default min({REF_BANDWIDTH}, n-1, p-1), with resampling at most "
+                          "n - n//3 - 1)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for any randomized step (default %(default)s)")
 

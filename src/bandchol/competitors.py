@@ -13,7 +13,14 @@ from scipy.linalg import cho_solve
 
 from .errors import SingularClique
 from .mcd import CholeskyFactor, compose
-from .stats import _checked_band, _predecessor_blocks, as_data_matrix, banded_regression, gram_band
+from .stats import (
+    NestedFactor,
+    _checked_band,
+    _predecessor_blocks,
+    as_data_matrix,
+    banded_regression,
+    gram_band,
+)
 
 
 def bl_banded_estimator(data, k, gram=None):
@@ -22,7 +29,20 @@ def bl_banded_estimator(data, k, gram=None):
     Ahat and dhat are the column-wise least-squares coefficients and
     divisor-n residual variances at bandwidth k. gram may be
     gram_band(data, w) with w >= min(k, p-1), as in banded_regression.
+
+    gram may also be a stats.NestedFactor of the data, with coefficients,
+    at least min(k, p-1) wide: one factorization that select_k_resampling
+    shares with every k of its grid. A trusted one gives Ahat and dhat from
+    its nested factor, which match the band path's up to rounding; an
+    untrusted one fits on its band, so it returns and raises exactly what
+    the band path does. One built from data of another shape, or too
+    narrow, raises ValueError.
     """
+    if isinstance(gram, NestedFactor):
+        fit = gram.fit(data, k)
+        if fit is not None:
+            return compose(CholeskyFactor(a=fit[0], d=fit[1]))
+        gram = gram.band
     st = banded_regression(data, k, gram=gram)
     return compose(CholeskyFactor(a=st.ahat, d=st.dhat))
 

@@ -4,8 +4,9 @@ All functions accept anything convertible to a float ndarray and reject
 non-finite entries. Symmetry is always checked in relative terms against
 the largest entry magnitude; the check finds the lower and upper bandwidth
 in one scan for nonzeros and reads only the diagonals inside a narrow
-band. Inputs are dense matrices. norm_spectral takes a narrow symmetric
-band to a bisection for its extreme eigenvalues by Cholesky factorizations
+band, and so does norm_spectral's check for non-finite entries. Inputs
+are dense matrices. norm_spectral takes a narrow symmetric band to a
+bisection for its extreme eigenvalues by Cholesky factorizations
 of the band, O(p b^2) each. The norm of a wide symmetric or a general
 matrix comes from one Householder reduction to tridiagonal form, O(p^3),
 and a bisection of the tridiagonal for its two extreme eigenvalues only.
@@ -70,14 +71,28 @@ def _row_spans(mask):
 
 def _bandwidths(m):
     """Lower and upper bandwidth of a square matrix: the largest i - j and
-    j - i over its nonzero entries m[i, j], and 0 when there are none."""
+    j - i over its nonzero entries m[i, j], and 0 when there are none. NaN
+    and infinities count as nonzero."""
     p = m.shape[0]
     if p and m[-1, 0] != 0 and m[0, -1] != 0:
         return p - 1, p - 1
-    first, last, has = _row_spans(m != 0)
-    rows = np.arange(p)
-    return (int(np.max((rows - first)[has], initial=0)),
-            int(np.max((last - rows)[has], initial=0)))
+    mask = m != 0
+    idx = np.arange(p)
+    # forward scans for the first nonzero column of each row and row of each column
+    first_col, first_row = np.argmax(mask, axis=1), np.argmax(mask, axis=0)
+    return (int(np.max((idx - first_col)[mask[idx, first_col]], initial=0)),
+            int(np.max((idx - first_row)[mask[first_row, idx]], initial=0)))
+
+
+def _check_finite_within(m, width):
+    """check_finite for a square m whose nonzero entries, NaN and infinities
+    among them, lie within width diagonals of the main one (_bandwidths): a
+    narrow band, as _symmetric_within reads it, is checked on its
+    2 * width + 1 diagonals only."""
+    if SYM_SCAN_RATIO * width > m.shape[0]:
+        check_finite(m)
+    elif not all(np.all(np.isfinite(np.diagonal(m, d))) for d in range(-width, width + 1)):
+        raise ValueError("matrix contains non-finite entries")
 
 
 def _symmetric_within(m, width):
@@ -254,14 +269,17 @@ def norm_spectral(m):
     otherwise. General inputs go through the Gram matrix m.T @ m, formed
     after scaling m by a power of two so that it cannot overflow.
     """
-    m = check_finite(m)
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("norm_spectral expects a matrix")
     if m.size == 0:
         return 0.0
     p = m.shape[0]
-    if p == m.shape[1]:
+    if p != m.shape[1]:
+        check_finite(m)
+    else:
         lower, upper = _bandwidths(m)
+        _check_finite_within(m, max(lower, upper))
         if _symmetric_within(m, max(lower, upper)):
             if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
                 return _band_norm(_lower_band(m, lower))

@@ -114,9 +114,10 @@ def _real(path, value, valid, expected):
 
 
 def _names(path, value, allowed):
-    """value as a tuple, if it is a nonempty list of names from allowed."""
-    if not isinstance(value, (list, tuple)) or not value or any(v not in allowed for v in value):
-        raise ValueError(f"{path}: expected a nonempty list of names from "
+    """value as a tuple, if it is a nonempty list of distinct names from allowed."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(v not in allowed for v in value) or len(set(value)) < len(value)):
+        raise ValueError(f"{path}: expected a nonempty list of distinct names from "
                          f"{list(allowed)}, got {value!r}")
     return tuple(value)
 
@@ -281,8 +282,8 @@ class ExperimentConfig:
             raise ValueError(f"selection.kmax={self.kmax} exceeds the largest "
                              f"admissible bandwidth {widest}")
         if "BL1" in self.estimators:
-            _check_resampling(self.n, self.p, self.ref_bandwidth,
-                              name="selection.reference_bandwidth")
+            _check_resampling(self.n, self.p, self.kmax, self.ref_bandwidth,
+                              names=("selection.kmax", "selection.reference_bandwidth"))
 
     @property
     def p(self):

@@ -12,7 +12,11 @@ the first columns. The band costs O(n p (GRAM_TILE + w)) flops and
 O(p w) memory, where the dense gram_matrix costs O(n p^2) and O(p^2);
 every Gram block is a zero-copy strided view of it (_predecessor_blocks).
 Each public gram= argument takes such a band, at least as wide as the
-bandwidth it fits. Column indices in the public API are 1-based, matching
+bandwidth it fits. A NestedFactor holds one nearest-first factorization of
+every block at width K, from which every bandwidth k <= K is read: the
+posterior-mode grid reads its residual variances and log determinants,
+and the resampler, through bl_banded_estimator's gram=, also its
+coefficients. Column indices in the public API are 1-based, matching
 the math convention for ordered coordinates; error messages use the same
 numbering. Which bandwidths the posterior admits is decided in bayes.
 """
@@ -258,36 +262,85 @@ def _regress(band, k, n):
                                  ahat=ahat, shat_chol=shat_chol)
 
 
-def _regress_nested(band, k_values, n):
-    """Residual variances and predecessor log determinants at several bandwidths.
-
-    Row i of dhat and of logdet, both (len(k_values), p), holds what
-    _regress(band, k_values[i], n) gives every column, up to rounding: its
-    residual variance and the log determinant of its predecessor Gram block
-    (padded slots add log 1 = 0). k_values are nonnegative and ascend,
-    and band is at least min(k_values[-1], p-1) wide.
+@dataclass(frozen=True)
+class NestedFactor:
+    """One factorization of every column's Gram block at width K, read at
+    every bandwidth k <= K.
 
     The regressions on the 1, 2, ..., K nearest predecessors are nested
     (the order recursion of Levinson and Durbin, which Pourahmadi (1999)
-    applied to the modified Cholesky factor), so one factorization serves
-    every k <= K. Ordered nearest first as [j-1, ..., j-K, j], column j's
-    block factors as L = [[L_S, 0], [l', .]], and at bandwidth k
+    applied to the modified Cholesky factor). Ordered nearest first as
+    [j-1, ..., j-K, j], column j's block factors as L = [[L_S, 0], [l', .]],
+    and at bandwidth k
 
-        dhat_k = g_jj - sum_{i<k} l_i^2,  logdet_k = 2 sum_{i<k} log L_S[i, i].
+        dhat_k = g_jj - sum_{i<k} l_i^2,  logdet_k = 2 sum_{i<k} log L_S[i, i],
+
+        a_k[r] = sum_{i<k} M[i, r] l_i,  M = L_S^{-1},
+
+    a_k the coefficients nearest first: a_k solves L_S[:k, :k]' a = l[:k],
+    and the leading block of L_S^{-1} is the inverse of L_S's leading block.
+    The rows of dhat and logdet, (K + 1, p), and of coef, (K, p, K), are
+    k = 0, ..., K and k = 1, ..., K; coef is None unless it was asked for.
 
     These values stand only where no block is wider than n and every squared
     pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
     dhat_K, the smallest dhat_k, so every residual variance then lies 10^4
     times above RESIDUAL_FLOOR, far beyond the rounding of either order, and
-    no block is near singular. Otherwise _regress runs at each k in turn,
-    which gives its values and raises its errors. Returns (dhat, logdet,
-    err): err is None, or the error that _regress raised at the smallest k,
-    and then the rows stop before that k.
+    no block is near singular. Otherwise the factor is untrusted: dhat,
+    logdet and coef are None, and each bandwidth is fitted on band.
     """
+
+    n: int
+    width: int
+    band: np.ndarray = field(repr=False)
+    dhat: np.ndarray = field(default=None, repr=False)
+    logdet: np.ndarray = field(default=None, repr=False)
+    coef: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def p(self):
+        return self.band.shape[0] - self.band.shape[1] // 2
+
+    @property
+    def trusted(self):
+        return self.dhat is not None
+
+    def fit(self, data, k):
+        """(ahat, dhat) at bandwidth k in banded_regression's layout, or None
+        when the factor is untrusted.
+
+        ValueError unless data has the n x p shape the factor was built from,
+        k is nonnegative, min(k, p-1) <= width and, for a trusted factor, the
+        coefficients were computed. DegenerateResidual as banded_regression.
+        """
+        x = as_data_matrix(data)
+        if k < 0:
+            raise ValueError("bandwidth k must be nonnegative")
+        keff = min(k, self.p - 1)
+        if x.shape != (self.n, self.p) or keff > self.width:
+            raise ValueError(
+                f"gram must be a NestedFactor of {x.shape[0]} x {x.shape[1]} data with "
+                f"width >= {keff}; got one of {self.n} x {self.p} data with width {self.width}")
+        if not self.trusted:
+            return None
+        if self.coef is None:
+            raise ValueError("gram is a NestedFactor without coefficients")
+        dhat = self.dhat[keff]
+        w = self.band.shape[1] // 2
+        bad = np.nonzero(dhat <= RESIDUAL_FLOOR * self.band[w:, w])[0]
+        if bad.size:
+            raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
+        # nearest first into the band's nearest-last slots
+        ahat = self.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((self.p, 0))
+        return ahat, dhat
+
+
+def _factor_nested(band, kmax, n, coefficients=False):
+    """The NestedFactor at width K = kmax <= p - 1 of a padded Gram band at
+    least K wide, built from n rows; with coefficients=True a trusted
+    factor also holds every k's coefficients."""
     w = band.shape[1] // 2
     p = band.shape[0] - w
-    keffs = np.minimum(k_values, p - 1)
-    kmax = int(keffs[-1])
     order = np.append(np.arange(kmax - 1, -1, -1), kmax)
     blocks = _predecessor_blocks(band, kmax)[:, order[:, None], order]
     try:
@@ -297,12 +350,60 @@ def _regress_nested(band, k_values, n):
             diag ** 2 > PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
     except np.linalg.LinAlgError:
         trusted = False
-    if trusted:
-        gjj = band[w:, w]
-        # rows k = 0, ..., kmax
-        dhat = np.vstack([gjj, gjj - np.cumsum(low[:, kmax, :kmax] ** 2, axis=1).T])
-        logdet = np.vstack([np.zeros(p), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
-        return dhat[keffs], logdet[keffs], None
+    if not trusted:
+        return NestedFactor(n=n, width=kmax, band=band)
+    gjj = band[w:, w]
+    l = low[:, kmax, :kmax]
+    # rows k = 0, ..., kmax
+    dhat = np.vstack([gjj, gjj - np.cumsum(l ** 2, axis=1).T])
+    logdet = np.vstack([np.zeros(p), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
+    coef = _nested_coefficients(low[:, :kmax, :kmax], l) if coefficients else None
+    return NestedFactor(n=n, width=kmax, band=band, dhat=dhat, logdet=logdet, coef=coef)
+
+
+def _nested_coefficients(low, l):
+    """coef[k-1, j, r] = a_k[r] = sum_{i<k} M[i, r] l[j, i], M = low[j]^{-1},
+    for (p, K, K) lower factors low and their last rows l, (p, K).
+
+    Row i of M is (e_i - low[i, :i] M[:i]) / low[i, i], found for all
+    columns at once, and a_{i+1} = a_i + l_i M[i].
+    """
+    p, kmax = l.shape
+    m = np.zeros((p, kmax, kmax))
+    coef = np.empty((kmax, p, kmax))
+    acc = np.zeros((p, kmax))
+    for i in range(kmax):
+        row = m[:, i, :i + 1]
+        row[:, i] = 1.0
+        if i:
+            row[:, :i] -= np.matmul(low[:, i, None, :i], m[:, :i, :i])[:, 0]
+        row /= low[:, i, i, None]
+        acc[:, :i + 1] += l[:, i, None] * row
+        coef[i] = acc
+    return coef
+
+
+def _regress_nested(band, k_values, n):
+    """Residual variances and predecessor log determinants at several bandwidths.
+
+    Row i of dhat and of logdet, both (len(k_values), p), holds what
+    _regress(band, k_values[i], n) gives every column, up to rounding: its
+    residual variance and the log determinant of its predecessor Gram block
+    (padded slots add log 1 = 0). k_values are nonnegative and ascend,
+    and band is at least min(k_values[-1], p-1) wide.
+
+    One NestedFactor at the widest k serves every k where it is trusted.
+    Otherwise _regress runs at each k in turn, which gives its values and
+    raises its errors. Returns (dhat, logdet, err): err is None, or the
+    error that _regress raised at the smallest k, and then the rows stop
+    before that k.
+    """
+    w = band.shape[1] // 2
+    p = band.shape[0] - w
+    keffs = np.minimum(k_values, p - 1)
+    nested = _factor_nested(band, int(keffs[-1]), n)
+    if nested.trusted:
+        return nested.dhat[keffs], nested.logdet[keffs], None
     dhat = np.empty((len(k_values), p))
     logdet = np.empty((len(k_values), p))
     for i, k in enumerate(k_values):

@@ -157,7 +157,8 @@ def test_grid_error_precedence():
 
 def test_grid_factors_once(monkeypatch):
     # a well-conditioned grid takes one batched factorization of the
-    # nearest-first blocks, no per-k regression and one prior term per k
+    # nearest-first blocks, no per-k regression, no coefficients and one
+    # prior term per k
     chol = np.linalg.cholesky(ar1_cov(0.3, 30))
     x = np.random.default_rng(42).standard_normal((150, 30)) @ chol.T
     factored, regressed, priors = [], [], []
@@ -177,6 +178,8 @@ def test_grid_factors_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(stats, "_regress", regress)
+    # the grid reads no coefficients, so it computes none
+    monkeypatch.setattr(stats, "_nested_coefficients", None)
     post = select_k_posterior_mode(x, 5, log_k_prior=log_k_prior)
     assert factored == [(30, 6, 6)] and regressed == [] and priors == [1, 2, 3, 4, 5]
     assert post.mode == 1
@@ -282,6 +285,67 @@ def test_resampling_validation():
         select_k_resampling(x, 2, ref_bandwidth=8)  # beyond p - 1
     with pytest.raises(ValueError):
         select_k_resampling(x, 2, splits=0)
+
+
+def test_resampling_grid_and_reference_bounds():
+    # a split fits each k on n // 3 rows and the reference on the rest; a
+    # band as wide as its group is an exact or singular fit in every split,
+    # so it is bad input, named, before any split is drawn
+    x = np.random.default_rng(8).standard_normal((20, 25))
+    for kmax, ref in ((5, 13), (1, 1)):
+        select_k_resampling(x, kmax, splits=2, ref_bandwidth=ref)
+    with pytest.raises(ValueError, match="kmax=6"):
+        select_k_resampling(x, 6, splits=2, ref_bandwidth=13)
+    with pytest.raises(ValueError, match="ref_bandwidth=14"):
+        select_k_resampling(x, 5, splits=2, ref_bandwidth=14)
+    with pytest.raises(ValueError, match="ref_bandwidth=19"):
+        select_k_resampling(x, 5, splits=2, ref_bandwidth=19)
+    # the grid is clamped at p - 1 like the fits
+    narrow = x[:, :4]
+    assert select_k_resampling(narrow, 20, splits=2, ref_bandwidth=3).k_values[-1] == 20
+
+
+def test_resampling_factors_each_split_once(monkeypatch):
+    # each split attempt makes one reference fit through banded_regression
+    # and one nested factorization that every k's fit reads; where that
+    # factor cannot be trusted, each k falls back to the band path and its
+    # error
+    from bandchol import bandwidth, competitors
+
+    chol = np.linalg.cholesky(ar1_cov(0.3, 30))
+    x = np.random.default_rng(42).standard_normal((150, 30)) @ chol.T
+    regressions, factors = [], []
+    real_regression, real_factor = competitors.banded_regression, bandwidth._factor_nested
+
+    def regression(data, k, gram=None):
+        regressions.append(k)
+        return real_regression(data, k, gram=gram)
+
+    def factor(band, kmax, n, coefficients=False):
+        nested = real_factor(band, kmax, n, coefficients=coefficients)
+        factors.append(nested.trusted)
+        return nested
+
+    monkeypatch.setattr(competitors, "banded_regression", regression)
+    monkeypatch.setattr(bandwidth, "_factor_nested", factor)
+    select_k_resampling(x, 5, splits=7, ref_bandwidth=10, rng=0)
+    assert regressions == [10] * 7 and factors == [True] * 7
+    # a column repeated 3 columns on lies outside the reference's band but
+    # inside the grid's: every factor is untrusted, and the split fails at
+    # k = 3 exactly as the band path fails on the same rows
+    x[:, 9] = x[:, 6]
+    regressions.clear()
+    factors.clear()
+    with pytest.raises((SingularDesign, DegenerateResidual)) as info:
+        select_k_resampling(x, 5, splits=7, ref_bandwidth=1, rng=0)
+    retries = bandwidth.MAX_RETRIES
+    assert factors == [False] * retries and regressions == [1, 1, 2, 3] * retries
+    rng = np.random.default_rng(0)
+    for _ in range(retries):
+        perm = rng.permutation(150)
+    with pytest.raises(type(info.value)) as band_path:
+        real_regression(x[perm[:50]], 3)
+    assert band_path.value.column == info.value.column
 
 
 def test_resampling_retries_then_raises_on_degenerate_data():

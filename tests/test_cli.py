@@ -241,6 +241,52 @@ def test_bandwidth_both_schemes(tmp_path):
     assert sidecar["result"]["resampling_risk_margin"] is None
 
 
+def test_resampling_grid_a_split_cannot_fit_is_bad_input(tmp_path, capsys):
+    # at n = 50 a split fits each k on 16 rows: --kmax 20 (p = 30) would
+    # leave every split an exact fit at k = 16; at n = 20 the reference
+    # meets 14 rows, too few for --ref-bandwidth 19
+    data = tmp_path / "data.csv"
+    write_data(data, n=50, p=30)
+    profile, omega = str(tmp_path / "profile.csv"), str(tmp_path / "omega.csv")
+    for argv in (["bandwidth", str(data), "-o", profile, "--scheme", "resampling"],
+                 ["estimate", str(data), "-o", omega, "--select-k", "resampling"]):
+        assert main(argv + ["--kmax", "20"]) == 2
+        err = capsys.readouterr().err
+        assert "--kmax=20" in err and "numerical failure" not in err
+    small = tmp_path / "small.csv"
+    write_data(small, n=20, p=25)
+    assert main(["estimate", str(small), "-o", omega, "--select-k", "resampling",
+                 "--ref-bandwidth", "19"]) == 2
+    assert "--ref-bandwidth=19" in capsys.readouterr().err
+    assert not os.path.exists(profile) and not os.path.exists(omega)
+
+
+def test_resampling_default_grid_fits_every_split(tmp_path):
+    # the default kmax and reference bandwidth are capped at what the
+    # splits fit, n//3 - 1 = 15 and n - n//3 - 1 = 33, and echoed as used
+    data = tmp_path / "data.csv"
+    write_data(data, n=50, p=30)
+    profile = tmp_path / "profile.csv"
+    assert main(["bandwidth", str(data), "-o", str(profile), "--scheme", "both",
+                 "--splits", "3"]) == 0
+    parameters = json.loads((tmp_path / "profile.json").read_text())["parameters"]
+    assert parameters["kmax"] == 15 and parameters["reference_bandwidth"] == 20
+    assert len(profile.read_text().splitlines()) == 1 + 2 * 15
+    assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"), "--select-k",
+                 "resampling", "--splits", "3"]) == 0
+    parameters = json.loads((tmp_path / "omega.json").read_text())["parameters"]
+    assert parameters["kmax"] == 15 and parameters["reference_bandwidth"] == 20
+    # the posterior mode alone keeps its own default grid
+    assert main(["bandwidth", str(data), "-o", str(profile)]) == 0
+    assert json.loads((tmp_path / "profile.json").read_text())["parameters"]["kmax"] == 20
+    small = tmp_path / "small.csv"
+    write_data(small, n=20, p=25)
+    assert main(["bandwidth", str(small), "-o", str(profile), "--scheme", "resampling",
+                 "--splits", "3"]) == 0
+    parameters = json.loads((tmp_path / "profile.json").read_text())["parameters"]
+    assert parameters["kmax"] == 5 and parameters["reference_bandwidth"] == 13
+
+
 def test_bandwidth_two_columns(tmp_path):
     data = tmp_path / "data.csv"
     write_data(data, p=2)
@@ -302,12 +348,16 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     ("estimators", {"estimators": "LL"}),
     ("model.coeffs", {"model": {"variant": "ar4", "coeffs": ["a", 1, 2, 3]}}),
     ("prior.M", {"prior": {"M": True}}),
+    ("estimators", {"estimators": ["LL", "LL"]}),
+    ("losses", {"losses": ["fro", "fro"]}),
+    ("selection.kmax", {"n": 50, "p": 30, "estimators": ["BL1"], "selection": {}}),
 ], ids=["rho-string", "hurst-null", "coeffs-number", "rho-list-under-ar4",
         "estimators-number", "losses-null", "estimators-string", "coeffs-string-entry",
-        "M-true"])
+        "M-true", "estimators-repeated", "losses-repeated", "kmax-beyond-split"])
 def test_simulate_names_malformed_field(tmp_path, capsys, field, edit):
     # a field of the wrong type is bad input that names the field, not a
-    # TypeError, and "M": true is not read as 1.0
+    # TypeError, and "M": true is not read as 1.0; a repeated name, and a
+    # default grid wider than a resampling split can fit, name theirs too
     config = {"model": {"variant": "ar1", "rho": 0.3}, "n": 30, "p": 8, "reps": 1,
               "estimators": ["LL"], "losses": ["fro"], "selection": {"kmax": 2}}
     cfg = tmp_path / "config.json"

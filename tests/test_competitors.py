@@ -5,6 +5,7 @@ import pytest
 
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.errors import SingularClique
+from bandchol import stats
 from bandchol.stats import gram_band, gram_matrix
 
 
@@ -82,3 +83,20 @@ def test_gram_shortcut_matches_direct():
                                   bl_banded_estimator(x, 2, gram=g))
     np.testing.assert_array_equal(graphical_mle_banded(x, 2),
                                   graphical_mle_banded(x, 2, gram=g))
+
+
+def test_nested_factor_gram_is_checked():
+    # a NestedFactor serves bandwidths up to its width, for the data it was
+    # built from, and only when it holds coefficients
+    x = np.random.default_rng(7).standard_normal((40, 6))
+    nested = stats._factor_nested(gram_band(x, 3), 3, 40, coefficients=True)
+    assert nested.trusted
+    for k in range(4):
+        np.testing.assert_allclose(bl_banded_estimator(x, k, gram=nested),
+                                   bl_banded_estimator(x, k), rtol=1e-12, atol=1e-14)
+    for data, k in ((x, 4), (x[:39], 2), (x[:, :5], 2), (x, -1)):
+        with pytest.raises(ValueError):
+            bl_banded_estimator(data, k, gram=nested)
+    bare = stats._factor_nested(gram_band(x, 3), 3, 40)
+    with pytest.raises(ValueError, match="without coefficients"):
+        bl_banded_estimator(x, 2, gram=bare)

@@ -82,6 +82,20 @@ def test_norms_reject_non_finite():
                linalg.norm_fro):
         with pytest.raises(ValueError):
             fn(bad)
+    # norm_spectral checks a narrow band on its diagonals only; a NaN or
+    # infinity off them widens the band to reach it
+    p = 60
+    tri = np.diag(np.full(p, 2.0)) + np.diag(np.full(p - 1, -1.0), 1) \
+        + np.diag(np.full(p - 1, -1.0), -1)
+    assert linalg.norm_spectral(tri) == pytest.approx(4.0, rel=1e-2)
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((30, 30), (30, 31), (31, 30), (5, 40), (50, 2), (p - 1, 0), (0, p - 1)):
+            m = tri.copy()
+            m[i, j] = value
+            for fn in (linalg.norm_spectral, linalg.norm_l1, linalg.norm_linf,
+                       linalg.norm_fro):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(m)
 
 
 def test_spectral_bounded_by_l1_linf():

@@ -9,7 +9,9 @@ the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
 batched regressions match a per-column least-squares oracle. The
 posterior-mode grid and log_marginal_k match a per-bandwidth evaluation
 over _regress, errors included. The resampling selector's risk matches a
-dense per-column lstsq replay of its splits. On singular and nearly singular
+dense per-column lstsq replay of its splits, and every bandwidth's BL
+estimate read from one shared nested factorization matches the band path
+and lstsq, or raises the band path's error. On singular and nearly singular
 matrices, the SPD factorization, decompose and population_coefficients
 fail with typed errors too.
 
@@ -20,7 +22,9 @@ within its bound on factorizations, the dense extreme eigenvalues match it
 on adversarial dense matrices, the norm of a general matrix matches the
 SVD, is_symmetric matches the dense formula, estimate_p_loss matches
 eigvalsh and numpy's dense l-infinity and Frobenius norms over the same
-draws, CholeskyFactor rejects every malformed band, and the CSV reader's
+draws, the posterior sampler matches a dense replay of its random streams,
+tiny truncation masses included, CholeskyFactor rejects every malformed
+band, and the CSV reader's
 fast path agrees with its csv-module path on arbitrary small files.
 gram_band matches gram_matrix within its width, its Gram blocks match the
 dense padded construction, and every fit given a gram_band is bit for bit
@@ -34,7 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammainccinv, gammaln
 
 from bandchol.bandwidth import (
     default_log_k_prior,
@@ -370,6 +374,77 @@ def test_resampling_matches_dense_lstsq_oracle(case):
     assert sel.risk[m] == sel.risk.min() and np.all(sel.risk[:m] > sel.risk[m])
     assert np.all(oracle[:m] > oracle[m] - tol[:m] - tol[m])
     assert np.all(oracle >= oracle[m] - tol - tol[m])
+
+
+@st.composite
+def nested_fit_cases(draw):
+    # Gaussian columns, fewer rows than the width K or more, and at times a
+    # near-duplicate column, within K of its twin or beyond it
+    p = draw(st.integers(1, 24))
+    width = draw(st.integers(0, p - 1))
+    n = draw(st.one_of(st.integers(1, width + 2), st.integers(width + 3, 3 * p + 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    if p >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, p - 2))
+        j = draw(st.integers(i + 1, p - 1))
+        x[:, j] = x[:, i] + draw(st.sampled_from([1e-12, 1e-9, 1e-6])) * rng.standard_normal(n)
+    return x, width
+
+
+def fit_outcome(x, k, gram=None):
+    """bl_banded_estimator(x, k, gram=gram), or the type and column of the
+    typed error it raised."""
+    try:
+        return bl_banded_estimator(x, k, gram=gram)
+    except (SingularDesign, DegenerateResidual) as err:
+        return type(err), err.column
+
+
+@settings(max_examples=300)
+@given(nested_fit_cases())
+def test_nested_factor_fits_match_band_path_and_lstsq(case):
+    """Every k's bl_banded_estimator(x, k, gram=<one NestedFactor of width
+    K>) against the band path bl_banded_estimator(x, k) and dense_bl_oracle.
+
+    An untrusted factor (K above the row count, or a pivot at most
+    PIVOT_RECHECK of its diagonal entry, as a near-duplicate column within
+    K of its twin gives) fits on its band, so it must return the band
+    path's bits or raise its error type at its column. A trusted one
+    solves the same normal equations as the band path in another order,
+    nearest first by an explicit inverse of the factor, against natural
+    order by back-substitution. Both then err by about eps * kappa^2
+    relative in the coefficients and the residual variances, kappa the
+    condition number of the data's columns j-K, ..., j, which bounds that
+    of every block the fits read. Tolerance, fixed before the first run:
+    the l1 distance to the band path and to the oracle at most
+    1e-12 * kappa_K^2 * |band path|_1, kappa_K the largest such kappa over
+    the columns, as in test_resampling_matches_dense_lstsq_oracle.
+    """
+    x, width = case
+    n, p = x.shape
+    nested = stats._factor_nested(gram_band(x, width), width, n, coefficients=True)
+    assert nested.coef is not None or not nested.trusted
+    kappa = max(np.linalg.cond(x[:, max(0, j - width):j + 1]) for j in range(p))
+    for k in range(width + 1 + (width == p - 1)):
+        band_path = fit_outcome(x, k)
+        got = fit_outcome(x, k, nested)
+        if isinstance(band_path, tuple) or not nested.trusted:
+            assert isinstance(got, tuple) == isinstance(band_path, tuple), (k, got)
+            if isinstance(got, tuple):
+                assert got == band_path, k
+            else:
+                np.testing.assert_array_equal(got, band_path)
+            continue
+        assert not isinstance(got, tuple), (k, got)
+        tol = 1e-12 * kappa ** 2 * np.linalg.norm(band_path, 1)
+        assert np.linalg.norm(got - band_path, 1) <= tol, k
+        assert np.linalg.norm(got - dense_bl_oracle(x, k), 1) <= tol, k
+    if width < p - 1:
+        with pytest.raises(ValueError, match="NestedFactor"):
+            bl_banded_estimator(x, width + 1, gram=nested)
+    with pytest.raises(ValueError, match="NestedFactor"):
+        bl_banded_estimator(x[:, :-1] if p > 1 else np.vstack([x, x]), 0, gram=nested)
 
 
 @st.composite
@@ -788,6 +863,80 @@ def test_estimate_p_loss_spectral_matches_dense_eigensolver(case):
     mean, err = estimate_p_loss(model, omega0, draws, norm="spectral", rng=seed)
     assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0.0)
     assert abs(err - stderr) <= 2e-12 * np.max(values)
+
+
+@st.composite
+def sampler_cases(draw):
+    # every bandwidth up to past p - 1, so kj = 0 columns, full bands and
+    # k >= p - 1 all occur, and at times a cap M that leaves one column a
+    # truncation mass of 1e-150
+    p = draw(st.integers(1, 12))
+    k = draw(st.integers(0, p + 1))
+    n = p + draw(st.integers(4, 30))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, p))
+    x *= 10.0 ** draw(st.integers(-3, 3))
+    return x, k, draw(st.booleans()), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200)
+@given(sampler_cases())
+def test_sampler_matches_dense_replay(case):
+    """_sample_columns against a dense replay of its streams.
+
+    The replay spawns the same p substreams and, per column, draws the
+    uniforms u, then kj normals z per draw; d = rate / gammainccinv(shape,
+    (1 - u) * mass) from the model's shape, rate and mass, and a_j = ahat_j
+    + sqrt(d/n) solve(chol(S_j)', z), with S_j = X_j' X_j / n formed by
+    numpy from the data's kj predecessor columns X_j.
+
+    Tolerance, fixed before the first run: d comes from the same
+    gammainccinv value, divided differently (1 / (y / rate) against
+    rate / y), so the two differ by at most 4 eps relative. S_j differs
+    from the Gram band's block by summation order only, each entry by at
+    most (n + 2) eps sqrt(s_ii s_jj) (test_gram_band_matches_gram_matrix),
+    so ||dS|| <= kj (n + 2) eps ||S||. That moves the Cholesky factor, and
+    so w = chol(S_j)^{-T} z, by at most about kappa(S_j)^2 ||dS|| / ||S||
+    relative, which with kj <= 11 and n <= 42 stays below
+    1e-11 kappa(S_j)^2: |a - a_replay| <= sqrt(d/n) * 1e-11 *
+    kappa(S_j)^2 * ||w||_2 per entry, plus the 4 eps of d. Padded slots,
+    and all of a kj = 0 column's, are exactly 0. Where the cap leaves a
+    column less than 1e-100 of truncation mass, every d is finite and at
+    most M.
+    """
+    x, k, capped, draws, seed = case
+    n, p = x.shape
+    prior = PriorConfig(k)
+    if capped:
+        base = fit_posterior(x, prior)
+        # the largest cap under which some column keeps a mass of 1e-150
+        cap = np.max(base.ig_rate / gammainccinv(base.ig_shape, 1e-150))
+        prior = PriorConfig(k, M=cap)
+    model = fit_posterior(x, prior)
+    if capped:
+        assert np.min(model.trunc_mass) < 1e-100
+    d, a = _sample_columns(model, draws, np.random.default_rng(seed))
+    keff = min(k, p - 1)
+    assert d.shape == (draws, p) and a.shape == (draws, p, keff)
+    eps = np.finfo(float).eps
+    for j, gen in enumerate(np.random.default_rng(seed).spawn(p)):
+        u = gen.random(draws)
+        d_j = model.ig_rate[j] / gammainccinv(model.ig_shape[j], (1.0 - u) * model.trunc_mass[j])
+        np.testing.assert_allclose(d[:, j], d_j, rtol=4 * eps, atol=0)
+        kj = min(j, keff)
+        np.testing.assert_array_equal(a[:, j, :keff - kj], 0.0)
+        if kj == 0:
+            continue
+        z = gen.standard_normal((draws, kj))
+        xj = x[:, j - kj:j]
+        s_j = xj.T @ xj / n
+        w = np.linalg.solve(np.linalg.cholesky(s_j).T, z.T).T
+        a_j = model.stats.ahat[j, keff - kj:] + np.sqrt(d_j / n)[:, None] * w
+        kappa = np.linalg.cond(s_j)
+        tol = (np.sqrt(d_j / n) * (1e-11 * kappa ** 2 + 4 * eps)
+               * np.linalg.norm(w, axis=1))[:, None]
+        assert np.all(np.abs(a[:, j, keff - kj:] - a_j) <= tol), j
+    if capped:
+        assert np.all(np.isfinite(d)) and np.all(d <= prior.M)
 
 
 DENSE_NORMS = {

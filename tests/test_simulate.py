@@ -222,6 +222,17 @@ def small_config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(reps=0)
+    with pytest.raises(ValueError, match="estimators"):
+        small_config(estimators=("LL", "LL"))
+    # a default grid wider than a split's n//3 - 1 = 15 rows can fit, when
+    # BL1 resamples, and a reference wider than the other 34 rows can fit
+    with pytest.raises(ValueError, match="selection.kmax"):
+        ExperimentConfig(model=TrueModelSpec("ar1", 30), n=50, estimators=("BL1",))
+    with pytest.raises(ValueError, match="selection.reference_bandwidth"):
+        ExperimentConfig(model=TrueModelSpec("ar1", 40), n=50, estimators=("BL1",),
+                         kmax=15, ref_bandwidth=34)
+    ExperimentConfig(model=TrueModelSpec("ar1", 30), n=50, estimators=("BL1",), kmax=15)
+    ExperimentConfig(model=TrueModelSpec("ar1", 30), n=50, estimators=("LL",))
     with pytest.raises(ValueError):
         small_config(estimators=("LL", "XX"))
     with pytest.raises(ValueError):
