@@ -16,12 +16,13 @@ very small bandwidths unless the data strongly favor a wider band.
 
 The whole grid k = 1..kmax comes from one factorization. Column j's
 regressions on its 1, 2, ..., kmax nearest predecessors are nested, so one
-Cholesky factor of its Gram block, ordered nearest first, holds dhat_j and
-logdet(shat_j) for every k (stats._regress_nested); log_marginal_k is the
-last row of the same computation. Where that factor is too close to
-singular to tell, the regressions run once per k, which raises what they
-raise at the smallest failing k. The mode's normalized probability and its
-log-gap to the runner-up say how clearly the data pick it.
+Cholesky factor of its Gram block, ordered nearest first as in every fit,
+holds dhat_j and logdet(shat_j) for every k (stats._regress_nested);
+log_marginal_k is the last row of the same computation. Where that factor
+is too close to singular to trust, each k is factored on its own, and the
+grid raises what the fit raises at the smallest failing k. The mode's
+normalized probability and its log-gap to the runner-up say how clearly
+the data pick it.
 
 The resampling selector repeatedly splits the rows into a small
 estimation group and a large reference group, compares the banded
@@ -226,11 +227,9 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
     p-1): wider bands are exact or singular fits in every split.
 
     Each split attempt factors the estimation group's Gram blocks once, at
-    width min(kmax, p-1) (stats.NestedFactor), and every k's
-    bl_banded_estimator reads its fit from that factor through gram=. Where
-    the factor is untrusted, each k is fitted on its Gram band instead and
-    raises what the band path raises. The reference is fitted without a
-    shared Gram band.
+    width min(kmax, p-1), and every k's bl_banded_estimator reads its fit
+    from that stats.NestedFactor through gram=, or, where it is untrusted,
+    from its Gram band. The reference is fitted without a shared band.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -249,8 +248,7 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
             try:
                 ref = bl_banded_estimator(x[perm[n1:]], ref_bandwidth)
                 g1 = x[perm[:n1]]
-                nested = _factor_nested(gram_band(g1, kmax), min(kmax, p - 1), n1,
-                                        coefficients=True)
+                nested = _factor_nested(gram_band(g1, kmax), min(kmax, p - 1), n1)
                 dists = [
                     norm_l1(bl_banded_estimator(g1, int(k), gram=nested) - ref)
                     for k in k_values

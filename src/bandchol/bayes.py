@@ -8,14 +8,14 @@ each innovation variance, the posterior factorizes over columns:
     d_j | X   ~ inverse-gamma(nj/2, rate n*dhat_j/2) truncated to (0, M]
     a_j | d_j ~ normal(ahat_j, (d_j/n) * shat_j^{-1})
 
-with nj = n + nu0 - kj - 4 and the hatted quantities from
-banded_regression. A bandwidth k is admissible when every nj is positive,
+with nj = n + nu0 - kj - 4, the hats from banded_regression and shat_j
+from the Gram band. A bandwidth k is admissible when every nj is positive,
 that is when k <= max_bandwidth(n, p, nu0). The plug-in estimator composes
 the posterior means E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), the
 latter ignoring the truncation (negligible for large M).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
@@ -23,7 +23,7 @@ from scipy.special import gammaincc, gammainccinv
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, compose
-from .stats import banded_regression
+from .stats import _checked_band, _predecessor_blocks, _regress, as_data_matrix, gram_band
 
 TRUNC_MASS_FLOOR = 1e-300
 
@@ -57,12 +57,13 @@ def ig_cdf(x, shape, rate):
 
 @dataclass
 class PosteriorModel:
-    """Closed-form column posteriors fitted to one data matrix."""
+    """Column posteriors fitted to a data matrix, and its Gram band at width keff."""
 
     stats: object
     ig_shape: np.ndarray
     ig_rate: np.ndarray
     trunc_mass: np.ndarray
+    gram: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -113,13 +114,16 @@ def fit_posterior(data, prior, gram=None):
     banded_regression.
     """
     _check_admissible(data, prior.k, prior.nu0)
-    st = banded_regression(data, prior.k, gram=gram)
+    x = as_data_matrix(data)
+    keff = min(prior.k, x.shape[1] - 1)
+    gram = gram_band(x, keff) if gram is None else _checked_band(gram, x.shape[1], keff)
+    st = _regress(gram, prior.k, x.shape[0])
     shape, rate, mass = _conjugate_terms(st.n, st.kj, st.dhat, prior)
     bad = np.nonzero(mass < TRUNC_MASS_FLOOR)[0]
     if bad.size:
         j = bad[0]
         raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
-    return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass)
+    return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass, gram=gram)
 
 
 def plug_in_estimator(model):
@@ -153,10 +157,11 @@ def _sample_columns(model, draws, rng):
             w[:, j, keff - kj:] = gen.standard_normal((draws, kj))
     tail = (1.0 - u) * model.trunc_mass
     d = 1.0 / (gammainccinv(model.ig_shape, tail) / model.ig_rate)
-    # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, so w = L^{-T} z solves
-    # L' w = z, for all draws and columns at once; the padded slots, where
-    # z is zero, stay zero
-    linalg._solve_lower_transposed(st.shat_chol, w)
+    # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, L the natural-order factor
+    # of shat padded with the identity, so w = L^{-T} z solves L' w = z, for
+    # all draws and columns at once; the padded slots, where z is 0, stay 0
+    low = np.linalg.cholesky(_predecessor_blocks(model.gram, keff)[:, :keff, :keff])
+    linalg._solve_lower_transposed(low, w)
     a = st.ahat + (np.sqrt(1.0 / st.n) * np.sqrt(d))[..., None] * w
     return d, a
 

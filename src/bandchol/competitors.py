@@ -30,13 +30,12 @@ def bl_banded_estimator(data, k, gram=None):
     divisor-n residual variances at bandwidth k. gram may be
     gram_band(data, w) with w >= min(k, p-1), as in banded_regression.
 
-    gram may also be a stats.NestedFactor of the data, with coefficients,
-    at least min(k, p-1) wide: one factorization that select_k_resampling
-    shares with every k of its grid. A trusted one gives Ahat and dhat from
-    its nested factor, which match the band path's up to rounding; an
-    untrusted one fits on its band, so it returns and raises exactly what
-    the band path does. One built from data of another shape, or too
-    narrow, raises ValueError.
+    gram may also be a stats.NestedFactor of the data at least min(k, p-1)
+    wide, which select_k_resampling shares with every k of its grid. A
+    trusted one gives Ahat and dhat from every k's coefficients, equal to
+    the band path's up to rounding; an untrusted one fits on its band, as
+    the band path does. One of another shape, or too narrow, raises
+    ValueError.
     """
     if isinstance(gram, NestedFactor):
         fit = gram.fit(data, k)

@@ -13,7 +13,7 @@ and a bisection of the tridiagonal for its two extreme eigenvalues only.
 
 _spd_factor is the one step that validates and factors an SPD input, and
 _solve_lower_transposed the one back-substitution on a stack of padded
-band factors, shared by the regressions and the posterior sampler.
+band factors, shared by stats._regress (nearest first) and the sampler.
 """
 
 import numpy as np

@@ -25,7 +25,7 @@ from .bandwidth import KMAX_CAP, REF_BANDWIDTH, SPLITS, _check_resampling
 from .bandwidth import select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
-from .errors import BandcholError, EmptyGrid, ExperimentFailed
+from .errors import BandcholError, EmptyGrid, ExperimentFailed, SingularMatrix
 from .stats import gram_band
 
 ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
@@ -83,6 +83,16 @@ def make_ar4_precision(p, coeffs=AR4_COEFFS):
         omega[idx, idx + lag] = value
         omega[idx + lag, idx] = value
     return omega
+
+
+@lru_cache(maxsize=8)
+def _ar4_factor(p, coeffs):
+    """Cholesky factor of make_ar4_precision(p, coeffs); ValueError if not SPD."""
+    try:
+        return linalg._spd_factor(make_ar4_precision(p, coeffs), "precision matrix")[1]
+    except SingularMatrix:
+        raise ValueError(f"model.coeffs: {list(coeffs)} give no positive definite "
+                         f"precision matrix at p = {p}") from None
 
 
 def make_fgn_cov(hurst, p):
@@ -157,8 +167,10 @@ class TrueModelSpec:
         object.__setattr__(self, "coeffs", tuple(
             _real(f"model.coeffs[{i}]", c, math.isfinite, "a finite number")
             for i, c in enumerate(self.coeffs)))
-        if self.variant == "ar4" and self.p < 5:
-            raise ValueError("p: the ar4 model's fourth-order band needs p >= 5")
+        if self.variant == "ar4":
+            if self.p < 5:
+                raise ValueError("p: the ar4 model's fourth-order band needs p >= 5")
+            _ar4_factor(self.p, self.coeffs)
 
     def build(self):
         """Return (sigma, omega): the covariance and precision of the truth."""
@@ -171,10 +183,8 @@ class TrueModelSpec:
         if self.variant == "ar1":
             return make_ar1_cov(self.rho, self.p), ar1_precision(self.rho, self.p), None
         if self.variant == "ar4":
-            omega = make_ar4_precision(self.p, self.coeffs)
-            low = linalg._spd_factor(omega, "precision matrix")[1]
-            sigma = cho_solve((low, True), np.eye(self.p))
-            return (sigma + sigma.T) / 2.0, omega, None
+            sigma = cho_solve((_ar4_factor(self.p, self.coeffs), True), np.eye(self.p))
+            return (sigma + sigma.T) / 2.0, make_ar4_precision(self.p, self.coeffs), None
         sigma = make_fgn_cov(self.hurst, self.p)
         low = linalg._spd_factor(sigma, "covariance matrix")[1]
         omega = cho_solve((low, True), np.eye(self.p))

@@ -12,16 +12,18 @@ the first columns. The band costs O(n p (GRAM_TILE + w)) flops and
 O(p w) memory, where the dense gram_matrix costs O(n p^2) and O(p^2);
 every Gram block is a zero-copy strided view of it (_predecessor_blocks).
 Each public gram= argument takes such a band, at least as wide as the
-bandwidth it fits. A NestedFactor holds one nearest-first factorization of
-every block at width K, from which every bandwidth k <= K is read: the
-posterior-mode grid reads its residual variances and log determinants,
-and the resampler, through bl_banded_estimator's gram=, also its
-coefficients. Column indices in the public API are 1-based, matching
-the math convention for ordered coordinates; error messages use the same
-numbering. Which bandwidths the posterior admits is decided in bayes.
+bandwidth it fits. Every fit factors the blocks in one order, nearest
+first, into a NestedFactor of width K, from which every bandwidth k <= K
+is read: banded_regression reads its one k, the posterior-mode grid every
+k's residual variances and log determinants, and the resampler, through
+bl_banded_estimator's gram=, every k's coefficients too. Column indices
+in the public API are 1-based, matching the math convention for ordered
+coordinates; error messages use the same numbering. Which bandwidths the
+posterior admits is decided in bayes.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,18 +135,21 @@ def _dense_to_band(m, w):
 
 
 def _checked_band(gram, p, keff):
-    """A gram= argument as gram_band(data, w) of data with p columns, w >= keff.
+    """A gram= argument, gram_band(data, w) of data with p columns, w >= keff,
+    as a read-only view at width keff: the numbers of gram_band(data, keff).
 
     ValueError for anything else, such as the dense gram_matrix, a band of
     data with another number of columns, or a band narrower than keff.
     """
-    gram = np.ascontiguousarray(gram, dtype=float)
+    gram = np.asarray(gram, dtype=float)
     w = (gram.shape[-1] - 1) // 2 if gram.ndim == 2 else -1
     if gram.shape != (p + w, 2 * w + 1) or not keff <= w <= p - 1:
         raise ValueError(
             f"gram must be gram_band(data, w) of the data's {p} columns with w >= {keff}, "
             f"a ({p} + w, 2w + 1) band; got shape {gram.shape}")
-    return gram
+    band = gram[w - keff:, w - keff:w + keff + 1]
+    band.flags.writeable = False
+    return band
 
 
 @dataclass
@@ -152,13 +157,9 @@ class BandedRegressionStats:
     """Per-column least-squares statistics at a common bandwidth k.
 
     Column j (1-based) regresses on its kj[j-1] = min(j-1, k) closest
-    predecessors. Banded arrays are indexed 0-based by column and hold
-    keff = min(k, p-1) slots for the predecessors j-keff, ..., j-1, of
-    which the trailing kj are real: ahat (p, keff) holds the coefficients
-    and is zero in the padded slots, the band layout of mcd.CholeskyFactor,
-    and shat_chol (p, keff, keff) holds
-    the lower Cholesky factors of the predecessor Gram blocks, padded with
-    the identity.
+    predecessors. ahat (p, keff), keff = min(k, p-1), holds the coefficients
+    on j-keff, ..., j-1, of which the trailing kj are real and the padded
+    slots zero: the band layout of mcd.CholeskyFactor.
     """
 
     n: int
@@ -166,13 +167,13 @@ class BandedRegressionStats:
     kj: np.ndarray
     dhat: np.ndarray
     ahat: np.ndarray = field(repr=False)
-    shat_chol: np.ndarray = field(repr=False)
 
 
 def _check_columns(blocks, n):
     """Name the column behind a failed or nearly singular batched factorization.
 
-    A batched factorization does not say which block failed, and near a
+    blocks are the batch's, nearest first (_nearest_first_blocks). A
+    batched factorization does not say which block failed, and near a
     singular block rounding decides whether it fails at all. So the checks
     are repeated column by column on the real Gram blocks: SingularDesign
     at the first column whose predecessor block is wider than n or cannot
@@ -185,14 +186,16 @@ def _check_columns(blocks, n):
         kj = min(j, keff)
         if kj > n:
             raise SingularDesign(j + 1, f"{kj} predecessors from {n} rows")
-        lo = keff - kj
+        # the real predecessors, then column j, without the padded slots
+        real = np.append(np.arange(kj), keff)
+        block = block[real[:, None], real]
         # scaled by an even power of two, so that the solve and the Cholesky
-        # factors scale exactly, to real entries below 1 in magnitude:
-        # c' S^{-1} c, whose terms are huge on a nearly singular S of huge
-        # entries, then cannot overflow (smaller entries are left as they are)
-        exponent = 2 * max(0, (int(np.frexp(np.max(np.abs(block[lo:, lo:])))[1]) + 1) // 2)
+        # factors scale exactly, to entries below 1 in magnitude: c' S^{-1} c,
+        # whose terms are huge on a nearly singular S of huge entries, then
+        # cannot overflow (smaller entries are left as they are)
+        exponent = 2 * max(0, (int(np.frexp(np.max(np.abs(block)))[1]) + 1) // 2)
         block = np.ldexp(block, -exponent)
-        shat, chat = block[lo:keff, lo:keff], block[lo:keff, keff]
+        shat, chat = block[:kj, :kj], block[:kj, kj]
         try:
             np.linalg.cholesky(shat)
             coef = np.linalg.solve(shat, chat)
@@ -200,7 +203,7 @@ def _check_columns(blocks, n):
             raise SingularDesign(j + 1) from None
         try:
             np.linalg.cholesky(block)
-            dhat[j] = np.ldexp(max(block[keff, keff] - chat @ coef, 0.0), exponent)
+            dhat[j] = np.ldexp(max(block[kj, kj] - chat @ coef, 0.0), exponent)
         except np.linalg.LinAlgError:
             dhat[j] = 0.0
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR * blocks[:, keff, keff])[0]
@@ -226,40 +229,11 @@ def _predecessor_blocks(band, keff):
         band[w - keff:, w:], (p, keff + 1, keff + 1), (s0, s0 - s1, s1), writeable=False)
 
 
-def _regress(band, k, n):
-    """Least squares of every coordinate on its k closest predecessors.
-
-    band holds the second moments as a padded row band of width at least
-    min(k, p-1) (gram_band's layout), built from n rows (np.inf for a
-    population covariance). k is nonnegative. Raises as banded_regression does.
-    """
-    w = band.shape[1] // 2
-    p = band.shape[0] - w
-    keff = min(k, p - 1)
-    blocks = _predecessor_blocks(band, keff)
-    try:
-        low = np.linalg.cholesky(blocks)
-        pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
-        # blocks wider than n are singular, whatever rounding lets through
-        recheck = keff > n or np.any(
-            pivots <= PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
-    except np.linalg.LinAlgError:
-        recheck = True
-    if recheck:
-        # raises whenever the batched factorization failed
-        _check_columns(blocks, n)
-
-    # with L the factor of [[S, c], [c', v]]: S = L_S L_S' and the last row
-    # is (l', sqrt(v - c' S^{-1} c)) with l = L_S^{-1} c, so ahat solves
-    # L_S' ahat = l; a padded slot has l = 0 and keeps a zero coefficient
-    shat_chol = low[:, :keff, :keff].copy()
-    ahat = _solve_lower_transposed(shat_chol, low[:, keff, :keff].copy())
-    dhat = pivots[:, keff]
-    bad = np.nonzero(dhat <= RESIDUAL_FLOOR * band[w:, w])[0]
-    if bad.size:
-        raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
-    return BandedRegressionStats(n=n, p=p, kj=np.minimum(np.arange(p), keff), dhat=dhat,
-                                 ahat=ahat, shat_chol=shat_chol)
+def _nearest_first_blocks(band, kmax):
+    """The (p, K+1, K+1) blocks of _predecessor_blocks at K = kmax in the
+    order [j-1, ..., j-K, j], nearest first, the padded slots last but one."""
+    order = np.append(np.arange(kmax - 1, -1, -1), kmax)
+    return _predecessor_blocks(band, kmax)[:, order[:, None], order]
 
 
 @dataclass(frozen=True)
@@ -279,39 +253,41 @@ class NestedFactor:
 
     a_k the coefficients nearest first: a_k solves L_S[:k, :k]' a = l[:k],
     and the leading block of L_S^{-1} is the inverse of L_S's leading block.
-    The rows of dhat and logdet, (K + 1, p), and of coef, (K, p, K), are
-    k = 0, ..., K and k = 1, ..., K; coef is None unless it was asked for.
+    low holds L, (p, K+1, K+1); the rows of dhat and logdet, (K + 1, p), and
+    of coef, (K, p, K), computed on its first read, are k = 0, ..., K and
+    k = 1, ..., K. All are None where the Cholesky factorization failed.
 
-    These values stand only where no block is wider than n and every squared
+    The factor is trusted when no block is wider than n and every squared
     pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
     dhat_K, the smallest dhat_k, so every residual variance then lies 10^4
-    times above RESIDUAL_FLOOR, far beyond the rounding of either order, and
-    no block is near singular. Otherwise the factor is untrusted: dhat,
-    logdet and coef are None, and each bandwidth is fitted on band.
+    times above RESIDUAL_FLOOR, far beyond rounding, and no block is near
+    singular. An untrusted factor's values stand where _check_columns on
+    its blocks returns.
     """
 
     n: int
     width: int
     band: np.ndarray = field(repr=False)
+    trusted: bool
+    low: np.ndarray = field(default=None, repr=False)
     dhat: np.ndarray = field(default=None, repr=False)
     logdet: np.ndarray = field(default=None, repr=False)
-    coef: np.ndarray = field(default=None, repr=False)
 
     @property
     def p(self):
         return self.band.shape[0] - self.band.shape[1] // 2
 
-    @property
-    def trusted(self):
-        return self.dhat is not None
+    @cached_property
+    def coef(self):
+        return None if self.low is None else _nested_coefficients(self.low)
 
     def fit(self, data, k):
         """(ahat, dhat) at bandwidth k in banded_regression's layout, or None
         when the factor is untrusted.
 
         ValueError unless data has the n x p shape the factor was built from,
-        k is nonnegative, min(k, p-1) <= width and, for a trusted factor, the
-        coefficients were computed. DegenerateResidual as banded_regression.
+        k is nonnegative and min(k, p-1) <= width. A trusted factor's residual
+        variances lie above RESIDUAL_FLOOR, so it raises no DegenerateResidual.
         """
         x = as_data_matrix(data)
         if k < 0:
@@ -323,52 +299,38 @@ class NestedFactor:
                 f"width >= {keff}; got one of {self.n} x {self.p} data with width {self.width}")
         if not self.trusted:
             return None
-        if self.coef is None:
-            raise ValueError("gram is a NestedFactor without coefficients")
-        dhat = self.dhat[keff]
-        w = self.band.shape[1] // 2
-        bad = np.nonzero(dhat <= RESIDUAL_FLOOR * self.band[w:, w])[0]
-        if bad.size:
-            raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
         # nearest first into the band's nearest-last slots
         ahat = self.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((self.p, 0))
-        return ahat, dhat
+        return ahat, self.dhat[keff]
 
 
-def _factor_nested(band, kmax, n, coefficients=False):
-    """The NestedFactor at width K = kmax <= p - 1 of a padded Gram band at
-    least K wide, built from n rows; with coefficients=True a trusted
-    factor also holds every k's coefficients."""
-    w = band.shape[1] // 2
-    p = band.shape[0] - w
-    order = np.append(np.arange(kmax - 1, -1, -1), kmax)
-    blocks = _predecessor_blocks(band, kmax)[:, order[:, None], order]
+def _factor_nested(band, kmax, n):
+    """The NestedFactor at width kmax <= p - 1 of a Gram band from n rows."""
+    blocks = _nearest_first_blocks(band, kmax)
     try:
         low = np.linalg.cholesky(blocks)
-        diag = np.diagonal(low, axis1=1, axis2=2)
-        trusted = kmax <= n and np.all(
-            diag ** 2 > PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2))
     except np.linalg.LinAlgError:
-        trusted = False
-    if not trusted:
-        return NestedFactor(n=n, width=kmax, band=band)
-    gjj = band[w:, w]
-    l = low[:, kmax, :kmax]
+        return NestedFactor(n=n, width=kmax, band=band, trusted=False)
+    diag = np.diagonal(low, axis1=1, axis2=2)
+    trusted = bool(kmax <= n and np.all(
+        diag ** 2 > PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2)))
+    gjj, l = blocks[:, kmax, kmax], low[:, kmax, :kmax]
     # rows k = 0, ..., kmax
     dhat = np.vstack([gjj, gjj - np.cumsum(l ** 2, axis=1).T])
-    logdet = np.vstack([np.zeros(p), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
-    coef = _nested_coefficients(low[:, :kmax, :kmax], l) if coefficients else None
-    return NestedFactor(n=n, width=kmax, band=band, dhat=dhat, logdet=logdet, coef=coef)
+    logdet = np.vstack([np.zeros_like(gjj), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
+    return NestedFactor(n=n, width=kmax, band=band, trusted=trusted, low=low, dhat=dhat,
+                        logdet=logdet)
 
 
-def _nested_coefficients(low, l):
+def _nested_coefficients(factor):
     """coef[k-1, j, r] = a_k[r] = sum_{i<k} M[i, r] l[j, i], M = low[j]^{-1},
-    for (p, K, K) lower factors low and their last rows l, (p, K).
+    for the (p, K+1, K+1) lower factors [[low, 0], [l', .]].
 
     Row i of M is (e_i - low[i, :i] M[:i]) / low[i, i], found for all
     columns at once, and a_{i+1} = a_i + l_i M[i].
     """
-    p, kmax = l.shape
+    p, kmax = factor.shape[0], factor.shape[1] - 1
+    low, l = factor[:, :kmax, :kmax], factor[:, kmax, :kmax]
     m = np.zeros((p, kmax, kmax))
     coef = np.empty((kmax, p, kmax))
     acc = np.zeros((p, kmax))
@@ -383,23 +345,48 @@ def _nested_coefficients(low, l):
     return coef
 
 
+def _regress(band, k, n):
+    """Least squares of every coordinate on its k closest predecessors.
+
+    band holds the second moments as a padded row band of width at least
+    min(k, p-1) (gram_band's layout), built from n rows (np.inf for a
+    population covariance). k is nonnegative. Raises as banded_regression does.
+    dhat is row keff = min(k, p-1) of the NestedFactor at width keff, and
+    ahat one back-substitution on it, cheaper than every k's coefficients.
+    """
+    p = band.shape[0] - band.shape[1] // 2
+    keff = min(k, p - 1)
+    nested = _factor_nested(band, keff, n)
+    if not nested.trusted:
+        # raises whenever the batched factorization failed
+        _check_columns(_nearest_first_blocks(band, keff), n)
+    dhat = nested.dhat[keff]
+    bad = np.nonzero(dhat <= RESIDUAL_FLOOR * nested.dhat[0])[0]
+    if bad.size:
+        raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
+    # L_S' a = l gives the coefficients nearest first, here in a reversed view
+    # that leaves them nearest last; a padded slot has l = 0 and stays 0
+    ahat = np.empty((p, keff))
+    ahat[:, ::-1] = nested.low[:, keff, :keff]
+    _solve_lower_transposed(nested.low[:, :keff, :keff], ahat[:, ::-1])
+    return BandedRegressionStats(n=n, p=p, kj=np.minimum(np.arange(p), keff), dhat=dhat,
+                                 ahat=ahat)
+
+
 def _regress_nested(band, k_values, n):
     """Residual variances and predecessor log determinants at several bandwidths.
 
-    Row i of dhat and of logdet, both (len(k_values), p), holds what
-    _regress(band, k_values[i], n) gives every column, up to rounding: its
-    residual variance and the log determinant of its predecessor Gram block
-    (padded slots add log 1 = 0). k_values are nonnegative and ascend,
-    and band is at least min(k_values[-1], p-1) wide.
-
-    One NestedFactor at the widest k serves every k where it is trusted.
-    Otherwise _regress runs at each k in turn, which gives its values and
-    raises its errors. Returns (dhat, logdet, err): err is None, or the
-    error that _regress raised at the smallest k, and then the rows stop
-    before that k.
+    Row i of dhat and of logdet, both (len(k_values), p), holds every
+    column's residual variance and the log determinant of its predecessor
+    Gram block (padded slots add log 1 = 0) at bandwidth k_values[i], as
+    _regress fits it. k_values are nonnegative and ascend, and band is at
+    least min(k_values[-1], p-1) wide. One NestedFactor at the widest k
+    serves every k where it is trusted; otherwise each k takes its own, and
+    _regress raises its errors where that one is untrusted. Returns (dhat,
+    logdet, err): err is None, or the error that _regress raised at the
+    smallest k, and then the rows stop before that k.
     """
-    w = band.shape[1] // 2
-    p = band.shape[0] - w
+    p = band.shape[0] - band.shape[1] // 2
     keffs = np.minimum(k_values, p - 1)
     nested = _factor_nested(band, int(keffs[-1]), n)
     if nested.trusted:
@@ -407,12 +394,13 @@ def _regress_nested(band, k_values, n):
     dhat = np.empty((len(k_values), p))
     logdet = np.empty((len(k_values), p))
     for i, k in enumerate(k_values):
-        try:
-            st = _regress(band, int(k), n)
-        except (SingularDesign, DegenerateResidual) as err:
-            return dhat[:i], logdet[:i], err
-        dhat[i] = st.dhat
-        logdet[i] = 2.0 * np.sum(np.log(np.diagonal(st.shat_chol, axis1=1, axis2=2)), axis=1)
+        factor = _factor_nested(band, int(keffs[i]), n)
+        if not factor.trusted:
+            try:
+                _regress(band, int(k), n)
+            except (SingularDesign, DegenerateResidual) as err:
+                return dhat[:i], logdet[:i], err
+        dhat[i], logdet[i] = factor.dhat[-1], factor.logdet[-1]
     return dhat, logdet, None
 
 

@@ -321,8 +321,8 @@ def test_resampling_factors_each_split_once(monkeypatch):
         regressions.append(k)
         return real_regression(data, k, gram=gram)
 
-    def factor(band, kmax, n, coefficients=False):
-        nested = real_factor(band, kmax, n, coefficients=coefficients)
+    def factor(band, kmax, n):
+        nested = real_factor(band, kmax, n)
         factors.append(nested.trusted)
         return nested
 

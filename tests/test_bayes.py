@@ -137,11 +137,13 @@ def test_sampled_factor_shape_and_truncation():
         assert f.a.shape == (5, 2) and f.a[0, 0] == f.a[0, 1] == f.a[1, 0] == 0.0
 
 
-def sample_columns_oracle(model, draws, rng):
-    """Column-by-column sampler: a solve_triangular per column."""
+def sample_columns_oracle(model, data, draws, rng):
+    """Column-by-column sampler: a solve_triangular per column, on the
+    natural-order Cholesky factor of its predecessor block of gram_matrix."""
     from scipy.linalg import solve_triangular
     from scipy.special import gammainccinv
 
+    g = gram_matrix(data)
     st = model.stats
     p, keff = st.ahat.shape
     d = np.empty((draws, p))
@@ -154,7 +156,8 @@ def sample_columns_oracle(model, draws, rng):
             continue
         z = gen.standard_normal((draws, kj))
         lo = keff - kj
-        w = solve_triangular(st.shat_chol[j, lo:, lo:], z.T, trans="T", lower=True).T
+        low = np.linalg.cholesky(g[j - kj:j, j - kj:j])
+        w = solve_triangular(low, z.T, trans="T", lower=True).T
         a[:, j, lo:] = st.ahat[j, lo:] + (np.sqrt(1.0 / st.n) * np.sqrt(d[:, j]))[:, None] * w
     return d, a
 
@@ -168,7 +171,7 @@ def test_vectorized_sampler_matches_column_oracle(n, p, k):
     for seed in range(5):
         for draws in (1, 7):
             d, a = _sample_columns(model, draws, np.random.default_rng(seed))
-            d0, a0 = sample_columns_oracle(model, draws, np.random.default_rng(seed))
+            d0, a0 = sample_columns_oracle(model, data, draws, np.random.default_rng(seed))
             np.testing.assert_array_equal(d, d0)
             np.testing.assert_allclose(a, a0, rtol=0, 
                                        atol=1e-13 * np.max(np.abs(a0), initial=0.0))
@@ -176,6 +179,30 @@ def test_vectorized_sampler_matches_column_oracle(n, p, k):
             keff = a.shape[2]
             for j in range(p):
                 np.testing.assert_array_equal(a[:, j, :keff - model.stats.kj[j]], 0.0)
+
+
+@pytest.mark.parametrize("n, p, k", [(40, 9, 3), (20, 6, 0), (30, 6, 9), (10, 1, 2),
+                                     (33, 100, 20)])
+def test_model_keeps_read_only_gram_band(n, p, k):
+    # the sampler's predecessor blocks come from the model's Gram band at
+    # width keff: the data's second moments, padded with the identity, and
+    # the same bits whatever band the fit was given
+    from bandchol.stats import _predecessor_blocks, gram_band
+
+    x = np.random.default_rng(1).standard_normal((n, p))
+    model = fit_posterior(x, PriorConfig(k))
+    keff = min(k, p - 1)
+    assert model.gram.shape == (p + keff, 2 * keff + 1) and not model.gram.flags.writeable
+    wide = fit_posterior(x, PriorConfig(k), gram=gram_band(x, p + 1))
+    np.testing.assert_array_equal(wide.gram, model.gram)
+    np.testing.assert_array_equal(wide.stats.ahat, model.stats.ahat)
+    blocks = _predecessor_blocks(model.gram, keff)[:, :keff, :keff]
+    for j in range(p):
+        pad = keff - model.stats.kj[j]
+        z = x[:, j - model.stats.kj[j]:j]
+        np.testing.assert_allclose(blocks[j, pad:, pad:], z.T @ z / n, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(blocks[j, :pad], np.eye(keff)[:pad])
+        np.testing.assert_array_equal(blocks[j, :, :pad], np.eye(keff)[:, :pad])
 
 
 def test_sampled_moments_match_inverse_gamma():

@@ -351,13 +351,17 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     ("estimators", {"estimators": ["LL", "LL"]}),
     ("losses", {"losses": ["fro", "fro"]}),
     ("selection.kmax", {"n": 50, "p": 30, "estimators": ["BL1"], "selection": {}}),
+    ("model.coeffs", {"model": {"variant": "ar4", "coeffs": [0.9, 0.9, 0.9, 0.9]}}),
 ], ids=["rho-string", "hurst-null", "coeffs-number", "rho-list-under-ar4",
         "estimators-number", "losses-null", "estimators-string", "coeffs-string-entry",
-        "M-true", "estimators-repeated", "losses-repeated", "kmax-beyond-split"])
+        "M-true", "estimators-repeated", "losses-repeated", "kmax-beyond-split",
+        "coeffs-not-positive-definite"])
 def test_simulate_names_malformed_field(tmp_path, capsys, field, edit):
     # a field of the wrong type is bad input that names the field, not a
-    # TypeError, and "M": true is not read as 1.0; a repeated name, and a
-    # default grid wider than a resampling split can fit, name theirs too
+    # TypeError, and "M": true is not read as 1.0; a repeated name, a
+    # default grid wider than a resampling split can fit, and ar4
+    # coefficients whose precision matrix is not positive definite at this
+    # p, name theirs too
     config = {"model": {"variant": "ar1", "rho": 0.3}, "n": 30, "p": 8, "reps": 1,
               "estimators": ["LL"], "losses": ["fro"], "selection": {"kmax": 2}}
     cfg = tmp_path / "config.json"

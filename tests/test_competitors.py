@@ -87,9 +87,9 @@ def test_gram_shortcut_matches_direct():
 
 def test_nested_factor_gram_is_checked():
     # a NestedFactor serves bandwidths up to its width, for the data it was
-    # built from, and only when it holds coefficients
+    # built from
     x = np.random.default_rng(7).standard_normal((40, 6))
-    nested = stats._factor_nested(gram_band(x, 3), 3, 40, coefficients=True)
+    nested = stats._factor_nested(gram_band(x, 3), 3, 40)
     assert nested.trusted
     for k in range(4):
         np.testing.assert_allclose(bl_banded_estimator(x, k, gram=nested),
@@ -97,6 +97,3 @@ def test_nested_factor_gram_is_checked():
     for data, k in ((x, 4), (x[:39], 2), (x[:, :5], 2), (x, -1)):
         with pytest.raises(ValueError):
             bl_banded_estimator(data, k, gram=nested)
-    bare = stats._factor_nested(gram_band(x, 3), 3, 40)
-    with pytest.raises(ValueError, match="without coefficients"):
-        bl_banded_estimator(x, 2, gram=bare)

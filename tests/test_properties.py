@@ -6,9 +6,13 @@ variances where it reports them) or raises a BandcholError subclass or a
 ValueError; a bare LinAlgError, itself a ValueError, is a failure.
 Inputs mix duplicate, zero and constant columns, sample sizes close to
 the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
-batched regressions match a per-column least-squares oracle. The
-posterior-mode grid and log_marginal_k match a per-bandwidth evaluation
-over _regress, errors included. The resampling selector's risk matches a
+batched regressions match a per-column least-squares oracle. Where the
+batched factorization fails, the column-by-column checks on the same
+nearest-first blocks raise a typed error, and where they pass on an
+untrusted factor, the fit matches the same oracle. The posterior-mode
+grid and log_marginal_k match a per-bandwidth evaluation of _regress,
+errors included, with log determinants from natural-order factors of
+gram_matrix blocks. The resampling selector's risk matches a
 dense per-column lstsq replay of its splits, and every bandwidth's BL
 estimate read from one shared nested factorization matches the band path
 and lstsq, or raises the band path's error. On singular and nearly singular
@@ -25,13 +29,16 @@ eigvalsh and numpy's dense l-infinity and Frobenius norms over the same
 draws, the posterior sampler matches a dense replay of its random streams,
 tiny truncation masses included, CholeskyFactor rejects every malformed
 band, and the CSV reader's
-fast path agrees with its csv-module path on arbitrary small files.
+fast path agrees with its csv-module path on arbitrary small files. The
+estimate and bandwidth commands, run through cli.main on small CSVs with
+degenerate columns and extreme scales, exit 0, 2 or 3 and never raise.
 gram_band matches gram_matrix within its width, its Gram blocks match the
 dense padded construction, and every fit given a gram_band is bit for bit
 the fit without one.
 """
 
 import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -114,7 +121,7 @@ def test_degenerate_inputs_fail_typed(case):
     x, k = case
     stats = outcome(banded_regression, x, k)
     if stats is not None:
-        assert_finite("banded_regression", stats.dhat, stats.ahat, stats.shat_chol)
+        assert_finite("banded_regression", stats.dhat, stats.ahat)
         assert np.all(stats.dhat > 0.0)
     model = outcome(fit_posterior, x, PriorConfig(k))
     if model is not None:
@@ -192,7 +199,14 @@ def test_banded_regression_matches_lstsq(case):
         with pytest.raises((SingularDesign, DegenerateResidual)):
             banded_regression(x, k)
         return
-    stats = banded_regression(x, k)
+    assert_matches_lstsq(x, banded_regression(x, k))
+
+
+def assert_matches_lstsq(x, stats):
+    """Every column's ahat and dhat against a per-column lstsq fit on its
+    real predecessors; the padded slots are exactly zero."""
+    n, p = x.shape
+    keff = stats.ahat.shape[1]
     for j in range(p):
         kj = stats.kj[j]
         z = x[:, j - kj:j]
@@ -206,8 +220,59 @@ def test_banded_regression_matches_lstsq(case):
         assert abs(stats.dhat[j] - resid @ resid / n) <= tol * np.mean(x[:, j] ** 2)
 
 
+@st.composite
+def near_exact_fits(draw):
+    # Gaussian predecessors that fit the last column up to a residual
+    # variance of about 1e-12 of its second moment: the batch factors, its
+    # last pivot is too small to trust, and the column checks pass
+    p = draw(st.integers(2, 8))
+    k = draw(st.integers(1, p))
+    n = draw(st.integers(p + 2, p + 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    twin = draw(st.integers(max(0, p - 1 - k), p - 2))
+    x[:, -1] = x[:, twin] + draw(st.sampled_from([1e-6, 3e-6])) * rng.standard_normal(n)
+    return x, k
+
+
+@settings(max_examples=500)
+@given(st.one_of(regression_data(), degenerate_data(), near_exact_fits()))
+def test_check_columns_contract(case):
+    """_check_columns on the nearest-first blocks of an untrusted batch.
+
+    Where np.linalg.cholesky of the batch's blocks raises, _check_columns
+    on the same blocks raises SingularDesign or DegenerateResidual: _regress
+    reads the factor's values only when it returns. Where it returns, those
+    values stand, so the fit must match the per-column lstsq oracle within
+    the tolerance of test_banded_regression_matches_lstsq, or raise its
+    own DegenerateResidual.
+    """
+    x, k = case
+    n, p = x.shape
+    keff = min(k, p - 1)
+    band = outcome(gram_band, x, keff)
+    if band is None or stats._factor_nested(band, keff, n).trusted:
+        return
+    blocks = stats._nearest_first_blocks(band, keff)
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        with pytest.raises((SingularDesign, DegenerateResidual)):
+            stats._check_columns(blocks, n)
+        return
+    try:
+        stats._check_columns(blocks, n)
+    except (SingularDesign, DegenerateResidual):
+        return
+    fit = outcome(banded_regression, x, k, errors=(DegenerateResidual,))
+    if fit is not None:
+        assert_matches_lstsq(x, fit)
+
+
 def grid_oracle(x, k_values):
-    """The per-k grid: _regress at each k in turn, then that k's total.
+    """The per-k grid: _regress at each k in turn, then that k's total,
+    with each predecessor block's log determinant from its own natural-order
+    Cholesky factor of gram_matrix.
 
     Returns (total, scale) rows, scale the sum of the absolute values of
     the terms added, or (error type, column, k) for the first failure: a
@@ -220,6 +285,7 @@ def grid_oracle(x, k_values):
         g = gram_band(x, max(k_values))
     except ValueError:
         return ValueError, None, None
+    dense = gram_matrix(x)
     totals = []
     for k in k_values:
         try:
@@ -228,7 +294,9 @@ def grid_oracle(x, k_values):
             return type(err), err.column, k
         shape = (n + prior.nu0 - fit.kj - 4) / 2.0
         rate = n * fit.dhat / 2.0
-        logdet = 2.0 * np.sum(np.log(np.diagonal(fit.shat_chol, axis1=1, axis2=2)), axis=1)
+        logdet = np.array([
+            2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(dense[j - kj:j, j - kj:j]))))
+            for j, kj in enumerate(fit.kj)])
         col_terms = (-0.5 * (fit.kj * np.log(n / (2.0 * np.pi)) + logdet)
                      + gammaln(shape) - shape * np.log(rate))
         mass = ig_cdf(prior.M, shape, rate)
@@ -411,9 +479,9 @@ def test_nested_factor_fits_match_band_path_and_lstsq(case):
     PIVOT_RECHECK of its diagonal entry, as a near-duplicate column within
     K of its twin gives) fits on its band, so it must return the band
     path's bits or raise its error type at its column. A trusted one
-    solves the same normal equations as the band path in another order,
-    nearest first by an explicit inverse of the factor, against natural
-    order by back-substitution. Both then err by about eps * kappa^2
+    solves the same normal equations as the band path in another way, by
+    an explicit inverse of the width-K factor, against a back-substitution
+    on the factor at k. Both then err by about eps * kappa^2
     relative in the coefficients and the residual variances, kappa the
     condition number of the data's columns j-K, ..., j, which bounds that
     of every block the fits read. Tolerance, fixed before the first run:
@@ -423,8 +491,7 @@ def test_nested_factor_fits_match_band_path_and_lstsq(case):
     """
     x, width = case
     n, p = x.shape
-    nested = stats._factor_nested(gram_band(x, width), width, n, coefficients=True)
-    assert nested.coef is not None or not nested.trusted
+    nested = stats._factor_nested(gram_band(x, width), width, n)
     kappa = max(np.linalg.cond(x[:, max(0, j - width):j + 1]) for j in range(p))
     for k in range(width + 1 + (width == p - 1)):
         band_path = fit_outcome(x, k)
@@ -1055,3 +1122,55 @@ def test_csv_fast_path_matches_csv_module(tmp_path_factory, case):
         assert fast[1].dtype == slow[1].dtype
     else:
         assert fast[1] == slow[1]
+
+
+@st.composite
+def cli_runs(draw):
+    # n, p in 1..12 with normal, constant, duplicated and zero columns at
+    # scales from 1e-200 to 1e200, and the flags of one estimate command
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    columns = st.integers(0, p - 1)
+    edits = st.tuples(st.sampled_from(["constant", "duplicate", "zero"]), columns, columns)
+    for kind, j, i in draw(st.lists(edits, max_size=3)):
+        x[:, j] = {"constant": x[0, i], "duplicate": x[:, i], "zero": 0.0}[kind]
+    x *= 10.0 ** draw(st.sampled_from([0, 0, 0, -200, -100, 100, 200]))
+    select = draw(st.sampled_from([["--select-k", "mode"], ["--select-k", "resampling"],
+                                   ["--k", str(draw(st.integers(0, p + 1)))]]))
+    center = ["--center"] if draw(st.booleans()) else []
+    return x, ["--estimator", draw(st.sampled_from(["ll", "bl", "mle"])), *select], center
+
+
+@settings(max_examples=200)
+@given(cli_runs())
+def test_cli_end_to_end(tmp_path_factory, case):
+    """estimate and bandwidth --scheme both on small CSVs, through cli.main.
+
+    Every run returns 0, 2 (bad input) or 3 (numerical failure) and raises
+    nothing. An estimate that exits 0 writes a finite symmetric p x p
+    matrix and a sidecar whose bandwidth is the given --k, or lies in the
+    grid 1..kmax that it echoes.
+    """
+    x, flags, center = case
+    p = x.shape[1]
+    tmp = tmp_path_factory.mktemp("cli")
+    data, out = str(tmp / "data.csv"), str(tmp / "omega.csv")
+    with open(data, "w") as fh:
+        fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
+    code = cli.main(["estimate", data, "-o", out, "--splits", "3", *flags, *center])
+    assert code in (0, 2, 3)
+    if code == 0:
+        omega = np.loadtxt(out, delimiter=",", ndmin=2)
+        assert omega.shape == (p, p) and np.all(np.isfinite(omega))
+        np.testing.assert_array_equal(omega, omega.T)
+        with open(cli.default_sidecar(out)) as fh:
+            sidecar = json.load(fh)
+        k = sidecar["result"]["bandwidth"]
+        if "--k" in flags:
+            assert k == int(flags[-1])
+        else:
+            assert 1 <= k <= sidecar["parameters"]["kmax"]
+    code = cli.main(["bandwidth", data, "-o", str(tmp / "profile.csv"), "--scheme", "both",
+                     "--splits", "3", *center])
+    assert code in (0, 2, 3)

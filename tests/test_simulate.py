@@ -90,6 +90,33 @@ def test_true_model_spec_build_and_validate():
         TrueModelSpec("ar4", 10, coeffs=(0.4, 0.2))
     with pytest.raises(ValueError):
         TrueModelSpec("fgn", 10, hurst=0.0)
+    # whether ar4 coefficients give a positive definite precision matrix
+    # depends on p: these pass at p = 5 (smallest eigenvalue 0.10) and fail
+    # at p = 8 (-0.65)
+    TrueModelSpec("ar4", 5, coeffs=(0.9, 0.9, 0.9, 0.9))
+    with pytest.raises(ValueError, match=r"model\.coeffs: .* at p = 8"):
+        TrueModelSpec("ar4", 8, coeffs=(0.9, 0.9, 0.9, 0.9))
+
+
+def test_ar4_precision_factored_once_per_process(monkeypatch):
+    # the construction check factors the precision matrix, and build() and
+    # the replications' cached truth reuse that factor
+    simulate._ar4_factor.cache_clear()
+    simulate._truth.cache_clear()
+    factored = []
+    real_factor = linalg._spd_factor
+
+    def factor(m, name):
+        factored.append(name)
+        return real_factor(m, name)
+
+    monkeypatch.setattr(linalg, "_spd_factor", factor)
+    spec = TrueModelSpec("ar4", 11)
+    sigma, omega = spec.build()
+    simulate._truth(TrueModelSpec("ar4", 11))
+    assert factored == ["precision matrix", "covariance matrix"]
+    np.testing.assert_allclose(sigma @ omega, np.eye(11), atol=1e-8)
+    simulate._truth.cache_clear()
 
 
 def test_model_dict_round_trip():
@@ -152,6 +179,7 @@ def test_replication_data_from_cached_factor(monkeypatch, model):
     # the draws. fgn draws from the factor of sigma that build() made
     config = small_config(model=model, reps=3, estimators=("LL",), losses=("fro",))
     simulate._truth.cache_clear()
+    simulate._ar4_factor.cache_clear()
     data, factored = [], []
     real_gram, real_factor = simulate.gram_band, linalg._spd_factor
 

@@ -62,8 +62,6 @@ def test_banded_regression_symbolic():
     # regression of column 2 on column 1 under raw moments: slope 1, d = 1
     np.testing.assert_allclose(stats.ahat, [[0.0], [1.0]])
     np.testing.assert_allclose(stats.dhat, [1.0, 1.0])
-    # column 1 has only a padded slot, column 2 the factor of shat = [[1]]
-    np.testing.assert_allclose(stats.shat_chol, [[[1.0]], [[1.0]]])
     np.testing.assert_array_equal(stats.kj, [0, 1])
     np.testing.assert_allclose(lower(stats.ahat), [[0.0, 0.0], [1.0, 0.0]])
 
@@ -74,12 +72,11 @@ def test_banded_regression_symbolic():
 ])
 def test_banded_regression_head_tail_consistency(n, p, k):
     # every column must match its own direct least-squares fit, with the
-    # padded band slots of the first columns left at zero and identity
+    # padded band slots of the first columns left at zero
     x = np.random.default_rng(1).standard_normal((n, p))
     stats = banded_regression(x, k)
     keff = min(k, p - 1)
     assert stats.ahat.shape == (p, keff)
-    assert stats.shat_chol.shape == (p, keff, keff)
     for j in range(p):
         lo, pad = max(0, j - k), keff - stats.kj[j]
         z = x[:, lo:j]
@@ -87,11 +84,6 @@ def test_banded_regression_head_tail_consistency(n, p, k):
         resid = x[:, j] - z @ coef
         np.testing.assert_allclose(stats.ahat[j, pad:], coef, atol=1e-10)
         np.testing.assert_array_equal(stats.ahat[j, :pad], 0.0)
-        low = stats.shat_chol[j]
-        np.testing.assert_allclose(low[pad:, pad:] @ low[pad:, pad:].T, z.T @ z / n,
-                                   atol=1e-12)
-        np.testing.assert_array_equal(low[:pad], np.eye(keff)[:pad])
-        np.testing.assert_array_equal(low[:, :pad], np.eye(keff)[:, :pad])
         assert stats.dhat[j] == pytest.approx(resid @ resid / n, abs=1e-12)
 
 
@@ -103,10 +95,8 @@ def test_gram_left_unchanged_and_outputs_own_their_data():
     before = g.copy()
     stats = banded_regression(x, 3, gram=g)
     np.testing.assert_array_equal(g, before)
-    for a in (stats.ahat, stats.shat_chol):
-        assert a.flags.writeable and a.flags.owndata
+    assert stats.ahat.flags.writeable and stats.ahat.flags.owndata
     stats.ahat[:] = 0.0
-    stats.shat_chol[:] = 0.0
     np.testing.assert_array_equal(g, before)
 
 
@@ -217,7 +207,7 @@ def test_bandwidth_zero_gives_diagonal_moments():
     x = rng.standard_normal((20, 5))
     stats = banded_regression(x, 0)
     np.testing.assert_allclose(stats.dhat, np.mean(x * x, axis=0))
-    assert stats.ahat.shape == (5, 0) and stats.shat_chol.shape == (5, 0, 0)
+    assert stats.ahat.shape == (5, 0)
 
 
 @pytest.mark.parametrize("name", sorted(FITS_WITH_GRAM))
@@ -232,3 +222,38 @@ def test_gram_must_be_a_band_at_least_as_wide_as_k(name):
             fit(x, 3, gram)
     fit(x, 3, gram_band(x, 3))
     fit(x, 3, gram_band(x, 8))
+
+
+def test_each_fit_factors_once(monkeypatch):
+    # on well-conditioned data every fit makes one batched factorization of
+    # its nearest-first (p, keff+1, keff+1) Gram blocks, and posterior
+    # sampling one more, of the natural-order (p, keff, keff) predecessor
+    # blocks; the SPD check of a covariance matrix is not batched
+    from bandchol.bayes import PriorConfig, fit_posterior, sample_posterior
+    from bandchol.competitors import bl_banded_estimator
+    from bandchol.mcd import population_coefficients
+    from bandchol.simulate import make_ar1_cov, sample_gaussian
+
+    x = sample_gaussian(make_ar1_cov(0.3, 30), 150, 42)
+    sigma = gram_matrix(x)
+    factored = []
+    real_cholesky = np.linalg.cholesky
+
+    def cholesky(a):
+        if np.ndim(a) == 3:
+            factored.append(np.shape(a))
+        return real_cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for k in (0, 3, 29, 40):
+        batch = (30, min(k, 29) + 1, min(k, 29) + 1)
+        for fit in (banded_regression, bl_banded_estimator,
+                    lambda data, k: population_coefficients(sigma, k)):
+            factored.clear()
+            fit(x, k)
+            assert factored == [batch], (k, fit)
+        factored.clear()
+        model = fit_posterior(x, PriorConfig(k))
+        assert factored == [batch]
+        sample_posterior(model, 0)
+        assert factored == [batch, (30, batch[1] - 1, batch[1] - 1)]
