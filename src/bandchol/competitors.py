@@ -1,26 +1,20 @@
 """Frequentist banded precision estimators used as baselines.
 
 Both estimators share the raw divisor-n moments of the posterior model but
-use plain least-squares plug-ins instead of posterior means. The
-regression form and the graphical maximum likelihood form coincide: a
-banded Gaussian autoregression and the decomposable graphical model on
-the banded adjacency describe the same family, so their likelihoods peak
-at the same matrix.
+use plain least-squares plug-ins instead of posterior means. The regression
+form and the graphical maximum likelihood form coincide: a banded Gaussian
+autoregression and the decomposable graphical model on the banded adjacency
+describe the same family, so their likelihoods peak at the same matrix. The
+MLE is computed in the graphical form, from batched clique and separator
+inverses.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import SingularClique
-from .mcd import CholeskyFactor, compose
-from .stats import (
-    NestedFactor,
-    _checked_band,
-    _predecessor_blocks,
-    as_data_matrix,
-    banded_regression,
-    gram_band,
-)
+from .mcd import CholeskyFactor, _dense_symmetric, compose
+from .stats import (NestedFactor, _checked_band, _gram_band, _predecessor_blocks,
+                    as_data_matrix, banded_regression)
 
 
 def bl_banded_estimator(data, k, gram=None):
@@ -52,10 +46,12 @@ def graphical_mle_banded(data, k, gram=None):
     The banded graph is decomposable with cliques {j, ..., j + k} and
     separators of size k, so the MLE is the sum of padded clique-block
     inverses of the sample second-moment matrix minus the padded
-    separator-block inverses. Requires more observations than the clique
-    size min(k, p-1) + 1. gram may be gram_band(data, w) with
-    w >= min(k, p-1); every clique and separator block is read from its
-    band, as in banded_regression.
+    separator-block inverses (Lauritzen 1996), each kind factored and
+    inverted in one batch and summed into the k + 1 lower bands of the
+    result. Requires more observations than the clique size min(k, p-1) + 1.
+    gram may be gram_band(data, w) with w >= min(k, p-1); every block is read
+    from its band. SingularClique(c) names the first clique c, else the
+    first separator after clique c, without a Cholesky factor.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -64,27 +60,28 @@ def graphical_mle_banded(data, k, gram=None):
     keff = min(k, p - 1)
     if n <= keff + 1:
         raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")
-    band = gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
-    # clique c = {c, ..., c + keff} is the block of column c + keff
-    blocks = _predecessor_blocks(band, keff)
-    omega = np.zeros((p, p))
-    ncliques = p - keff
-    width = keff + 1
-    eye = np.eye(width)
-    for c in range(ncliques):
-        sl = slice(c, c + width)
+    band = _gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
+    # clique c = {c, ..., c + keff} is the block of column c + keff, and the
+    # separator of cliques c and c + 1 its trailing keff x keff block
+    cliques = _predecessor_blocks(band, keff)[keff:]
+    bands = np.zeros((keff + 1, p))
+    for blocks, start, sign in ((cliques, 0, 1.0), (cliques[:-1, 1:, 1:], 1, -1.0)):
         try:
-            low = np.linalg.cholesky(blocks[c + keff])
+            low = np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
-            raise SingularClique(c + 1) from None
-        omega[sl, sl] += cho_solve((low, True), eye)
-    if keff >= 1:
-        eye_sep = np.eye(keff)
-        for c in range(ncliques - 1):
-            sl = slice(c + 1, c + 1 + keff)
-            try:
-                low = np.linalg.cholesky(blocks[c + keff, 1:, 1:])
-            except np.linalg.LinAlgError:
-                raise SingularClique(c + 1) from None
-            omega[sl, sl] -= cho_solve((low, True), eye_sep)
-    return (omega + omega.T) / 2.0
+            # a batch fails as a whole: factor one by one to name the first
+            low = np.empty(blocks.shape)
+            for c, block in enumerate(blocks):
+                try:
+                    low[c] = np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    raise SingularClique(c + 1) from None
+        # a block's inverse is M'M for M = L^{-1}
+        m = np.linalg.inv(low)
+        inv = m.swapaxes(1, 2) @ m
+        w = blocks.shape[1]
+        # block c adds its entry (b + s, b) into bands[s, start + c + b]; b
+        # descends, so each entry sums its blocks in ascending c
+        for b in range(w - 1, -1, -1):
+            bands[:w - b, start + b:start + b + len(blocks)] += sign * inv[:, b:, b].T
+    return _dense_symmetric(bands)

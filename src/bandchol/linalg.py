@@ -1,15 +1,17 @@
 """Matrix norms, the symmetry check, and the SPD factorization.
 
 All functions accept anything convertible to a float ndarray and reject
-non-finite entries. Symmetry is always checked in relative terms against
-the largest entry magnitude; the check finds the lower and upper bandwidth
-in one scan for nonzeros and reads only the diagonals inside a narrow
-band, and so does norm_spectral's check for non-finite entries. Inputs
-are dense matrices. norm_spectral takes a narrow symmetric band to a
-bisection for its extreme eigenvalues by Cholesky factorizations
-of the band, O(p b^2) each. The norm of a wide symmetric or a general
-matrix comes from one Householder reduction to tridiagonal form, O(p^3),
-and a bisection of the tridiagonal for its two extreme eigenvalues only.
+non-finite entries in one pass: one reduction in check_finite, and none in
+norm_l1, norm_linf and norm_fro unless the norm is not finite. Symmetry is
+always checked in relative terms against the largest entry magnitude; the
+check finds the lower and upper bandwidth in one scan for nonzeros and
+reads only the diagonals inside a narrow band, and so does norm_spectral's
+check for non-finite entries. Inputs are dense matrices. norm_spectral
+takes a narrow symmetric band to a bisection for its extreme eigenvalues
+by Cholesky factorizations of the band, O(p b^2) each. The norm of a wide
+symmetric or a general matrix comes from one Householder reduction to
+tridiagonal form, O(p^3), and a bisection of the tridiagonal for its two
+extreme eigenvalues only.
 
 _spd_factor is the one step that validates and factors an SPD input, and
 _solve_lower_transposed the one back-substitution on a stack of padded
@@ -48,7 +50,7 @@ SYM_SCAN_RATIO = 25
 def check_finite(m, name="matrix"):
     """Convert to a float ndarray, rejecting NaN and infinity."""
     out = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -76,23 +78,9 @@ def _bandwidths(m):
     p = m.shape[0]
     if p and m[-1, 0] != 0 and m[0, -1] != 0:
         return p - 1, p - 1
-    mask = m != 0
+    first, last, has = _row_spans(m != 0)
     idx = np.arange(p)
-    # forward scans for the first nonzero column of each row and row of each column
-    first_col, first_row = np.argmax(mask, axis=1), np.argmax(mask, axis=0)
-    return (int(np.max((idx - first_col)[mask[idx, first_col]], initial=0)),
-            int(np.max((idx - first_row)[mask[first_row, idx]], initial=0)))
-
-
-def _check_finite_within(m, width):
-    """check_finite for a square m whose nonzero entries, NaN and infinities
-    among them, lie within width diagonals of the main one (_bandwidths): a
-    narrow band, as _symmetric_within reads it, is checked on its
-    2 * width + 1 diagonals only."""
-    if SYM_SCAN_RATIO * width > m.shape[0]:
-        check_finite(m)
-    elif not all(np.all(np.isfinite(np.diagonal(m, d))) for d in range(-width, width + 1)):
-        raise ValueError("matrix contains non-finite entries")
+    return int(np.max((idx - first)[has], initial=0)), int(np.max((last - idx)[has], initial=0))
 
 
 def _symmetric_within(m, width):
@@ -279,8 +267,11 @@ def norm_spectral(m):
         check_finite(m)
     else:
         lower, upper = _bandwidths(m)
-        _check_finite_within(m, max(lower, upper))
-        if _symmetric_within(m, max(lower, upper)):
+        width = max(lower, upper)
+        # only zeros lie off the band: a narrow one is checked on its diagonals
+        check_finite(m if SYM_SCAN_RATIO * width > p else
+                     np.concatenate([np.diagonal(m, d) for d in range(-width, width + 1)]))
+        if _symmetric_within(m, width):
             if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
                 return _band_norm(_lower_band(m, lower))
             lo, hi = _dense_extremes(m)
@@ -294,22 +285,31 @@ def norm_spectral(m):
     return float(np.ldexp(np.sqrt(max(_dense_extremes(gram)[1], 0.0)), exponent))
 
 
+def _checked_norm(m, norm):
+    """norm(m), 0 if m is empty, as if check_finite(m) ran first: it runs, and norm
+    warns on overflow, unless m is a matrix whose norm, overflow ignored, is finite."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 2 and m.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = norm(m)
+        if np.isfinite(out):
+            return float(out)
+    return float(norm(check_finite(m))) if m.size else 0.0
+
+
 def norm_l1(m):
     """Maximum absolute column sum."""
-    m = check_finite(m)
-    return float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
+    return _checked_norm(m, lambda m: np.abs(m).sum(axis=0).max())
 
 
 def norm_linf(m):
     """Maximum absolute row sum."""
-    m = check_finite(m)
-    return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+    return _checked_norm(m, lambda m: np.abs(m).sum(axis=1).max())
 
 
 def norm_fro(m):
     """Frobenius norm."""
-    m = check_finite(m)
-    return float(np.sqrt(np.sum(m * m)))
+    return _checked_norm(m, lambda m: np.sqrt((m * m).sum()))
 
 
 NORMS_BY_NAME = {

@@ -25,7 +25,7 @@ from .stats import _dense_to_band, _regress
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Pair (A, d): A as its (p, k) coefficient band a, k < p, and the
-    innovation variances d, all positive."""
+    innovation variances d, all positive; each check is one pass over an array."""
 
     a: np.ndarray
     d: np.ndarray
@@ -38,11 +38,10 @@ class CholeskyFactor:
         p, k = a.shape
         if k >= p:
             raise ValueError(f"coefficient band must have fewer than p = {p} columns, got {k}")
-        # row j < k has k - j slots before the first coordinate
-        slots = np.arange(k)
-        if np.any(a[:k][slots[:, None] + slots < k] != 0.0):
+        # the k - j slots of row j < k before the first coordinate: triu of a[:k, ::-1]
+        if np.triu(a[:k, ::-1]).any():
             raise ValueError("coefficient band must be zero before the first coordinate")
-        if np.any(d <= 0.0):
+        if (d <= 0.0).any():
             raise ValueError("innovation variances must be positive")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
@@ -72,11 +71,15 @@ def compose(factor):
     s0, s1 = b.strides
     left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
     right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
-    bands = np.einsum("sct,sct->sc", left, right)
-    # bands[s, c] goes to omega[c, c+s] and omega[c+s, c]. Past c = p-1-s it
-    # is zero, and the strided writes of those zeros land in k spare rows
-    # below omega or, from the upper band, in its strictly lower part, which
-    # the lower band is written over next.
+    return _dense_symmetric(np.einsum("sct,sct->sc", left, right))
+
+
+def _dense_symmetric(bands):
+    """The dense symmetric matrix with entries (c+s, c) and (c, c+s) bands[s, c]
+    of (k+1, p) lower bands, zero past c = p-1-s. The strided writes of those
+    zeros land in k spare rows below it or, from the upper band, in its
+    strictly lower part, which the lower band is written over next."""
+    k, p = bands.shape[0] - 1, bands.shape[1]
     full = np.zeros((p + k, p))
     e = full.itemsize
     np.ndarray((k + 1, p), buffer=full, strides=(e, (p + 1) * e))[:] = bands

@@ -2,24 +2,21 @@
 
 All moments are raw (uncentered) with divisor n: var(X_j) is the mean of
 squares of column j, and the Gram blocks feeding each regression are taken
-from X'X / n. At bandwidth k every regression reads only the second
-moments within k of the diagonal, so the fits read them from
-gram_band(data, w), w >= k: X'X / n restricted to |i - j| <= w and stored
-as a padded row band of shape (p + w, 2w + 1). Row w + i, column w + d
-holds g[i, i+d] (zero where i + d falls outside the matrix), and the first
-w rows hold the identity's band, which pads the missing predecessors of
-the first columns. The band costs O(n p (GRAM_TILE + w)) flops and
-O(p w) memory, where the dense gram_matrix costs O(n p^2) and O(p^2);
-every Gram block is a zero-copy strided view of it (_predecessor_blocks).
-Each public gram= argument takes such a band, at least as wide as the
-bandwidth it fits. Every fit factors the blocks in one order, nearest
-first, into a NestedFactor of width K, from which every bandwidth k <= K
-is read: banded_regression reads its one k, the posterior-mode grid every
-k's residual variances and log determinants, and the resampler, through
-bl_banded_estimator's gram=, every k's coefficients too. Column indices
-in the public API are 1-based, matching the math convention for ordered
-coordinates; error messages use the same numbering. Which bandwidths the
-posterior admits is decided in bayes.
+from X'X / n. At bandwidth k every regression reads only the second moments
+within k of the diagonal, so the fits read them from gram_band(data, w),
+w >= k: X'X / n restricted to |i - j| <= w and stored as a padded row band
+whose first w rows, the identity's band, pad the missing predecessors of the
+first columns. It costs O(n p (GRAM_TILE + w)) flops and O(p w) memory,
+where the dense gram_matrix costs O(n p^2) and O(p^2); every Gram block is a
+zero-copy strided view of it (_predecessor_blocks). Each public gram=
+argument takes such a band, at least as wide as the bandwidth it fits. Every
+fit factors the blocks in one order, nearest first, into a NestedFactor of
+width K, from which every bandwidth k <= K is read: banded_regression reads
+its one k, the posterior-mode grid every k's residual variances and log
+determinants, and the resampler, through bl_banded_estimator's gram=, every
+k's coefficients too. Column indices in the public API are 1-based, matching
+the math convention for ordered coordinates; error messages use the same
+numbering. Which bandwidths the posterior admits is decided in bayes.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResidual, SingularDesign
-from .linalg import _solve_lower_transposed
+from .linalg import _solve_lower_transposed, check_finite
 
 # a residual variance at most this fraction of its column's second moment
 # counts as an exact fit
@@ -47,9 +44,7 @@ def as_data_matrix(x):
         raise ValueError(f"data must be a 2-D matrix, got ndim={x.ndim}")
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"data must be nonempty, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data contains non-finite entries")
-    return x
+    return check_finite(x, "data")
 
 
 def gram_matrix(x):
@@ -90,6 +85,11 @@ def gram_band(data, width):
     x = as_data_matrix(data)
     if width < 0:
         raise ValueError("band width must be nonnegative")
+    return _gram_band(x, width)
+
+
+def _gram_band(x, width):
+    """gram_band of a validated data matrix x and a nonnegative width."""
     n, p = x.shape
     w = min(int(width), p - 1)
     cols = 2 * w + 1
@@ -345,18 +345,18 @@ def _nested_coefficients(factor):
     return coef
 
 
-def _regress(band, k, n):
+def _regress(band, k, n, nested=None):
     """Least squares of every coordinate on its k closest predecessors.
 
     band holds the second moments as a padded row band of width at least
     min(k, p-1) (gram_band's layout), built from n rows (np.inf for a
     population covariance). k is nonnegative. Raises as banded_regression does.
-    dhat is row keff = min(k, p-1) of the NestedFactor at width keff, and
-    ahat one back-substitution on it, cheaper than every k's coefficients.
+    dhat is row keff = min(k, p-1) of the NestedFactor nested at width keff
+    (factored here if None), and ahat one back-substitution on it.
     """
     p = band.shape[0] - band.shape[1] // 2
     keff = min(k, p - 1)
-    nested = _factor_nested(band, keff, n)
+    nested = _factor_nested(band, keff, n) if nested is None else nested
     if not nested.trusted:
         # raises whenever the batched factorization failed
         _check_columns(_nearest_first_blocks(band, keff), n)
@@ -382,22 +382,21 @@ def _regress_nested(band, k_values, n):
     _regress fits it. k_values are nonnegative and ascend, and band is at
     least min(k_values[-1], p-1) wide. One NestedFactor at the widest k
     serves every k where it is trusted; otherwise each k takes its own, and
-    _regress raises its errors where that one is untrusted. Returns (dhat,
-    logdet, err): err is None, or the error that _regress raised at the
-    smallest k, and then the rows stop before that k.
+    _regress raises its errors on that one where it is untrusted. Returns
+    (dhat, logdet, err): err is None, or the error that _regress raised at
+    the smallest k, and then the rows stop before that k.
     """
     p = band.shape[0] - band.shape[1] // 2
     keffs = np.minimum(k_values, p - 1)
     nested = _factor_nested(band, int(keffs[-1]), n)
     if nested.trusted:
         return nested.dhat[keffs], nested.logdet[keffs], None
-    dhat = np.empty((len(k_values), p))
-    logdet = np.empty((len(k_values), p))
+    dhat, logdet = np.empty((2, len(k_values), p))
     for i, k in enumerate(k_values):
-        factor = _factor_nested(band, int(keffs[i]), n)
+        factor = nested if keffs[i] == keffs[-1] else _factor_nested(band, int(keffs[i]), n)
         if not factor.trusted:
             try:
-                _regress(band, int(k), n)
+                _regress(band, int(k), n, factor)
             except (SingularDesign, DegenerateResidual) as err:
                 return dhat[:i], logdet[:i], err
         dhat[i], logdet[i] = factor.dhat[-1], factor.logdet[-1]
@@ -417,5 +416,5 @@ def banded_regression(data, k, gram=None):
     n, p = x.shape
     if k < 0:
         raise ValueError("bandwidth k must be nonnegative")
-    band = gram_band(x, k) if gram is None else _checked_band(gram, p, min(k, p - 1))
+    band = _gram_band(x, k) if gram is None else _checked_band(gram, p, min(k, p - 1))
     return _regress(band, k, n)

@@ -1,0 +1,128 @@
+"""Earlier implementations, kept verbatim as oracles for the tests.
+
+The input checks of CholeskyFactor, norm_l1, norm_linf, norm_fro and
+as_data_matrix as they were before each took one pass; the graphical MLE
+as it was before it was batched, one Cholesky factorization and one
+cho_solve per clique and separator, added into a dense matrix; and the
+posterior-mode grid's fallback as it was when it factored a bandwidth once
+for its rows and again inside _regress.
+"""
+
+import numpy as np
+from scipy.linalg import cho_solve
+
+from bandchol import stats
+from bandchol.errors import DegenerateResidual, SingularClique, SingularDesign
+from bandchol.stats import _checked_band, _predecessor_blocks, gram_band
+
+
+def check_finite(m, name="matrix"):
+    """Convert to a float ndarray, rejecting NaN and infinity."""
+    out = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return out
+
+
+def cholesky_factor_checks(a, d):
+    """CholeskyFactor.__post_init__: the checked (a, d) it stores."""
+    a = check_finite(a, "coefficient band")
+    d = check_finite(d, "innovation variances")
+    if a.ndim != 2 or d.shape != (a.shape[0],):
+        raise ValueError("coefficient band must have shape (p, k) and d shape (p,)")
+    p, k = a.shape
+    if k >= p:
+        raise ValueError(f"coefficient band must have fewer than p = {p} columns, got {k}")
+    # row j < k has k - j slots before the first coordinate
+    slots = np.arange(k)
+    if np.any(a[:k][slots[:, None] + slots < k] != 0.0):
+        raise ValueError("coefficient band must be zero before the first coordinate")
+    if np.any(d <= 0.0):
+        raise ValueError("innovation variances must be positive")
+    return a, d
+
+
+def norm_l1(m):
+    """Maximum absolute column sum."""
+    m = check_finite(m)
+    return float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
+
+
+def norm_linf(m):
+    """Maximum absolute row sum."""
+    m = check_finite(m)
+    return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+
+
+def norm_fro(m):
+    """Frobenius norm."""
+    m = check_finite(m)
+    return float(np.sqrt(np.sum(m * m)))
+
+
+def as_data_matrix(x):
+    """Validate an n x p data matrix of finite floats."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"data must be a 2-D matrix, got ndim={x.ndim}")
+    if x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError(f"data must be nonempty, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data contains non-finite entries")
+    return x
+
+
+def graphical_mle_loop(data, k, gram=None):
+    """graphical_mle_banded, one clique and one separator at a time."""
+    x = as_data_matrix(data)
+    n, p = x.shape
+    if k < 0:
+        raise ValueError("bandwidth k must be nonnegative")
+    keff = min(k, p - 1)
+    if n <= keff + 1:
+        raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")
+    band = gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
+    # clique c = {c, ..., c + keff} is the block of column c + keff
+    blocks = _predecessor_blocks(band, keff)
+    omega = np.zeros((p, p))
+    ncliques = p - keff
+    width = keff + 1
+    eye = np.eye(width)
+    for c in range(ncliques):
+        sl = slice(c, c + width)
+        try:
+            low = np.linalg.cholesky(blocks[c + keff])
+        except np.linalg.LinAlgError:
+            raise SingularClique(c + 1) from None
+        omega[sl, sl] += cho_solve((low, True), eye)
+    if keff >= 1:
+        eye_sep = np.eye(keff)
+        for c in range(ncliques - 1):
+            sl = slice(c + 1, c + 1 + keff)
+            try:
+                low = np.linalg.cholesky(blocks[c + keff, 1:, 1:])
+            except np.linalg.LinAlgError:
+                raise SingularClique(c + 1) from None
+            omega[sl, sl] -= cho_solve((low, True), eye_sep)
+    return (omega + omega.T) / 2.0
+
+
+def regress_nested_twice(band, k_values, n):
+    """stats._regress_nested, whose fallback factored each untrusted
+    bandwidth for its rows and again inside _regress."""
+    p = band.shape[0] - band.shape[1] // 2
+    keffs = np.minimum(k_values, p - 1)
+    nested = stats._factor_nested(band, int(keffs[-1]), n)
+    if nested.trusted:
+        return nested.dhat[keffs], nested.logdet[keffs], None
+    dhat = np.empty((len(k_values), p))
+    logdet = np.empty((len(k_values), p))
+    for i, k in enumerate(k_values):
+        factor = stats._factor_nested(band, int(keffs[i]), n)
+        if not factor.trusted:
+            try:
+                stats._regress(band, int(k), n)
+            except (SingularDesign, DegenerateResidual) as err:
+                return dhat[:i], logdet[:i], err
+        dhat[i], logdet[i] = factor.dhat[-1], factor.logdet[-1]
+    return dhat, logdet, None

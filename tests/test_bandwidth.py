@@ -168,9 +168,9 @@ def test_grid_factors_once(monkeypatch):
         factored.append(np.shape(a))
         return real_cholesky(a)
 
-    def regress(g, k, n):
+    def regress(g, k, n, nested=None):
         regressed.append(k)
-        return real_regress(g, k, n)
+        return real_regress(g, k, n, nested)
 
     def log_k_prior(k):
         priors.append(k)

@@ -1,0 +1,216 @@
+"""The one-pass input checks and the batched graphical MLE against the
+implementations they replaced, kept in oracles.py.
+
+CholeskyFactor, norm_l1, norm_linf, norm_fro and as_data_matrix raise the
+same exception type with the same message as their oracles, warn the same
+RuntimeWarnings, and return bit-identical floats. The inputs are finite,
+seeded with NaN or infinities, of the wrong shape or type, with nonzero
+padded slots or nonpositive variances, or have finite entries whose sums
+overflow. The batched MLE matches the clique-by-clique loop within 1e-12
+of its largest entry on Gaussian data, p <= 40 and every k < p, and on
+collinear and constant columns it fails, or not, as the loop does, naming
+the same SingularClique.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from bandchol.competitors import graphical_mle_banded
+from bandchol.errors import SingularClique
+from bandchol.linalg import norm_fro, norm_l1, norm_linf
+from bandchol.mcd import CholeskyFactor
+from bandchol.stats import as_data_matrix, gram_band
+from conftest import random_band
+
+NORMS = {"l1": (norm_l1, oracles.norm_l1), "linf": (norm_linf, oracles.norm_linf),
+         "fro": (norm_fro, oracles.norm_fro)}
+
+
+def run(fn, *args):
+    """(outcome, warned): outcome is ("ok", value) or ("raised", type,
+    message), and warned the (category, message) of every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = ("ok", fn(*args))
+        except Exception as err:  # noqa: BLE001 - the type is compared
+            outcome = ("raised", type(err), str(err))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same(got, want):
+    """Same warnings and either the same exception or bit-identical values."""
+    (got_outcome, got_warned), (want_outcome, want_warned) = got, want
+    assert got_warned == want_warned
+    assert got_outcome[0] == want_outcome[0], (got_outcome, want_outcome)
+    if got_outcome[0] == "raised":
+        assert got_outcome == want_outcome
+        return
+    got_value, want_value = got_outcome[1], want_outcome[1]
+    assert type(got_value) is type(want_value)
+    if isinstance(want_value, tuple):
+        assert all(same_bits(g, w) for g, w in zip(got_value, want_value))
+    else:
+        assert same_bits(got_value, want_value)
+
+
+def seed_faults(draw, rng, x):
+    """x with some entries set to NaN, +-inf or +-1.5e308 (whose sums
+    overflow), as drawn."""
+    if x.size:
+        flat = x.reshape(-1)
+        for fault in draw(st.lists(st.sampled_from(["nan", "inf", "-inf", "huge", "-huge"]),
+                                   max_size=4)):
+            value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                     "huge": 1.5e308, "-huge": -1.5e308}[fault]
+            count = draw(st.integers(1, 3))
+            flat[rng.integers(0, flat.size, count)] = value
+    return x
+
+
+@st.composite
+def arrays(draw):
+    """Arrays of 0 to 3 dimensions, mostly matrices, empty ones included, at
+    scales up to 1e300, with faults seeded, sometimes as lists or integers."""
+    ndim = draw(st.sampled_from([0, 1, 2, 2, 2, 2, 3]))
+    shape = tuple(draw(st.lists(st.integers(0, 6), min_size=ndim, max_size=ndim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** draw(st.integers(-300, 300)) * rng.standard_normal(shape)
+    x = seed_faults(draw, rng, np.asarray(x))
+    form = draw(st.sampled_from(["array", "array", "list", "int"]))
+    if form == "list":
+        return x.tolist()
+    if form == "int" and np.all(np.isfinite(x)) and np.all(np.abs(x) < 2**62):
+        return np.round(x).astype(np.int64)
+    return x
+
+
+@settings(max_examples=400)
+@given(arrays(), st.sampled_from(sorted(NORMS)))
+def test_norms_match_check_first_oracles(m, name):
+    new, old = NORMS[name]
+    assert_same(run(new, m), run(old, m))
+
+
+@settings(max_examples=200)
+@given(arrays())
+def test_as_data_matrix_matches_oracle(x):
+    assert_same(run(as_data_matrix, x), run(oracles.as_data_matrix, x))
+
+
+def test_overflowing_sums_warn_as_before():
+    # finite entries whose column and row sums overflow, alone and next to
+    # a NaN, which the oracle rejects before it sums anything
+    m = np.full((3, 3), 1.5e308)
+    for bad in (m, np.where(np.eye(3) > 0, np.nan, m)):
+        for new, old in NORMS.values():
+            got, want = run(new, bad), run(old, bad)
+            assert_same(got, want)
+        assert run(norm_l1, bad)[1] == ([] if np.isnan(bad).any()
+                                        else [(RuntimeWarning, "overflow encountered in reduce")])
+
+
+@st.composite
+def factor_inputs(draw):
+    """(a, d) for CholeskyFactor: valid bands and every way to break one."""
+    p = draw(st.integers(1, 9))
+    k = draw(st.integers(0, p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_band(rng, p, k, scale=10.0 ** draw(st.integers(-200, 200)))
+    d = rng.uniform(0.5, 2.0, p)
+    # value faults first, then the shape and type faults that change the arrays' kind
+    order = ["a non-finite", "d non-finite", "padded slot", "d not positive", "too wide",
+             "a shape", "d shape", "lists"]
+    for fault in sorted(draw(st.lists(st.sampled_from(order), max_size=2, unique=True)),
+                        key=order.index):
+        if fault == "a non-finite" and a.size:
+            a = seed_faults(draw, rng, a.copy())
+        elif fault == "d non-finite":
+            d = seed_faults(draw, rng, d.copy())
+        elif fault == "padded slot" and k:
+            row = draw(st.integers(0, k - 1))
+            a = a.copy()
+            a[row, draw(st.integers(0, k - 1 - row))] = draw(st.sampled_from([1.0, -1e-300,
+                                                                              -0.0]))
+        elif fault == "too wide":
+            a = np.hstack([draw(st.sampled_from([np.zeros, np.ones]))((p, p - k)), a])
+        elif fault == "d not positive":
+            d = d.copy()
+            d[draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, -0.0, -1.0, -1e-300]))
+        elif fault == "a shape":
+            a = draw(st.sampled_from([a.reshape(-1), a[None], a[:-1], np.float64(1.0)]))
+        elif fault == "d shape":
+            d = draw(st.sampled_from([d[:-1], np.append(d, 1.0), d[None], d[:, None]]))
+        elif fault == "lists":
+            a, d = np.asarray(a).tolist(), np.asarray(d).tolist()
+    return a, d
+
+
+def stored(a, d):
+    factor = CholeskyFactor(a=a, d=d)
+    return factor.a, factor.d
+
+
+@settings(max_examples=400)
+@given(factor_inputs())
+def test_cholesky_factor_checks_match_oracle(case):
+    assert_same(run(stored, *case), run(oracles.cholesky_factor_checks, *case))
+
+
+@st.composite
+def mle_cases(draw):
+    """Gaussian data, p <= 40, k < p and n from k + 2, at scales 1e-8..1e8;
+    with edits, some columns are duplicates, combinations of two others,
+    constant or zero."""
+    p = draw(st.integers(1, 40))
+    k = draw(st.integers(0, p - 1))
+    n = draw(st.integers(k + 2, k + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** draw(st.integers(-8, 8)) * rng.standard_normal((n, p))
+    columns = st.integers(0, p - 1)
+    edits = draw(st.lists(st.one_of(
+        st.tuples(st.just("duplicate"), columns, columns),
+        st.tuples(st.just("combination"), columns, columns, columns),
+        st.tuples(st.just("constant"), columns, st.floats(-3.0, 3.0)),
+        st.tuples(st.just("zero"), columns),
+    ), max_size=3))
+    for edit in edits:
+        if edit[0] == "duplicate":
+            x[:, edit[1]] = x[:, edit[2]]
+        elif edit[0] == "combination":
+            x[:, edit[1]] = 0.5 * x[:, edit[2]] - 2.0 * x[:, edit[3]]
+        elif edit[0] == "constant":
+            x[:, edit[1]] = edit[2]
+        else:
+            x[:, edit[1]] = 0.0
+    width = draw(st.one_of(st.none(), st.integers(k, p - 1)))
+    return x, k, width, bool(edits)
+
+
+@settings(max_examples=200)
+@given(mle_cases())
+def test_batched_mle_matches_clique_loop(case):
+    """Where a block is nearly singular its inverse is rounding, so values
+    are compared on Gaussian data only; the outcome, and the clique named,
+    on every input."""
+    x, k, width, degenerate = case
+    gram = None if width is None else gram_band(x, width)
+    (got, _), (want, _) = run(graphical_mle_banded, x, k, gram), \
+        run(oracles.graphical_mle_loop, x, k, gram)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "raised":
+        assert got == want and want[1] is SingularClique
+        return
+    got, want = got[1], want[1]
+    np.testing.assert_array_equal(got, got.T)
+    if not degenerate:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -319,9 +319,9 @@ def grid_outcome(fn, *args):
     calls = []
     real = stats._regress
 
-    def regress(g, k, n):
+    def regress(g, k, n, nested=None):
         calls.append(k)
-        return real(g, k, n)
+        return real(g, k, n, nested)
 
     try:
         with mock.patch.object(stats, "_regress", regress):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from bandchol import stats
 from bandchol.errors import DegenerateResidual, SingularDesign
 from bandchol.mcd import CholeskyFactor, compose
 from bandchol.stats import (
@@ -257,3 +259,36 @@ def test_each_fit_factors_once(monkeypatch):
         assert factored == [batch]
         sample_posterior(model, 0)
         assert factored == [batch, (30, batch[1] - 1, batch[1] - 1)]
+
+
+def test_grid_fallback_factors_each_bandwidth_once(monkeypatch):
+    # column 7 lies within about 1e-6 of column 6, so every bandwidth's
+    # squared pivot ratio is near 1e-12, below PIVOT_RECHECK, and the grid
+    # takes its per-k fallback, whose checks pass; with column 10 = column 6
+    # - 2 * column 8 as well, bandwidth 4 fits column 10 exactly
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((60, 12))
+    x[:, 6] = x[:, 5] + 1e-6 * rng.standard_normal(60)
+    singular = x.copy()
+    singular[:, 9] = singular[:, 5] - 2.0 * singular[:, 7]
+    k_values = np.arange(1, 6)
+    real = stats._factor_nested
+    for data, failing_k in ((x, None), (singular, 4)):
+        band = gram_band(data, 5)
+        want = oracles.regress_nested_twice(band, k_values, 60)
+        factored = []
+
+        def factor_nested(band, kmax, n):
+            factored.append(kmax)
+            return real(band, kmax, n)
+
+        monkeypatch.setattr(stats, "_factor_nested", factor_nested)
+        dhat, logdet, err = stats._regress_nested(band, k_values, 60)
+        monkeypatch.undo()
+        # the widest first, for the trust test, then each bandwidth reached once
+        reached = k_values if failing_k is None else k_values[k_values <= failing_k]
+        assert factored == [5, *sorted(set(reached) - {5})]
+        np.testing.assert_array_equal(dhat, want[0])
+        np.testing.assert_array_equal(logdet, want[1])
+        assert type(err) is type(want[2]) and str(err) == str(want[2])
+        assert len(dhat) == (5 if failing_k is None else failing_k - 1)
