@@ -47,7 +47,8 @@ from .errors import (
 )
 from .competitors import bl_banded_estimator
 from .linalg import norm_l1
-from .stats import _checked_band, _factor_nested, _regress_nested, as_data_matrix, gram_band
+from .stats import (_checked_band, _factor_nested, _gram_band, _regress_nested, as_data_matrix,
+                    gram_band)
 
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
@@ -115,7 +116,7 @@ def _log_posterior(x, k_values, prior, log_k_prior, gram):
     if k_values[0] < 0:
         raise ValueError("bandwidth k must be nonnegative")
     kmax = int(k_values[-1])
-    band = gram_band(x, kmax) if gram is None else _checked_band(gram, p, min(kmax, p - 1))
+    band = _gram_band(x, kmax) if gram is None else _checked_band(gram, p, min(kmax, p - 1))
     dhat, logdet, err = _regress_nested(band, k_values, n)
     done = k_values[:len(dhat)]
     kj = np.minimum(np.arange(p), done[:, None])

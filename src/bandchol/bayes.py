@@ -23,7 +23,7 @@ from scipy.special import gammaincc, gammainccinv
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, compose
-from .stats import _checked_band, _predecessor_blocks, _regress, as_data_matrix, gram_band
+from .stats import _checked_band, _gram_band, _predecessor_blocks, _regress, as_data_matrix
 
 TRUNC_MASS_FLOOR = 1e-300
 
@@ -116,7 +116,7 @@ def fit_posterior(data, prior, gram=None):
     _check_admissible(data, prior.k, prior.nu0)
     x = as_data_matrix(data)
     keff = min(prior.k, x.shape[1] - 1)
-    gram = gram_band(x, keff) if gram is None else _checked_band(gram, x.shape[1], keff)
+    gram = _gram_band(x, keff) if gram is None else _checked_band(gram, x.shape[1], keff)
     st = _regress(gram, prior.k, x.shape[0])
     shape, rate, mass = _conjugate_terms(st.n, st.kj, st.dhat, prior)
     bad = np.nonzero(mass < TRUNC_MASS_FLOOR)[0]

@@ -12,6 +12,7 @@ inverses.
 import numpy as np
 
 from .errors import SingularClique
+from .linalg import _invert_lower
 from .mcd import CholeskyFactor, _dense_symmetric, compose
 from .stats import (NestedFactor, _checked_band, _gram_band, _predecessor_blocks,
                     as_data_matrix, banded_regression)
@@ -77,7 +78,7 @@ def graphical_mle_banded(data, k, gram=None):
                 except np.linalg.LinAlgError:
                     raise SingularClique(c + 1) from None
         # a block's inverse is M'M for M = L^{-1}
-        m = np.linalg.inv(low)
+        m = _invert_lower(low)
         inv = m.swapaxes(1, 2) @ m
         w = blocks.shape[1]
         # block c adds its entry (b + s, b) into bands[s, start + c + b]; b

@@ -7,40 +7,49 @@ always checked in relative terms against the largest entry magnitude; the
 check finds the lower and upper bandwidth in one scan for nonzeros and
 reads only the diagonals inside a narrow band, and so does norm_spectral's
 check for non-finite entries. Inputs are dense matrices. norm_spectral
-takes a narrow symmetric band to a bisection for its extreme eigenvalues
-by Cholesky factorizations of the band, O(p b^2) each. The norm of a wide
+brackets the extreme eigenvalues of a narrow symmetric band by Cholesky
+factorizations of its shifts, O(p b^2) each, at trial points that the
+Rayleigh quotients of inverse iteration steps on the same factors guide,
+in at most as many factorizations as plain bisection. The norm of a wide
 symmetric or a general matrix comes from one Householder reduction to
 tridiagonal form, O(p^3), and a bisection of the tridiagonal for its two
 extreme eigenvalues only.
 
-_spd_factor is the one step that validates and factors an SPD input, and
+_spd_factor is the one step that validates and factors an SPD input,
 _solve_lower_transposed the one back-substitution on a stack of padded
-band factors, shared by stats._regress (nearest first) and the sampler.
+band factors, shared by stats._regress (nearest first) and the sampler,
+and _invert_lower the one inversion of a stack of triangular factors,
+shared by stats._nested_coefficients and the graphical MLE.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dstebz, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dsytrd, dsytrd_lwork
 
 from .errors import SingularMatrix
 
 SYM_TOL = 1e-12
-# norm_spectral bisects a symmetric matrix of order p and lower bandwidth b
-# on its band (_band_norm) when BAND_BISECTION_LIMIT * b^2 <= p^3, and takes
-# _dense_extremes otherwise. Timed against each other (one thread, 2-core
-# Xeon at 2.0 GHz, medians over seven random bands, ms, bisection/dense):
-#   p = 50:   b = 0  0.025/0.048   b = 1  0.28/0.076   b = 2  0.18/0.084
-#   p = 100:  b = 2  0.22/0.26     b = 4  0.46/0.26    b = 6  0.55/0.28
-#   p = 200:  b = 4  0.80/0.92     b = 6  0.61/0.92    b = 8  1.16/0.94
-#   p = 300:  b = 12 1.35/2.27     b = 16 3.19/2.63    b = 20 3.95/2.31
-#   p = 500:  b = 4  1.23/6.82     b = 24 7.36/6.86    b = 40 14.6/6.97
-#   p = 700:  b = 32 9.00/21.8     b = 40 28.9/26.6    b = 56 33.1/28.0
-#   p = 1000: b = 16 10.2/75.0     b = 64 29.9/73.8    b = 128 45.0/77.8
-# The even point grows about as b^2 ~ p^3 / 160000 (b near 2, 8, 14, 28,
-# 45 at p = 100 ... 700, above 128 at p = 1000; a fixed ratio p/b misses
-# one end or the other), and the limit sits a little on the dense side:
-# the widest bisected band is b = 0, 2, 6, 11, 25, 41, 70 at p = 50, 100,
-# 200, 300, 500, 700, 1000.
+# norm_spectral searches a symmetric matrix of order p and lower bandwidth
+# b on its band (_band_norm) when BAND_BISECTION_LIMIT * b^2 <= p^3, and
+# takes _dense_extremes otherwise. Timed against each other (one thread,
+# 2-core Xeon at 2.0 GHz, medians over seven random bands, best of three
+# calls each, ms, band search/dense):
+#   p = 50:   b = 0  0.062/0.113   b = 1  0.42/0.16    b = 2  0.29/0.19
+#   p = 100:  b = 2  0.33/0.54     b = 4  0.56/0.54    b = 6  0.53/0.57
+#   p = 200:  b = 4  0.90/1.80     b = 6  1.00/1.80    b = 8  0.64/1.76
+#   p = 300:  b = 12 1.94/4.08     b = 16 2.37/4.08    b = 20 1.60/4.03
+#   p = 500:  b = 4  1.56/12.8     b = 24 3.42/13.5    b = 40 8.88/13.8
+#   p = 700:  b = 32 10.3/38.5     b = 40 12.3/37.5    b = 56 13.4/37.9
+#   p = 1000: b = 16 3.49/98.8     b = 64 19.0/105     b = 128 32.7/102
+# Plain bisection, 51 factorizations per extreme, took 1.4 to 4.2 times as
+# long for b >= 1 in the same run (7.04, 33.3 and 138 ms at p = 1000), and
+# its even point grew about as b^2 ~ p^3 / 160000. The limit was set for
+# it: the widest band searched is b = 0, 2, 6, 11, 25, 41, 70 at p = 50,
+# 100, 200, 300, 500, 700, 1000, below the guided search's even point.
 BAND_BISECTION_LIMIT = 200_000
+# factorizations at most per extreme eigenvalue in _top_eigenvalue
+BISECTION_STEPS = 51
 # is_symmetric reads only the 2w + 1 in-band diagonals of a matrix whose
 # wider bandwidth w has SYM_SCAN_RATIO * w <= p, one strided read each, and
 # takes the dense formula over all p^2 entries otherwise
@@ -140,6 +149,19 @@ def _solve_lower_transposed(low, x):
     return x
 
 
+def _invert_lower(low):
+    """The inverses M = L^{-1} of (p, k, k) lower triangular factors L, row
+    by row for all factors at once: M[i] = (e_i - L[i, :i] M[:i]) / L[i, i]."""
+    m = np.zeros(low.shape)
+    for i in range(low.shape[-1]):
+        row = m[:, i, :i + 1]
+        row[:, i] = 1.0
+        if i:
+            row[:, :i] -= np.matmul(low[:, i, None, :i], m[:, :i, :i])[:, 0]
+        row /= low[:, i, i, None]
+    return m
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -155,44 +177,83 @@ def _lower_band(m, b):
 
 
 def _top_eigenvalue(minus_band, lo, hi, tol):
-    """Bisect lo <= lambda_max(A) <= hi down to a width of at most tol.
+    """Narrow lo <= lambda_max(A) <= hi down to a width of at most tol, in at
+    most BISECTION_STEPS factorizations, and return the upper end.
 
-    minus_band is -A in the storage of _lower_band. sigma * I - A has a
-    Cholesky factor exactly when sigma > lambda_max(A), so each dpbtrf
-    moves one end of the bracket to its midpoint. Returns the upper end.
+    minus_band is -A in the storage of _lower_band; lo, hi and hi - lo are at
+    most ||A||_inf = tol / (4 eps) in magnitude. sigma * I - A has a Cholesky
+    factor exactly when sigma > lambda_max(A), so a dpbtrf at a trial point
+    sigma moves one end of the bracket to it.
+
+    Each factor also makes a step of inverse iteration: one dpbtrs solves
+    (sigma I - A) w = v for a unit vector v, at first the constant one. The
+    Rayleigh quotient rho = sigma - v'w / w'w of A at w is a lower bound on
+    lambda_max and raises lo, and as (sigma I - A) w = v, some eigenvalue lies
+    within r = ||(sigma - rho) w - v|| / ||w|| of rho. The next trial is
+    rho + max(r, tol / 2), and v becomes w / ||w||. As v turns toward the top
+    eigenvector, rho tends to lambda_max and r to 0; where r bounds another
+    eigenvalue, the trial fails and raises lo instead.
+
+    The trial is the midpoint when that guess lies outside the bracket or no
+    factorization is spare. A rounded midpoint is off by at most
+    delta = eps/2 * max(|lo|, |hi|), so j midpoints leave a width of at most
+    2 delta + 2^-j (hi - lo - 2 delta), at most tol from
+    j = ceil(log2((hi - lo - 2 delta) / (tol - 2 delta))) on. That count is
+    at most 51 for the first bracket, never grows, and drops by one at each
+    midpoint. A guess is tried only while the factorizations made, plus one,
+    plus the count are at most BISECTION_STEPS = 51, so the bound of pure
+    bisection holds.
     """
+    eps = np.finfo(float).eps
     work = np.empty_like(minus_band, order="F")
+    p = minus_band.shape[1]
+    v = np.full(p, p ** -0.5)
+    guess, used = math.nan, 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        twice_delta = eps * max(abs(lo), abs(hi))
+        needed = math.ceil(math.log2((hi - lo - twice_delta) / (tol - twice_delta)))
+        spare = used + 1 + needed <= BISECTION_STEPS
+        sigma = guess if spare and lo < guess < hi else 0.5 * (lo + hi)
         work[...] = minus_band
-        work[0] += mid
-        if dpbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
-            hi = mid
-        else:
-            lo = mid
+        work[0] += sigma
+        used += 1
+        factor, info = dpbtrf(work, lower=1, overwrite_ab=1)
+        if info:
+            lo, guess = sigma, math.nan
+            continue
+        hi = sigma
+        w = dpbtrs(factor, v, lower=1)[0]
+        norm_w = math.sqrt(w @ w)
+        rho = sigma - (v @ w) / norm_w ** 2
+        # rounding may put rho past sigma
+        lo = min(max(lo, rho), hi)
+        resid = (sigma - rho) * w - v
+        guess = rho + max(math.sqrt(resid @ resid) / norm_w, 0.5 * tol)
+        v = w / norm_w
     return hi
 
 
 def _band_norm(band):
     """Spectral norm of a symmetric band, max(lambda_max, -lambda_min), by
-    bisection on Cholesky factorizations (Barth, Martin & Wilkinson 1967).
+    Cholesky tests of its shifts (Barth, Martin & Wilkinson 1967) at trial
+    points from Rayleigh quotients, or bisection's midpoints (_top_eigenvalue).
 
     band is the lower band, of lower bandwidth b, from _lower_band. It is
     scaled by an exact power of two to entries below 1 in magnitude, so no
     step overflows, and only entries some 1e-308 times smaller than the
-    largest can underflow. lambda_max is bisected first, then one
-    more dpbtrf, of lambda_max * I + M, tells whether -lambda_min can exceed
-    it, and only then is lambda_max(-M) bisected. Each bracket starts at
-    the largest diagonal entry and the Gershgorin bound, at most ||M||_inf
-    apart, and stops at a width of at most 4 * eps * ||M||_inf. A rounded
-    midpoint is off by at most eps/2 * ||M||_inf, so k halvings leave a
-    width of at most 2^-k * ||M||_inf + eps * ||M||_inf, and 51 halvings
-    suffice: a norm costs at most 2 * 51 + 1 factorizations of O(p b^2)
-    each. Since
+    largest can underflow. lambda_max is found first, then one more dpbtrf,
+    of lambda_max * I + M, tells whether -lambda_min can exceed it, and only
+    then is lambda_max(-M) found. Each bracket starts at the largest
+    diagonal entry and the Gershgorin bound, at most ||M||_inf apart, and
+    stops at a width of at most 4 * eps * ||M||_inf within 51
+    factorizations of O(p b^2) each, the count of plain bisection: a norm
+    costs at most 2 * 51 + 1 of them, and 8 to 19 on the differences of
+    k = 4 posterior draws from an ar4 truth at p = 500. Since
     ||M||_inf <= sqrt(2b + 1) * ||M||_2 for at most 2b + 1 entries in a
     row, the returned upper end of the bracket is within a relative
     4 * eps * sqrt(2b + 1) of the norm, plus the rounding of the Cholesky
-    tests and of the Gershgorin bound, each O(b * eps) relative.
+    tests, of the Gershgorin bound and of the band solve behind each
+    Rayleigh quotient, each O(b * eps) relative.
     """
     peak = np.max(np.abs(band))
     if peak == 0.0:

@@ -15,11 +15,21 @@ factorization.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .stats import _dense_to_band, _regress
+
+
+@lru_cache(maxsize=32)
+def _padded_slots(k):
+    """Read-only (k, k) mask of the slots of rows j < k of a k-wide band that
+    lie before the first coordinate: the k - j slots j + c < k."""
+    mask = np.add.outer(np.arange(k), np.arange(k)) < k
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -38,8 +48,7 @@ class CholeskyFactor:
         p, k = a.shape
         if k >= p:
             raise ValueError(f"coefficient band must have fewer than p = {p} columns, got {k}")
-        # the k - j slots of row j < k before the first coordinate: triu of a[:k, ::-1]
-        if np.triu(a[:k, ::-1]).any():
+        if np.count_nonzero(a[:k][_padded_slots(k)]):
             raise ValueError("coefficient band must be zero before the first coordinate")
         if (d <= 0.0).any():
             raise ValueError("innovation variances must be positive")

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResidual, SingularDesign
-from .linalg import _solve_lower_transposed, check_finite
+from .linalg import _invert_lower, _solve_lower_transposed, check_finite
 
 # a residual variance at most this fraction of its column's second moment
 # counts as an exact fit
@@ -324,25 +324,11 @@ def _factor_nested(band, kmax, n):
 
 def _nested_coefficients(factor):
     """coef[k-1, j, r] = a_k[r] = sum_{i<k} M[i, r] l[j, i], M = low[j]^{-1},
-    for the (p, K+1, K+1) lower factors [[low, 0], [l', .]].
-
-    Row i of M is (e_i - low[i, :i] M[:i]) / low[i, i], found for all
-    columns at once, and a_{i+1} = a_i + l_i M[i].
-    """
-    p, kmax = factor.shape[0], factor.shape[1] - 1
-    low, l = factor[:, :kmax, :kmax], factor[:, kmax, :kmax]
-    m = np.zeros((p, kmax, kmax))
-    coef = np.empty((kmax, p, kmax))
-    acc = np.zeros((p, kmax))
-    for i in range(kmax):
-        row = m[:, i, :i + 1]
-        row[:, i] = 1.0
-        if i:
-            row[:, :i] -= np.matmul(low[:, i, None, :i], m[:, :i, :i])[:, 0]
-        row /= low[:, i, i, None]
-        acc[:, :i + 1] += l[:, i, None] * row
-        coef[i] = acc
-    return coef
+    for the (p, K+1, K+1) lower factors [[low, 0], [l', .]]: a_{i+1} =
+    a_i + l_i M[i], summed in order by cumsum."""
+    kmax = factor.shape[1] - 1
+    m = _invert_lower(factor[:, :kmax, :kmax])
+    return np.cumsum(factor[:, kmax, :kmax, None] * m, axis=1).swapaxes(0, 1)
 
 
 def _regress(band, k, n, nested=None):

@@ -5,11 +5,15 @@ as_data_matrix as they were before each took one pass; the graphical MLE
 as it was before it was batched, one Cholesky factorization and one
 cho_solve per clique and separator, added into a dense matrix; and the
 posterior-mode grid's fallback as it was when it factored a bandwidth once
-for its rows and again inside _regress.
+for its rows and again inside _regress; the nested coefficients with the
+row recursion for the inverse factors inside their loop; and the band
+norm's extreme eigenvalue by plain bisection, one midpoint per Cholesky
+test.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpbtrf
 
 from bandchol import stats
 from bandchol.errors import DegenerateResidual, SingularClique, SingularDesign
@@ -126,3 +130,36 @@ def regress_nested_twice(band, k_values, n):
                 return dhat[:i], logdet[:i], err
         dhat[i], logdet[i] = factor.dhat[-1], factor.logdet[-1]
     return dhat, logdet, None
+
+
+def nested_coefficients(factor):
+    """stats._nested_coefficients with the row recursion inside its loop."""
+    p, kmax = factor.shape[0], factor.shape[1] - 1
+    low, l = factor[:, :kmax, :kmax], factor[:, kmax, :kmax]
+    m = np.zeros((p, kmax, kmax))
+    coef = np.empty((kmax, p, kmax))
+    acc = np.zeros((p, kmax))
+    for i in range(kmax):
+        row = m[:, i, :i + 1]
+        row[:, i] = 1.0
+        if i:
+            row[:, :i] -= np.matmul(low[:, i, None, :i], m[:, :i, :i])[:, 0]
+        row /= low[:, i, i, None]
+        acc[:, :i + 1] += l[:, i, None] * row
+        coef[i] = acc
+    return coef
+
+
+def top_eigenvalue_bisection(minus_band, lo, hi, tol):
+    """linalg._top_eigenvalue by plain bisection: each dpbtrf of
+    mid * I - A moves one end of the bracket to its midpoint."""
+    work = np.empty_like(minus_band, order="F")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        work[...] = minus_band
+        work[0] += mid
+        if dpbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi

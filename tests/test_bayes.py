@@ -1,13 +1,17 @@
 """Closed-form column posteriors, their samplers, and loss estimates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from bandchol import linalg
 from bandchol.bandwidth import log_marginal_k
 from bandchol.bayes import (
     PriorConfig,
+    _iter_composed,
     estimate_p_loss,
     fit_posterior,
     ig_cdf,
@@ -18,6 +22,7 @@ from bandchol.bayes import (
 )
 from bandchol.errors import SingularDesign, TruncationMassZero
 from bandchol.mcd import compose
+from bandchol.simulate import TrueModelSpec, sample_gaussian
 from bandchol.stats import gram_matrix
 from conftest import lower
 
@@ -284,3 +289,25 @@ def test_loss_norms_disagree_in_general():
     vals = {norm: estimate_p_loss(model, omega0, 500, norm=norm, rng=14)[0]
             for norm in ("spectral", "linf", "fro")}
     assert vals["fro"] >= vals["spectral"] > 0.0
+
+
+def test_p_loss_spectral_norms_take_few_factorizations():
+    """The ten k = 4 posterior-draw differences of an ar4 model at
+    n = p = 500 (data seed 0, draws with rng = 1) take the band path, at most
+    20 dpbtrf calls per norm: plain bisection made 51 to 100."""
+    sigma, omega0 = TrueModelSpec("ar4", 500).build()
+    model = fit_posterior(sample_gaussian(sigma, 500, np.random.default_rng(0)), PriorConfig(4))
+    calls = [0]
+    real = linalg.dpbtrf
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    counts = []
+    with mock.patch.object(linalg, "dpbtrf", counted):
+        for omega in _iter_composed(model, 10, 1):
+            calls[0] = 0
+            linalg.norm_spectral(omega - omega0)
+            counts.append(calls[0])
+    assert min(counts) > 0 and max(counts) <= 20, counts

@@ -127,11 +127,12 @@ def test_estimate_selected_k_matches_explicit(tmp_path):
 
 def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
     # the posterior-mode grid and the estimator share one band of X'X/n,
-    # and no command builds the dense p x p matrix
+    # and no command builds the dense p x p matrix; every band, through the
+    # public gram_band or from already validated data, is one _gram_band
     data = tmp_path / "data.csv"
     write_data(data)
     bands, dense = [], []
-    real_band, real_dense = bandchol.stats.gram_band, bandchol.stats.gram_matrix
+    real_band, real_dense = bandchol.stats._gram_band, bandchol.stats.gram_matrix
 
     def counted(x, width):
         bands.append(width)
@@ -141,9 +142,9 @@ def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
         dense.append(1)
         return real_dense(x)
 
-    for module in (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.competitors,
-                   bandchol.simulate):
-        monkeypatch.setattr(module, "gram_band", counted, raising=False)
+    for module in (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.bayes,
+                   bandchol.competitors, bandchol.simulate):
+        monkeypatch.setattr(module, "_gram_band", counted, raising=False)
         monkeypatch.setattr(module, "gram_matrix", dense_counted, raising=False)
     for estimator in ("ll", "bl", "mle"):
         bands.clear()

@@ -1,5 +1,7 @@
 """Norms, extreme eigenvalues, and the SPD factorization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,29 @@ def test_norm_spectral_uses_banded_solver_on_narrow_bands(monkeypatch):
         assert dense_calls == ([] if banded else [(p, p)])
     # p = 500, b = 4, the bandwidth of a P-loss draw at k = 4, bisects
     assert 4 <= widest_bisected_band(500)
+
+
+def test_band_norm_with_top_eigenvector_orthogonal_to_start():
+    """2 x 2 blocks [[0, -1], [-1, 0]]: the constant start vector is an
+    eigenvector of lambda_min = -1, so the guided trials get no hold on
+    lambda_max = 1 and the search falls back to plain bisection, within its
+    bound of 2 * 51 + 1 factorizations."""
+    p = 100
+    m = np.zeros((p, p))
+    for i in range(0, p, 2):
+        m[i, i + 1] = m[i + 1, i] = -1.0
+    calls = []
+    real = linalg.dpbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(linalg, "dpbtrf", counted):
+        got = linalg.norm_spectral(m)
+    assert calls and all(shape == (2, p) for shape in calls)
+    assert got == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(m))), rel=1e-12, abs=0.0)
+    assert len(calls) <= 2 * 51 + 1
 
 
 def test_norm_l1_linf_max():

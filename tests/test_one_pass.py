@@ -9,16 +9,23 @@ padded slots or nonpositive variances, or have finite entries whose sums
 overflow. The batched MLE matches the clique-by-clique loop within 1e-12
 of its largest entry on Gaussian data, p <= 40 and every k < p, and on
 collinear and constant columns it fails, or not, as the loop does, naming
-the same SingularClique.
+the same SingularClique. The nested coefficients, whose inverse factors
+now come from the shared row recursion, are bit-identical to the loop that
+ran it inline. fit_posterior and the posterior-mode grid scan the data
+for non-finite entries once per call.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bandchol import stats
+from bandchol.bandwidth import log_marginal_k, select_k_posterior_mode
+from bandchol.bayes import PriorConfig, fit_posterior
 from bandchol.competitors import graphical_mle_banded
 from bandchol.errors import SingularClique
 from bandchol.linalg import norm_fro, norm_l1, norm_linf
@@ -214,3 +221,42 @@ def test_batched_mle_matches_clique_loop(case):
     np.testing.assert_array_equal(got, got.T)
     if not degenerate:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def nested_factors(draw):
+    """The (p, K+1, K+1) nearest-first Cholesky factors of a Gram band of
+    Gaussian data, K < p, at scales 1e-8..1e8."""
+    p = draw(st.integers(1, 30))
+    kmax = draw(st.integers(0, p - 1))
+    n = draw(st.integers(kmax + 2, kmax + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** draw(st.integers(-8, 8)) * rng.standard_normal((n, p))
+    return np.linalg.cholesky(stats._nearest_first_blocks(gram_band(x, kmax), kmax))
+
+
+@settings(max_examples=200)
+@given(nested_factors())
+def test_nested_coefficients_match_inline_recursion(low):
+    assert np.array_equal(stats._nested_coefficients(low), oracles.nested_coefficients(low))
+
+
+def data_scans(fn, *args):
+    """How many times fn(*args) checks the data for non-finite entries."""
+    real = stats.check_finite
+    names = []
+
+    def counted(m, name="matrix"):
+        names.append(name)
+        return real(m, name)
+
+    with mock.patch.object(stats, "check_finite", counted):
+        fn(*args)
+    return names.count("data")
+
+
+def test_fits_scan_the_data_once():
+    x = np.random.default_rng(3).standard_normal((40, 12))
+    assert data_scans(fit_posterior, x, PriorConfig(k=3)) == 1
+    assert data_scans(select_k_posterior_mode, x, 4) == 1
+    assert data_scans(log_marginal_k, x, 2) == 1

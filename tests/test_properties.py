@@ -22,7 +22,8 @@ fail with typed errors too.
 compose of a coefficient band matches the dense product built from
 lower(band), norm_spectral matches the dense symmetric eigensolver on
 either side of its switch to the band bisection and on adversarial bands,
-within its bound on factorizations, the dense extreme eigenvalues match it
+within its bound on factorizations and close to plain bisection's value,
+the dense extreme eigenvalues match it
 on adversarial dense matrices, the norm of a general matrix matches the
 SVD, is_symmetric matches the dense formula, estimate_p_loss matches
 eigvalsh and numpy's dense l-infinity and Frobenius norms over the same
@@ -70,6 +71,7 @@ from bandchol.errors import (
     SingularDesign,
     SingularMatrix,
 )
+import oracles
 from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose, decompose, population_coefficients
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
@@ -777,6 +779,27 @@ def test_band_norm_factorization_count_within_bound(m):
     with mock.patch.object(linalg, "dpbtrf", counted):
         linalg.norm_spectral(m)
     assert len(calls) <= 2 * 51 + 1
+
+
+@settings(max_examples=400)
+@given(adversarial_bands())
+def test_band_norm_matches_bisection_oracle_on_adversarial_bands(m):
+    """The Rayleigh-guided search agrees with plain bisection, one midpoint
+    per Cholesky test, run by the same _band_norm.
+
+    Both stop at a bracket no wider than 4 * eps * ||M||_inf, within a
+    relative 4 * eps * sqrt(2b + 1) of the norm, and the guided lower ends
+    carry the rounding of one band solve, O(b * eps) relative. Tolerance:
+    1e-13 relative, and exactly 0 for the zero matrix.
+    """
+    band = linalg._lower_band(m, linalg._bandwidths(m)[0])
+    with mock.patch.object(linalg, "_top_eigenvalue", oracles.top_eigenvalue_bisection):
+        want = linalg._band_norm(band)
+    got = linalg.norm_spectral(m)
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @st.composite
