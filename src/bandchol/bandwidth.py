@@ -32,7 +32,7 @@ distance. Within a split, one nested factorization of the estimation
 group's Gram blocks gives every candidate's fit (stats.NestedFactor).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,8 +47,7 @@ from .errors import (
 )
 from .competitors import bl_banded_estimator
 from .linalg import norm_l1
-from .stats import (_checked_band, _factor_nested, _gram_band, _regress_nested, as_data_matrix,
-                    gram_band)
+from .stats import _checked_band, _factor_nested, _gram_band, _regress_nested, as_data_matrix
 
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
@@ -230,7 +229,10 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
     Each split attempt factors the estimation group's Gram blocks once, at
     width min(kmax, p-1), and every k's bl_banded_estimator reads its fit
     from that stats.NestedFactor through gram=, or, where it is untrusted,
-    from its Gram band. The reference is fitted without a shared band.
+    from its Gram band. The factor holds the group's rows, which were
+    checked as part of data, so its fits skip the scan for non-finite
+    entries. The reference is fitted without a shared band, and subtracted
+    in place from each k's fresh estimate.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -249,11 +251,14 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
             try:
                 ref = bl_banded_estimator(x[perm[n1:]], ref_bandwidth)
                 g1 = x[perm[:n1]]
-                nested = _factor_nested(gram_band(g1, kmax), min(kmax, p - 1), n1)
-                dists = [
-                    norm_l1(bl_banded_estimator(g1, int(k), gram=nested) - ref)
-                    for k in k_values
-                ]
+                nested = replace(_factor_nested(_gram_band(g1, kmax), min(kmax, p - 1), n1),
+                                 rows=g1)
+                dists = []
+                for k in k_values:
+                    # each estimate is a fresh matrix
+                    omega = bl_banded_estimator(g1, int(k), gram=nested)
+                    omega -= ref
+                    dists.append(norm_l1(omega))
                 break
             except (SingularDesign, DegenerateResidual) as err:
                 last_err = err

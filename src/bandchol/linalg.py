@@ -19,7 +19,11 @@ _spd_factor is the one step that validates and factors an SPD input,
 _solve_lower_transposed the one back-substitution on a stack of padded
 band factors, shared by stats._regress (nearest first) and the sampler,
 and _invert_lower the one inversion of a stack of triangular factors,
-shared by stats._nested_coefficients and the graphical MLE.
+shared by stats._nested_coefficients and the graphical MLE. The
+back-substitution runs on blocks-last copies, the p factors along the
+last, contiguous axis, so that each of its k steps is a few whole-row
+operations; the inversion keeps its per-row batched matmul, whose
+summation order the nested coefficients' exact tests pin.
 """
 
 import math
@@ -142,10 +146,19 @@ def _solve_lower_transposed(low, x):
     slot i is final once divided by L[i, i], and its term L[i, :i] * y_i
     leaves the slots before it. A padded slot (identity factor, zero
     right-hand side) gets no term from the real slots and keeps y = 0.
+    The slots run on blocks-last copies, (k, k, p) of L and (k, ..., p) of
+    x, so that every step reads and writes contiguous rows; each entry
+    takes the same operations in the same order as on x itself.
     """
-    for i in range(low.shape[-1] - 1, -1, -1):
-        x[..., i] /= low[:, i, i]
-        x[..., :i] -= low[:, i, :i] * x[..., i, None]
+    k = low.shape[-1]
+    # L[:, i, r] as row (i, r), shaped to broadcast over x's leading axes
+    rows = np.ascontiguousarray(low.transpose(1, 2, 0)).reshape(
+        (k, k) + (1,) * (x.ndim - 2) + (low.shape[0],))
+    y = np.moveaxis(x, -1, 0).copy()
+    for i in range(k - 1, -1, -1):
+        y[i] /= rows[i, i]
+        y[:i] -= rows[i, :i] * y[i]
+    x[...] = np.moveaxis(y, 0, -1)
     return x
 
 

@@ -70,9 +70,10 @@ def compose(factor):
     # b[m, t] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
     # past slot k and past the last row
     b = np.zeros((p + 2 * k, 2 * k + 1))
-    b[:p, 0] = 1.0
-    b[:p, 1:k + 1] = -factor.a[:, ::-1]
-    b[:p, :k + 1] /= np.sqrt(factor.d)[:, None]
+    root = np.sqrt(factor.d)
+    b[:p, 0] = 1.0 / root
+    # a / (-root) is -(a / root) exactly
+    np.divide(factor.a[:, ::-1], -root[:, None], out=b[:p, 1:k + 1])
     # omega[c+s, c] = sum_t B[c+s+t, c+s] * B[c+s+t, c]
     #              = sum_t b[c+s+t, t] * b[c+s+t, t+s],
     # for every offset s at once from two strided views of b; the terms that

@@ -7,7 +7,7 @@ within k of the diagonal, so the fits read them from gram_band(data, w),
 w >= k: X'X / n restricted to |i - j| <= w and stored as a padded row band
 whose first w rows, the identity's band, pad the missing predecessors of the
 first columns. It costs O(n p (GRAM_TILE + w)) flops and O(p w) memory,
-where the dense gram_matrix costs O(n p^2) and O(p^2); every Gram block is a
+where the dense X'X / n costs O(n p^2) and O(p^2); every Gram block is a
 zero-copy strided view of it (_predecessor_blocks). Each public gram=
 argument takes such a band, at least as wide as the bandwidth it fits. Every
 fit factors the blocks in one order, nearest first, into a NestedFactor of
@@ -47,26 +47,15 @@ def as_data_matrix(x):
     return check_finite(x, "data")
 
 
-def gram_matrix(x):
-    """Raw second-moment matrix X'X / n; ValueError when it overflows."""
-    x = as_data_matrix(x)
-    # checked after the symmetrization, whose sum can overflow too
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = x.T @ x / x.shape[0]
-        g = (g + g.T) / 2.0
-    if not np.all(np.isfinite(g)):
-        raise ValueError("second moments X'X/n overflow; rescale the data")
-    return g
-
-
 def gram_band(data, width):
     """X'X / n within width w of the diagonal, as a read-only padded row band.
 
     w is width clamped to p - 1. Row w + i, column w + d of the (p + w,
     2w + 1) result holds g[i, i+d] of g = X'X / n, and 0 where i + d lies
     outside 0..p-1; the first w rows hold 1 in the centre column and 0
-    elsewhere, the identity's band. Raises gram_matrix's ValueError when
-    the moments overflow.
+    elsewhere, the identity's band. Raises ValueError when the moments
+    overflow: when some entry of g is not finite or would not be once
+    symmetrized as (g + g') / 2.
 
     Each tile of GRAM_TILE columns c0..c1-1 takes one BLAS product
     x[:, c0:c1]' x[:, c0:c1+w]: read along its diagonals, its row c0 + a
@@ -78,9 +67,9 @@ def gram_band(data, width):
     product, so the right factor reaches at least one column past the tile
     whenever there is one: every tile but the last then takes the general
     product whatever w is, and a band's entries do not depend on its width.
-    gram_matrix checks its symmetrization g + g' for overflow, so no entry
-    may exceed half the largest float; by Cauchy-Schwarz an entry off the
-    band exceeds it only where a diagonal entry does.
+    The sum g + g' overflows where an entry exceeds half the largest float,
+    so no band entry may; by Cauchy-Schwarz an entry off the band exceeds
+    it only where a diagonal entry does.
     """
     x = as_data_matrix(data)
     if width < 0:
@@ -138,8 +127,8 @@ def _checked_band(gram, p, keff):
     """A gram= argument, gram_band(data, w) of data with p columns, w >= keff,
     as a read-only view at width keff: the numbers of gram_band(data, keff).
 
-    ValueError for anything else, such as the dense gram_matrix, a band of
-    data with another number of columns, or a band narrower than keff.
+    ValueError for anything else, such as the dense p x p X'X / n, a band
+    of data with another number of columns, or a band narrower than keff.
     """
     gram = np.asarray(gram, dtype=float)
     w = (gram.shape[-1] - 1) // 2 if gram.ndim == 2 else -1
@@ -254,8 +243,12 @@ class NestedFactor:
     a_k the coefficients nearest first: a_k solves L_S[:k, :k]' a = l[:k],
     and the leading block of L_S^{-1} is the inverse of L_S's leading block.
     low holds L, (p, K+1, K+1); the rows of dhat and logdet, (K + 1, p), and
-    of coef, (K, p, K), computed on its first read, are k = 0, ..., K and
-    k = 1, ..., K. All are None where the Cholesky factorization failed.
+    of coef, (K, p, K), are k = 0, ..., K and k = 1, ..., K. logdet, which
+    only the posterior-mode grid reads, and coef are computed on their first
+    read. All are None where the Cholesky factorization failed.
+
+    rows, if given, is the validated data matrix whose band the factor
+    holds; fit skips the scan for non-finite entries on that very array.
 
     The factor is trusted when no block is wider than n and every squared
     pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
@@ -271,11 +264,18 @@ class NestedFactor:
     trusted: bool
     low: np.ndarray = field(default=None, repr=False)
     dhat: np.ndarray = field(default=None, repr=False)
-    logdet: np.ndarray = field(default=None, repr=False)
+    rows: np.ndarray = field(default=None, repr=False)
 
     @property
     def p(self):
         return self.band.shape[0] - self.band.shape[1] // 2
+
+    @cached_property
+    def logdet(self):
+        if self.low is None:
+            return None
+        diag = np.diagonal(self.low, axis1=1, axis2=2)[:, :self.width]
+        return np.vstack([np.zeros(self.p), 2.0 * np.cumsum(np.log(diag), axis=1).T])
 
     @cached_property
     def coef(self):
@@ -289,7 +289,7 @@ class NestedFactor:
         k is nonnegative and min(k, p-1) <= width. A trusted factor's residual
         variances lie above RESIDUAL_FLOOR, so it raises no DegenerateResidual.
         """
-        x = as_data_matrix(data)
+        x = data if data is self.rows else as_data_matrix(data)
         if k < 0:
             raise ValueError("bandwidth k must be nonnegative")
         keff = min(k, self.p - 1)
@@ -314,21 +314,27 @@ def _factor_nested(band, kmax, n):
     diag = np.diagonal(low, axis1=1, axis2=2)
     trusted = bool(kmax <= n and np.all(
         diag ** 2 > PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2)))
-    gjj, l = blocks[:, kmax, kmax], low[:, kmax, :kmax]
-    # rows k = 0, ..., kmax
-    dhat = np.vstack([gjj, gjj - np.cumsum(l ** 2, axis=1).T])
-    logdet = np.vstack([np.zeros_like(gjj), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
-    return NestedFactor(n=n, width=kmax, band=band, trusted=trusted, low=low, dhat=dhat,
-                        logdet=logdet)
+    # rows k = 0, ..., kmax: g_jj less the prefix sums of l_i^2, taken down
+    # the contiguous rows of l' (the sum of each column is the same in order)
+    dhat = np.empty((kmax + 1, len(low)))
+    dhat[0] = blocks[:, kmax, kmax]
+    np.cumsum(np.square(low[:, kmax, :kmax].T), axis=0, out=dhat[1:])
+    np.subtract(dhat[0], dhat[1:], out=dhat[1:])
+    return NestedFactor(n=n, width=kmax, band=band, trusted=trusted, low=low, dhat=dhat)
 
 
 def _nested_coefficients(factor):
     """coef[k-1, j, r] = a_k[r] = sum_{i<k} M[i, r] l[j, i], M = low[j]^{-1},
     for the (p, K+1, K+1) lower factors [[low, 0], [l', .]]: a_{i+1} =
-    a_i + l_i M[i], summed in order by cumsum."""
+    a_i + l_i M[i], added in order of i on a blocks-last (K, K, p) array,
+    whose rows are contiguous, and returned as a (K, p, K) view of it."""
     kmax = factor.shape[1] - 1
-    m = _invert_lower(factor[:, :kmax, :kmax])
-    return np.cumsum(factor[:, kmax, :kmax, None] * m, axis=1).swapaxes(0, 1)
+    m = np.ascontiguousarray(_invert_lower(factor[:, :kmax, :kmax]).transpose(1, 2, 0))
+    l = np.ascontiguousarray(factor[:, kmax, :kmax].T)
+    coef = np.multiply(m, l[:, None, :], out=m)
+    for i in range(1, kmax):
+        coef[i] += coef[i - 1]
+    return coef.transpose(0, 2, 1)
 
 
 def _regress(band, k, n, nested=None):

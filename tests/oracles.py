@@ -1,14 +1,19 @@
 """Earlier implementations, kept verbatim as oracles for the tests.
 
-The input checks of CholeskyFactor, norm_l1, norm_linf, norm_fro and
+The dense second-moment matrix X'X / n, which the band fits replaced; the
+input checks of CholeskyFactor, norm_l1, norm_linf, norm_fro and
 as_data_matrix as they were before each took one pass; the graphical MLE
 as it was before it was batched, one Cholesky factorization and one
-cho_solve per clique and separator, added into a dense matrix; and the
+cho_solve per clique and separator, added into a dense matrix; the
 posterior-mode grid's fallback as it was when it factored a bandwidth once
 for its rows and again inside _regress; the nested coefficients with the
-row recursion for the inverse factors inside their loop; and the band
-norm's extreme eigenvalue by plain bisection, one midpoint per Cholesky
-test.
+row recursion for the inverse factors inside their loop; the band norm's
+extreme eigenvalue by plain bisection, one midpoint per Cholesky test;
+the back-substitution on a stack of factors, along the rows of its
+(p, ...) arrays, before it moved to blocks-last copies; the nested
+factor's residual variances and log determinants as the factorization
+computed both, before the log determinants waited for their first read;
+and compose with its scratch band negated and then divided.
 """
 
 import numpy as np
@@ -17,6 +22,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from bandchol import stats
 from bandchol.errors import DegenerateResidual, SingularClique, SingularDesign
+from bandchol.mcd import _dense_symmetric
 from bandchol.stats import _checked_band, _predecessor_blocks, gram_band
 
 
@@ -74,6 +80,18 @@ def as_data_matrix(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("data contains non-finite entries")
     return x
+
+
+def gram_matrix(x):
+    """Raw second-moment matrix X'X / n; ValueError when it overflows."""
+    x = as_data_matrix(x)
+    # checked after the symmetrization, whose sum can overflow too
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.T @ x / x.shape[0]
+        g = (g + g.T) / 2.0
+    if not np.all(np.isfinite(g)):
+        raise ValueError("second moments X'X/n overflow; rescale the data")
+    return g
 
 
 def graphical_mle_loop(data, k, gram=None):
@@ -163,3 +181,40 @@ def top_eigenvalue_bisection(minus_band, lo, hi, tol):
         else:
             lo = mid
     return hi
+
+
+def solve_lower_transposed(low, x):
+    """linalg._solve_lower_transposed, slot by slot on the last axis of x."""
+    for i in range(low.shape[-1] - 1, -1, -1):
+        x[..., i] /= low[:, i, i]
+        x[..., :i] -= low[:, i, :i] * x[..., i, None]
+    return x
+
+
+def nested_dhat_logdet(band, kmax):
+    """The dhat and logdet rows of stats._factor_nested(band, kmax, n), both
+    from prefix sums along the rows of the (p, K+1, K+1) factors, or None
+    where the Cholesky factorization fails."""
+    blocks = stats._nearest_first_blocks(band, kmax)
+    try:
+        low = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diagonal(low, axis1=1, axis2=2)
+    gjj, l = blocks[:, kmax, kmax], low[:, kmax, :kmax]
+    dhat = np.vstack([gjj, gjj - np.cumsum(l ** 2, axis=1).T])
+    logdet = np.vstack([np.zeros_like(gjj), 2.0 * np.cumsum(np.log(diag[:, :kmax]), axis=1).T])
+    return dhat, logdet
+
+
+def compose(factor):
+    """mcd.compose with its scratch band negated and then divided."""
+    p, k = factor.a.shape
+    b = np.zeros((p + 2 * k, 2 * k + 1))
+    b[:p, 0] = 1.0
+    b[:p, 1:k + 1] = -factor.a[:, ::-1]
+    b[:p, :k + 1] /= np.sqrt(factor.d)[:, None]
+    s0, s1 = b.strides
+    left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
+    right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
+    return _dense_symmetric(np.einsum("sct,sct->sc", left, right))

@@ -23,8 +23,8 @@ from bandchol.bayes import (
 from bandchol.errors import SingularDesign, TruncationMassZero
 from bandchol.mcd import compose
 from bandchol.simulate import TrueModelSpec, sample_gaussian
-from bandchol.stats import gram_matrix
 from conftest import lower
+from oracles import gram_matrix
 
 
 def fitted(rng, n=80, p=6, k=2, M=1e6, nu0=2.0):

@@ -127,25 +127,22 @@ def test_estimate_selected_k_matches_explicit(tmp_path):
 
 def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
     # the posterior-mode grid and the estimator share one band of X'X/n,
-    # and no command builds the dense p x p matrix; every band, through the
-    # public gram_band or from already validated data, is one _gram_band
+    # and the package has no dense p x p Gram matrix to build; every band,
+    # through the public gram_band or from already validated data, is one
+    # _gram_band
     data = tmp_path / "data.csv"
     write_data(data)
-    bands, dense = [], []
-    real_band, real_dense = bandchol.stats._gram_band, bandchol.stats.gram_matrix
+    bands = []
+    real_band = bandchol.stats._gram_band
 
     def counted(x, width):
         bands.append(width)
         return real_band(x, width)
 
-    def dense_counted(x):
-        dense.append(1)
-        return real_dense(x)
-
-    for module in (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.bayes,
-                   bandchol.competitors, bandchol.simulate):
+    modules = (bandchol.stats, bandchol.cli, bandchol.bandwidth, bandchol.bayes,
+               bandchol.competitors, bandchol.simulate)
+    for module in modules:
         monkeypatch.setattr(module, "_gram_band", counted, raising=False)
-        monkeypatch.setattr(module, "gram_matrix", dense_counted, raising=False)
     for estimator in ("ll", "bl", "mle"):
         bands.clear()
         assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"),
@@ -154,7 +151,7 @@ def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
     bands.clear()
     assert main(["bandwidth", str(data), "-o", str(tmp_path / "profile.csv")]) == 0
     assert len(bands) == 1
-    assert dense == []
+    assert not any(hasattr(module, "gram_matrix") for module in (bandchol, *modules))
 
 
 def test_estimate_resampling_scheme(tmp_path):

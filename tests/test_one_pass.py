@@ -11,10 +11,18 @@ of its largest entry on Gaussian data, p <= 40 and every k < p, and on
 collinear and constant columns it fails, or not, as the loop does, naming
 the same SingularClique. The nested coefficients, whose inverse factors
 now come from the shared row recursion, are bit-identical to the loop that
-ran it inline. fit_posterior and the posterior-mode grid scan the data
-for non-finite entries once per call.
+ran it inline. The back-substitution on blocks-last copies, stacks of one
+and of several right-hand sides, K = 0 and 1 included, the nested factor's
+residual variances and log determinants, and compose dividing its scratch
+band once are bit-identical to the formulas they replaced.
+fit_posterior and the posterior-mode grid scan the data for non-finite
+entries once per call, and the resampler once plus once per reference
+group; a NestedFactor still scans data it was not built from.
+fit_posterior and the resampler never compute a nested factor's log
+determinants, which only the posterior-mode grid reads.
 """
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -23,13 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bandchol import stats
-from bandchol.bandwidth import log_marginal_k, select_k_posterior_mode
+from bandchol import bandwidth, linalg, stats
+from bandchol.bandwidth import log_marginal_k, select_k_posterior_mode, select_k_resampling
 from bandchol.bayes import PriorConfig, fit_posterior
-from bandchol.competitors import graphical_mle_banded
+from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.errors import SingularClique
 from bandchol.linalg import norm_fro, norm_l1, norm_linf
-from bandchol.mcd import CholeskyFactor
+from bandchol.mcd import CholeskyFactor, compose
 from bandchol.stats import as_data_matrix, gram_band
 from conftest import random_band
 
@@ -260,3 +268,138 @@ def test_fits_scan_the_data_once():
     assert data_scans(fit_posterior, x, PriorConfig(k=3)) == 1
     assert data_scans(select_k_posterior_mode, x, 4) == 1
     assert data_scans(log_marginal_k, x, 2) == 1
+
+
+def test_resampling_scans_the_data_and_each_reference_group_once():
+    # every k's fit reads the factor of the estimation rows, already checked
+    # as part of x, and the reference fit checks its own rows
+    x = np.random.default_rng(3).standard_normal((40, 12))
+    assert data_scans(select_k_resampling, x, 3, 2, 5) == 1 + 2
+
+
+def test_nested_factor_scans_data_it_was_not_built_from():
+    # the factor of x skips the scan for x itself only: NaN data of x's
+    # shape still raises the band path's ValueError
+    x = np.random.default_rng(5).standard_normal((30, 8))
+    scanned = stats._factor_nested(stats._gram_band(x, 3), 3, 30)
+    nested = dataclasses.replace(scanned, rows=x)
+    assert data_scans(bl_banded_estimator, x, 2, nested) == 0
+    assert same_bits(bl_banded_estimator(x, 2, gram=nested),
+                     bl_banded_estimator(x, 2, gram=scanned))
+    bad = x.copy()
+    bad[4, 5] = np.nan
+    want = run(bl_banded_estimator, bad, 2, nested.band)
+    assert want[0][:2] == ("raised", ValueError)
+    assert run(bl_banded_estimator, bad, 2, nested) == want
+
+
+@st.composite
+def triangular_stacks(draw):
+    """(low, x): p lower triangular K x K factors, K = 0..6, with positive
+    diagonals at scales 1e-8..1e8, maybe padded as the band fits pad them
+    (factor j < K the identity in its first K - j slots, with zero
+    right-hand sides there), and right-hand sides of shape (p, K) or
+    (draws, p, K), contiguous or, as _regress passes them, reversed along
+    the last axis."""
+    p = draw(st.integers(1, 12))
+    kmax = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    slots = np.arange(kmax)
+    low = np.tril(scale * rng.standard_normal((p, kmax, kmax)), -1)
+    low[:, slots, slots] = scale * rng.uniform(0.1, 2.0, (p, kmax))
+    shape = draw(st.sampled_from([(p, kmax), (draw(st.integers(1, 4)), p, kmax)]))
+    x = np.empty(shape)
+    if draw(st.booleans()):
+        x = np.empty(shape)[..., ::-1]
+    x[...] = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        for j in range(min(p, kmax)):
+            pad = kmax - j
+            low[j, :pad] = 0.0
+            low[j, :, :pad] = 0.0
+            low[j, slots[:pad], slots[:pad]] = 1.0
+            x[..., j, :pad] = 0.0
+    return low, x
+
+
+@settings(max_examples=300)
+@given(triangular_stacks())
+def test_solve_lower_transposed_matches_row_formula(case):
+    low, x = case
+    want = oracles.solve_lower_transposed(low, x.copy())
+    with np.errstate(all="ignore"):
+        got = linalg._solve_lower_transposed(low, x)
+    assert got is x and same_bits(x, want)
+
+
+@st.composite
+def nested_bands(draw):
+    """(band, K): a Gram band of width K < p of Gaussian data at scales
+    1e-8..1e8, with n from K - 2, so some factorizations fail or are
+    untrusted, and some columns duplicated."""
+    p = draw(st.integers(1, 30))
+    kmax = draw(st.integers(0, p - 1))
+    n = draw(st.integers(max(1, kmax - 2), kmax + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** draw(st.integers(-8, 8)) * rng.standard_normal((n, p))
+    for j, i in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                              max_size=2)):
+        x[:, j] = x[:, i]
+    return gram_band(x, kmax), kmax, n
+
+
+@settings(max_examples=300)
+@given(nested_bands())
+def test_nested_residual_variances_match_row_prefix_sums(case):
+    band, kmax, n = case
+    with np.errstate(all="ignore"):
+        want = oracles.nested_dhat_logdet(band, kmax)
+        nested = stats._factor_nested(band, kmax, n)
+        assert "logdet" not in vars(nested)
+        got = None if nested.low is None else (nested.dhat, nested.logdet)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=200)
+@given(factor_inputs())
+def test_compose_matches_negate_then_divide(case):
+    (outcome, _) = run(stored, *case)
+    if outcome[0] == "ok":
+        factor = CholeskyFactor(*outcome[1])
+        assert same_bits(compose(factor), oracles.compose(factor))
+
+
+def factors_seen(fn, *args):
+    """The NestedFactors that fn(*args) builds in its fits and passes as
+    gram= to bl_banded_estimator, after the call."""
+    seen = []
+    real_factor, real_bl = stats._factor_nested, bandwidth.bl_banded_estimator
+
+    def factor_nested(band, kmax, n):
+        seen.append(real_factor(band, kmax, n))
+        return seen[-1]
+
+    def bl(data, k, gram=None):
+        if isinstance(gram, stats.NestedFactor):
+            seen.append(gram)
+        return real_bl(data, k, gram=gram)
+
+    with mock.patch.object(stats, "_factor_nested", factor_nested), \
+            mock.patch.object(bandwidth, "_factor_nested", factor_nested), \
+            mock.patch.object(bandwidth, "bl_banded_estimator", bl):
+        fn(*args)
+    return seen
+
+
+def test_log_determinants_wait_for_the_grid():
+    x = np.random.default_rng(4).standard_normal((40, 12))
+    for fn, args in ((fit_posterior, (x, PriorConfig(k=3))),
+                     (select_k_resampling, (x, 3, 2, 5))):
+        seen = factors_seen(fn, *args)
+        assert seen and all("logdet" not in vars(f) for f in seen), fn.__name__
+    # the grid reads them, from its one factorization
+    seen = factors_seen(select_k_posterior_mode, x, 4)
+    assert len(seen) == 1 and "logdet" in vars(seen[0])

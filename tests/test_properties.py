@@ -12,7 +12,7 @@ nearest-first blocks raise a typed error, and where they pass on an
 untrusted factor, the fit matches the same oracle. The posterior-mode
 grid and log_marginal_k match a per-bandwidth evaluation of _regress,
 errors included, with log determinants from natural-order factors of
-gram_matrix blocks. The resampling selector's risk matches a
+oracles.gram_matrix blocks. The resampling selector's risk matches a
 dense per-column lstsq replay of its splits, and every bandwidth's BL
 estimate read from one shared nested factorization matches the band path
 and lstsq, or raises the band path's error. On singular and nearly singular
@@ -33,9 +33,9 @@ band, and the CSV reader's
 fast path agrees with its csv-module path on arbitrary small files. The
 estimate and bandwidth commands, run through cli.main on small CSVs with
 degenerate columns and extreme scales, exit 0, 2 or 3 and never raise.
-gram_band matches gram_matrix within its width, its Gram blocks match the
-dense padded construction, and every fit given a gram_band is bit for bit
-the fit without one.
+gram_band matches oracles.gram_matrix within its width, its Gram blocks
+match the dense padded construction, and every fit given a gram_band is
+bit for bit the fit without one.
 """
 
 import dataclasses
@@ -75,7 +75,7 @@ import oracles
 from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose, decompose, population_coefficients
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
-from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_band, gram_matrix
+from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_band
 from conftest import FITS_WITH_GRAM, lower, random_band, widest_bisected_band
 
 
@@ -287,7 +287,7 @@ def grid_oracle(x, k_values):
         g = gram_band(x, max(k_values))
     except ValueError:
         return ValueError, None, None
-    dense = gram_matrix(x)
+    dense = oracles.gram_matrix(x)
     totals = []
     for k in k_values:
         try:
@@ -573,7 +573,7 @@ def test_gram_band_matches_gram_matrix(case):
     n, p = x.shape
     w = min(width, p - 1)
     try:
-        dense = gram_matrix(x)
+        dense = oracles.gram_matrix(x)
     except ValueError as err:
         with pytest.raises(ValueError, match="overflow"):
             gram_band(x, width)

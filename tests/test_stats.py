@@ -11,9 +11,9 @@ from bandchol.stats import (
     as_data_matrix,
     banded_regression,
     gram_band,
-    gram_matrix,
 )
 from conftest import FITS_WITH_GRAM, lower
+from oracles import gram_matrix
 
 
 def test_as_data_matrix_validation():
