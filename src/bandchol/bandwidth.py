@@ -46,7 +46,7 @@ from .errors import (
     TruncationMassZero,
 )
 from .competitors import bl_banded_estimator
-from .linalg import norm_l1
+from .linalg import _integer, norm_l1
 from .stats import _checked_band, _factor_nested, _gram_band, _regress_nested, as_data_matrix
 
 # redraws of a split whose estimation group hits a singular design
@@ -112,8 +112,6 @@ def _log_posterior(x, k_values, prior, log_k_prior, gram):
     gram is None or a gram_band of x at least min(k_values[-1], p-1) wide.
     """
     n, p = x.shape
-    if k_values[0] < 0:
-        raise ValueError("bandwidth k must be nonnegative")
     kmax = int(k_values[-1])
     band = _gram_band(x, kmax) if gram is None else _checked_band(gram, p, min(kmax, p - 1))
     dhat, logdet, err = _regress_nested(band, k_values, n)
@@ -155,6 +153,7 @@ def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior):
     the cap M removes all posterior mass; the error then names the column
     whose mass is zero.
     """
+    _integer("k", k, 0)
     if prior is None:
         prior = PriorConfig(k=0)
     _check_admissible(data, k, prior.nu0)
@@ -178,6 +177,7 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     n, p = x.shape
     if prior is None:
         prior = PriorConfig(k=0)
+    _integer("kmax", kmax)
     if kmax < 1:
         raise EmptyGrid(f"bandwidth grid 1..{kmax} is empty")
     cap = max_bandwidth(n, p, prior.nu0)
@@ -236,11 +236,12 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
     """
     x = as_data_matrix(data)
     n, p = x.shape
+    _integer("kmax", kmax)
+    _integer("splits", splits, 1)
+    _integer("ref_bandwidth", ref_bandwidth)
     if kmax < 1:
         raise EmptyGrid(f"bandwidth grid 1..{kmax} is empty")
     _check_resampling(n, p, kmax, ref_bandwidth)
-    if splits < 1:
-        raise ValueError("splits must be at least 1")
     rng = np.random.default_rng(rng)
     n1 = n // 3
     k_values = np.arange(1, kmax + 1)

@@ -11,8 +11,8 @@ each innovation variance, the posterior factorizes over columns:
 with nj = n + nu0 - kj - 4, the hats from banded_regression and shat_j
 from the Gram band. A bandwidth k is admissible when every nj is positive,
 that is when k <= max_bandwidth(n, p, nu0). The plug-in estimator composes
-the posterior means E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), the
-latter ignoring the truncation (negligible for large M).
+E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), ignoring the truncation
+(negligible for large M) and the coefficients' spread; posterior_mean_omega is exact.
 """
 
 from dataclasses import dataclass, field
@@ -37,8 +37,7 @@ class PriorConfig:
     nu0: float = 2.0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("bandwidth k must be nonnegative")
+        linalg._integer("k", self.k, 0)
         if not self.M > 0:
             raise ValueError("variance cap M must be positive")
         if not np.isfinite(self.nu0):
@@ -57,12 +56,13 @@ def ig_cdf(x, shape, rate):
 
 @dataclass
 class PosteriorModel:
-    """Column posteriors fitted to a data matrix, and its Gram band at width keff."""
+    """Column posteriors fitted under the cap M, and the data's Gram band at width keff."""
 
     stats: object
     ig_shape: np.ndarray
     ig_rate: np.ndarray
     trunc_mass: np.ndarray
+    M: float
     gram: np.ndarray = field(repr=False)
 
     @property
@@ -123,7 +123,8 @@ def fit_posterior(data, prior, gram=None):
     if bad.size:
         j = bad[0]
         raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
-    return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass, gram=gram)
+    return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass, M=prior.M,
+                          gram=gram)
 
 
 def plug_in_estimator(model):
@@ -133,6 +134,12 @@ def plug_in_estimator(model):
     """
     d = model.ig_rate / model.ig_shape
     return compose(CholeskyFactor(a=model.stats.ahat, d=d))
+
+
+def _predecessor_factors(model):
+    """Natural-order Cholesky factors L of the identity-padded predecessor blocks."""
+    keff = model.stats.ahat.shape[1]
+    return np.linalg.cholesky(_predecessor_blocks(model.gram, keff)[:, :keff, :keff])
 
 
 def _sample_columns(model, draws, rng):
@@ -157,11 +164,9 @@ def _sample_columns(model, draws, rng):
             w[:, j, keff - kj:] = gen.standard_normal((draws, kj))
     tail = (1.0 - u) * model.trunc_mass
     d = 1.0 / (gammainccinv(model.ig_shape, tail) / model.ig_rate)
-    # cov = (d/n) shat^{-1} = (d/n) L^{-T} L^{-1}, L the natural-order factor
-    # of shat padded with the identity, so w = L^{-T} z solves L' w = z, for
-    # all draws and columns at once; the padded slots, where z is 0, stay 0
-    low = np.linalg.cholesky(_predecessor_blocks(model.gram, keff)[:, :keff, :keff])
-    linalg._solve_lower_transposed(low, w)
+    # cov = (d/n) L^{-T} L^{-1}, so w = L^{-T} z solves L' w = z for all draws
+    # and columns at once; the padded slots, where z is 0, stay 0
+    linalg._solve_lower_transposed(_predecessor_factors(model), w)
     a = st.ahat + (np.sqrt(1.0 / st.n) * np.sqrt(d))[..., None] * w
     return d, a
 
@@ -172,22 +177,24 @@ def sample_posterior(model, rng):
     return CholeskyFactor(a=a[0], d=d[0])
 
 
-def _iter_composed(model, draws, rng):
-    """Yield composed precision draws omega_s, each a fresh matrix, without
-    storing them all."""
-    d, a = _sample_columns(model, draws, np.random.default_rng(rng))
-    for s in range(draws):
-        yield compose(CholeskyFactor(a=a[s], d=d[s]))
+def posterior_mean_omega(model):
+    """The exact posterior mean of omega, keff-banded, in O(p keff^2).
 
-
-def posterior_mean_omega(model, draws, rng):
-    """Monte Carlo average of composed posterior draws."""
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
-    total = np.zeros((model.p, model.p))
-    for omega in _iter_composed(model, draws, rng):
-        total += omega
-    return total / draws
+    a_j | d_j has mean ahat_j and covariance (d_j/n) shat_j^{-1}, and 1/d_j is
+    gamma(shape, rate) on [1/M, inf), so E[omega | X] = compose(Ahat, 1/E[1/d])
+    + (1/n) sum_j pad(shat_j^{-1}), with shat_j^{-1} = M'M for M = L^{-1} and
+    E[1/d_j] = (shape/rate) Q(shape + 1, rate/M) / Q(shape, rate/M), Q = gammaincc.
+    """
+    p, keff = model.stats.ahat.shape
+    gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
+    omega = compose(CholeskyFactor(a=model.stats.ahat, d=model.ig_rate / model.ig_shape / gain))
+    m = linalg._invert_lower(_predecessor_factors(model))
+    # slot a of column j is coordinate j - keff + a; padded slots (< 0) are left out
+    at = np.arange(p)[:, None] + np.arange(-keff, 0)
+    r, c = np.broadcast_arrays(at[:, :, None], at[:, None, :])
+    real = (r >= 0) & (c >= 0)
+    np.add.at(omega, (r[real], c[real]), (m.swapaxes(1, 2) @ m)[real] / model.n)
+    return omega
 
 
 def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):
@@ -202,12 +209,13 @@ def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):
     omega0 = linalg.check_finite(omega0, "omega0")
     if omega0.shape != (model.p, model.p):
         raise ValueError("omega0 must match the model dimension")
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
+    linalg._integer("draws", draws, 1)
     fn = linalg.NORMS_BY_NAME[norm]
+    d, a = _sample_columns(model, draws, np.random.default_rng(rng))
     vals = np.empty(draws)
-    # each draw is a fresh matrix, so omega0 is subtracted in place
-    for s, omega in enumerate(_iter_composed(model, draws, rng)):
+    for s in range(draws):
+        # each draw is a fresh matrix, so omega0 is subtracted in place
+        omega = compose(CholeskyFactor(a=a[s], d=d[s]))
         omega -= omega0
         vals[s] = fn(omega)
     stderr = float(np.std(vals, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0

@@ -12,7 +12,7 @@ inverses.
 import numpy as np
 
 from .errors import SingularClique
-from .linalg import _invert_lower
+from .linalg import _integer, _invert_lower
 from .mcd import CholeskyFactor, _dense_symmetric, compose
 from .stats import (NestedFactor, _checked_band, _gram_band, _predecessor_blocks,
                     as_data_matrix, banded_regression)
@@ -32,6 +32,7 @@ def bl_banded_estimator(data, k, gram=None):
     the band path does. One of another shape, or too narrow, raises
     ValueError.
     """
+    _integer("k", k, 0)
     if isinstance(gram, NestedFactor):
         fit = gram.fit(data, k)
         if fit is not None:
@@ -56,8 +57,7 @@ def graphical_mle_banded(data, k, gram=None):
     """
     x = as_data_matrix(data)
     n, p = x.shape
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
+    _integer("k", k, 0)
     keff = min(k, p - 1)
     if n <= keff + 1:
         raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")

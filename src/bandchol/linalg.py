@@ -68,6 +68,16 @@ def check_finite(m, name="matrix"):
     return out
 
 
+def _integer(name, value, minimum=None):
+    """Reject value unless it is an int or a numpy integer, not a bool, and
+    >= minimum if given: a type test that scans nothing. The ValueError names
+    the argument, or the JSON path of a config field."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name}: expected an integer{bound}, got {value!r}")
+
+
 def is_symmetric(m):
     """True when m equals its transpose to relative tolerance SYM_TOL."""
     m = np.asarray(m)

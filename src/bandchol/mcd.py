@@ -129,7 +129,6 @@ def population_coefficients(sigma, k):
     combination of its predecessors.
     """
     sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
+    linalg._integer("k", k, 0)
     st = _regress(_dense_to_band(sigma, min(k, sigma.shape[0] - 1)), k, np.inf)
     return CholeskyFactor(a=st.ahat, d=st.dhat)

@@ -26,6 +26,7 @@ from .bandwidth import select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError, EmptyGrid, ExperimentFailed, SingularMatrix
+from .linalg import _integer
 from .stats import gram_band
 
 ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
@@ -105,15 +106,6 @@ def make_fgn_cov(hurst, p):
     m = np.abs(idx[:, None] - idx[None, :]).astype(float)
     h2 = 2.0 * hurst
     return 0.5 * ((m + 1.0) ** h2 - 2.0 * m**h2 + np.abs(m - 1.0) ** h2)
-
-
-def _integer(path, value, minimum=None):
-    """Reject value unless it is an integer, not a bool, and >= minimum if
-    given. Like each check of a config field, it names the JSON path."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{path}: expected an integer{bound}, got {value!r}")
 
 
 def _real(path, value, valid, expected):

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResidual, SingularDesign
-from .linalg import _invert_lower, _solve_lower_transposed, check_finite
+from .linalg import _integer, _invert_lower, _solve_lower_transposed, check_finite
 
 # a residual variance at most this fraction of its column's second moment
 # counts as an exact fit
@@ -72,6 +72,7 @@ def gram_band(data, width):
     it only where a diagonal entry does.
     """
     x = as_data_matrix(data)
+    _integer("width", width)
     if width < 0:
         raise ValueError("band width must be nonnegative")
     return _gram_band(x, width)
@@ -285,13 +286,12 @@ class NestedFactor:
         """(ahat, dhat) at bandwidth k in banded_regression's layout, or None
         when the factor is untrusted.
 
-        ValueError unless data has the n x p shape the factor was built from,
-        k is nonnegative and min(k, p-1) <= width. A trusted factor's residual
-        variances lie above RESIDUAL_FLOOR, so it raises no DegenerateResidual.
+        k is a nonnegative integer, as bl_banded_estimator checks. ValueError
+        unless data has the n x p shape the factor was built from and
+        min(k, p-1) <= width. A trusted factor's residual variances lie above
+        RESIDUAL_FLOOR, so it raises no DegenerateResidual.
         """
         x = data if data is self.rows else as_data_matrix(data)
-        if k < 0:
-            raise ValueError("bandwidth k must be nonnegative")
         keff = min(k, self.p - 1)
         if x.shape != (self.n, self.p) or keff > self.width:
             raise ValueError(
@@ -406,7 +406,6 @@ def banded_regression(data, k, gram=None):
     """
     x = as_data_matrix(data)
     n, p = x.shape
-    if k < 0:
-        raise ValueError("bandwidth k must be nonnegative")
+    _integer("k", k, 0)
     band = _gram_band(x, k) if gram is None else _checked_band(gram, p, min(k, p - 1))
     return _regress(band, k, n)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammainccinv
 
 from bandchol import linalg
 from bandchol.bandwidth import log_marginal_k
 from bandchol.bayes import (
+    TRUNC_MASS_FLOOR,
     PriorConfig,
-    _iter_composed,
+    _sample_columns,
     estimate_p_loss,
     fit_posterior,
     ig_cdf,
@@ -21,7 +23,7 @@ from bandchol.bayes import (
     sample_posterior,
 )
 from bandchol.errors import SingularDesign, TruncationMassZero
-from bandchol.mcd import compose
+from bandchol.mcd import CholeskyFactor, compose
 from bandchol.simulate import TrueModelSpec, sample_gaussian
 from conftest import lower
 from oracles import gram_matrix
@@ -245,18 +247,11 @@ def test_sampled_coefficient_covariance():
     np.testing.assert_allclose(cov, target, rtol=0.05, atol=1e-6)
 
 
-def test_posterior_mean_single_draw_equals_sample():
-    rng = np.random.default_rng(8)
-    model = fitted(rng)
-    omega = posterior_mean_omega(model, 1, 11)
-    np.testing.assert_array_equal(omega, compose(sample_posterior(model, 11)))
-
-
 def test_posterior_mean_approaches_plug_in():
     rng = np.random.default_rng(9)
     data = rng.standard_normal((500, 30))
     model = fit_posterior(data, PriorConfig(k=2))
-    mean = posterior_mean_omega(model, 4000, 12)
+    mean = posterior_mean_omega(model)
     plug = plug_in_estimator(model)
     assert np.max(np.abs(mean - plug)) <= 0.05
 
@@ -268,7 +263,7 @@ def test_estimate_p_loss_properties():
     mean, err = estimate_p_loss(model, omega0, 2000, norm="fro", rng=13)
     assert err > 0.0
     # convexity of the norm: the mean loss dominates the loss of the mean
-    center = posterior_mean_omega(model, 2000, 13)
+    center = posterior_mean_omega(model)
     from bandchol.linalg import norm_fro
 
     assert mean >= norm_fro(center - omega0) - 3.0 * err
@@ -305,9 +300,99 @@ def test_p_loss_spectral_norms_take_few_factorizations():
         return real(*args, **kwargs)
 
     counts = []
+    d, a = _sample_columns(model, 10, np.random.default_rng(1))
     with mock.patch.object(linalg, "dpbtrf", counted):
-        for omega in _iter_composed(model, 10, 1):
+        for s in range(10):
             calls[0] = 0
-            linalg.norm_spectral(omega - omega0)
+            linalg.norm_spectral(compose(CholeskyFactor(a=a[s], d=d[s])) - omega0)
             counts.append(calls[0])
     assert min(counts) > 0 and max(counts) <= 20, counts
+
+
+@pytest.mark.parametrize("n, p, k, M", [(40, 6, 0, 1.2), (40, 6, 3, 1.2), (30, 6, 5, 1.0)])
+def test_sampled_mean_matches_exact_posterior_mean(n, p, k, M):
+    """The mean of 10,000 composed draws of _sample_columns against
+    posterior_mean_omega, entrywise in z-scores over the m distinct entries
+    of the keff-band (lower triangle, diagonal included). Each z-score uses
+    the draws' sample standard deviation, and the bound is Bonferroni's at a
+    familywise level of 1e-3 per case: |z| <= Phi^{-1}(1 - 1e-3 / (2 m)),
+    3.76 for m = 6 at k = 0, 4.03 for m = 18 at k = 3 and 4.07 for m = 21 at
+    k = p - 1. Every case truncates: the k = 3 case leaves some column less
+    than half its mass below M. This checks the joint draw of (a, d), of
+    which criterion 7 checks one moment at a time."""
+    from scipy.stats import norm
+
+    model = fit_posterior(np.random.default_rng(n + k).standard_normal((n, p)),
+                          PriorConfig(k=k, M=M))
+    if k == 3:
+        assert model.trunc_mass.min() < 0.5
+    draws = 10_000
+    d, a = _sample_columns(model, draws, np.random.default_rng(0))
+    rows, cols = np.tril_indices(p)
+    band = rows - cols <= min(k, p - 1)
+    rows, cols = rows[band], cols[band]
+    entries = np.array([compose(CholeskyFactor(a=a[s], d=d[s]))[rows, cols]
+                        for s in range(draws)])
+    z = ((entries.mean(axis=0) - posterior_mean_omega(model)[rows, cols])
+         / (entries.std(axis=0, ddof=1) / np.sqrt(draws)))
+    assert np.max(np.abs(z)) <= norm.isf(1e-3 / (2 * len(z))), z
+
+
+@pytest.mark.parametrize("shape", [1.0, 3.5, 50.0, 500.0])
+@pytest.mark.parametrize("mass", [1.0, 0.5, 1e-10, 1e-100, 1e-299])
+def test_inverse_variance_mean_against_mpmath(shape, mass):
+    """E[1/d] of one column, read off posterior_mean_omega at p = 1, against
+    (1/rate) Gamma(shape + 1, rate/M) / Gamma(shape, rate/M) in 50-digit
+    mpmath, at the model's own shape, rate and cap. The caps leave masses
+    from 1 down to near TRUNC_MASS_FLOOR. Each regularized incomplete gamma
+    function in double precision carries a relative error of order 1e-13
+    at these shapes (its prefactor exponentiates a log of size up to about
+    700), and the compose adds a few rounding errors: the bound is 1e-11
+    relative."""
+    mpmath = pytest.importorskip("mpmath")
+    # n = 2 shape rows of ones at nu0 = 4: shape n/2, dhat 1 and rate n/2
+    n = int(2 * shape)
+    rate = n / 2.0
+    cap = np.inf if mass == 1.0 else rate / gammainccinv(shape, mass)
+    model = fit_posterior(np.ones((n, 1)), PriorConfig(k=0, M=cap, nu0=4.0))
+    assert model.ig_shape[0] == shape and model.ig_rate[0] == rate
+    assert TRUNC_MASS_FLOOR <= model.trunc_mass[0] <= 2.0 * mass
+    with mpmath.workdps(50):
+        x = mpmath.mpf(rate) / mpmath.mpf(cap) if np.isfinite(cap) else 0
+        expected = (mpmath.gammainc(shape + 1, x, mpmath.inf)
+                    / mpmath.gammainc(shape, x, mpmath.inf) / mpmath.mpf(rate))
+    assert posterior_mean_omega(model)[0, 0] == pytest.approx(float(expected), rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("n, p, k", [(50, 7, 3), (40, 6, 0), (30, 6, 5), (25, 4, 9)])
+def test_posterior_mean_without_cap_adds_inverse_blocks(n, p, k):
+    """With M = inf, E[1/d] is the plug-in's shape/rate, so the exact mean
+    less plug_in_estimator is (1/n) sum_j pad(inv(shat_j)), shat_j the
+    predecessor block of oracles.gram_matrix. Both sides are sums of a few
+    inverses of well-conditioned Gram blocks, and the left one a difference
+    of matrices with entries of order 1: within 1e-14 absolute."""
+    x = np.random.default_rng(p + k).standard_normal((n, p))
+    model = fit_posterior(x, PriorConfig(k=k, M=np.inf))
+    g = gram_matrix(x)
+    expected = np.zeros((p, p))
+    for j in range(p):
+        kj = min(j, k)
+        if kj:
+            expected[j - kj:j, j - kj:j] += np.linalg.inv(g[j - kj:j, j - kj:j]) / n
+    diff = posterior_mean_omega(model) - plug_in_estimator(model)
+    np.testing.assert_allclose(diff, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, p, k, M", [(40, 9, 3, 1e6), (20, 6, 0, 1e6), (30, 6, 9, 1e6),
+                                        (10, 1, 2, 1e6), (40, 6, 3, 1.2), (60, 30, 4, 0.8)])
+def test_posterior_mean_is_symmetric_banded_definite(n, p, k, M):
+    # exactly symmetric and zero beyond keff; inside the band, truncation
+    # only raises E[1/d] above the plug-in's shape/rate
+    x = np.random.default_rng(n * p + k).standard_normal((n, p))
+    model = fit_posterior(x, PriorConfig(k=k, M=M))
+    omega = posterior_mean_omega(model)
+    keff = min(k, p - 1)
+    np.testing.assert_array_equal(omega, omega.T)
+    np.testing.assert_array_equal(np.triu(omega, keff + 1), 0.0)
+    assert np.linalg.eigvalsh(omega)[0] > 0.0
+    assert np.all(np.diag(omega) >= np.diag(plug_in_estimator(model)))

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 import bandchol
 from bandchol import cli
@@ -511,13 +513,29 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def console_script():
+    """The bandchol command and its environment: the installed executable
+    when one is on PATH, else the entry point that pyproject.toml declares
+    under [project.scripts], run by this interpreter with src on PYTHONPATH."""
+    exe = shutil.which("bandchol")
+    if exe:
+        return [exe], None
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"]["bandchol"].split(":")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return ([sys.executable, "-c", f"from {module} import {func}; {func}()"],
+            dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_script_subprocess(tmp_path):
     data = tmp_path / "data.csv"
     write_data(data, n=30, p=4)
     out = tmp_path / "omega.csv"
+    command, env = console_script()
     proc = subprocess.run(
-        ["bandchol", "estimate", str(data), "-o", str(out), "--k", "1"],
-        capture_output=True, text=True,
+        command + ["estimate", str(data), "-o", str(out), "--k", "1"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert np.loadtxt(out, delimiter=",").shape == (4, 4)

@@ -292,3 +292,33 @@ def test_grid_fallback_factors_each_bandwidth_once(monkeypatch):
         np.testing.assert_array_equal(logdet, want[1])
         assert type(err) is type(want[2]) and str(err) == str(want[2])
         assert len(dhat) == (5 if failing_k is None else failing_k - 1)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, np.int64(2)])
+def test_bandwidths_and_counts_must_be_integers(value):
+    # a float or a bool raises a ValueError that names the argument, at every
+    # public entry point that takes a bandwidth or a count; a numpy integer
+    # is an integer
+    import bandchol as bc
+
+    x = np.random.default_rng(0).standard_normal((30, 6))
+    model = bc.fit_posterior(x, bc.PriorConfig(k=2))
+    calls = {
+        "k": [lambda v: bc.PriorConfig(k=v), lambda v: banded_regression(x, v),
+              lambda v: bc.bl_banded_estimator(x, v), lambda v: bc.graphical_mle_banded(x, v),
+              lambda v: bc.log_marginal_k(x, v),
+              lambda v: bc.population_coefficients(np.eye(6), v)],
+        "width": [lambda v: gram_band(x, v)],
+        "kmax": [lambda v: bc.select_k_posterior_mode(x, v),
+                 lambda v: bc.select_k_resampling(x, v, splits=2, ref_bandwidth=3)],
+        "splits": [lambda v: bc.select_k_resampling(x, 3, splits=v, ref_bandwidth=3)],
+        "ref_bandwidth": [lambda v: bc.select_k_resampling(x, 3, splits=2, ref_bandwidth=v)],
+        "draws": [lambda v: bc.estimate_p_loss(model, np.eye(6), draws=v)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            if isinstance(value, np.integer):
+                fn(value)
+            else:
+                with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+                    fn(value)
