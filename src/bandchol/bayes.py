@@ -12,9 +12,11 @@ with nj = n + nu0 - kj - 4, the hats from banded_regression and shat_j
 from the Gram band. A bandwidth k is admissible when every nj is positive,
 that is when k <= max_bandwidth(n, p, nu0). The plug-in estimator composes
 E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), ignoring the truncation
-(negligible for large M) and the coefficients' spread; posterior_mean_omega is exact.
+(negligible for large M) and the coefficients' spread; posterior_mean_omega is
+exact, its bands built by mcd._compose_bands and mcd._add_block_inverses alone.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,7 @@ from scipy.special import gammaincc, gammainccinv
 
 from . import linalg
 from .errors import TruncationMassZero
-from .mcd import CholeskyFactor, compose
+from .mcd import CholeskyFactor, _add_block_inverses, _compose_bands, _dense_symmetric, compose
 from .stats import _checked_band, _gram_band, _predecessor_blocks, _regress, as_data_matrix
 
 TRUNC_MASS_FLOOR = 1e-300
@@ -38,10 +40,8 @@ class PriorConfig:
 
     def __post_init__(self):
         linalg._integer("k", self.k, 0)
-        if not self.M > 0:
-            raise ValueError("variance cap M must be positive")
-        if not np.isfinite(self.nu0):
-            raise ValueError("nu0 must be finite")
+        linalg._real("M", self.M, lambda v: v > 0, "a positive number")
+        linalg._real("nu0", self.nu0, math.isfinite, "a finite number")
 
 
 def ig_cdf(x, shape, rate):
@@ -77,8 +77,9 @@ class PosteriorModel:
 def max_bandwidth(n, p, nu0):
     """Largest bandwidth k <= p - 1 whose posterior degrees of freedom
     n + nu0 - k - 4 are positive; negative when not even k = 0 is."""
-    if not np.isfinite(nu0):
-        raise ValueError("nu0 must be finite")
+    linalg._integer("n", n)
+    linalg._integer("p", p)
+    linalg._real("nu0", nu0, math.isfinite, "a finite number")
     return min(p - 1, int(np.ceil(n + nu0 - 4)) - 1)
 
 
@@ -185,16 +186,12 @@ def posterior_mean_omega(model):
     + (1/n) sum_j pad(shat_j^{-1}), with shat_j^{-1} = M'M for M = L^{-1} and
     E[1/d_j] = (shape/rate) Q(shape + 1, rate/M) / Q(shape, rate/M), Q = gammaincc.
     """
-    p, keff = model.stats.ahat.shape
     gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
-    omega = compose(CholeskyFactor(a=model.stats.ahat, d=model.ig_rate / model.ig_shape / gain))
-    m = linalg._invert_lower(_predecessor_factors(model))
-    # slot a of column j is coordinate j - keff + a; padded slots (< 0) are left out
-    at = np.arange(p)[:, None] + np.arange(-keff, 0)
-    r, c = np.broadcast_arrays(at[:, :, None], at[:, None, :])
-    real = (r >= 0) & (c >= 0)
-    np.add.at(omega, (r[real], c[real]), (m.swapaxes(1, 2) @ m)[real] / model.n)
-    return omega
+    d = model.ig_rate / model.ig_shape / gain
+    bands = _compose_bands(CholeskyFactor(a=model.stats.ahat, d=d))
+    # slot a of column j is coordinate j - keff + a, keff = ahat.shape[1]
+    _add_block_inverses(bands, _predecessor_factors(model), -model.stats.ahat.shape[1], model.n)
+    return _dense_symmetric(bands)
 
 
 def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):

@@ -8,7 +8,8 @@ never changes results, so reruns are byte-identical. A bandwidth chosen by
 posterior mode is reported in the sidecar with its normalized posterior
 probability and its log-gap to the runner-up, and one chosen by resampling
 with its risk margin over the runner-up (each null on a one-point grid).
-Exit codes: 0 success, 2 bad input, 3 numerical failure.
+Exit codes: 0 success, 2 bad input (an unreadable input or unwritable
+output among them), 3 numerical failure.
 """
 
 import argparse
@@ -101,6 +102,14 @@ def _parse_csv(fh, path, header):
     return np.array(rows)
 
 
+def _create(path):
+    """open(path, "w"), an OSError raised as the ValueError of bad input."""
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err}") from None
+
+
 def write_matrix_csv(path, m):
     """Write the matrix m byte for byte as np.savetxt(path, m, fmt=MATRIX_FMT,
     delimiter=",") does, formatting only the span of each row from its first
@@ -115,7 +124,7 @@ def write_matrix_csv(path, m):
     full = ",".join([MATRIX_FMT] * width)
     unit = len(MATRIX_FMT) + 1
     zero_row = ",".join(["0"] * width)
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         for row, lo, hi, nonzero in zip(m, first, last, has):
             if nonzero:
                 span = full[:unit * (hi - lo + 1) - 1] % tuple(row[lo:hi + 1])
@@ -125,7 +134,7 @@ def write_matrix_csv(path, m):
 
 
 def write_json(path, payload):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")
 
@@ -279,7 +288,7 @@ def cmd_bandwidth(args):
         result.update(_resampling_diagnostics(res))
         for k, value in zip(res.k_values, res.risk):
             lines.append(f"resampling,{k},{format(value, '.17g')}")
-    with open(args.output, "w") as fh:
+    with _create(args.output) as fh:
         fh.write("\n".join(lines) + "\n")
 
     sidecar = args.sidecar or default_sidecar(args.output)
@@ -311,11 +320,15 @@ def cmd_simulate(args):
     except json.JSONDecodeError as err:
         raise ValueError(f"{args.config}: invalid JSON: {err}") from None
     config = ExperimentConfig.from_dict(raw)
+    # made before the replications run, so an unwritable directory costs no work
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"cannot write {args.output_dir}: {err}") from None
     result = run_experiment(config, workers=workers)
-    os.makedirs(args.output_dir, exist_ok=True)
     results_path = os.path.join(args.output_dir, "results.csv")
     summary_path = os.path.join(args.output_dir, "summary.json")
-    with open(results_path, "w") as fh:
+    with _create(results_path) as fh:
         fh.write(records_csv_text(result))
     write_json(summary_path, summary_payload(result))
     return EXIT_OK

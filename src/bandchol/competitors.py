@@ -5,15 +5,15 @@ use plain least-squares plug-ins instead of posterior means. The regression
 form and the graphical maximum likelihood form coincide: a banded Gaussian
 autoregression and the decomposable graphical model on the banded adjacency
 describe the same family, so their likelihoods peak at the same matrix. The
-MLE is computed in the graphical form, from batched clique and separator
-inverses.
+MLE is computed in the graphical form: mcd._add_block_inverses, the only band
+builder here, sums batched clique and separator inverses into bands.
 """
 
 import numpy as np
 
 from .errors import SingularClique
-from .linalg import _integer, _invert_lower
-from .mcd import CholeskyFactor, _dense_symmetric, compose
+from .linalg import _integer
+from .mcd import CholeskyFactor, _add_block_inverses, _dense_symmetric, compose
 from .stats import (NestedFactor, _checked_band, _gram_band, _predecessor_blocks,
                     as_data_matrix, banded_regression)
 
@@ -66,7 +66,7 @@ def graphical_mle_banded(data, k, gram=None):
     # separator of cliques c and c + 1 its trailing keff x keff block
     cliques = _predecessor_blocks(band, keff)[keff:]
     bands = np.zeros((keff + 1, p))
-    for blocks, start, sign in ((cliques, 0, 1.0), (cliques[:-1, 1:, 1:], 1, -1.0)):
+    for blocks, first, divisor in ((cliques, 0, 1.0), (cliques[:-1, 1:, 1:], 1, -1.0)):
         try:
             low = np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
@@ -77,12 +77,5 @@ def graphical_mle_banded(data, k, gram=None):
                     low[c] = np.linalg.cholesky(block)
                 except np.linalg.LinAlgError:
                     raise SingularClique(c + 1) from None
-        # a block's inverse is M'M for M = L^{-1}
-        m = _invert_lower(low)
-        inv = m.swapaxes(1, 2) @ m
-        w = blocks.shape[1]
-        # block c adds its entry (b + s, b) into bands[s, start + c + b]; b
-        # descends, so each entry sums its blocks in ascending c
-        for b in range(w - 1, -1, -1):
-            bands[:w - b, start + b:start + b + len(blocks)] += sign * inv[:, b:, b].T
+        _add_block_inverses(bands, low, first, divisor)
     return _dense_symmetric(bands)

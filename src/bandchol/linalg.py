@@ -19,7 +19,7 @@ _spd_factor is the one step that validates and factors an SPD input,
 _solve_lower_transposed the one back-substitution on a stack of padded
 band factors, shared by stats._regress (nearest first) and the sampler,
 and _invert_lower the one inversion of a stack of triangular factors,
-shared by stats._nested_coefficients and the graphical MLE. The
+shared by stats._nested_coefficients and mcd._add_block_inverses. The
 back-substitution runs on blocks-last copies, the p factors along the
 last, contiguous axis, so that each of its k steps is a few whole-row
 operations; the inversion keeps its per-row batched matmul, whose
@@ -27,6 +27,7 @@ summation order the nested coefficients' exact tests pin.
 """
 
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dsytrd, dsytrd_lwork
@@ -76,6 +77,14 @@ def _integer(name, value, minimum=None):
             or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name}: expected an integer{bound}, got {value!r}")
+
+
+def _real(name, value, valid, expected):
+    """value as a float, if it is a real number, not a bool, that valid
+    accepts; the ValueError names the argument as _integer's does."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not valid(value):
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    return float(value)
 
 
 def is_symmetric(m):

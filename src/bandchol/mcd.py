@@ -9,9 +9,11 @@ same as truncating each regression to the k closest predecessors.
 A k-banded A is stored as its (p, k) coefficient band, the layout of
 BandedRegressionStats.ahat: row j holds the coefficients on coordinates
 j-k, ..., j-1, nearest last, and the slots left of the first coordinate
-are zero. compose builds omega from the bands in O(p k^2) and returns it
-dense; decompose returns the full band, k = p - 1, from one Cholesky
-factorization.
+are zero. decompose returns the full band, k = p - 1, from one Cholesky
+factorization. A k-banded omega is built as its (k+1, p) lower bands, row s
+holding (c+s, c), and written dense once by _dense_symmetric; the only band
+builders are _compose_bands (O(p k^2)), which compose densifies, and
+_add_block_inverses, the MLE's and the posterior mean's block-inverse sums.
 """
 
 from dataclasses import dataclass
@@ -61,11 +63,13 @@ class CholeskyFactor:
 
 
 def compose(factor):
-    """Assemble omega = (I - A)' D^{-1} (I - A) as a dense symmetric matrix.
+    """omega = (I - A)' D^{-1} (I - A), dense: symmetric positive definite by
+    construction, and exactly k-banded for a k-wide coefficient band."""
+    return _dense_symmetric(_compose_bands(factor))
 
-    The result is symmetric positive definite by construction, and exactly
-    k-banded for a k-wide coefficient band.
-    """
+
+def _compose_bands(factor):
+    """The (k+1, p) lower bands of compose(factor), k the factor's band width."""
     p, k = factor.a.shape
     # b[m, t] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
     # past slot k and past the last row
@@ -81,7 +85,7 @@ def compose(factor):
     s0, s1 = b.strides
     left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
     right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
-    return _dense_symmetric(np.einsum("sct,sct->sc", left, right))
+    return np.einsum("sct,sct->sc", left, right)
 
 
 def _dense_symmetric(bands):
@@ -95,6 +99,18 @@ def _dense_symmetric(bands):
     np.ndarray((k + 1, p), buffer=full, strides=(e, (p + 1) * e))[:] = bands
     np.ndarray((k + 1, p), buffer=full, strides=(p * e, (p + 1) * e))[:] = bands
     return full[:p]
+
+
+def _add_block_inverses(bands, low, first, divisor):
+    """Add S^{-1} / divisor, S = L L' for L = low[c], into the bands: entry (b + s, b)
+    of block c goes to bands[s, first + c + b], unless first + c + b < 0 (padding)."""
+    m = linalg._invert_lower(low)
+    # S^{-1} = M'M for M = L^{-1}; b descends, so each entry sums its blocks in ascending c
+    inv = m.swapaxes(1, 2) @ m / divisor
+    w = low.shape[1]
+    for b in range(w - 1, -1, -1):
+        skip = max(0, -first - b)
+        bands[:w - b, first + b + skip:first + b + len(low)] += inv[skip:, b:, b].T
 
 
 def decompose(omega):

@@ -10,7 +10,6 @@ factor of its covariance, which draws every replication's data.
 """
 
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from .bandwidth import select_k_posterior_mode, select_k_resampling
 from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError, EmptyGrid, ExperimentFailed, SingularMatrix
-from .linalg import _integer
+from .linalg import _integer, _real
 from .stats import gram_band
 
 ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
@@ -43,10 +42,8 @@ AR4_COEFFS = (0.4, 0.2, 0.2, 0.1)
 # ---------------------------------------------------------------------------
 
 def _check_ar1(rho, p):
-    if not abs(rho) < 1:
-        raise ValueError("ar1 needs |rho| < 1")
-    if p < 1:
-        raise ValueError("p must be positive")
+    _real("rho", rho, lambda v: abs(v) < 1, "a number with |rho| < 1")
+    _integer("p", p, 1)
 
 
 def make_ar1_cov(rho, p):
@@ -74,8 +71,7 @@ def ar1_precision(rho, p):
 
 def make_ar4_precision(p, coeffs=AR4_COEFFS):
     """Banded Toeplitz precision: unit diagonal, coeffs on lags 1..4."""
-    if p < 5:
-        raise ValueError("fourth-order band needs p >= 5")
+    _integer("p", p, 5)
     if len(coeffs) != 4:
         raise ValueError("coeffs must supply lags 1..4")
     omega = np.eye(p)
@@ -98,21 +94,12 @@ def _ar4_factor(p, coeffs):
 
 def make_fgn_cov(hurst, p):
     """Covariance of fractional Gaussian noise increments with index hurst."""
-    if not 0 < hurst < 1:
-        raise ValueError("hurst index must lie in (0, 1)")
-    if p < 1:
-        raise ValueError("p must be positive")
+    _real("hurst", hurst, lambda v: 0 < v < 1, "a number in (0, 1)")
+    _integer("p", p, 1)
     idx = np.arange(p)
     m = np.abs(idx[:, None] - idx[None, :]).astype(float)
     h2 = 2.0 * hurst
     return 0.5 * ((m + 1.0) ** h2 - 2.0 * m**h2 + np.abs(m - 1.0) ** h2)
-
-
-def _real(path, value, valid, expected):
-    """value as a float, if it is a real number, not a bool, that valid accepts."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not valid(value):
-        raise ValueError(f"{path}: expected {expected}, got {value!r}")
-    return float(value)
 
 
 def _names(path, value, allowed):
@@ -213,8 +200,7 @@ def _draw(low, n, rng):
 def sample_gaussian(sigma, n, rng):
     """n rows drawn from N(0, sigma), as L z with L the Cholesky factor."""
     _, low = linalg._spd_factor(sigma, "covariance matrix")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _integer("n", n, 1)
     return _draw(low, n, np.random.default_rng(rng))
 
 
@@ -406,8 +392,11 @@ def run_experiment(config, workers=1):
     Replications are independent and seeded individually, so the result is
     identical for any worker count. Raises ExperimentFailed when more than
     5 percent of replications hit numerical errors; failed replications
-    are excluded from the summary but kept in the records.
+    are excluded from the summary but kept in the records. workers is an
+    integer >= 1, or None for one.
     """
+    if workers is not None:
+        _integer("workers", workers, 1)
     tasks = [(config, rep) for rep in range(config.reps)]
     if workers is not None and workers > 1 and config.reps > 1:
         ctx = get_context("spawn")

@@ -13,17 +13,24 @@ the back-substitution on a stack of factors, along the rows of its
 (p, ...) arrays, before it moved to blocks-last copies; the nested
 factor's residual variances and log determinants as the factorization
 computed both, before the log determinants waited for their first read;
-and compose with its scratch band negated and then divided.
+compose with its scratch band negated and then divided; and, from before
+mcd._add_block_inverses summed every block inverse into bands, the batched
+graphical MLE with its band loop inline and the exact posterior mean with
+its inverse predecessor blocks scattered into the dense compose by
+np.add.at.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpbtrf
 
-from bandchol import stats
+from bandchol import linalg, stats
+from bandchol.bayes import _predecessor_factors, ig_cdf
 from bandchol.errors import DegenerateResidual, SingularClique, SingularDesign
-from bandchol.mcd import _dense_symmetric
-from bandchol.stats import _checked_band, _predecessor_blocks, gram_band
+from bandchol.linalg import _integer, _invert_lower
+from bandchol.mcd import CholeskyFactor, _dense_symmetric
+from bandchol.mcd import compose as mcd_compose
+from bandchol.stats import _checked_band, _gram_band, _predecessor_blocks, gram_band
 
 
 def check_finite(m, name="matrix"):
@@ -218,3 +225,54 @@ def compose(factor):
     left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
     right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
     return _dense_symmetric(np.einsum("sct,sct->sc", left, right))
+
+
+def graphical_mle_batched(data, k, gram=None):
+    """competitors.graphical_mle_banded with its band loop inline."""
+    x = stats.as_data_matrix(data)
+    n, p = x.shape
+    _integer("k", k, 0)
+    keff = min(k, p - 1)
+    if n <= keff + 1:
+        raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")
+    band = _gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
+    # clique c = {c, ..., c + keff} is the block of column c + keff, and the
+    # separator of cliques c and c + 1 its trailing keff x keff block
+    cliques = _predecessor_blocks(band, keff)[keff:]
+    bands = np.zeros((keff + 1, p))
+    for blocks, start, sign in ((cliques, 0, 1.0), (cliques[:-1, 1:, 1:], 1, -1.0)):
+        try:
+            low = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            # a batch fails as a whole: factor one by one to name the first
+            low = np.empty(blocks.shape)
+            for c, block in enumerate(blocks):
+                try:
+                    low[c] = np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    raise SingularClique(c + 1) from None
+        # a block's inverse is M'M for M = L^{-1}
+        m = _invert_lower(low)
+        inv = m.swapaxes(1, 2) @ m
+        w = blocks.shape[1]
+        # block c adds its entry (b + s, b) into bands[s, start + c + b]; b
+        # descends, so each entry sums its blocks in ascending c
+        for b in range(w - 1, -1, -1):
+            bands[:w - b, start + b:start + b + len(blocks)] += sign * inv[:, b:, b].T
+    return _dense_symmetric(bands)
+
+
+def posterior_mean_scatter(model):
+    """bayes.posterior_mean_omega, its inverse blocks added into the dense
+    compose by np.add.at."""
+    p, keff = model.stats.ahat.shape
+    gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
+    omega = mcd_compose(CholeskyFactor(a=model.stats.ahat,
+                                       d=model.ig_rate / model.ig_shape / gain))
+    m = linalg._invert_lower(_predecessor_factors(model))
+    # slot a of column j is coordinate j - keff + a; padded slots (< 0) are left out
+    at = np.arange(p)[:, None] + np.arange(-keff, 0)
+    r, c = np.broadcast_arrays(at[:, :, None], at[:, None, :])
+    real = (r >= 0) & (c >= 0)
+    np.add.at(omega, (r[real], c[real]), (m.swapaxes(1, 2) @ m)[real] / model.n)
+    return omega

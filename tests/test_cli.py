@@ -393,6 +393,27 @@ def test_empty_bandwidth_grid_is_bad_input(tmp_path, capsys, command):
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("command, unwritable", [
+    (["estimate", "{data}", "-o", "{missing}/omega.csv"], "{missing}/omega.csv"),
+    (["estimate", "{data}", "-o", "{tmp}/omega.csv", "--sidecar", "{missing}/s.json"],
+     "{missing}/s.json"),
+    (["bandwidth", "{data}", "-o", "{missing}/profile.csv"], "{missing}/profile.csv"),
+    (["simulate", "--config", "{config}", "--output-dir", "{data}"], "{data}"),
+], ids=["estimate-output", "estimate-sidecar", "bandwidth-output", "simulate-output-dir"])
+def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch, command, unwritable):
+    # an output path in a missing directory, or an output directory that is
+    # a file, exits 2 with one line naming it and no traceback; simulate
+    # checks its directory before it runs a replication
+    paths = {"data": tmp_path / "data.csv", "missing": tmp_path / "missing",
+             "tmp": tmp_path, "config": CONFIG_DIR / "smoke.json"}
+    write_data(paths["data"])
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("ran"))
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bandchol: cannot write {unwritable.format(**paths)}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_parse_error_exit_code_and_line_number(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("1.0,2.0\n3.0,oops\n")

@@ -20,6 +20,11 @@ entries once per call, and the resampler once plus once per reference
 group; a NestedFactor still scans data it was not built from.
 fit_posterior and the resampler never compute a nested factor's log
 determinants, which only the posterior-mode grid reads.
+compose, graphical_mle_banded and posterior_mean_omega, whose bands now
+come from mcd._compose_bands and mcd._add_block_inverses, are bit-identical
+to compose, the batched MLE with its band loop inline and the posterior
+mean's np.add.at scatter into a dense matrix, and the MLE names the same
+SingularClique.
 """
 
 import dataclasses
@@ -29,13 +34,14 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainccinv
 
 import oracles
 from bandchol import bandwidth, linalg, stats
 from bandchol.bandwidth import log_marginal_k, select_k_posterior_mode, select_k_resampling
-from bandchol.bayes import PriorConfig, fit_posterior
+from bandchol.bayes import PriorConfig, fit_posterior, posterior_mean_omega
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
-from bandchol.errors import SingularClique
+from bandchol.errors import BandcholError, SingularClique
 from bandchol.linalg import norm_fro, norm_l1, norm_linf
 from bandchol.mcd import CholeskyFactor, compose
 from bandchol.stats import as_data_matrix, gram_band
@@ -403,3 +409,45 @@ def test_log_determinants_wait_for_the_grid():
     # the grid reads them, from its one factorization
     seen = factors_seen(select_k_posterior_mode, x, 4)
     assert len(seen) == 1 and "logdet" in vars(seen[0])
+
+
+@st.composite
+def band_builder_cases(draw):
+    """(x, k, width, cap): Gaussian data, p <= 12, k from 0 past p - 1, so
+    keff = p - 1 occurs, and n from keff + 2, at scales 1e-3..1e3; maybe a
+    duplicate, constant or zero column, a Gram band of width keff..p-1, and
+    a cap M of 3, 1e6, infinity or, as "tiny", the largest cap that leaves
+    some column a truncation mass of 1e-150."""
+    p = draw(st.integers(1, 12))
+    k = draw(st.integers(0, p + 1))
+    keff = min(k, p - 1)
+    n = draw(st.integers(keff + 2, keff + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 10.0 ** draw(st.integers(-3, 3)) * rng.standard_normal((n, p))
+    columns = st.integers(0, p - 1)
+    for kind, j, i in draw(st.lists(st.tuples(st.sampled_from(["duplicate", "constant",
+                                                               "zero"]), columns, columns),
+                                    max_size=2)):
+        x[:, j] = {"duplicate": x[:, i], "constant": 1.5, "zero": 0.0}[kind]
+    width = draw(st.one_of(st.none(), st.integers(keff, p - 1)))
+    return x, k, width, draw(st.sampled_from([3.0, 1e6, np.inf, "tiny"]))
+
+
+@settings(max_examples=300)
+@given(band_builder_cases())
+def test_band_builders_match_dense_oracles(case):
+    x, k, width, cap = case
+    gram = None if width is None else gram_band(x, width)
+    assert_same(run(graphical_mle_banded, x, k, gram),
+                run(oracles.graphical_mle_batched, x, k, gram))
+    try:
+        if cap == "tiny":
+            base = fit_posterior(x, PriorConfig(k), gram=gram)
+            cap = float(np.max(base.ig_rate / gammainccinv(base.ig_shape, 1e-150)))
+        model = fit_posterior(x, PriorConfig(k, M=cap), gram=gram)
+    except (ValueError, BandcholError):
+        # inadmissible, degenerate or without truncation mass: nothing to compose
+        return
+    factor = CholeskyFactor(a=model.stats.ahat, d=model.stats.dhat)
+    assert same_bits(compose(factor), oracles.compose(factor))
+    assert_same(run(posterior_mean_omega, model), run(oracles.posterior_mean_scatter, model))

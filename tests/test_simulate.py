@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bandchol import linalg, simulate
+from bandchol.bayes import PriorConfig, max_bandwidth
 from bandchol.errors import EmptyGrid, ExperimentFailed, SingularMatrix
 from bandchol.linalg import norm_fro, norm_linf, norm_spectral
 from bandchol.simulate import (
@@ -163,7 +164,7 @@ def test_sample_gaussian_factors_sigma_once(monkeypatch):
         sample_gaussian(np.array([[1.0, 0.5], [0.0, 1.0]]), 3, 0)
     with pytest.raises(SingularMatrix):
         sample_gaussian(np.diag([1.0, 0.0]), 3, 0)
-    with pytest.raises(ValueError, match="n must be positive"):
+    with pytest.raises(ValueError, match="^n: expected an integer >= 1, got 0"):
         sample_gaussian(sigma, 0, 0)
 
 
@@ -331,6 +332,43 @@ def test_run_experiment_single_rep_sd_zero():
     result = run_experiment(small_config(reps=1, estimators=("LL",)))
     for loss_stats in result.summary["LL"].values():
         assert loss_stats["sd"] == 0.0
+
+
+@pytest.mark.parametrize("name, call", [
+    ("M", lambda: PriorConfig(k=1, M=True)),
+    ("M", lambda: PriorConfig(k=1, M=np.array([3.0]))),
+    ("M", lambda: PriorConfig(k=1, M="5")),
+    ("M", lambda: PriorConfig(k=1, M=0.0)),
+    ("nu0", lambda: PriorConfig(k=1, nu0=True)),
+    ("nu0", lambda: PriorConfig(k=1, nu0=np.inf)),
+    ("nu0", lambda: max_bandwidth(10, 5, "2")),
+    ("n", lambda: max_bandwidth(10.5, 5, 2.0)),
+    ("p", lambda: make_ar1_cov(0.3, 2.5)),
+    ("rho", lambda: make_ar1_cov(True, 3)),
+    ("p", lambda: make_fgn_cov(0.7, 2.5)),
+    ("hurst", lambda: make_fgn_cov("0.7", 3)),
+    ("p", lambda: ar1_precision(0.3, 2.5)),
+    ("p", lambda: make_ar4_precision(6.5)),
+    ("p", lambda: make_ar4_precision(4)),
+    ("n", lambda: sample_gaussian(np.eye(3), 2.5, 0)),
+    ("workers", lambda: run_experiment(small_config(reps=1), workers=2.5)),
+    ("workers", lambda: run_experiment(small_config(reps=1), workers=0)),
+], ids=["M-bool", "M-array", "M-string", "M-zero", "nu0-bool", "nu0-inf",
+        "max_bandwidth-nu0", "max_bandwidth-n", "ar1_cov-p", "ar1_cov-rho", "fgn_cov-p",
+        "fgn_cov-hurst", "ar1_precision-p", "ar4-p", "ar4-p-small", "sample_gaussian-n",
+        "workers-float", "workers-zero"])
+def test_public_numbers_raise_named_value_errors(monkeypatch, name, call):
+    # a bool, an array, a string, a float where an integer belongs, or a value
+    # out of range raises a ValueError that names the argument, before any work
+    monkeypatch.setattr(simulate, "_run_rep", lambda *args: pytest.fail("replication ran"))
+    with pytest.raises(ValueError, match=f"^{name}: expected "):
+        call()
+
+
+def test_run_experiment_workers_none_runs_serially():
+    config = small_config(reps=2, estimators=("LL",))
+    assert records_csv_text(run_experiment(config, workers=None)) == \
+        records_csv_text(run_experiment(config, workers=1))
 
 
 def test_empty_grid_is_rejected_before_any_replication(monkeypatch):
