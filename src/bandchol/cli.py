@@ -9,7 +9,9 @@ posterior mode is reported in the sidecar with its normalized posterior
 probability and its log-gap to the runner-up, and one chosen by resampling
 with its risk margin over the runner-up (each null on a one-point grid).
 Exit codes: 0 success, 2 bad input (an unreadable input or unwritable
-output among them), 3 numerical failure.
+output among them), 3 numerical failure. estimate and bandwidth check every
+output path before they read the data and write nothing until the fit is
+done, so a command that fails leaves no file behind.
 """
 
 import argparse
@@ -110,6 +112,19 @@ def _create(path):
         raise ValueError(f"cannot write {path}: {err}") from None
 
 
+def _check_writable(*paths):
+    """Raise _create's ValueError for the first path that it could not open,
+    without creating any: each must lie in an existing directory, writable
+    like the file itself if it exists, and not be a directory."""
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write {path}: no such directory {directory!r}")
+        if os.path.isdir(path) or not os.access(
+                path if os.path.exists(path) else directory, os.W_OK):
+            raise ValueError(f"cannot write {path}: not a writable file")
+
+
 def write_matrix_csv(path, m):
     """Write the matrix m byte for byte as np.savetxt(path, m, fmt=MATRIX_FMT,
     delimiter=",") does, formatting only the span of each row from its first
@@ -145,18 +160,9 @@ def default_sidecar(output_path):
 
 
 def resolve_threads(value):
-    """--threads flag, then BANDCHOL_THREADS, then all cores."""
+    """--threads flag, by default all cores."""
     if value is None:
-        env = os.environ.get("BANDCHOL_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"BANDCHOL_THREADS={env!r} is not an integer"
-                ) from None
-        else:
-            value = os.cpu_count() or 1
+        value = os.cpu_count() or 1
     if value < 1:
         raise ValueError("threads must be at least 1")
     return value
@@ -210,6 +216,8 @@ def _resampling_diagnostics(sel):
 
 
 def cmd_estimate(args):
+    sidecar = args.sidecar or default_sidecar(args.output)
+    _check_writable(args.output, sidecar)
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
     resampling = args.k is None and args.select_k == "resampling"
@@ -242,7 +250,6 @@ def cmd_estimate(args):
         omega = graphical_mle_banded(x, k, gram=gram)
 
     write_matrix_csv(args.output, omega)
-    sidecar = args.sidecar or default_sidecar(args.output)
     write_json(sidecar, {
         "command": "estimate",
         "input": _input_echo(args, n, p),
@@ -264,6 +271,8 @@ def cmd_estimate(args):
 
 
 def cmd_bandwidth(args):
+    sidecar = args.sidecar or default_sidecar(args.output)
+    _check_writable(args.output, sidecar)
     x = read_data_csv(args.data, header=args.header, center=args.center)
     n, p = x.shape
     schemes = ("mode", "resampling") if args.scheme == "both" else (args.scheme,)
@@ -290,8 +299,6 @@ def cmd_bandwidth(args):
             lines.append(f"resampling,{k},{format(value, '.17g')}")
     with _create(args.output) as fh:
         fh.write("\n".join(lines) + "\n")
-
-    sidecar = args.sidecar or default_sidecar(args.output)
     write_json(sidecar, {
         "command": "bandwidth",
         "input": _input_echo(args, n, p),
@@ -404,8 +411,8 @@ def build_parser():
     sim.add_argument("--output-dir", required=True,
                      help="directory for results.csv and summary.json")
     sim.add_argument("--threads", type=int, default=None,
-                     help="replication workers (default: all cores, or "
-                          "BANDCHOL_THREADS); never changes results")
+                     help="replication workers (default: all cores); never "
+                          "changes results")
     sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -3,17 +3,18 @@
 All functions accept anything convertible to a float ndarray and reject
 non-finite entries in one pass: one reduction in check_finite, and none in
 norm_l1, norm_linf and norm_fro unless the norm is not finite. Symmetry is
-always checked in relative terms against the largest entry magnitude; the
-check finds the lower and upper bandwidth in one scan for nonzeros and
-reads only the diagonals inside a narrow band, and so does norm_spectral's
-check for non-finite entries. Inputs are dense matrices. norm_spectral
-brackets the extreme eigenvalues of a narrow symmetric band by Cholesky
-factorizations of its shifts, O(p b^2) each, at trial points that the
-Rayleigh quotients of inverse iteration steps on the same factors guide,
+always checked in relative terms against the largest entry magnitude, after
+one scan for nonzeros finds the lower and upper bandwidth. _bands is the one
+reader of a square matrix's band: is_symmetric and norm_spectral read a
+narrow one once, for the symmetry test and, in norm_spectral, the check for
+non-finite entries and the band it searches. Inputs are dense matrices.
+norm_spectral brackets the extreme eigenvalues of a narrow symmetric band by
+Cholesky factorizations of its shifts, O(p b^2) each, at trial points that
+the Rayleigh quotients of inverse iteration steps on the same factors guide,
 in at most as many factorizations as plain bisection. The norm of a wide
-symmetric or a general matrix comes from one Householder reduction to
-tridiagonal form, O(p^3), and a bisection of the tridiagonal for its two
-extreme eigenvalues only.
+symmetric matrix comes from one Householder reduction to tridiagonal form,
+O(p^3), and a bisection of the tridiagonal for its two extreme eigenvalues
+only; that of a general matrix is its largest singular value from the SVD.
 
 _spd_factor is the one step that validates and factors an SPD input,
 _solve_lower_transposed the one back-substitution on a stack of padded
@@ -55,9 +56,9 @@ SYM_TOL = 1e-12
 BAND_BISECTION_LIMIT = 200_000
 # factorizations at most per extreme eigenvalue in _top_eigenvalue
 BISECTION_STEPS = 51
-# is_symmetric reads only the 2w + 1 in-band diagonals of a matrix whose
-# wider bandwidth w has SYM_SCAN_RATIO * w <= p, one strided read each, and
-# takes the dense formula over all p^2 entries otherwise
+# the symmetry test reads only the 2w + 1 in-band diagonals (_bands) of a
+# matrix whose wider bandwidth w has SYM_SCAN_RATIO * w <= p, and takes the
+# dense formula over all p^2 entries otherwise
 SYM_SCAN_RATIO = 25
 
 
@@ -92,7 +93,7 @@ def is_symmetric(m):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return _symmetric_within(m, max(_bandwidths(m)))
+    return _symmetric_within(m, max(_bandwidths(m)))[0]
 
 
 def _row_spans(mask):
@@ -115,25 +116,34 @@ def _bandwidths(m):
     return int(np.max((idx - first)[has], initial=0)), int(np.max((last - idx)[has], initial=0))
 
 
-def _symmetric_within(m, width):
-    """is_symmetric for a square m with no nonzero entry more than width
-    diagonals off the main one.
+def _bands(m, w):
+    """The lower and upper bands of a square m within w of the diagonal, one
+    read of each diagonal: the (w + 1, p) halves of one array, row d holding
+    diagonal -d or d, zero-padded at the end; the lower bands of m and m.T in
+    LAPACK storage, each in Fortran order, as dpbtrf reads it."""
+    p = m.shape[0]
+    lower, upper = bands = np.zeros((2, p, w + 1)).transpose(0, 2, 1)
+    lower[0] = upper[0] = np.diagonal(m)
+    for d in range(1, w + 1):
+        lower[d, :p - d] = np.diagonal(m, -d)
+        upper[d, :p - d] = np.diagonal(m, d)
+    return bands
 
-    Outside that band m and m.T are both exactly zero, so the largest entry
-    and the largest |m - m.T| are found on the 2 * width + 1 diagonals in
-    it, in O(p * width). A wide band takes the dense formula, which is then
-    the cheaper one.
-    """
-    if SYM_SCAN_RATIO * width > m.shape[0]:
-        scale = np.max(np.abs(m))
-        return scale == 0.0 or np.max(np.abs(m - m.T)) <= SYM_TOL * scale
-    scale = np.max(np.abs(np.diagonal(m)))
-    asym = 0.0
-    for d in range(1, width + 1):
-        below, above = np.diagonal(m, -d), np.diagonal(m, d)
-        scale = max(scale, np.max(np.abs(below)), np.max(np.abs(above)))
-        asym = max(asym, np.max(np.abs(below - above)))
-    return scale == 0.0 or asym <= SYM_TOL * scale
+
+def _symmetric_within(m, width, finite=False):
+    """is_symmetric for a square m with no nonzero entry more than width
+    diagonals off the main one, and the _bands(m, width) that a narrow band,
+    SYM_SCAN_RATIO * width <= p, is tested on in O(p * width), as m and m.T
+    are both exactly zero off it; None for a wide band, which takes the dense
+    formula, then the cheaper one. NaN fails both tests. With finite, a
+    non-finite entry raises check_finite's ValueError before any arithmetic."""
+    bands = None if SYM_SCAN_RATIO * width > m.shape[0] else _bands(m, width)
+    entries = m if bands is None else bands
+    if finite:
+        check_finite(entries)
+    lower, upper = (m, m.T) if bands is None else bands
+    scale = np.max(np.abs(entries))
+    return scale == 0.0 or np.max(np.abs(lower - upper)) <= SYM_TOL * scale, bands
 
 
 def _spd_factor(m, name="matrix"):
@@ -198,21 +208,11 @@ def _invert_lower(low):
 # norms
 # ---------------------------------------------------------------------------
 
-def _lower_band(m, b):
-    """The lower band of a square m in LAPACK storage: row d holds diagonal
-    -d, padded with zeros at the end; Fortran order, as dpbtrf reads it."""
-    p = m.shape[0]
-    band = np.zeros((b + 1, p), order="F")
-    for d in range(b + 1):
-        band[d, :p - d] = np.diagonal(m, -d)
-    return band
-
-
 def _top_eigenvalue(minus_band, lo, hi, tol):
     """Narrow lo <= lambda_max(A) <= hi down to a width of at most tol, in at
     most BISECTION_STEPS factorizations, and return the upper end.
 
-    minus_band is -A in the storage of _lower_band; lo, hi and hi - lo are at
+    minus_band is -A in the storage of _bands; lo, hi and hi - lo are at
     most ||A||_inf = tol / (4 eps) in magnitude. sigma * I - A has a Cholesky
     factor exactly when sigma > lambda_max(A), so a dpbtrf at a trial point
     sigma moves one end of the bracket to it.
@@ -270,7 +270,7 @@ def _band_norm(band):
     Cholesky tests of its shifts (Barth, Martin & Wilkinson 1967) at trial
     points from Rayleigh quotients, or bisection's midpoints (_top_eigenvalue).
 
-    band is the lower band, of lower bandwidth b, from _lower_band. It is
+    band is the lower band, of lower bandwidth b, from _bands. It is
     scaled by an exact power of two to entries below 1 in magnitude, so no
     step overflows, and only entries some 1e-308 times smaller than the
     largest can underflow. lambda_max is found first, then one more dpbtrf,
@@ -347,8 +347,7 @@ def norm_spectral(m):
     A symmetric input of order p and lower bandwidth b is its largest
     absolute eigenvalue: by Cholesky bisection on its lower band when
     BAND_BISECTION_LIMIT * b^2 <= p^3 (see _band_norm), from _dense_extremes
-    otherwise. General inputs go through the Gram matrix m.T @ m, formed
-    after scaling m by a power of two so that it cannot overflow.
+    otherwise. A general input's comes from the SVD.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -360,22 +359,15 @@ def norm_spectral(m):
         check_finite(m)
     else:
         lower, upper = _bandwidths(m)
-        width = max(lower, upper)
-        # only zeros lie off the band: a narrow one is checked on its diagonals
-        check_finite(m if SYM_SCAN_RATIO * width > p else
-                     np.concatenate([np.diagonal(m, d) for d in range(-width, width + 1)]))
-        if _symmetric_within(m, width):
+        symmetric, bands = _symmetric_within(m, max(lower, upper), finite=True)
+        if symmetric:
             if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
-                return _band_norm(_lower_band(m, lower))
+                band = (_bands(m, lower) if bands is None else bands)[0, :lower + 1]
+                # Fortran order: _band_norm's Gershgorin row sums depend on the layout
+                return _band_norm(np.asfortranarray(band))
             lo, hi = _dense_extremes(m)
             return max(-lo, hi)
-    exponent = int(np.frexp(np.max(np.abs(m)))[1])
-    m = np.ldexp(m, -exponent)
-    gram = m.T @ m
-    gram = (gram + gram.T) / 2.0
-    # the top eigenvalue of a nonzero Gram matrix is positive; the clamp
-    # only guards the square root
-    return float(np.ldexp(np.sqrt(max(_dense_extremes(gram)[1], 0.0)), exponent))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _checked_norm(m, norm):

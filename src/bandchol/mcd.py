@@ -69,7 +69,10 @@ def compose(factor):
 
 
 def _compose_bands(factor):
-    """The (k+1, p) lower bands of compose(factor), k the factor's band width."""
+    """The (k+1, p) lower bands of compose(factor), k the factor's band width.
+    The einsum overflows silently, and _dense_symmetric rejects the result;
+    the divide could warn only where some a / sqrt(d) exceeds the largest
+    float, which no fit's coefficients and residual variances reach."""
     p, k = factor.a.shape
     # b[m, t] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
     # past slot k and past the last row
@@ -92,7 +95,16 @@ def _dense_symmetric(bands):
     """The dense symmetric matrix with entries (c+s, c) and (c, c+s) bands[s, c]
     of (k+1, p) lower bands, zero past c = p-1-s. The strided writes of those
     zeros land in k spare rows below it or, from the upper band, in its
-    strictly lower part, which the lower band is written over next."""
+    strictly lower part, which the lower band is written over next.
+
+    Every estimate is densified here once, so this is where one whose
+    entries overflowed is rejected: ValueError unless every band entry is
+    finite. No bound on the data's second moments alone prevents that, as a
+    near collinear column at a small scale can have entries of order
+    1 / (residual variance) times huge coefficients.
+    """
+    if not np.isfinite(bands).all():
+        raise ValueError("precision matrix entries overflow; rescale the data")
     k, p = bands.shape[0] - 1, bands.shape[1]
     full = np.zeros((p + k, p))
     e = full.itemsize
@@ -103,14 +115,16 @@ def _dense_symmetric(bands):
 
 def _add_block_inverses(bands, low, first, divisor):
     """Add S^{-1} / divisor, S = L L' for L = low[c], into the bands: entry (b + s, b)
-    of block c goes to bands[s, first + c + b], unless first + c + b < 0 (padding)."""
-    m = linalg._invert_lower(low)
-    # S^{-1} = M'M for M = L^{-1}; b descends, so each entry sums its blocks in ascending c
-    inv = m.swapaxes(1, 2) @ m / divisor
+    of block c goes to bands[s, first + c + b], unless first + c + b < 0 (padding).
+    An entry that overflows is left for _dense_symmetric to reject."""
     w = low.shape[1]
-    for b in range(w - 1, -1, -1):
-        skip = max(0, -first - b)
-        bands[:w - b, first + b + skip:first + b + len(low)] += inv[skip:, b:, b].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = linalg._invert_lower(low)
+        # S^{-1} = M'M for M = L^{-1}; b descends, so each entry sums its blocks in ascending c
+        inv = m.swapaxes(1, 2) @ m / divisor
+        for b in range(w - 1, -1, -1):
+            skip = max(0, -first - b)
+            bands[:w - b, first + b + skip:first + b + len(low)] += inv[skip:, b:, b].T
 
 
 def decompose(omega):

@@ -176,8 +176,14 @@ class TrueModelSpec:
 
     @classmethod
     def from_dict(cls, d, p):
-        """Build the truth from a config's model object and its p."""
+        """Build the truth from a config's model object and its p: the
+        variant and no parameter but the one that variant reads."""
         _object("model", d, ("variant", *VARIANTS.values()), required=("variant",))
+        variant = d["variant"]
+        # an unknown variant is named by __post_init__
+        extra = set(d) - {"variant", VARIANTS[variant]} if variant in list(VARIANTS) else ()
+        if extra:
+            raise ValueError(f"model.{min(extra)}: the {variant} model does not read it")
         return cls(p=p, **d)
 
 

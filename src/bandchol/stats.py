@@ -35,6 +35,8 @@ RESIDUAL_FLOOR = 1e-14
 PIVOT_RECHECK = 1e-10
 # columns per BLAS product in gram_band
 GRAM_TILE = 64
+# the smallest second moment g_jj of a nonzero column that gram_band accepts
+_MOMENT_FLOOR = 1.0 / (RESIDUAL_FLOOR * np.finfo(float).max)
 
 
 def as_data_matrix(x):
@@ -55,7 +57,8 @@ def gram_band(data, width):
     outside 0..p-1; the first w rows hold 1 in the centre column and 0
     elsewhere, the identity's band. Raises ValueError when the moments
     overflow: when some entry of g is not finite or would not be once
-    symmetrized as (g + g') / 2.
+    symmetrized as (g + g') / 2; and when they underflow: when a column
+    with a nonzero entry has g_jj < _MOMENT_FLOOR, zero included.
 
     Each tile of GRAM_TILE columns c0..c1-1 takes one BLAS product
     x[:, c0:c1]' x[:, c0:c1+w]: read along its diagonals, its row c0 + a
@@ -70,6 +73,16 @@ def gram_band(data, width):
     The sum g + g' overflows where an entry exceeds half the largest float,
     so no band entry may; by Cauchy-Schwarz an entry off the band exceeds
     it only where a diagonal entry does.
+
+    The floor: every fit divides by residual variances d_j and accepts one
+    only above RESIDUAL_FLOOR * g_jj, so 1 / d_j < 1 / (RESIDUAL_FLOOR *
+    g_jj), at most the largest float F exactly when g_jj >= _MOMENT_FLOOR =
+    1 / (RESIDUAL_FLOOR * F), about 5.6e-295 (standard normal data times
+    about 1e-147). No bound on the band covers a coefficient's size, so an
+    estimate of near-collinear columns can still overflow at such scales;
+    mcd._dense_symmetric rejects it. Only columns below the floor are read
+    again, for a nonzero entry, at most one pass over the data; an all-zero
+    column is left to the fits' typed errors.
     """
     x = as_data_matrix(data)
     _integer("width", width)
@@ -106,6 +119,9 @@ def _gram_band(x, width):
         band /= n
     if not np.all(np.abs(band) <= np.finfo(float).max / 2.0):
         raise ValueError("second moments X'X/n overflow; rescale the data")
+    small = band[w:, w] < _MOMENT_FLOOR
+    if small.any() and x[:, small].any():
+        raise ValueError("second moments X'X/n underflow; rescale the data")
     band[:w, w] = 1.0
     band.flags.writeable = False
     return band

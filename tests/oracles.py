@@ -17,7 +17,10 @@ compose with its scratch band negated and then divided; and, from before
 mcd._add_block_inverses summed every block inverse into bands, the batched
 graphical MLE with its band loop inline and the exact posterior mean with
 its inverse predecessor blocks scattered into the dense compose by
-np.add.at.
+np.add.at; and, from before linalg._bands read a square matrix's band once,
+the lower band copied diagonal by diagonal, the symmetry test's loop over
+the diagonals, and norm_spectral's front end on a symmetric input, with its
+finiteness check over the concatenated diagonals.
 """
 
 import numpy as np
@@ -27,7 +30,16 @@ from scipy.linalg.lapack import dpbtrf
 from bandchol import linalg, stats
 from bandchol.bayes import _predecessor_factors, ig_cdf
 from bandchol.errors import DegenerateResidual, SingularClique, SingularDesign
-from bandchol.linalg import _integer, _invert_lower
+from bandchol.linalg import (
+    BAND_BISECTION_LIMIT,
+    SYM_SCAN_RATIO,
+    SYM_TOL,
+    _band_norm,
+    _bandwidths,
+    _dense_extremes,
+    _integer,
+    _invert_lower,
+)
 from bandchol.mcd import CholeskyFactor, _dense_symmetric
 from bandchol.mcd import compose as mcd_compose
 from bandchol.stats import _checked_band, _gram_band, _predecessor_blocks, gram_band
@@ -276,3 +288,59 @@ def posterior_mean_scatter(model):
     real = (r >= 0) & (c >= 0)
     np.add.at(omega, (r[real], c[real]), (m.swapaxes(1, 2) @ m)[real] / model.n)
     return omega
+
+
+def _lower_band(m, b):
+    """The lower band of a square m in LAPACK storage: row d holds diagonal
+    -d, padded with zeros at the end; Fortran order, as dpbtrf reads it."""
+    p = m.shape[0]
+    band = np.zeros((b + 1, p), order="F")
+    for d in range(b + 1):
+        band[d, :p - d] = np.diagonal(m, -d)
+    return band
+
+
+def _symmetric_within(m, width):
+    """is_symmetric for a square m with no nonzero entry more than width
+    diagonals off the main one.
+
+    Outside that band m and m.T are both exactly zero, so the largest entry
+    and the largest |m - m.T| are found on the 2 * width + 1 diagonals in
+    it, in O(p * width). A wide band takes the dense formula, which is then
+    the cheaper one.
+    """
+    if SYM_SCAN_RATIO * width > m.shape[0]:
+        scale = np.max(np.abs(m))
+        return scale == 0.0 or np.max(np.abs(m - m.T)) <= SYM_TOL * scale
+    scale = np.max(np.abs(np.diagonal(m)))
+    asym = 0.0
+    for d in range(1, width + 1):
+        below, above = np.diagonal(m, -d), np.diagonal(m, d)
+        scale = max(scale, np.max(np.abs(below)), np.max(np.abs(above)))
+        asym = max(asym, np.max(np.abs(below - above)))
+    return scale == 0.0 or asym <= SYM_TOL * scale
+
+
+def norm_spectral_symmetric(m):
+    """linalg.norm_spectral of a square matrix up to its general branch:
+    the norm of a symmetric m, and None for any other."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("norm_spectral expects a matrix")
+    if m.size == 0:
+        return 0.0
+    p = m.shape[0]
+    if p != m.shape[1]:
+        check_finite(m)
+    else:
+        lower, upper = _bandwidths(m)
+        width = max(lower, upper)
+        # only zeros lie off the band: a narrow one is checked on its diagonals
+        check_finite(m if SYM_SCAN_RATIO * width > p else
+                     np.concatenate([np.diagonal(m, d) for d in range(-width, width + 1)]))
+        if _symmetric_within(m, width):
+            if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
+                return _band_norm(_lower_band(m, lower))
+            lo, hi = _dense_extremes(m)
+            return max(-lo, hi)
+    return None

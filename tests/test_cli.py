@@ -41,22 +41,11 @@ def test_default_sidecar_path():
     assert default_sidecar("run/omega") == "run/omega.json"
 
 
-def test_resolve_threads_env():
-    saved = os.environ.pop("BANDCHOL_THREADS", None)
-    try:
-        assert resolve_threads(3) == 3
-        os.environ["BANDCHOL_THREADS"] = "2"
-        assert resolve_threads(None) == 2
-        assert resolve_threads(5) == 5  # flag wins over the environment
-        os.environ["BANDCHOL_THREADS"] = "two"
-        with pytest.raises(ValueError):
-            resolve_threads(None)
-        with pytest.raises(ValueError):
-            resolve_threads(0)
-    finally:
-        os.environ.pop("BANDCHOL_THREADS", None)
-        if saved is not None:
-            os.environ["BANDCHOL_THREADS"] = saved
+def test_resolve_threads():
+    assert resolve_threads(3) == 3
+    assert resolve_threads(None) == (os.cpu_count() or 1)
+    with pytest.raises(ValueError):
+        resolve_threads(0)
 
 
 WRITER_CASES = {
@@ -343,6 +332,7 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     ("model.hurst", {"model": {"variant": "fgn", "hurst": None}}),
     ("model.coeffs", {"model": {"variant": "ar4", "coeffs": 5}}),
     ("model.rho", {"model": {"variant": "ar4", "rho": [1]}}),
+    ("model.rho", {"model": {"variant": "fgn", "rho": 0.9}}),
     ("estimators", {"estimators": 5}),
     ("losses", {"losses": None}),
     ("estimators", {"estimators": "LL"}),
@@ -352,7 +342,7 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     ("losses", {"losses": ["fro", "fro"]}),
     ("selection.kmax", {"n": 50, "p": 30, "estimators": ["BL1"], "selection": {}}),
     ("model.coeffs", {"model": {"variant": "ar4", "coeffs": [0.9, 0.9, 0.9, 0.9]}}),
-], ids=["rho-string", "hurst-null", "coeffs-number", "rho-list-under-ar4",
+], ids=["rho-string", "hurst-null", "coeffs-number", "rho-list-under-ar4", "rho-under-fgn",
         "estimators-number", "losses-null", "estimators-string", "coeffs-string-entry",
         "M-true", "estimators-repeated", "losses-repeated", "kmax-beyond-split",
         "coeffs-not-positive-definite"])
@@ -361,7 +351,7 @@ def test_simulate_names_malformed_field(tmp_path, capsys, field, edit):
     # TypeError, and "M": true is not read as 1.0; a repeated name, a
     # default grid wider than a resampling split can fit, and ar4
     # coefficients whose precision matrix is not positive definite at this
-    # p, name theirs too
+    # p, name theirs too, and so does a parameter the model does not read
     config = {"model": {"variant": "ar1", "rho": 0.3}, "n": 30, "p": 8, "reps": 1,
               "estimators": ["LL"], "losses": ["fro"], "selection": {"kmax": 2}}
     cfg = tmp_path / "config.json"
@@ -398,12 +388,16 @@ def test_empty_bandwidth_grid_is_bad_input(tmp_path, capsys, command):
     (["estimate", "{data}", "-o", "{tmp}/omega.csv", "--sidecar", "{missing}/s.json"],
      "{missing}/s.json"),
     (["bandwidth", "{data}", "-o", "{missing}/profile.csv"], "{missing}/profile.csv"),
+    (["bandwidth", "{data}", "-o", "{tmp}/profile.csv", "--sidecar", "{missing}/s.json"],
+     "{missing}/s.json"),
     (["simulate", "--config", "{config}", "--output-dir", "{data}"], "{data}"),
-], ids=["estimate-output", "estimate-sidecar", "bandwidth-output", "simulate-output-dir"])
+], ids=["estimate-output", "estimate-sidecar", "bandwidth-output", "bandwidth-sidecar",
+        "simulate-output-dir"])
 def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch, command, unwritable):
     # an output path in a missing directory, or an output directory that is
-    # a file, exits 2 with one line naming it and no traceback; simulate
-    # checks its directory before it runs a replication
+    # a file, exits 2 with one line naming it and no traceback, and leaves
+    # no file behind: every output path is checked before the fit, and
+    # simulate checks its directory before it runs a replication
     paths = {"data": tmp_path / "data.csv", "missing": tmp_path / "missing",
              "tmp": tmp_path, "config": CONFIG_DIR / "smoke.json"}
     write_data(paths["data"])
@@ -412,6 +406,7 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch, command, 
     err = capsys.readouterr().err
     assert err.startswith(f"bandchol: cannot write {unwritable.format(**paths)}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert [f.name for f in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_parse_error_exit_code_and_line_number(tmp_path, capsys):
@@ -511,6 +506,20 @@ def test_overflowing_moments_exit_code(tmp_path, capsys):
     out = tmp_path / "omega.csv"
     assert main(["estimate", str(data), "-o", str(out)]) == 2
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-156, 1e-161, 1e-170])
+@pytest.mark.parametrize("flags", [[], ["--estimator", "mle", "--k", "1"]])
+def test_underflowing_moments_exit_code(tmp_path, capsys, scale, flags):
+    # moments below stats._MOMENT_FLOOR, or flushed to zero, are bad input
+    # (exit 2), not a non-finite estimate or a SingularDesign (exit 3)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, scale * np.random.default_rng(0).standard_normal((30, 6)),
+               delimiter=",", fmt="%.17g")
+    out = tmp_path / "omega.csv"
+    assert main(["estimate", str(data), "-o", str(out), *flags]) == 2
+    assert "underflow" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_default_kmax_is_largest_admissible_bandwidth(tmp_path):

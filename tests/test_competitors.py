@@ -76,6 +76,16 @@ def test_singular_clique_reported():
         graphical_mle_banded(x, 2)
 
 
+def test_overflowing_estimate_is_value_error():
+    # moments above stats._MOMENT_FLOOR, but a clique so nearly singular at
+    # this scale that its inverse overflows: a ValueError, no inf entries
+    # and no overflow warning
+    u, v = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 2)))[0].T * np.sqrt(10)
+    x = 1e-147 * np.column_stack([u, u + 3e-8 * v])
+    with pytest.raises(ValueError, match="overflow"):
+        graphical_mle_banded(x, 1)
+
+
 def test_gram_shortcut_matches_direct():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 8))

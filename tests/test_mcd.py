@@ -74,6 +74,14 @@ def test_compose_banded_factor_gives_banded_precision():
     assert np.all(omega[np.abs(np.subtract.outer(range(p), range(p))) > k] == 0.0)
 
 
+def test_compose_overflow_is_value_error():
+    # a valid factor whose precision matrix overflows: a ValueError from the
+    # one densification, without inf entries or an overflow warning
+    factor = CholeskyFactor(a=np.array([[0.0], [1e200]]), d=np.array([1.0, 1e-200]))
+    with pytest.raises(ValueError, match="overflow"):
+        compose(factor)
+
+
 def test_factor_validation():
     with pytest.raises(ValueError):
         CholeskyFactor(a=np.ones((2, 1)), d=np.ones(2))  # slot before column 0

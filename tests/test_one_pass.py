@@ -224,12 +224,16 @@ def test_batched_mle_matches_clique_loop(case):
     are compared on Gaussian data only; the outcome, and the clique named,
     on every input."""
     x, k, width, degenerate = case
-    gram = None if width is None else gram_band(x, width)
+    # a constant edit can be tiny enough that its column's second moment
+    # underflows: gram_band raises, and so do both fits without it
+    banded = run(gram_band, x, max(k, width or 0))[0]
+    gram = None if width is None or banded[0] == "raised" else banded[1]
     (got, _), (want, _) = run(graphical_mle_banded, x, k, gram), \
         run(oracles.graphical_mle_loop, x, k, gram)
     assert got[0] == want[0], (got, want)
     if want[0] == "raised":
-        assert got == want and want[1] is SingularClique
+        assert got == want
+        assert want[1] is SingularClique or want[1:] == banded[1:]
         return
     got, want = got[1], want[1]
     np.testing.assert_array_equal(got, got.T)

@@ -5,7 +5,9 @@ entry point either returns finite values (with positive residual
 variances where it reports them) or raises a BandcholError subclass or a
 ValueError; a bare LinAlgError, itself a ValueError, is a failure.
 Inputs mix duplicate, zero and constant columns, sample sizes close to
-the bandwidth and scales from 1e-8 to 1e160. On Gaussian data, the
+the bandwidth and scales from 1e-8 to 1e160, and from 1e-165 to 1e-150,
+where the second moments fall below stats._MOMENT_FLOOR or flush to zero
+and the fits raise ValueError. On Gaussian data, the
 batched regressions match a per-column least-squares oracle. Where the
 batched factorization fails, the column-by-column checks on the same
 nearest-first blocks raise a typed error, and where they pass on an
@@ -25,14 +27,18 @@ either side of its switch to the band bisection and on adversarial bands,
 within its bound on factorizations and close to plain bisection's value,
 the dense extreme eigenvalues match it
 on adversarial dense matrices, the norm of a general matrix matches the
-SVD, is_symmetric matches the dense formula, estimate_p_loss matches
+SVD, and on symmetric and non-finite inputs on both sides of SYM_SCAN_RATIO
+and of BAND_BISECTION_LIMIT norm_spectral is bit for bit the oracle of its
+front end from before linalg._bands, errors included; is_symmetric matches
+the dense formula, NaN included; estimate_p_loss matches
 eigvalsh and numpy's dense l-infinity and Frobenius norms over the same
 draws, the posterior sampler matches a dense replay of its random streams,
 tiny truncation masses included, CholeskyFactor rejects every malformed
 band, and the CSV reader's
 fast path agrees with its csv-module path on arbitrary small files. The
 estimate and bandwidth commands, run through cli.main on small CSVs with
-degenerate columns and extreme scales, exit 0, 2 or 3 and never raise.
+degenerate columns and extreme scales, 1e-165 to 1e-150 among them,
+exit 0, 2 or 3 and never raise.
 gram_band matches oracles.gram_matrix within its width, its Gram blocks
 match the dense padded construction, and every fit given a gram_band is
 bit for bit the fit without one.
@@ -44,7 +50,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainccinv, gammaln
 
@@ -98,7 +104,7 @@ def degenerate_data(draw):
             x[:, edit[1]] = 0.0
         else:
             x[:, edit[1]] = edit[2]
-    return 10.0 ** draw(st.integers(-8, 160)) * x, k
+    return 10.0 ** draw(st.integers(-8, 160) | st.integers(-165, -150)) * x, k
 
 
 def outcome(fn, *args, errors=(BandcholError, ValueError)):
@@ -521,7 +527,8 @@ def gram_band_cases(draw):
     # p on both sides of every tile edge up to the third, widths from 0 to
     # past p, one row, fewer rows than columns, and more rows than the 384
     # past which numpy's symmetric and general products split their sums
-    # differently, three memory layouts and three scales, the last of which
+    # differently, three memory layouts and four scales, of which 1e-300
+    # underflows, 1e-146 lies near the floor on the second moments and 1e155
     # overflows
     edges = [m * stats.GRAM_TILE + d for m in (1, 2, 3) for d in (-1, 0, 1)]
     p = draw(st.one_of(st.sampled_from([1, 2] + edges), st.integers(1, 200)))
@@ -533,7 +540,7 @@ def gram_band_cases(draw):
         x = rng.standard_normal((2 * n, 3 * p))[::2, 1::3]
     else:
         x = np.asarray(rng.standard_normal((n, p)), order=layout)
-    return draw(st.sampled_from([1.0, 1e-300, 1e155])) * x, w
+    return draw(st.sampled_from([1.0, 1e-300, 1e-146, 1e155])) * x, w
 
 
 def dense_of_band(band):
@@ -558,11 +565,14 @@ def test_gram_band_matches_gram_matrix(case):
     orders (a general product against a symmetric rank-k update), so each is
     within n u ||x_i|| ||x_j|| / n + u |g_ij| of the exact value, u = eps/2,
     and they differ by at most (n + 2) eps sqrt(g_ii g_jj) (Cauchy-Schwarz),
-    plus 2 n 2^-1074 for the products and partial sums that underflow at
-    scale 1e-300. The pad rows, the entries outside the matrix and the
-    symmetry of the band are exact, the band is read-only, a wider band
-    holds the same bits within the narrower one's width, and the band
-    overflows, with gram_matrix's ValueError, exactly when gram_matrix does.
+    plus 2 n 2^-1074 for the products and partial sums that underflow. The
+    pad rows, the entries outside the matrix and the symmetry of the band
+    are exact, the band is read-only, a wider band holds the same bits
+    within the narrower one's width, and the band overflows, with
+    gram_matrix's ValueError, exactly when gram_matrix does. It underflows,
+    with a ValueError, exactly when a column with a nonzero entry has a
+    diagonal entry of gram_matrix below stats._MOMENT_FLOOR, as every
+    column does at scale 1e-300.
 
     The Gram blocks of every bandwidth k <= w, read as one strided view of
     the band, equal exactly the windows of the dense padded construction
@@ -578,6 +588,10 @@ def test_gram_band_matches_gram_matrix(case):
         with pytest.raises(ValueError, match="overflow"):
             gram_band(x, width)
         assert "overflow" in str(err)
+        return
+    if np.any(x[:, np.diagonal(dense) < stats._MOMENT_FLOOR]):
+        with pytest.raises(ValueError, match="underflow"):
+            gram_band(x, width)
         return
     band = gram_band(x, width)
     assert band.shape == (p + w, 2 * w + 1) and not band.flags.writeable
@@ -792,7 +806,7 @@ def test_band_norm_matches_bisection_oracle_on_adversarial_bands(m):
     carry the rounding of one band solve, O(b * eps) relative. Tolerance:
     1e-13 relative, and exactly 0 for the zero matrix.
     """
-    band = linalg._lower_band(m, linalg._bandwidths(m)[0])
+    band = linalg._bands(m, linalg._bandwidths(m)[0])[0]
     with mock.patch.object(linalg, "_top_eigenvalue", oracles.top_eigenvalue_bisection):
         want = linalg._band_norm(band)
     got = linalg.norm_spectral(m)
@@ -872,11 +886,10 @@ def test_norm_spectral_of_general_matrices_matches_svd(m):
     """norm_spectral on inputs that are not symmetric against np.linalg.norm
     (m, 2), the largest singular value from the SVD.
 
-    m is scaled by a power of two, exactly, before its Gram matrix is formed,
-    so the Gram matrix neither overflows nor underflows at any of SCALES; its
-    rounding, O(n * eps) * ||m||_2^2 for n <= 60, and the extreme eigenvalue's
-    error move the square root by well under 1e-13 relative. Tolerance: 1e-12
-    relative, and exactly 0 for the zero matrix.
+    norm_spectral takes the largest value of the SVD, as np.linalg.norm does,
+    and LAPACK's SVD scales m itself where its entries would overflow or
+    underflow, at any of SCALES. Tolerance: 1e-12 relative, and exactly 0 for
+    the zero matrix.
     """
     oracle = np.linalg.norm(m, 2)
     got = linalg.norm_spectral(m)
@@ -905,21 +918,81 @@ def lopsided_bands(draw):
     holes = draw(st.lists(st.integers(0, p - 1), max_size=3))
     m[holes, :] = 0.0
     m[:, holes] = 0.0
-    return draw(st.sampled_from([1.0, 1e-300, 1e300])) * m
+    m = draw(st.sampled_from([1.0, 1e-300, 1e300])) * m
+    # NaN, alone or in a symmetric pair, counts as nonzero and is never symmetric
+    for i, j in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                              max_size=2)):
+        m[i, j] = np.nan
+        if draw(st.booleans()):
+            m[j, i] = np.nan
+    return m
+
+
+def nan_pair(p):
+    """The identity of order p with NaN at (1, 0) and (0, 1)."""
+    m = np.eye(p)
+    m[1, 0] = m[0, 1] = np.nan
+    return m
 
 
 @settings(max_examples=400)
 @given(lopsided_bands())
+@example(nan_pair(20))
+@example(nan_pair(30))
 def test_is_symmetric_matches_dense_formula(m):
     """is_symmetric, which reads only the in-band diagonals of a narrow band,
     gives exactly the dense formula's answer, and _bandwidths the largest
-    i - j and j - i over the nonzero entries."""
+    i - j and j - i over the nonzero entries. At p = 20 a NaN pair next to
+    the diagonal takes the dense formula, at p = 30 the band read."""
     scale = np.max(np.abs(m))
     dense = scale == 0.0 or np.max(np.abs(m - m.T)) <= linalg.SYM_TOL * scale
     assert linalg.is_symmetric(m) == dense
     rows, cols = np.nonzero(m)
     expected = (int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0)))
     assert linalg._bandwidths(m) == expected
+
+
+@st.composite
+def symmetric_or_non_finite(draw):
+    """A symmetric matrix of one of ADVERSARIAL_KINDS and one of SCALES, whose
+    wider bandwidth lies on either side of SYM_SCAN_RATIO's switch to the
+    band read and whose lower bandwidth lies on either side of
+    BAND_BISECTION_LIMIT's switch to the band search. It may carry one
+    entry past its lower bandwidth above the diagonal, 1e-14 of the largest
+    one, which leaves it symmetric to SYM_TOL with a wider upper bandwidth,
+    and NaN or an infinity in a symmetric pair. Orders 250 and 300 search
+    bands with b >= 8, whose Gershgorin row sums depend on the memory order."""
+    p = draw(st.integers(1, 150) | st.sampled_from([250, 300]))
+    scan, switch = p // linalg.SYM_SCAN_RATIO, widest_bisected_band(p)
+    b = min(p - 1, draw(st.sampled_from([0, scan, scan + 1, switch, switch + 1, p - 1])))
+    m = adversarial_symmetric(draw, p, b)
+    # no row sum above 1 before the scale, as in adversarial_dense
+    m = m / max(1.0, np.max(np.sum(np.abs(m), axis=1))) * draw(st.sampled_from(SCALES))
+    if b + 1 < p and draw(st.booleans()):
+        m[0, b + 1] = 1e-14 * np.max(np.abs(m))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        m[i, j] = m[j, i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return m
+
+
+def value_or_error(fn, m):
+    try:
+        return fn(m)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=400)
+@given(symmetric_or_non_finite())
+def test_norm_spectral_matches_front_end_oracle(m):
+    """norm_spectral, which reads a narrow band once through _bands, is bit
+    for bit the norm of oracles.norm_spectral_symmetric, which read it three
+    times, and raises the same ValueError, without a RuntimeWarning, on a
+    non-finite input."""
+    want = value_or_error(oracles.norm_spectral_symmetric, m)
+    assert want is not None
+    assert value_or_error(linalg.norm_spectral, m) == want
 
 
 @st.composite
@@ -1150,7 +1223,8 @@ def test_csv_fast_path_matches_csv_module(tmp_path_factory, case):
 @st.composite
 def cli_runs(draw):
     # n, p in 1..12 with normal, constant, duplicated and zero columns at
-    # scales from 1e-200 to 1e200, and the flags of one estimate command
+    # scales from 1e-200 to 1e200, 1e-165 to 1e-150 among them, where the
+    # moments underflow, and the flags of one estimate command
     n, p = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, p))
@@ -1158,7 +1232,7 @@ def cli_runs(draw):
     edits = st.tuples(st.sampled_from(["constant", "duplicate", "zero"]), columns, columns)
     for kind, j, i in draw(st.lists(edits, max_size=3)):
         x[:, j] = {"constant": x[0, i], "duplicate": x[:, i], "zero": 0.0}[kind]
-    x *= 10.0 ** draw(st.sampled_from([0, 0, 0, -200, -100, 100, 200]))
+    x *= 10.0 ** draw(st.sampled_from([0, 0, 0, -200, -100, 100, 200]) | st.integers(-165, -150))
     select = draw(st.sampled_from([["--select-k", "mode"], ["--select-k", "resampling"],
                                    ["--k", str(draw(st.integers(0, p + 1)))]]))
     center = ["--center"] if draw(st.booleans()) else []

@@ -58,6 +58,26 @@ def test_gram_matrix_overflow_is_value_error():
             gram_band(np.array([[1.1e154, 1.1e154]]), w)
 
 
+def test_gram_band_underflow_is_value_error():
+    # a nonzero column whose second moment lies below _MOMENT_FLOOR, or
+    # flushes to zero, is bad input; an exactly zero column is left to the
+    # fits' typed errors
+    x = np.random.default_rng(9).standard_normal((10, 5))
+    for scale in (1e-154, 1e-160, 1e-170):
+        with pytest.raises(ValueError, match="underflow"):
+            gram_band(scale * x, 1)
+        with pytest.raises(ValueError, match="underflow"):
+            banded_regression(scale * x, 1)
+    column = np.ones((4, 1))
+    gram_band(np.sqrt(2.0 * stats._MOMENT_FLOOR) * column, 0)
+    with pytest.raises(ValueError, match="underflow"):
+        gram_band(np.sqrt(0.5 * stats._MOMENT_FLOOR) * column, 0)
+    x[:, 2] = 0.0
+    assert gram_band(x, 1)[3, 1] == 0.0
+    with pytest.raises((SingularDesign, DegenerateResidual)):
+        banded_regression(x, 1)
+
+
 def test_banded_regression_symbolic():
     x = np.array([[1.0, 2.0], [-1.0, 0.0]])
     stats = banded_regression(x, 1)
