@@ -26,7 +26,6 @@ from .errors import (
     EmptyGrid,
     ExperimentFailed,
     NonFiniteLogPosterior,
-    SingularClique,
     SingularDesign,
     SingularMatrix,
     TruncationMassZero,

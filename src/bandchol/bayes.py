@@ -13,7 +13,9 @@ from the Gram band. A bandwidth k is admissible when every nj is positive,
 that is when k <= max_bandwidth(n, p, nu0). The plug-in estimator composes
 E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), ignoring the truncation
 (negligible for large M) and the coefficients' spread; posterior_mean_omega is
-exact, its bands built by mcd._compose_bands and mcd._add_block_inverses alone.
+exact, its bands built by mcd._compose_bands and mcd._add_block_inverses, whose
+only caller it is. estimate_p_loss takes its Monte Carlo error at a power-of-two
+scale, so norms whose squares would overflow still give a finite one.
 """
 
 import math
@@ -189,8 +191,7 @@ def posterior_mean_omega(model):
     gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
     d = model.ig_rate / model.ig_shape / gain
     bands = _compose_bands(CholeskyFactor(a=model.stats.ahat, d=d))
-    # slot a of column j is coordinate j - keff + a, keff = ahat.shape[1]
-    _add_block_inverses(bands, _predecessor_factors(model), -model.stats.ahat.shape[1], model.n)
+    _add_block_inverses(bands, _predecessor_factors(model), model.n)
     return _dense_symmetric(bands)
 
 
@@ -215,5 +216,11 @@ def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):
         omega = compose(CholeskyFactor(a=a[s], d=d[s]))
         omega -= omega0
         vals[s] = fn(omega)
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
+    stderr = 0.0
+    if draws > 1:
+        # the deviations are squared, so they are taken at a power-of-two
+        # scale that cannot overflow and leaves every rounding as it was
+        exponent = int(np.frexp(np.max(vals))[1])
+        spread = np.ldexp(np.std(np.ldexp(vals, -exponent), ddof=1), exponent)
+        stderr = float(spread / np.sqrt(draws))
     return float(np.mean(vals)), stderr

@@ -4,18 +4,17 @@ Both estimators share the raw divisor-n moments of the posterior model but
 use plain least-squares plug-ins instead of posterior means. The regression
 form and the graphical maximum likelihood form coincide: a banded Gaussian
 autoregression and the decomposable graphical model on the banded adjacency
-describe the same family, so their likelihoods peak at the same matrix. The
-MLE is computed in the graphical form: mcd._add_block_inverses, the only band
-builder here, sums batched clique and separator inverses into bands.
+describe the same family, so their likelihoods peak at the same matrix
+(Lauritzen 1996). The MLE is therefore computed by the regression: it is
+bl_banded_estimator's band path under the MLE's own sample-size rule, and
+its band comes from mcd._compose_bands alone.
 """
 
 import numpy as np
 
-from .errors import SingularClique
 from .linalg import _integer
-from .mcd import CholeskyFactor, _add_block_inverses, _dense_symmetric, compose
-from .stats import (NestedFactor, _checked_band, _gram_band, _predecessor_blocks,
-                    as_data_matrix, banded_regression)
+from .mcd import CholeskyFactor, compose
+from .stats import NestedFactor, banded_regression
 
 
 def bl_banded_estimator(data, k, gram=None):
@@ -38,6 +37,11 @@ def bl_banded_estimator(data, k, gram=None):
         if fit is not None:
             return compose(CholeskyFactor(a=fit[0], d=fit[1]))
         gram = gram.band
+    return _band_estimate(data, k, gram)
+
+
+def _band_estimate(data, k, gram):
+    """bl_banded_estimator from a Gram band, or from the data when gram is None."""
     st = banded_regression(data, k, gram=gram)
     return compose(CholeskyFactor(a=st.ahat, d=st.dhat))
 
@@ -45,37 +49,15 @@ def bl_banded_estimator(data, k, gram=None):
 def graphical_mle_banded(data, k, gram=None):
     """Maximum likelihood precision matrix of the k-banded graphical model.
 
-    The banded graph is decomposable with cliques {j, ..., j + k} and
-    separators of size k, so the MLE is the sum of padded clique-block
-    inverses of the sample second-moment matrix minus the padded
-    separator-block inverses (Lauritzen 1996), each kind factored and
-    inverted in one batch and summed into the k + 1 lower bands of the
-    result. Requires more observations than the clique size min(k, p-1) + 1.
-    gram may be gram_band(data, w) with w >= min(k, p-1); every block is read
-    from its band. SingularClique(c) names the first clique c, else the
-    first separator after clique c, without a Cholesky factor.
+    The banded graph is decomposable, so the MLE is the banded regression
+    estimator, computed as bl_banded_estimator computes it from a Gram band.
+    Requires more observations than the clique size min(k, p-1) + 1; the
+    bound is checked on the data's shape, before the data is validated.
+    gram may be gram_band(data, w) with w >= min(k, p-1). Raises
+    SingularDesign(j) or DegenerateResidual(j) as banded_regression does.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
     _integer("k", k, 0)
-    keff = min(k, p - 1)
-    if n <= keff + 1:
-        raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")
-    band = _gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
-    # clique c = {c, ..., c + keff} is the block of column c + keff, and the
-    # separator of cliques c and c + 1 its trailing keff x keff block
-    cliques = _predecessor_blocks(band, keff)[keff:]
-    bands = np.zeros((keff + 1, p))
-    for blocks, first, divisor in ((cliques, 0, 1.0), (cliques[:-1, 1:, 1:], 1, -1.0)):
-        try:
-            low = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            # a batch fails as a whole: factor one by one to name the first
-            low = np.empty(blocks.shape)
-            for c, block in enumerate(blocks):
-                try:
-                    low[c] = np.linalg.cholesky(block)
-                except np.linalg.LinAlgError:
-                    raise SingularClique(c + 1) from None
-        _add_block_inverses(bands, low, first, divisor)
-    return _dense_symmetric(bands)
+    dims = np.shape(data)
+    if len(dims) == 2 and dims[0] <= min(k, dims[1] - 1) + 1:
+        raise ValueError(f"need n > min(k, p-1) + 1, got n={dims[0]}, k={k}")
+    return _band_estimate(data, k, gram)

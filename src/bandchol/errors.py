@@ -1,7 +1,7 @@
 """Exception types for numerical failures, under BandcholError, and for an
 empty bandwidth grid, which is bad input and so a ValueError.
 
-Column and clique indices reported by these errors are 1-based, matching
+Column indices reported by these errors are 1-based, matching
 the row/column numbering of the input data file.
 """
 
@@ -67,16 +67,6 @@ class NonFiniteLogPosterior(BandcholError):
         if mass_zero is not None:
             msg += f": {mass_zero}"
         super().__init__(msg)
-
-
-class SingularClique(BandcholError):
-    """A clique block of the sample covariance was not invertible."""
-
-    def __init__(self, clique):
-        self.clique = int(clique)
-        super().__init__(
-            f"sample covariance block of clique {self.clique} is singular"
-        )
 
 
 class EmptyGrid(ValueError):

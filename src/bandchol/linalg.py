@@ -4,10 +4,12 @@ All functions accept anything convertible to a float ndarray and reject
 non-finite entries in one pass: one reduction in check_finite, and none in
 norm_l1, norm_linf and norm_fro unless the norm is not finite. Symmetry is
 always checked in relative terms against the largest entry magnitude, after
-one scan for nonzeros finds the lower and upper bandwidth. _bands is the one
-reader of a square matrix's band: is_symmetric and norm_spectral read a
-narrow one once, for the symmetry test and, in norm_spectral, the check for
-non-finite entries and the band it searches. Inputs are dense matrices.
+one scan for nonzeros finds the lower and upper bandwidth; a matrix whose
+largest magnitude is infinite or NaN is not symmetric, and no entries are
+subtracted to say so. _bands is the one reader of a square matrix's band:
+is_symmetric and norm_spectral read a narrow one once, for the symmetry
+test and, in norm_spectral, the check for non-finite entries and the band
+it searches. Inputs are dense matrices.
 norm_spectral brackets the extreme eigenvalues of a narrow symmetric band by
 Cholesky factorizations of its shifts, O(p b^2) each, at trial points that
 the Rayleigh quotients of inverse iteration steps on the same factors guide,
@@ -20,11 +22,11 @@ _spd_factor is the one step that validates and factors an SPD input,
 _solve_lower_transposed the one back-substitution on a stack of padded
 band factors, shared by stats._regress (nearest first) and the sampler,
 and _invert_lower the one inversion of a stack of triangular factors,
-shared by stats._nested_coefficients and mcd._add_block_inverses. The
-back-substitution runs on blocks-last copies, the p factors along the
-last, contiguous axis, so that each of its k steps is a few whole-row
-operations; the inversion keeps its per-row batched matmul, whose
-summation order the nested coefficients' exact tests pin.
+shared by stats._nested_coefficients and, for the posterior mean,
+mcd._add_block_inverses. The back-substitution runs on blocks-last copies,
+the p factors along the last, contiguous axis, so that each of its k steps
+is a few whole-row operations; the inversion keeps its per-row batched
+matmul, whose summation order the nested coefficients' exact tests pin.
 """
 
 import math
@@ -135,15 +137,18 @@ def _symmetric_within(m, width, finite=False):
     diagonals off the main one, and the _bands(m, width) that a narrow band,
     SYM_SCAN_RATIO * width <= p, is tested on in O(p * width), as m and m.T
     are both exactly zero off it; None for a wide band, which takes the dense
-    formula, then the cheaper one. NaN fails both tests. With finite, a
-    non-finite entry raises check_finite's ValueError before any arithmetic."""
+    formula, then the cheaper one. A non-finite entry fails both tests, or,
+    with finite, raises check_finite's ValueError before any arithmetic."""
     bands = None if SYM_SCAN_RATIO * width > m.shape[0] else _bands(m, width)
     entries = m if bands is None else bands
     if finite:
         check_finite(entries)
     lower, upper = (m, m.T) if bands is None else bands
     scale = np.max(np.abs(entries))
-    return scale == 0.0 or np.max(np.abs(lower - upper)) <= SYM_TOL * scale, bands
+    # an infinite or NaN scale fails before inf - inf can warn
+    symmetric = np.isfinite(scale) and (
+        scale == 0.0 or np.max(np.abs(lower - upper)) <= SYM_TOL * scale)
+    return symmetric, bands
 
 
 def _spd_factor(m, name="matrix"):

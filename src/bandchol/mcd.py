@@ -12,8 +12,8 @@ j-k, ..., j-1, nearest last, and the slots left of the first coordinate
 are zero. decompose returns the full band, k = p - 1, from one Cholesky
 factorization. A k-banded omega is built as its (k+1, p) lower bands, row s
 holding (c+s, c), and written dense once by _dense_symmetric; the only band
-builders are _compose_bands (O(p k^2)), which compose densifies, and
-_add_block_inverses, the MLE's and the posterior mean's block-inverse sums.
+builders are _compose_bands (O(p k^2)), which compose and every estimator
+densify, and _add_block_inverses, the posterior mean's block-inverse sum.
 """
 
 from dataclasses import dataclass
@@ -113,18 +113,17 @@ def _dense_symmetric(bands):
     return full[:p]
 
 
-def _add_block_inverses(bands, low, first, divisor):
-    """Add S^{-1} / divisor, S = L L' for L = low[c], into the bands: entry (b + s, b)
-    of block c goes to bands[s, first + c + b], unless first + c + b < 0 (padding).
-    An entry that overflows is left for _dense_symmetric to reject."""
+def _add_block_inverses(bands, low, n):
+    """Add S^{-1} / n, S = L L' for L = low[c], into the bands: entry (b + s, b)
+    of block c goes to bands[s, c + b - w], w = low.shape[1], unless c + b < w
+    (padding). An entry that overflows is left for _dense_symmetric to reject."""
     w = low.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         m = linalg._invert_lower(low)
         # S^{-1} = M'M for M = L^{-1}; b descends, so each entry sums its blocks in ascending c
-        inv = m.swapaxes(1, 2) @ m / divisor
+        inv = m.swapaxes(1, 2) @ m / n
         for b in range(w - 1, -1, -1):
-            skip = max(0, -first - b)
-            bands[:w - b, first + b + skip:first + b + len(low)] += inv[skip:, b:, b].T
+            bands[:w - b, :len(low) - w + b] += inv[w - b:, b:, b].T
 
 
 def decompose(omega):

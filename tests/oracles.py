@@ -3,8 +3,9 @@
 The dense second-moment matrix X'X / n, which the band fits replaced; the
 input checks of CholeskyFactor, norm_l1, norm_linf, norm_fro and
 as_data_matrix as they were before each took one pass; the graphical MLE
-as it was before it was batched, one Cholesky factorization and one
-cho_solve per clique and separator, added into a dense matrix; the
+in its clique form, the algorithm independent of the banded regression
+that competitors.graphical_mle_banded now is, one Cholesky factorization
+and one cho_solve per clique and separator, added into a dense matrix; the
 posterior-mode grid's fallback as it was when it factored a bandwidth once
 for its rows and again inside _regress; the nested coefficients with the
 row recursion for the inverse factors inside their loop; the band norm's
@@ -14,13 +15,13 @@ the back-substitution on a stack of factors, along the rows of its
 factor's residual variances and log determinants as the factorization
 computed both, before the log determinants waited for their first read;
 compose with its scratch band negated and then divided; and, from before
-mcd._add_block_inverses summed every block inverse into bands, the batched
-graphical MLE with its band loop inline and the exact posterior mean with
-its inverse predecessor blocks scattered into the dense compose by
-np.add.at; and, from before linalg._bands read a square matrix's band once,
-the lower band copied diagonal by diagonal, the symmetry test's loop over
-the diagonals, and norm_spectral's front end on a symmetric input, with its
-finiteness check over the concatenated diagonals.
+mcd._add_block_inverses summed every block inverse into bands, the exact
+posterior mean with its inverse predecessor blocks scattered into the
+dense compose by np.add.at; and, from before linalg._bands read a square
+matrix's band once, the lower band copied diagonal by diagonal, the
+symmetry test's loop over the diagonals, and norm_spectral's front end on
+a symmetric input, with its finiteness check over the concatenated
+diagonals.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from bandchol import linalg, stats
 from bandchol.bayes import _predecessor_factors, ig_cdf
-from bandchol.errors import DegenerateResidual, SingularClique, SingularDesign
+from bandchol.errors import BandcholError, DegenerateResidual, SingularDesign
 from bandchol.linalg import (
     BAND_BISECTION_LIMIT,
     SYM_SCAN_RATIO,
@@ -37,12 +38,10 @@ from bandchol.linalg import (
     _band_norm,
     _bandwidths,
     _dense_extremes,
-    _integer,
-    _invert_lower,
 )
 from bandchol.mcd import CholeskyFactor, _dense_symmetric
 from bandchol.mcd import compose as mcd_compose
-from bandchol.stats import _checked_band, _gram_band, _predecessor_blocks, gram_band
+from bandchol.stats import _checked_band, _predecessor_blocks, gram_band
 
 
 def check_finite(m, name="matrix"):
@@ -113,8 +112,20 @@ def gram_matrix(x):
     return g
 
 
+class SingularClique(BandcholError):
+    """A clique block of the sample covariance was not invertible."""
+
+    def __init__(self, clique):
+        self.clique = int(clique)
+        super().__init__(f"sample covariance block of clique {self.clique} is singular")
+
+
 def graphical_mle_loop(data, k, gram=None):
-    """graphical_mle_banded, one clique and one separator at a time."""
+    """The k-banded graphical MLE in its clique form, one clique and one
+    separator at a time (Lauritzen 1996): padded clique-block inverses of the
+    sample second moments minus padded separator-block inverses.
+    SingularClique(c) names the first clique c, else the first separator
+    after clique c, without a Cholesky factor."""
     x = as_data_matrix(data)
     n, p = x.shape
     if k < 0:
@@ -237,41 +248,6 @@ def compose(factor):
     left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
     right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
     return _dense_symmetric(np.einsum("sct,sct->sc", left, right))
-
-
-def graphical_mle_batched(data, k, gram=None):
-    """competitors.graphical_mle_banded with its band loop inline."""
-    x = stats.as_data_matrix(data)
-    n, p = x.shape
-    _integer("k", k, 0)
-    keff = min(k, p - 1)
-    if n <= keff + 1:
-        raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")
-    band = _gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
-    # clique c = {c, ..., c + keff} is the block of column c + keff, and the
-    # separator of cliques c and c + 1 its trailing keff x keff block
-    cliques = _predecessor_blocks(band, keff)[keff:]
-    bands = np.zeros((keff + 1, p))
-    for blocks, start, sign in ((cliques, 0, 1.0), (cliques[:-1, 1:, 1:], 1, -1.0)):
-        try:
-            low = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            # a batch fails as a whole: factor one by one to name the first
-            low = np.empty(blocks.shape)
-            for c, block in enumerate(blocks):
-                try:
-                    low[c] = np.linalg.cholesky(block)
-                except np.linalg.LinAlgError:
-                    raise SingularClique(c + 1) from None
-        # a block's inverse is M'M for M = L^{-1}
-        m = _invert_lower(low)
-        inv = m.swapaxes(1, 2) @ m
-        w = blocks.shape[1]
-        # block c adds its entry (b + s, b) into bands[s, start + c + b]; b
-        # descends, so each entry sums its blocks in ascending c
-        for b in range(w - 1, -1, -1):
-            bands[:w - b, start + b:start + b + len(blocks)] += sign * inv[:, b:, b].T
-    return _dense_symmetric(bands)
 
 
 def posterior_mean_scatter(model):

@@ -278,6 +278,20 @@ def test_estimate_p_loss_properties():
         estimate_p_loss(model, omega0, 0)
 
 
+def test_p_loss_stderr_at_huge_norms():
+    # norms near 1e160, whose squares overflow: a finite stderr, no warning
+    x = np.random.default_rng(0).standard_normal((40, 8))
+    model = fit_posterior(1e-80 * x, PriorConfig(1, M=1e300))
+    mean, err = estimate_p_loss(model, np.eye(8), 3)
+    assert np.isfinite(err) and 0.0 < err < mean
+    # data scaled by 2^-266 and omega0 by 2^532 scale every norm by 2^532
+    # exactly, and the stderr with them, bit for bit
+    base = estimate_p_loss(fit_posterior(x, PriorConfig(1, M=1e300)), np.eye(8), 3)
+    scaled = estimate_p_loss(fit_posterior(np.ldexp(x, -266), PriorConfig(1, M=1e300)),
+                             np.ldexp(np.eye(8), 532), 3)
+    assert scaled == tuple(np.ldexp(base, 532))
+
+
 def test_loss_norms_disagree_in_general():
     rng = np.random.default_rng(11)
     model = fitted(rng, n=90, p=5, k=1)

@@ -543,6 +543,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+
+def test_collinear_mle_exit_code(tmp_path, capsys):
+    # column 4 is an exact combination of columns 2 and 3
+    x = np.random.default_rng(0).standard_normal((12, 5))
+    x[:, 3] = 0.5 * x[:, 1] - 2.0 * x[:, 2]
+    data = tmp_path / "data.csv"
+    np.savetxt(data, x, delimiter=",", fmt="%.17g")
+    out = tmp_path / "omega.csv"
+    assert main(["estimate", str(data), "-o", str(out), "--estimator", "mle",
+                 "--k", "2"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "column 4 " in lines[0], lines
+    assert not out.exists()
+
+
 def console_script():
     """The bandchol command and its environment: the installed executable
     when one is on PATH, else the entry point that pyproject.toml declares

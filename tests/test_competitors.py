@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
-from bandchol.errors import SingularClique
+from bandchol.errors import DegenerateResidual, SingularDesign
 from bandchol import stats
 from bandchol.stats import gram_band
 from oracles import gram_matrix
@@ -69,21 +69,33 @@ def test_sample_size_requirement():
 
 
 def test_singular_clique_reported():
+    # a duplicated column makes column 4's predecessor block singular
     rng = np.random.default_rng(5)
     x = rng.standard_normal((20, 5))
     x[:, 2] = x[:, 1]
-    with pytest.raises(SingularClique):
+    with pytest.raises(SingularDesign, match="at column 4"):
         graphical_mle_banded(x, 2)
 
 
 def test_overflowing_estimate_is_value_error():
-    # moments above stats._MOMENT_FLOOR, but a clique so nearly singular at
-    # this scale that its inverse overflows: a ValueError, no inf entries
-    # and no overflow warning
+    # moments above stats._MOMENT_FLOOR, but a column so nearly a copy of
+    # its predecessor at this scale that its residual variance, 1.4e-309,
+    # lies below RESIDUAL_FLOOR times its second moment: a typed error, no
+    # inf entries and no overflow warning
     u, v = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 2)))[0].T * np.sqrt(10)
     x = 1e-147 * np.column_stack([u, u + 3e-8 * v])
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(DegenerateResidual, match="at column 2 is 1.39"):
         graphical_mle_banded(x, 1)
+
+
+def test_collinear_columns_fail_typed():
+    # column 4 is an exact combination of columns 2 and 3; the clique form
+    # returned entries up to 3e15 here
+    x = np.random.default_rng(0).standard_normal((12, 5))
+    x[:, 3] = 0.5 * x[:, 1] - 2.0 * x[:, 2]
+    with pytest.raises(DegenerateResidual, match="at column 4 ") as err:
+        graphical_mle_banded(x, 2)
+    assert err.value.column == 4
 
 
 def test_gram_shortcut_matches_direct():

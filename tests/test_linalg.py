@@ -140,6 +140,20 @@ def test_symmetric_l1_equals_linf():
         assert linalg.norm_l1(m) == pytest.approx(linalg.norm_linf(m), rel=1e-15)
 
 
+def test_infinite_entries_are_not_symmetric():
+    # an infinite scale fails without computing inf - inf, on the dense
+    # formula (p = 2) and on the band read (p = 30)
+    upper = np.array([[1.0, np.inf], [0.0, 1.0]])
+    wide = np.eye(30)
+    wide[0, 1] = np.inf
+    pair = np.eye(30)
+    pair[0, 1] = pair[1, 0] = np.inf
+    for m, band_read in ((upper, False), (np.diag([np.inf, 1.0]), False), (wide, True),
+                         (pair, True)):
+        assert (linalg._symmetric_within(m, 1)[1] is not None) == band_read
+        assert not linalg.is_symmetric(m)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues and factorizations
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""The one-pass input checks and the batched graphical MLE against the
-implementations they replaced, kept in oracles.py.
+"""The one-pass input checks and the band builders against the
+implementations they replaced, kept in oracles.py, and the graphical MLE
+against its clique form.
 
 CholeskyFactor, norm_l1, norm_linf, norm_fro and as_data_matrix raise the
 same exception type with the same message as their oracles, warn the same
 RuntimeWarnings, and return bit-identical floats. The inputs are finite,
 seeded with NaN or infinities, of the wrong shape or type, with nonzero
 padded slots or nonpositive variances, or have finite entries whose sums
-overflow. The batched MLE matches the clique-by-clique loop within 1e-12
-of its largest entry on Gaussian data, p <= 40 and every k < p, and on
-collinear and constant columns it fails, or not, as the loop does, naming
-the same SingularClique. The nested coefficients, whose inverse factors
+overflow. The graphical MLE is the BL estimator's band path, bit for bit or
+error for error, on Gaussian data, p <= 40 and every k < p, and on
+collinear and constant columns. It matches the clique-by-clique loop
+within 1e-12 of its largest entry on Gaussian data, and where the loop
+finds a singular clique the regression raises SingularDesign or
+DegenerateResidual. The nested coefficients, whose inverse factors
 now come from the shared row recursion, are bit-identical to the loop that
 ran it inline. The back-substitution on blocks-last copies, stacks of one
 and of several right-hand sides, K = 0 and 1 included, the nested factor's
@@ -20,11 +23,9 @@ entries once per call, and the resampler once plus once per reference
 group; a NestedFactor still scans data it was not built from.
 fit_posterior and the resampler never compute a nested factor's log
 determinants, which only the posterior-mode grid reads.
-compose, graphical_mle_banded and posterior_mean_omega, whose bands now
-come from mcd._compose_bands and mcd._add_block_inverses, are bit-identical
-to compose, the batched MLE with its band loop inline and the posterior
-mean's np.add.at scatter into a dense matrix, and the MLE names the same
-SingularClique.
+compose and posterior_mean_omega, whose bands now come from
+mcd._compose_bands and mcd._add_block_inverses, are bit-identical to
+compose and to the posterior mean's np.add.at scatter into a dense matrix.
 """
 
 import dataclasses
@@ -41,7 +42,7 @@ from bandchol import bandwidth, linalg, stats
 from bandchol.bandwidth import log_marginal_k, select_k_posterior_mode, select_k_resampling
 from bandchol.bayes import PriorConfig, fit_posterior, posterior_mean_omega
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
-from bandchol.errors import BandcholError, SingularClique
+from bandchol.errors import BandcholError, DegenerateResidual, SingularDesign
 from bandchol.linalg import norm_fro, norm_l1, norm_linf
 from bandchol.mcd import CholeskyFactor, compose
 from bandchol.stats import as_data_matrix, gram_band
@@ -220,25 +221,32 @@ def mle_cases(draw):
 @settings(max_examples=200)
 @given(mle_cases())
 def test_batched_mle_matches_clique_loop(case):
-    """Where a block is nearly singular its inverse is rounding, so values
-    are compared on Gaussian data only; the outcome, and the clique named,
-    on every input."""
+    """The MLE is the BL estimator's band path: the same bits, or the same
+    error, on every input. Against the clique loop, where a block is nearly
+    singular its inverse is rounding, so values are compared on Gaussian
+    data only; where the loop finds a singular clique, the regression names
+    a singular design or a degenerate residual."""
     x, k, width, degenerate = case
     # a constant edit can be tiny enough that its column's second moment
-    # underflows: gram_band raises, and so do both fits without it
+    # underflows: gram_band raises, and so do all three fits without it
     banded = run(gram_band, x, max(k, width or 0))[0]
     gram = None if width is None or banded[0] == "raised" else banded[1]
-    (got, _), (want, _) = run(graphical_mle_banded, x, k, gram), \
-        run(oracles.graphical_mle_loop, x, k, gram)
-    assert got[0] == want[0], (got, want)
+    got, bl, want = (run(fn, x, k, gram)[0] for fn in (
+        graphical_mle_banded, bl_banded_estimator, oracles.graphical_mle_loop))
+    assert got[0] == bl[0], (got, bl)
+    if got[0] == "raised":
+        assert got == bl
+    else:
+        assert same_bits(got[1], bl[1])
+        np.testing.assert_array_equal(got[1], got[1].T)
     if want[0] == "raised":
-        assert got == want
-        assert want[1] is SingularClique or want[1:] == banded[1:]
-        return
-    got, want = got[1], want[1]
-    np.testing.assert_array_equal(got, got.T)
-    if not degenerate:
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if want[1] is oracles.SingularClique:
+            assert got[1] in (SingularDesign, DegenerateResidual), got
+        else:
+            assert got == want and want[1:] == banded[1:]
+    elif not degenerate:
+        assert got[0] == "ok", got
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-12 * np.max(np.abs(want[1]))
 
 
 @st.composite
@@ -442,8 +450,6 @@ def band_builder_cases(draw):
 def test_band_builders_match_dense_oracles(case):
     x, k, width, cap = case
     gram = None if width is None else gram_band(x, width)
-    assert_same(run(graphical_mle_banded, x, k, gram),
-                run(oracles.graphical_mle_batched, x, k, gram))
     try:
         if cap == "tiny":
             base = fit_posterior(x, PriorConfig(k), gram=gram)
