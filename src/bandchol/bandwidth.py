@@ -190,6 +190,11 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     return BandwidthPosterior(k_values=k_values, log_posterior=log_post, mode=mode)
 
 
+def _split_widths(n):
+    """Widest bandwidths a split of n rows fits: on n//3 rows, on the rest."""
+    return n // 3 - 1, n - n // 3 - 1
+
+
 def _check_resampling(n, p, kmax, ref_bandwidth, names=("kmax", "ref_bandwidth")):
     """Reject data too small to split, and a grid or reference bandwidth
     that its splits cannot fit.
@@ -197,21 +202,21 @@ def _check_resampling(n, p, kmax, ref_bandwidth, names=("kmax", "ref_bandwidth")
     A split fits every k on its n//3 estimation rows and the reference on
     the other rows. A fit on as many predecessors as rows is exact or
     singular whatever the rows hold, so min(kmax, p-1) must stay below the
-    first group's size and ref_bandwidth, at most p-1, below the second's.
-    names are how the caller calls kmax and ref_bandwidth.
+    first group's size and ref_bandwidth, at most p-1, below the second's
+    (_split_widths). names are how the caller calls kmax and ref_bandwidth.
     """
     if n < 6:
         raise ValueError(f"resampling needs n >= 6, got n={n}")
-    n1 = n // 3
-    if min(kmax, p - 1) > n1 - 1:
+    widest, widest_ref = _split_widths(n)
+    if min(kmax, p - 1) > widest:
         raise ValueError(
-            f"{names[0]}={kmax} exceeds n//3 - 1 = {n1 - 1}: a split fits each "
-            f"bandwidth on its {n1} estimation rows")
-    if not 1 <= ref_bandwidth <= min(n - n1 - 1, p - 1):
+            f"{names[0]}={kmax} exceeds n//3 - 1 = {widest}: a split fits each "
+            f"bandwidth on its {widest + 1} estimation rows")
+    if not 1 <= ref_bandwidth <= min(widest_ref, p - 1):
         raise ValueError(
             f"{names[1]}={ref_bandwidth} must lie in 1..min(n - n//3 - 1, p-1) = "
-            f"{min(n - n1 - 1, p - 1)}: a split fits the reference on its "
-            f"{n - n1} other rows")
+            f"{min(widest_ref, p - 1)}: a split fits the reference on its "
+            f"{widest_ref + 1} other rows")
 
 
 def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, rng=0):

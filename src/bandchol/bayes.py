@@ -30,6 +30,8 @@ from .mcd import CholeskyFactor, _add_block_inverses, _compose_bands, _dense_sym
 from .stats import _checked_band, _gram_band, _predecessor_blocks, _regress, as_data_matrix
 
 TRUNC_MASS_FLOOR = 1e-300
+# the norms a loss is measured in
+LOSSES = ("spectral", "linf", "fro")
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,13 @@ def _check_admissible(data, k, nu0):
 def _conjugate_terms(n, kj, dhat, prior):
     """(shape, rate, mass) of the columns' inverse-gamma posteriors: shape nj/2,
     rate n*dhat/2 and the mass below M, elementwise over kj and dhat of any
-    one shape, such as one bandwidth's (p,) or a grid's (bandwidths, p)."""
+    one shape, such as one bandwidth's (p,) or a grid's (bandwidths, p). A
+    mass below TRUNC_MASS_FLOOR is 0, so the fit and the posterior-mode grid
+    reject the same columns."""
     shape = (n + prior.nu0 - kj - 4) / 2.0
     rate = n * dhat / 2.0
-    return shape, rate, ig_cdf(prior.M, shape, rate)
+    mass = ig_cdf(prior.M, shape, rate)
+    return shape, rate, np.where(mass < TRUNC_MASS_FLOOR, 0.0, mass)
 
 
 def fit_posterior(data, prior, gram=None):
@@ -122,7 +127,7 @@ def fit_posterior(data, prior, gram=None):
     gram = _gram_band(x, keff) if gram is None else _checked_band(gram, x.shape[1], keff)
     st = _regress(gram, prior.k, x.shape[0])
     shape, rate, mass = _conjugate_terms(st.n, st.kj, st.dhat, prior)
-    bad = np.nonzero(mass < TRUNC_MASS_FLOOR)[0]
+    bad = np.nonzero(mass == 0.0)[0]
     if bad.size:
         j = bad[0]
         raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
@@ -198,11 +203,11 @@ def posterior_mean_omega(model):
 def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):
     """Posterior-expected distance E || omega - omega0 || and its MC error.
 
-    norm is one of "spectral", "linf", "fro". Returns (mean, stderr) over
+    norm is one of LOSSES: "spectral", "linf", "fro". Returns (mean, stderr) over
     the requested number of draws; stderr uses the sample standard
     deviation with ddof=1 (zero when draws == 1).
     """
-    if norm not in ("spectral", "linf", "fro"):
+    if norm not in LOSSES:
         raise ValueError(f"unsupported norm {norm!r}")
     omega0 = linalg.check_finite(omega0, "omega0")
     if omega0.shape != (model.p, model.p):

@@ -9,9 +9,12 @@ posterior mode is reported in the sidecar with its normalized posterior
 probability and its log-gap to the runner-up, and one chosen by resampling
 with its risk margin over the runner-up (each null on a one-point grid).
 Exit codes: 0 success, 2 bad input (an unreadable input or unwritable
-output among them), 3 numerical failure. estimate and bandwidth check every
-output path before they read the data and write nothing until the fit is
-done, so a command that fails leaves no file behind.
+output among them), 3 numerical failure. estimate and bandwidth share one
+opening (_prepare), one bandwidth selection (_select) and one sidecar
+writer: they check every output path before they read the data and write
+nothing until the fit is done, so a command that fails leaves no file
+behind. estimate's --estimator names are simulate.FITS's in lower case,
+and each is fitted by its FITS entry, as the simulation fits it.
 """
 
 import argparse
@@ -28,14 +31,14 @@ from .bandwidth import (
     REF_BANDWIDTH,
     SPLITS,
     _check_resampling,
+    _split_widths,
     select_k_posterior_mode,
     select_k_resampling,
 )
-from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
-from .competitors import bl_banded_estimator, graphical_mle_banded
+from .bayes import PriorConfig, max_bandwidth
 from .errors import BandcholError
 from .linalg import _row_spans
-from .simulate import ExperimentConfig, records_csv_text, run_experiment, summary_payload
+from .simulate import FITS, ExperimentConfig, records_csv_text, run_experiment, summary_payload
 from .stats import as_data_matrix, gram_band
 
 EXIT_OK = 0
@@ -172,7 +175,7 @@ def _selection_grid(args, n, p, resampling):
     """--kmax and --ref-bandwidth, by default the widest the data admit, capped.
 
     When a resampling scheme runs, the defaults are also capped at the
-    widest bands its splits can fit, n//3 - 1 and n - n//3 - 1, and a
+    widest bands its splits can fit (bandwidth._split_widths), and a
     nonempty grid is checked as select_k_resampling checks it, naming the
     flags.
     """
@@ -180,10 +183,11 @@ def _selection_grid(args, n, p, resampling):
     ref = args.ref_bandwidth if args.ref_bandwidth is not None \
         else max(1, min(REF_BANDWIDTH, n - 1, p - 1))
     if resampling:
+        widest, widest_ref = _split_widths(n)
         if args.kmax is None:
-            kmax = min(kmax, max(1, n // 3 - 1))
+            kmax = min(kmax, max(1, widest))
         if args.ref_bandwidth is None:
-            ref = max(1, min(ref, n - n // 3 - 1))
+            ref = max(1, min(ref, widest_ref))
         if kmax >= 1:
             _check_resampling(n, p, kmax, ref, names=("--kmax", "--ref-bandwidth"))
     return kmax, ref
@@ -193,127 +197,83 @@ def _selection_grid(args, n, p, resampling):
 # commands
 # ---------------------------------------------------------------------------
 
-def _input_echo(args, n, p):
-    return {
-        "path": args.data,
-        "header": bool(args.header),
-        "center": bool(args.center),
-        "n": n,
-        "p": p,
-    }
-
-
-def _mode_diagnostics(post):
-    """How clearly the posterior picked its mode: the mode's normalized
-    probability and its log-gap to the runner-up (null on a one-point grid)."""
-    return {"mode_probability": post.mode_probability, "mode_log_gap": post.log_gap}
-
-
-def _resampling_diagnostics(sel):
-    """How clearly the resampling risk picked its k: the runner-up's average
-    risk minus the chosen k's (null on a one-point grid)."""
-    return {"resampling_risk_margin": sel.margin}
-
-
-def cmd_estimate(args):
+def _prepare(args, resampling):
+    """(sidecar, data, kmax, ref) of estimate or bandwidth; every output path
+    is checked before the data is read."""
     sidecar = args.sidecar or default_sidecar(args.output)
     _check_writable(args.output, sidecar)
     x = read_data_csv(args.data, header=args.header, center=args.center)
-    n, p = x.shape
-    resampling = args.k is None and args.select_k == "resampling"
-    kmax, ref = _selection_grid(args, n, p, resampling)
-    prior_kwargs = {"M": args.cap, "nu0": args.nu0}
+    return (sidecar, x, *_selection_grid(args, *x.shape, resampling))
 
+
+def _select(scheme, args, x, kmax, ref, gram=None):
+    """(k, diagnostics, profile) of scheme on 1..kmax: the chosen bandwidth,
+    how clearly it won (the mode's normalized probability and log-gap to the
+    runner-up, or the runner-up's average risk minus its own; each null on a
+    one-point grid) and the log posterior or risk at each k."""
+    if scheme == "mode":
+        post = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, M=args.cap, nu0=args.nu0),
+                                       gram=gram)
+        return (post.mode, {"mode_probability": post.mode_probability,
+                            "mode_log_gap": post.log_gap}, post.log_posterior)
+    sel = select_k_resampling(
+        x, kmax, splits=args.splits, ref_bandwidth=ref,
+        rng=np.random.default_rng(args.seed),
+    )
+    return sel.mode, {"resampling_risk_margin": sel.margin}, sel.risk
+
+
+def _write_sidecar(path, args, x, parameters, result):
+    """The JSON sidecar of estimate or bandwidth: the input, every resolved
+    parameter, defaults and seed included, the result and the output path."""
+    n, p = x.shape
+    write_json(path, {
+        "command": args.command,
+        "input": {"path": args.data, "header": bool(args.header),
+                  "center": bool(args.center), "n": n, "p": p},
+        "parameters": {**parameters, "splits": args.splits, "M": args.cap,
+                       "nu0": args.nu0, "seed": args.seed},
+        "result": result,
+        "output": args.output,
+    })
+
+
+def cmd_estimate(args):
+    resampling = args.k is None and args.select_k == "resampling"
+    sidecar, x, kmax, ref = _prepare(args, resampling)
     # the band of X'X/n, computed once, serves the posterior-mode grid and
     # the estimate at any bandwidth up to its width
     gram = gram_band(x, max(0, args.k if args.k is not None else kmax))
-
-    diagnostics = {}
     if args.k is not None:
-        k, source = args.k, "explicit"
-    elif args.select_k == "mode":
-        post = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, **prior_kwargs),
-                                       gram=gram)
-        k, source, diagnostics = post.mode, "mode", _mode_diagnostics(post)
+        k, source, diagnostics = args.k, "explicit", {}
     else:
-        sel = select_k_resampling(
-            x, kmax, splits=args.splits, ref_bandwidth=ref,
-            rng=np.random.default_rng(args.seed),
-        )
-        k, source, diagnostics = sel.mode, "resampling", _resampling_diagnostics(sel)
-
-    if args.estimator == "ll":
-        omega = plug_in_estimator(fit_posterior(x, PriorConfig(k, **prior_kwargs), gram=gram))
-    elif args.estimator == "bl":
-        omega = bl_banded_estimator(x, k, gram=gram)
-    else:
-        omega = graphical_mle_banded(x, k, gram=gram)
-
+        k, diagnostics, _ = _select(args.select_k, args, x, kmax, ref, gram)
+        source = args.select_k
+    omega = FITS[args.estimator.upper()](x, k, gram, {"M": args.cap, "nu0": args.nu0})
     write_matrix_csv(args.output, omega)
-    write_json(sidecar, {
-        "command": "estimate",
-        "input": _input_echo(args, n, p),
-        "parameters": {
-            "estimator": args.estimator,
-            "k": args.k,
-            "select_k": args.select_k,
-            "kmax": kmax,
-            "splits": args.splits,
-            "reference_bandwidth": ref,
-            "M": args.cap,
-            "nu0": args.nu0,
-            "seed": args.seed,
-        },
-        "result": {"bandwidth": int(k), "bandwidth_source": source, **diagnostics},
-        "output": args.output,
-    })
+    _write_sidecar(sidecar, args, x, {
+        "estimator": args.estimator, "k": args.k, "select_k": args.select_k,
+        "kmax": kmax, "reference_bandwidth": ref,
+    }, {"bandwidth": int(k), "bandwidth_source": source, **diagnostics})
     return EXIT_OK
 
 
 def cmd_bandwidth(args):
-    sidecar = args.sidecar or default_sidecar(args.output)
-    _check_writable(args.output, sidecar)
-    x = read_data_csv(args.data, header=args.header, center=args.center)
-    n, p = x.shape
     schemes = ("mode", "resampling") if args.scheme == "both" else (args.scheme,)
-    kmax, ref = _selection_grid(args, n, p, "resampling" in schemes)
-
+    sidecar, x, kmax, ref = _prepare(args, "resampling" in schemes)
     lines = ["scheme,k,value"]
     selected = {}
     result = {"selected": selected}
-    if "mode" in schemes:
-        post = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, M=args.cap,
-                                                                  nu0=args.nu0))
-        selected["mode"] = post.mode
-        result.update(_mode_diagnostics(post))
-        for k, value in zip(post.k_values, post.log_posterior):
-            lines.append(f"mode,{k},{format(value, '.17g')}")
-    if "resampling" in schemes:
-        res = select_k_resampling(
-            x, kmax, splits=args.splits, ref_bandwidth=ref,
-            rng=np.random.default_rng(args.seed),
-        )
-        selected["resampling"] = res.mode
-        result.update(_resampling_diagnostics(res))
-        for k, value in zip(res.k_values, res.risk):
-            lines.append(f"resampling,{k},{format(value, '.17g')}")
+    for scheme in schemes:
+        selected[scheme], diagnostics, profile = _select(scheme, args, x, kmax, ref)
+        result.update(diagnostics)
+        lines += [f"{scheme},{k},{format(value, '.17g')}"
+                  for k, value in enumerate(profile, start=1)]
     with _create(args.output) as fh:
         fh.write("\n".join(lines) + "\n")
-    write_json(sidecar, {
-        "command": "bandwidth",
-        "input": _input_echo(args, n, p),
-        "parameters": {
-            "scheme": args.scheme,
-            "kmax": kmax,
-            "splits": args.splits,
-            "reference_bandwidth": ref,
-            "M": args.cap,
-            "nu0": args.nu0,
-            "seed": args.seed,
-        },
-        "result": result,
-        "output": args.output,
-    })
+    _write_sidecar(sidecar, args, x, {
+        "scheme": args.scheme, "kmax": kmax, "reference_bandwidth": ref,
+    }, result)
     return EXIT_OK
 
 
@@ -386,7 +346,7 @@ def build_parser():
     est.add_argument("--output", "-o", required=True, help="output matrix CSV path")
     est.add_argument("--sidecar", default=None,
                      help="JSON sidecar path (default: output with .json suffix)")
-    est.add_argument("--estimator", choices=("ll", "bl", "mle"), default="ll",
+    est.add_argument("--estimator", choices=[name.lower() for name in FITS], default="ll",
                      help="posterior plug-in (ll), banded regression (bl), or "
                           "graphical MLE (mle)")
     est.add_argument("--k", type=int, default=None,

@@ -377,11 +377,17 @@ def norm_spectral(m):
 
 def _checked_norm(m, norm):
     """norm(m), 0 if m is empty, as if check_finite(m) ran first: it runs, and norm
-    warns on overflow, unless m is a matrix whose norm, overflow ignored, is finite."""
+    warns on overflow, unless m is a matrix whose norm, overflow ignored, is finite.
+    A finite matrix whose sums overflow, as the Frobenius norm's squares do from
+    entries near 1e154, is taken again at a power-of-two scale, as in _band_norm,
+    so only a norm above the largest float overflows."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 2 and m.size:
         with np.errstate(over="ignore", invalid="ignore"):
             out = norm(m)
+            if not np.isfinite(out) and np.isfinite(m).all():
+                exponent = int(np.frexp(np.max(np.abs(m)))[1])
+                out = np.ldexp(norm(np.ldexp(m, -exponent)), exponent)
         if np.isfinite(out):
             return float(out)
     return float(norm(check_finite(m))) if m.size else 0.0

@@ -2,7 +2,10 @@
 
 An experiment draws Gaussian data from a chosen truth, selects a
 bandwidth, forms the requested estimators, and records losses against the
-true precision matrix over many replications. Replication r derives its
+true precision matrix over many replications. FITS and ESTIMATORS are the
+one list of estimators, which bandchol estimate shares: each simulation
+name is a fit at the bandwidth of one selector, and a replication runs
+only the selectors its estimators read. Replication r derives its
 RNG streams from (seed, r) by counter-based mixing, so results do not
 depend on worker count or scheduling, and a rerun with the same config is
 byte-identical. Each process builds a truth once and keeps the Cholesky
@@ -22,15 +25,12 @@ from scipy.linalg import cho_solve
 from . import linalg
 from .bandwidth import KMAX_CAP, REF_BANDWIDTH, SPLITS, _check_resampling
 from .bandwidth import select_k_posterior_mode, select_k_resampling
-from .bayes import PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
+from .bayes import LOSSES, PriorConfig, fit_posterior, max_bandwidth, plug_in_estimator
 from .competitors import bl_banded_estimator, graphical_mle_banded
 from .errors import BandcholError, EmptyGrid, ExperimentFailed, SingularMatrix
 from .linalg import _integer, _real
 from .stats import gram_band
 
-ESTIMATORS = ("LL", "BL1", "BL2", "MLE")
-LOSSES = ("spectral", "linf", "fro")
-MODE_BASED = ("LL", "BL2", "MLE")
 # the parameter each true model variant reads
 VARIANTS = {"ar1": "rho", "ar4": "coeffs", "fgn": "hurst"}
 # the fourth-order autoregression's precision entries on lags 1..4
@@ -228,6 +228,27 @@ def evaluate_losses(estimate, truth, losses=LOSSES):
 
 
 # ---------------------------------------------------------------------------
+# estimators
+# ---------------------------------------------------------------------------
+
+# fit name -> the dense estimate at bandwidth k from the data, its Gram band
+# (gram_band at least min(k, p-1) wide) and prior, the variance prior's M
+# and nu0 as PriorConfig keywords: the posterior plug-in, the banded
+# regression estimator and the banded graphical MLE
+FITS = {
+    "LL": lambda data, k, gram, prior: plug_in_estimator(
+        fit_posterior(data, PriorConfig(k, **prior), gram=gram)),
+    "BL": lambda data, k, gram, prior: bl_banded_estimator(data, k, gram=gram),
+    "MLE": lambda data, k, gram, prior: graphical_mle_banded(data, k, gram=gram),
+}
+
+# simulation estimator -> (the RepRecord field holding its bandwidth, its fit):
+# k_mode from the posterior-mode grid, k_bl from the resampling selector
+ESTIMATORS = {"LL": ("k_mode", "LL"), "BL1": ("k_bl", "BL"),
+              "BL2": ("k_mode", "BL"), "MLE": ("k_mode", "MLE")}
+
+
+# ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
 
@@ -248,7 +269,7 @@ class ExperimentConfig:
     n: int
     reps: int = 100
     seed: int = 0
-    estimators: tuple = ESTIMATORS
+    estimators: tuple = tuple(ESTIMATORS)
     losses: tuple = LOSSES
     kmax: int = KMAX_CAP
     splits: int = SPLITS
@@ -260,7 +281,8 @@ class ExperimentConfig:
         _integer("n", self.n, 1)
         _integer("reps", self.reps, 1)
         _integer("seed", self.seed, 0)
-        object.__setattr__(self, "estimators", _names("estimators", self.estimators, ESTIMATORS))
+        object.__setattr__(self, "estimators",
+                           _names("estimators", self.estimators, tuple(ESTIMATORS)))
         object.__setattr__(self, "losses", _names("losses", self.losses, LOSSES))
         _integer("selection.splits", self.splits, 1)
         _integer("selection.reference_bandwidth", self.ref_bandwidth, 1)
@@ -275,7 +297,7 @@ class ExperimentConfig:
         if self.kmax > widest:
             raise ValueError(f"selection.kmax={self.kmax} exceeds the largest "
                              f"admissible bandwidth {widest}")
-        if "BL1" in self.estimators:
+        if any(ESTIMATORS[est][0] == "k_bl" for est in self.estimators):
             _check_resampling(self.n, self.p, self.kmax, self.ref_bandwidth,
                               names=("selection.kmax", "selection.reference_bandwidth"))
 
@@ -355,31 +377,22 @@ def _run_rep(config, rep):
         # every bandwidth below is at most kmax, so one band serves the
         # grid and every estimator
         gram = gram_band(data, config.kmax)
-        estimates = {}
-        if any(est in MODE_BASED for est in config.estimators):
-            sel = select_k_posterior_mode(
-                data, config.kmax, prior=PriorConfig(0, M=config.cap, nu0=config.nu0),
-                gram=gram,
-            )
-            record.k_mode = sel.mode
-        if "BL1" in config.estimators:
+        prior = {"M": config.cap, "nu0": config.nu0}
+        sources = {ESTIMATORS[est][0] for est in config.estimators}
+        if "k_mode" in sources:
+            record.k_mode = select_k_posterior_mode(
+                data, config.kmax, prior=PriorConfig(0, **prior), gram=gram,
+            ).mode
+        if "k_bl" in sources:
             record.k_bl = select_k_resampling(
                 data, config.kmax, splits=config.splits,
                 ref_bandwidth=config.ref_bandwidth, rng=split_rng,
             ).mode
+        # every fit runs before any loss, so a failed fit leaves no losses
+        estimates = {}
         for est in config.estimators:
-            if est == "LL":
-                model = fit_posterior(
-                    data, PriorConfig(record.k_mode, M=config.cap, nu0=config.nu0),
-                    gram=gram,
-                )
-                estimates[est] = plug_in_estimator(model)
-            elif est == "BL2":
-                estimates[est] = bl_banded_estimator(data, record.k_mode, gram=gram)
-            elif est == "MLE":
-                estimates[est] = graphical_mle_banded(data, record.k_mode, gram=gram)
-            else:
-                estimates[est] = bl_banded_estimator(data, record.k_bl, gram=gram)
+            source, fit = ESTIMATORS[est]
+            estimates[est] = FITS[fit](data, getattr(record, source), gram, prior)
         for est in config.estimators:
             record.losses[est] = evaluate_losses(estimates[est], omega0, config.losses)
     except BandcholError as err:

@@ -2,7 +2,9 @@
 
 The dense second-moment matrix X'X / n, which the band fits replaced; the
 input checks of CholeskyFactor, norm_l1, norm_linf, norm_fro and
-as_data_matrix as they were before each took one pass; the graphical MLE
+as_data_matrix as they were before each took one pass (norm_fro with the
+power-of-two rescale it has since gained where a finite matrix's squares
+overflow); the graphical MLE
 in its clique form, the algorithm independent of the banded regression
 that competitors.graphical_mle_banded now is, one Cholesky factorization
 and one cho_solve per clique and separator, added into a dense matrix; the
@@ -83,8 +85,19 @@ def norm_linf(m):
 
 
 def norm_fro(m):
-    """Frobenius norm."""
+    """Frobenius norm. Where the squares of a finite matrix overflow, its
+    entries are divided by 2^e, the power of two just above the largest one,
+    and the norm of the quotient is multiplied by 2^e; only a norm above the
+    largest float overflows, and warns as the unscaled sum does."""
     m = check_finite(m)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.sum(m * m))
+    if m.ndim == 2 and not np.isfinite(out):
+        e = int(np.frexp(np.max(np.abs(m)))[1])
+        with np.errstate(over="ignore"):
+            out = np.ldexp(np.sqrt(np.sum(np.ldexp(m, -e) ** 2)), e)
+        if np.isfinite(out):
+            return float(out)
     return float(np.sqrt(np.sum(m * m)))
 
 

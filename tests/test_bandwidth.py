@@ -135,6 +135,23 @@ def test_overflowing_variance_ratio_fails_typed_without_warnings():
     assert str(info.value) == f"log posterior at bandwidth 1 is -inf: {fit.value}"
 
 
+def test_grid_and_fit_share_the_truncation_floor():
+    # a mass between 0 and bayes.TRUNC_MASS_FLOOR counts as none in both the
+    # fit and the grid: here column 1's mass at k = 1 lies below the floor
+    # for M in about [0.0386, 0.0397], so the grid's k = 1 is -inf, with
+    # the fit's own error as its cause, not a finite mode the fit rejects
+    x = np.random.default_rng(0).standard_normal((50, 3))
+    with pytest.raises(TruncationMassZero) as fit:
+        fit_posterior(x, PriorConfig(1, M=0.039))
+    with pytest.raises(NonFiniteLogPosterior) as info:
+        select_k_posterior_mode(x, 2, prior=PriorConfig(0, M=0.039))
+    assert info.value.k == 1 and info.value.mass_zero.column == fit.value.column
+    assert str(info.value) == f"log posterior at bandwidth 1 is -inf: {fit.value}"
+    # outside that window both still agree that the mass is there
+    assert select_k_posterior_mode(x, 2, prior=PriorConfig(0, M=0.05)).mode == 1
+    fit_posterior(x, PriorConfig(1, M=0.05))
+
+
 def test_grid_error_precedence():
     # the smallest failing k wins; at one k the regression error comes
     # before the non-finite total

@@ -18,9 +18,10 @@ CONFIG_DIR = ROOT / "configs"
 import bandchol
 from bandchol import cli
 from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
-from bandchol.bandwidth import select_k_posterior_mode
+from bandchol.bandwidth import select_k_posterior_mode, select_k_resampling
 from bandchol.cli import default_sidecar, main, resolve_threads
 from bandchol.errors import TruncationMassZero
+from bandchol.simulate import FITS
 from bandchol.stats import as_data_matrix
 from bandchol.simulate import TrueModelSpec, make_ar1_cov, sample_gaussian
 
@@ -169,6 +170,44 @@ def test_estimate_bl_and_mle_agree(tmp_path):
     bl = np.loadtxt(bl_out, delimiter=",")
     mle = np.loadtxt(mle_out, delimiter=",")
     assert np.max(np.abs(bl - mle)) <= 1e-8
+
+
+@pytest.mark.parametrize("estimator", sorted(FITS))
+@pytest.mark.parametrize("selection", ["mode", "resampling", "explicit"])
+def test_estimate_writes_the_library_selection_and_table_fit(tmp_path, estimator, selection):
+    # at n = 45, p = 16 the default grid is 1..min(20, p-1, n//3 - 1 with
+    # resampling) and the reference bandwidth min(20, p-1): every
+    # --estimator is its simulate.FITS entry at the k the library selects
+    data = tmp_path / "data.csv"
+    x = write_data(data, n=45, p=16)
+    argv = ["estimate", str(data), "-o", str(tmp_path / "omega.csv"),
+            "--estimator", estimator.lower(), "--splits", "4", "--seed", "3"]
+    if selection == "mode":
+        k = select_k_posterior_mode(x, 15, prior=PriorConfig(0)).mode
+    elif selection == "resampling":
+        argv += ["--select-k", "resampling"]
+        k = select_k_resampling(x, 14, splits=4, ref_bandwidth=15,
+                                rng=np.random.default_rng(3)).mode
+    else:
+        argv += ["--k", "3"]
+        k = 3
+    assert main(argv) == 0
+    cli.write_matrix_csv(tmp_path / "library.csv",
+                         FITS[estimator](x, k, None, {"M": PriorConfig.M, "nu0": PriorConfig.nu0}))
+    assert (tmp_path / "omega.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    result = json.loads((tmp_path / "omega.json").read_text())["result"]
+    assert result["bandwidth"] == k
+    assert result["bandwidth_source"] == selection
+
+
+def test_estimator_choices_are_the_fit_table():
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions if action.choices
+                      and "estimate" in action.choices)
+    estimate = subparsers.choices["estimate"]
+    choices = next(action.choices for action in estimate._actions
+                   if action.dest == "estimator")
+    assert list(choices) == [name.lower() for name in FITS] == ["ll", "bl", "mle"]
 
 
 def test_estimate_header_and_center(tmp_path):
@@ -496,6 +535,21 @@ def test_mode_selection_names_variance_cap(tmp_path, capsys):
     assert "d_1 on (0, 1e+06]" in err
     assert re.search(r"variance scale n\*dhat/nj is [0-9.]+e\+07, .* in squared data units",
                      err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "bandwidth"])
+def test_truncation_floor_fails_both_commands(tmp_path, capsys, command):
+    # at M = 0.039 column 1's mass at k = 1 lies between 0 and the floor
+    # bayes.TRUNC_MASS_FLOOR: the grid rejects k = 1 as the fit does, so
+    # estimate no longer selects a k it cannot fit, and bandwidth agrees
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.random.default_rng(0).standard_normal((50, 3)), delimiter=",",
+               fmt="%.17g")
+    out = tmp_path / "out.csv"
+    assert main([command, str(data), "-o", str(out), "--cap", "0.039", "--kmax", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "log posterior at bandwidth 1 is -inf: posterior mass of d_1 on (0, 0.039]" in err
     assert not out.exists()
 
 

@@ -101,6 +101,18 @@ def test_norm_fro():
     assert linalg.norm_fro(np.zeros((4, 4))) == 0.0
 
 
+def test_norm_fro_of_huge_finite_entries():
+    # the squares of 1e160 overflow; a power-of-two scale keeps the norm
+    # finite, equal to the spectral norm, and (RuntimeWarnings being errors
+    # in this suite) free of an overflow warning
+    m = np.array([[1e160, 0.0], [0.0, 1.0]])
+    assert linalg.norm_fro(m) == 1e160 == linalg.norm_spectral(m)
+    assert linalg.norm_fro(-m.T) == 1e160
+    # only a norm above the largest float still overflows, and warns
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert linalg.norm_fro(np.full((2, 2), 1e308)) == np.inf
+
+
 def test_norms_reject_non_finite():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     for fn in (linalg.norm_spectral, linalg.norm_l1, linalg.norm_linf,

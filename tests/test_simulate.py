@@ -8,7 +8,7 @@ import pytest
 
 from bandchol import linalg, simulate
 from bandchol.bayes import PriorConfig, max_bandwidth
-from bandchol.errors import EmptyGrid, ExperimentFailed, SingularMatrix
+from bandchol.errors import EmptyGrid, ExperimentFailed, SingularDesign, SingularMatrix
 from bandchol.linalg import norm_fro, norm_linf, norm_spectral
 from bandchol.simulate import (
     ExperimentConfig,
@@ -318,6 +318,52 @@ def test_run_experiment_deterministic():
     for rec in first.records:
         assert rec.k_mode in (1, 2, 3) and rec.k_bl in (1, 2, 3)
         assert set(rec.losses) == {"LL", "BL1", "BL2", "MLE"}
+
+
+def test_estimator_table_is_the_list_of_names():
+    # a config accepts exactly the table's names, by default all of them, and
+    # each is a FITS entry at a RepRecord bandwidth; FITS has no unused fit
+    assert small_config(estimators=ExperimentConfig.estimators).estimators == \
+        tuple(simulate.ESTIMATORS) == ("LL", "BL1", "BL2", "MLE")
+    for name, (source, fit) in simulate.ESTIMATORS.items():
+        assert small_config(estimators=(name,)).estimators == (name,)
+        assert source in ("k_mode", "k_bl") and fit in simulate.FITS
+    assert {fit for _, fit in simulate.ESTIMATORS.values()} == set(simulate.FITS)
+    with pytest.raises(ValueError, match=r"\['LL', 'BL1', 'BL2', 'MLE'\], got \['BL'\]"):
+        small_config(estimators=["BL"])
+    with pytest.raises(ValueError, match="estimators"):
+        small_config(estimators=[["LL"]])
+
+
+@pytest.mark.parametrize("estimators", [("LL",), ("BL2", "MLE"), ("BL1",), ("MLE", "BL1")])
+def test_replication_runs_only_the_selectors_its_estimators_read(monkeypatch, estimators):
+    # k_mode comes from the posterior-mode grid and k_bl from the resampler;
+    # a selector no requested estimator reads is never called, and every
+    # estimator's losses are those of the run with all four
+    full = run_experiment(small_config(reps=2)).records
+    needs = {simulate.ESTIMATORS[est][0] for est in estimators}
+    for source, name in (("k_mode", "select_k_posterior_mode"), ("k_bl", "select_k_resampling")):
+        if source not in needs:
+            monkeypatch.setattr(simulate, name,
+                                lambda *a, name=name, **kw: pytest.fail(f"{name} ran"))
+    records = run_experiment(small_config(reps=2, estimators=estimators)).records
+    for rec, whole in zip(records, full):
+        assert rec.error is None
+        assert rec.k_mode == (whole.k_mode if "k_mode" in needs else None)
+        assert rec.k_bl == (whole.k_bl if "k_bl" in needs else None)
+        assert rec.losses == {est: whole.losses[est] for est in estimators}
+
+
+def test_failed_fit_leaves_no_losses(monkeypatch):
+    # every fit runs before any loss, so a replication whose second fit
+    # fails records the error and no losses of the first
+    def singular(data, k, gram, prior):
+        raise SingularDesign(2)
+
+    monkeypatch.setitem(simulate.FITS, "MLE", singular)
+    rec = simulate._run_rep(small_config(estimators=("LL", "MLE")), 0)
+    assert rec.error == f"SingularDesign: {SingularDesign(2)}"
+    assert rec.losses == {} and rec.k_mode is not None
 
 
 def test_run_experiment_worker_count_invariant():
