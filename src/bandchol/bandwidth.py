@@ -32,7 +32,7 @@ distance. Within a split, one nested factorization of the estimation
 group's Gram blocks gives every candidate's fit (stats.NestedFactor).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,7 +47,8 @@ from .errors import (
 )
 from .competitors import bl_banded_estimator
 from .linalg import _integer, norm_l1
-from .stats import _checked_band, _factor_nested, _gram_band, _regress_nested, as_data_matrix
+from .stats import GramBand, _band_at, _factor_nested, _regress_nested, _rows_or_band
+from .stats import as_data_matrix
 
 # redraws of a split whose estimation group hits a singular design
 MAX_RETRIES = 10
@@ -102,19 +103,18 @@ class ResamplingSelection:
         return float(low2[1] - low2[0])
 
 
-def _log_posterior(x, k_values, prior, log_k_prior, gram):
+def _log_posterior(data, k_values, prior, log_k_prior):
     """Unnormalized log posterior at each of the ascending bandwidths k_values.
 
     One nested factorization gives every k (stats._regress_nested), and the
     column terms are evaluated over the (bandwidths, p) arrays at once. The
     smallest k that fails raises, as evaluating them one by one would: its
     SingularDesign or DegenerateResidual first, else NonFiniteLogPosterior.
-    gram is None or a gram_band of x at least min(k_values[-1], p-1) wide.
+    data is stats._rows_or_band's, a GramBand at least min(k_values[-1],
+    p-1) wide or validated rows.
     """
-    n, p = x.shape
-    kmax = int(k_values[-1])
-    band = _gram_band(x, kmax) if gram is None else _checked_band(gram, p, min(kmax, p - 1))
-    dhat, logdet, err = _regress_nested(band, k_values, n)
+    n, p = data.shape
+    dhat, logdet, err = _regress_nested(_band_at(data, int(k_values[-1])), k_values)
     done = k_values[:len(dhat)]
     kj = np.minimum(np.arange(p), done[:, None])
     half_nj, rate, mass = _conjugate_terms(n, kj, dhat, prior)
@@ -145,36 +145,34 @@ def log_marginal_k(data, k, prior=None, log_k_prior=default_log_k_prior):
     """Unnormalized log posterior of bandwidth k.
 
     The value is the last row of the grid computation of
-    select_k_posterior_mode with kmax = k, from the same one factorization.
-    prior supplies the cap M and shape offset nu0; its own bandwidth field
-    is ignored in favor of the k argument. Raises ValueError when k
-    exceeds max_bandwidth, and NonFiniteLogPosterior when the value is NaN
-    or infinite, which happens when some residual variance underflows or
-    the cap M removes all posterior mass; the error then names the column
-    whose mass is zero.
+    select_k_posterior_mode with kmax = k, from the same data, rows or a
+    GramBand, and the same one factorization. prior supplies the cap M and
+    shape offset nu0; its own bandwidth field is ignored in favor of the k
+    argument. Raises ValueError when k exceeds max_bandwidth, and
+    NonFiniteLogPosterior when the value is NaN or infinite, which happens
+    when some residual variance underflows or the cap M removes all
+    posterior mass; the error then names the column whose mass is zero.
     """
     _integer("k", k, 0)
     if prior is None:
         prior = PriorConfig(k=0)
     _check_admissible(data, k, prior.nu0)
-    x = as_data_matrix(data)
-    return float(_log_posterior(x, np.array([k]), prior, log_k_prior, None)[0])
+    return float(_log_posterior(_rows_or_band(data), np.array([k]), prior, log_k_prior)[0])
 
 
-def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_prior,
-                            gram=None):
+def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_prior):
     """Evaluate the bandwidth posterior on 1..kmax and return its mode.
 
     The whole grid comes from one nested factorization of each column's
     Gram block and raises what log_marginal_k at k = 1, ..., kmax in turn
     would. Ties resolve to the smallest k. kmax may not exceed
     max_bandwidth(n, p, nu0), the largest bandwidth the posterior admits.
-    gram may be gram_band(data, w) with w >= min(kmax, p-1), shared with
-    the fits at the chosen k; the grid is then bit-identical to the one
-    without it.
+    data is the n x p data matrix or a GramBand of it at least min(kmax,
+    p-1) wide, which can then serve the fit at the chosen k; the grid is
+    bit for bit the one from the rows.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
+    data = _rows_or_band(data)
+    n, p = data.shape
     if prior is None:
         prior = PriorConfig(k=0)
     _integer("kmax", kmax)
@@ -184,7 +182,7 @@ def select_k_posterior_mode(data, kmax, prior=None, log_k_prior=default_log_k_pr
     if kmax > cap:
         raise ValueError(f"kmax={kmax} exceeds the largest admissible bandwidth {cap}")
     k_values = np.arange(1, kmax + 1)
-    log_post = _log_posterior(x, k_values, prior, log_k_prior, gram)
+    log_post = _log_posterior(data, k_values, prior, log_k_prior)
     # argmax returns the first maximizer, hence the smallest k on ties
     mode = int(k_values[int(np.argmax(log_post))])
     return BandwidthPosterior(k_values=k_values, log_posterior=log_post, mode=mode)
@@ -231,14 +229,16 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
     min(kmax, p-1) <= n//3 - 1 and 1 <= ref_bandwidth <= min(n - n//3 - 1,
     p-1): wider bands are exact or singular fits in every split.
 
-    Each split attempt factors the estimation group's Gram blocks once, at
-    width min(kmax, p-1), and every k's bl_banded_estimator reads its fit
-    from that stats.NestedFactor through gram=, or, where it is untrusted,
-    from its Gram band. The factor holds the group's rows, which were
-    checked as part of data, so its fits skip the scan for non-finite
-    entries. The reference is fitted without a shared band, and subtracted
-    in place from each k's fresh estimate.
+    Each split attempt factors the GramBand of the estimation group, rows
+    checked as part of data, once at width min(kmax, p-1), and every k's
+    bl_banded_estimator of that GramBand reads its fit from the
+    stats.NestedFactor through gram=, or, where it is untrusted, from the
+    band. The reference is fitted from its rows, and subtracted in place
+    from each k's fresh estimate. A GramBand holds no rows to split, so it
+    raises ValueError.
     """
+    if isinstance(data, GramBand):
+        raise ValueError("select_k_resampling splits rows, which a GramBand does not hold")
     x = as_data_matrix(data)
     n, p = x.shape
     _integer("kmax", kmax)
@@ -256,9 +256,8 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
             perm = rng.permutation(n)
             try:
                 ref = bl_banded_estimator(x[perm[n1:]], ref_bandwidth)
-                g1 = x[perm[:n1]]
-                nested = replace(_factor_nested(_gram_band(g1, kmax), min(kmax, p - 1), n1),
-                                 rows=g1)
+                g1 = _band_at(x[perm[:n1]], kmax)
+                nested = _factor_nested(g1, g1.width)
                 dists = []
                 for k in k_values:
                     # each estimate is a fresh matrix

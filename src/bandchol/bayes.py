@@ -27,7 +27,7 @@ from scipy.special import gammaincc, gammainccinv
 from . import linalg
 from .errors import TruncationMassZero
 from .mcd import CholeskyFactor, _add_block_inverses, _compose_bands, _dense_symmetric, compose
-from .stats import _checked_band, _gram_band, _predecessor_blocks, _regress, as_data_matrix
+from .stats import _band_at, _predecessor_blocks, _regress, _rows_or_band
 
 TRUNC_MASS_FLOOR = 1e-300
 # the norms a loss is measured in
@@ -91,9 +91,9 @@ def _check_admissible(data, k, nu0):
     """ValueError when bandwidth k leaves a column without positive degrees
     of freedom n + nu0 - kj - 4.
 
-    The bound is checked on the shape of the data, before the regressions
-    validate the data, so its ValueError comes before SingularDesign or
-    DegenerateResidual.
+    The bound is checked on the shape of the data, rows or a GramBand,
+    before the regressions validate the data, so its ValueError comes
+    before SingularDesign or DegenerateResidual.
     """
     dims = np.shape(data)
     if len(dims) == 2 and min(k, dims[1] - 1) > max_bandwidth(*dims, nu0):
@@ -113,26 +113,24 @@ def _conjugate_terms(n, kj, dhat, prior):
     return shape, rate, np.where(mass < TRUNC_MASS_FLOOR, 0.0, mass)
 
 
-def fit_posterior(data, prior, gram=None):
+def fit_posterior(data, prior):
     """Fit the column posteriors at the prior's bandwidth.
 
-    Raises ValueError when k exceeds max_bandwidth, and TruncationMassZero(j)
-    when the cap M leaves column j's posterior without numerical mass.
-    gram may be gram_band(data, w) with w >= min(k, p-1), as in
-    banded_regression.
+    data is the n x p data matrix or a GramBand of it, as in
+    banded_regression. Raises ValueError when k exceeds max_bandwidth, and
+    TruncationMassZero(j) when the cap M leaves column j's posterior
+    without numerical mass.
     """
     _check_admissible(data, prior.k, prior.nu0)
-    x = as_data_matrix(data)
-    keff = min(prior.k, x.shape[1] - 1)
-    gram = _gram_band(x, keff) if gram is None else _checked_band(gram, x.shape[1], keff)
-    st = _regress(gram, prior.k, x.shape[0])
+    stat = _band_at(_rows_or_band(data), prior.k)
+    st = _regress(stat, prior.k)
     shape, rate, mass = _conjugate_terms(st.n, st.kj, st.dhat, prior)
     bad = np.nonzero(mass == 0.0)[0]
     if bad.size:
         j = bad[0]
         raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
     return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass, M=prior.M,
-                          gram=gram)
+                          gram=stat.band)
 
 
 def plug_in_estimator(model):

@@ -8,18 +8,20 @@ never changes results, so reruns are byte-identical. A bandwidth chosen by
 posterior mode is reported in the sidecar with its normalized posterior
 probability and its log-gap to the runner-up, and one chosen by resampling
 with its risk margin over the runner-up (each null on a one-point grid).
-Exit codes: 0 success, 2 bad input (an unreadable input or unwritable
-output among them), 3 numerical failure. estimate and bandwidth share one
-opening (_prepare), one bandwidth selection (_select) and one sidecar
-writer: they check every output path before they read the data and write
-nothing until the fit is done, so a command that fails leaves no file
-behind. estimate's --estimator names are simulate.FITS's in lower case,
-and each is fitted by its FITS entry, as the simulation fits it.
+Exit codes: 0 success, 2 bad input (an unreadable input, an unwritable
+output or a number JSON cannot hold among them), 3 numerical failure.
+estimate and bandwidth share one opening (_prepare), one bandwidth
+selection (_select) and one sidecar writer: they check the prior's flags
+and every output path before they read the data and write nothing until
+the fit is done, so a command that fails leaves no file behind. estimate's
+--estimator names are simulate.FITS's in lower case, and each is fitted
+from the data's GramBand by its FITS entry, as the simulation fits it.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -37,9 +39,9 @@ from .bandwidth import (
 )
 from .bayes import PriorConfig, max_bandwidth
 from .errors import BandcholError
-from .linalg import _row_spans
+from .linalg import _real, _row_spans
 from .simulate import FITS, ExperimentConfig, records_csv_text, run_experiment, summary_payload
-from .stats import as_data_matrix, gram_band
+from .stats import _band_at, as_data_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,9 +154,10 @@ def write_matrix_csv(path, m):
 
 
 def write_json(path, payload):
+    """payload as strict JSON: NaN or infinity raises ValueError before the file opens."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with _create(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def default_sidecar(output_path):
@@ -198,28 +201,29 @@ def _selection_grid(args, n, p, resampling):
 # ---------------------------------------------------------------------------
 
 def _prepare(args, resampling):
-    """(sidecar, data, kmax, ref) of estimate or bandwidth; every output path
-    is checked before the data is read."""
+    """(sidecar, data, kmax, ref) of estimate or bandwidth; the --cap and --nu0
+    that every sidecar echoes, as PriorConfig checks them, and every output
+    path are checked before the data is read."""
+    _real("--cap", args.cap, lambda v: v > 0, "a positive number")
+    _real("--nu0", args.nu0, math.isfinite, "a finite number")
     sidecar = args.sidecar or default_sidecar(args.output)
     _check_writable(args.output, sidecar)
     x = read_data_csv(args.data, header=args.header, center=args.center)
     return (sidecar, x, *_selection_grid(args, *x.shape, resampling))
 
 
-def _select(scheme, args, x, kmax, ref, gram=None):
+def _select(scheme, args, data, kmax, ref):
     """(k, diagnostics, profile) of scheme on 1..kmax: the chosen bandwidth,
     how clearly it won (the mode's normalized probability and log-gap to the
     runner-up, or the runner-up's average risk minus its own; each null on a
-    one-point grid) and the log posterior or risk at each k."""
+    one-point grid) and the log posterior or risk at each k. data is the
+    rows, or for the mode a GramBand of them at least min(kmax, p-1) wide."""
     if scheme == "mode":
-        post = select_k_posterior_mode(x, kmax, prior=PriorConfig(0, M=args.cap, nu0=args.nu0),
-                                       gram=gram)
+        post = select_k_posterior_mode(data, kmax, prior=PriorConfig(0, M=args.cap, nu0=args.nu0))
         return (post.mode, {"mode_probability": post.mode_probability,
                             "mode_log_gap": post.log_gap}, post.log_posterior)
-    sel = select_k_resampling(
-        x, kmax, splits=args.splits, ref_bandwidth=ref,
-        rng=np.random.default_rng(args.seed),
-    )
+    sel = select_k_resampling(data, kmax, splits=args.splits, ref_bandwidth=ref,
+                              rng=np.random.default_rng(args.seed))
     return sel.mode, {"resampling_risk_margin": sel.margin}, sel.risk
 
 
@@ -241,20 +245,21 @@ def _write_sidecar(path, args, x, parameters, result):
 def cmd_estimate(args):
     resampling = args.k is None and args.select_k == "resampling"
     sidecar, x, kmax, ref = _prepare(args, resampling)
-    # the band of X'X/n, computed once, serves the posterior-mode grid and
-    # the estimate at any bandwidth up to its width
-    gram = gram_band(x, max(0, args.k if args.k is not None else kmax))
+    # one GramBand of the rows, which read_data_csv checked, serves the
+    # posterior-mode grid and the fit at any bandwidth up to its width
+    stat = _band_at(x, max(0, args.k if args.k is not None else kmax))
     if args.k is not None:
         k, source, diagnostics = args.k, "explicit", {}
     else:
-        k, diagnostics, _ = _select(args.select_k, args, x, kmax, ref, gram)
+        k, diagnostics, _ = _select(args.select_k, args, x if resampling else stat, kmax, ref)
         source = args.select_k
-    omega = FITS[args.estimator.upper()](x, k, gram, {"M": args.cap, "nu0": args.nu0})
-    write_matrix_csv(args.output, omega)
+    omega = FITS[args.estimator.upper()](stat, k, {"M": args.cap, "nu0": args.nu0})
+    # the sidecar first: its strict JSON is the one write that can still fail
     _write_sidecar(sidecar, args, x, {
         "estimator": args.estimator, "k": args.k, "select_k": args.select_k,
         "kmax": kmax, "reference_bandwidth": ref,
     }, {"bandwidth": int(k), "bandwidth_source": source, **diagnostics})
+    write_matrix_csv(args.output, omega)
     return EXIT_OK
 
 
@@ -269,11 +274,11 @@ def cmd_bandwidth(args):
         result.update(diagnostics)
         lines += [f"{scheme},{k},{format(value, '.17g')}"
                   for k, value in enumerate(profile, start=1)]
-    with _create(args.output) as fh:
-        fh.write("\n".join(lines) + "\n")
     _write_sidecar(sidecar, args, x, {
         "scheme": args.scheme, "kmax": kmax, "reference_bandwidth": ref,
     }, result)
+    with _create(args.output) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -295,9 +300,9 @@ def cmd_simulate(args):
     result = run_experiment(config, workers=workers)
     results_path = os.path.join(args.output_dir, "results.csv")
     summary_path = os.path.join(args.output_dir, "summary.json")
+    write_json(summary_path, summary_payload(result))
     with _create(results_path) as fh:
         fh.write(records_csv_text(result))
-    write_json(summary_path, summary_payload(result))
     return EXIT_OK
 
 

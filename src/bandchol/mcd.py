@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .stats import _dense_to_band, _regress
+from .stats import GramBand, _dense_to_band, _regress
 
 
 @lru_cache(maxsize=32)
@@ -159,5 +159,5 @@ def population_coefficients(sigma, k):
     """
     sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
     linalg._integer("k", k, 0)
-    st = _regress(_dense_to_band(sigma, min(k, sigma.shape[0] - 1)), k, np.inf)
+    st = _regress(GramBand(np.inf, _dense_to_band(sigma, min(k, sigma.shape[0] - 1))), k)
     return CholeskyFactor(a=st.ahat, d=st.dhat)

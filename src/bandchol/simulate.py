@@ -231,15 +231,14 @@ def evaluate_losses(estimate, truth, losses=LOSSES):
 # estimators
 # ---------------------------------------------------------------------------
 
-# fit name -> the dense estimate at bandwidth k from the data, its Gram band
-# (gram_band at least min(k, p-1) wide) and prior, the variance prior's M
-# and nu0 as PriorConfig keywords: the posterior plug-in, the banded
-# regression estimator and the banded graphical MLE
+# fit name -> the dense estimate at bandwidth k from stat, the data's GramBand
+# at least min(k, p-1) wide (or the data itself), and prior, the variance
+# prior's M and nu0 as PriorConfig keywords: the posterior plug-in, the
+# banded regression estimator and the banded graphical MLE
 FITS = {
-    "LL": lambda data, k, gram, prior: plug_in_estimator(
-        fit_posterior(data, PriorConfig(k, **prior), gram=gram)),
-    "BL": lambda data, k, gram, prior: bl_banded_estimator(data, k, gram=gram),
-    "MLE": lambda data, k, gram, prior: graphical_mle_banded(data, k, gram=gram),
+    "LL": lambda stat, k, prior: plug_in_estimator(fit_posterior(stat, PriorConfig(k, **prior))),
+    "BL": lambda stat, k, prior: bl_banded_estimator(stat, k),
+    "MLE": lambda stat, k, prior: graphical_mle_banded(stat, k),
 }
 
 # simulation estimator -> (the RepRecord field holding its bandwidth, its fit):
@@ -376,13 +375,12 @@ def _run_rep(config, rep):
     try:
         # every bandwidth below is at most kmax, so one band serves the
         # grid and every estimator
-        gram = gram_band(data, config.kmax)
+        stat = gram_band(data, config.kmax)
         prior = {"M": config.cap, "nu0": config.nu0}
         sources = {ESTIMATORS[est][0] for est in config.estimators}
         if "k_mode" in sources:
-            record.k_mode = select_k_posterior_mode(
-                data, config.kmax, prior=PriorConfig(0, **prior), gram=gram,
-            ).mode
+            record.k_mode = select_k_posterior_mode(stat, config.kmax,
+                                                    prior=PriorConfig(0, **prior)).mode
         if "k_bl" in sources:
             record.k_bl = select_k_resampling(
                 data, config.kmax, splits=config.splits,
@@ -392,7 +390,7 @@ def _run_rep(config, rep):
         estimates = {}
         for est in config.estimators:
             source, fit = ESTIMATORS[est]
-            estimates[est] = FITS[fit](data, getattr(record, source), gram, prior)
+            estimates[est] = FITS[fit](stat, getattr(record, source), prior)
         for est in config.estimators:
             record.losses[est] = evaluate_losses(estimates[est], omega0, config.losses)
     except BandcholError as err:

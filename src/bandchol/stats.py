@@ -8,9 +8,10 @@ w >= k: X'X / n restricted to |i - j| <= w and stored as a padded row band
 whose first w rows, the identity's band, pad the missing predecessors of the
 first columns. It costs O(n p (GRAM_TILE + w)) flops and O(p w) memory,
 where the dense X'X / n costs O(n p^2) and O(p^2); every Gram block is a
-zero-copy strided view of it (_predecessor_blocks). Each public gram=
-argument takes such a band, at least as wide as the bandwidth it fits. Every
-fit factors the blocks in one order, nearest first, into a NestedFactor of
+zero-copy strided view of it (_predecessor_blocks). With the row count n it
+is a GramBand, all that a fit at a bandwidth up to w reads of the data, so
+every fit but the resampler takes one in place of the rows. Every fit
+factors the blocks in one order, nearest first, into a NestedFactor of
 width K, from which every bandwidth k <= K is read: banded_regression reads
 its one k, the posterior-mode grid every k's residual variances and log
 determinants, and the resampler, through bl_banded_estimator's gram=, every
@@ -49,11 +50,32 @@ def as_data_matrix(x):
     return check_finite(x, "data")
 
 
+@dataclass(frozen=True)
+class GramBand:
+    """The row count n of the data (np.inf for a population covariance) and
+    gram_band's read-only padded row band of X'X / n."""
+
+    n: int
+    band: np.ndarray = field(repr=False)
+
+    @property
+    def width(self):
+        return self.band.shape[1] // 2
+
+    @property
+    def p(self):
+        return self.band.shape[0] - self.width
+
+    @property
+    def shape(self):  # the data's, as np.shape reads it
+        return self.n, self.p
+
+
 def gram_band(data, width):
-    """X'X / n within width w of the diagonal, as a read-only padded row band.
+    """GramBand of the data: X'X / n within width w of the diagonal.
 
     w is width clamped to p - 1. Row w + i, column w + d of the (p + w,
-    2w + 1) result holds g[i, i+d] of g = X'X / n, and 0 where i + d lies
+    2w + 1) band holds g[i, i+d] of g = X'X / n, and 0 where i + d lies
     outside 0..p-1; the first w rows hold 1 in the centre column and 0
     elsewhere, the identity's band. Raises ValueError when the moments
     overflow: when some entry of g is not finite or would not be once
@@ -88,7 +110,7 @@ def gram_band(data, width):
     _integer("width", width)
     if width < 0:
         raise ValueError("band width must be nonnegative")
-    return _gram_band(x, width)
+    return GramBand(x.shape[0], _gram_band(x, width))
 
 
 def _gram_band(x, width):
@@ -140,22 +162,22 @@ def _dense_to_band(m, w):
     return band
 
 
-def _checked_band(gram, p, keff):
-    """A gram= argument, gram_band(data, w) of data with p columns, w >= keff,
-    as a read-only view at width keff: the numbers of gram_band(data, keff).
+def _rows_or_band(data):
+    """data itself if it is a GramBand, else the validated data matrix."""
+    return data if isinstance(data, GramBand) else as_data_matrix(data)
 
-    ValueError for anything else, such as the dense p x p X'X / n, a band
-    of data with another number of columns, or a band narrower than keff.
-    """
-    gram = np.asarray(gram, dtype=float)
-    w = (gram.shape[-1] - 1) // 2 if gram.ndim == 2 else -1
-    if gram.shape != (p + w, 2 * w + 1) or not keff <= w <= p - 1:
-        raise ValueError(
-            f"gram must be gram_band(data, w) of the data's {p} columns with w >= {keff}, "
-            f"a ({p} + w, 2w + 1) band; got shape {gram.shape}")
-    band = gram[w - keff:, w - keff:w + keff + 1]
-    band.flags.writeable = False
-    return band
+
+def _band_at(data, k):
+    """The GramBand at bandwidth k of _rows_or_band's data: gram_band of the
+    rows, or a GramBand viewed at width keff = min(k, p-1), the numbers of
+    gram_band(rows, keff); ValueError if it is narrower than keff."""
+    if not isinstance(data, GramBand):
+        return GramBand(data.shape[0], _gram_band(data, k))
+    keff, w = min(k, data.p - 1), data.width
+    if keff > w:
+        raise ValueError(f"a fit at bandwidth {k} needs gram_band(data, w) with "
+                         f"w >= {keff}; got w = {w}")
+    return GramBand(data.n, data.band[w - keff:, w - keff:w + keff + 1])
 
 
 @dataclass
@@ -264,9 +286,6 @@ class NestedFactor:
     only the posterior-mode grid reads, and coef are computed on their first
     read. All are None where the Cholesky factorization failed.
 
-    rows, if given, is the validated data matrix whose band the factor
-    holds; fit skips the scan for non-finite entries on that very array.
-
     The factor is trusted when no block is wider than n and every squared
     pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
     dhat_K, the smallest dhat_k, so every residual variance then lies 10^4
@@ -275,17 +294,15 @@ class NestedFactor:
     its blocks returns.
     """
 
-    n: int
+    stat: GramBand
     width: int
-    band: np.ndarray = field(repr=False)
     trusted: bool
     low: np.ndarray = field(default=None, repr=False)
     dhat: np.ndarray = field(default=None, repr=False)
-    rows: np.ndarray = field(default=None, repr=False)
 
     @property
     def p(self):
-        return self.band.shape[0] - self.band.shape[1] // 2
+        return self.stat.p
 
     @cached_property
     def logdet(self):
@@ -303,16 +320,15 @@ class NestedFactor:
         when the factor is untrusted.
 
         k is a nonnegative integer, as bl_banded_estimator checks. ValueError
-        unless data has the n x p shape the factor was built from and
-        min(k, p-1) <= width. A trusted factor's residual variances lie above
-        RESIDUAL_FLOOR, so it raises no DegenerateResidual.
+        unless data, rows or a GramBand, has the n x p shape the factor was
+        built from and min(k, p-1) <= width. A trusted factor's residual
+        variances lie above RESIDUAL_FLOOR, so it raises no DegenerateResidual.
         """
-        x = data if data is self.rows else as_data_matrix(data)
-        keff = min(k, self.p - 1)
-        if x.shape != (self.n, self.p) or keff > self.width:
+        (n, p), keff = _rows_or_band(data).shape, min(k, self.p - 1)
+        if (n, p) != self.stat.shape or keff > self.width:
             raise ValueError(
-                f"gram must be a NestedFactor of {x.shape[0]} x {x.shape[1]} data with "
-                f"width >= {keff}; got one of {self.n} x {self.p} data with width {self.width}")
+                f"gram must be a NestedFactor of {n} x {p} data with width >= {keff}; "
+                f"got one of {self.stat.n} x {self.p} data with width {self.width}")
         if not self.trusted:
             return None
         # nearest first into the band's nearest-last slots
@@ -320,15 +336,15 @@ class NestedFactor:
         return ahat, self.dhat[keff]
 
 
-def _factor_nested(band, kmax, n):
-    """The NestedFactor at width kmax <= p - 1 of a Gram band from n rows."""
-    blocks = _nearest_first_blocks(band, kmax)
+def _factor_nested(stat, kmax):
+    """The NestedFactor at width kmax <= p - 1 of a GramBand at least as wide."""
+    blocks = _nearest_first_blocks(stat.band, kmax)
     try:
         low = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        return NestedFactor(n=n, width=kmax, band=band, trusted=False)
+        return NestedFactor(stat=stat, width=kmax, trusted=False)
     diag = np.diagonal(low, axis1=1, axis2=2)
-    trusted = bool(kmax <= n and np.all(
+    trusted = bool(kmax <= stat.n and np.all(
         diag ** 2 > PIVOT_RECHECK * np.diagonal(blocks, axis1=1, axis2=2)))
     # rows k = 0, ..., kmax: g_jj less the prefix sums of l_i^2, taken down
     # the contiguous rows of l' (the sum of each column is the same in order)
@@ -336,7 +352,7 @@ def _factor_nested(band, kmax, n):
     dhat[0] = blocks[:, kmax, kmax]
     np.cumsum(np.square(low[:, kmax, :kmax].T), axis=0, out=dhat[1:])
     np.subtract(dhat[0], dhat[1:], out=dhat[1:])
-    return NestedFactor(n=n, width=kmax, band=band, trusted=trusted, low=low, dhat=dhat)
+    return NestedFactor(stat=stat, width=kmax, trusted=trusted, low=low, dhat=dhat)
 
 
 def _nested_coefficients(factor):
@@ -353,21 +369,19 @@ def _nested_coefficients(factor):
     return coef.transpose(0, 2, 1)
 
 
-def _regress(band, k, n, nested=None):
+def _regress(stat, k, nested=None):
     """Least squares of every coordinate on its k closest predecessors.
 
-    band holds the second moments as a padded row band of width at least
-    min(k, p-1) (gram_band's layout), built from n rows (np.inf for a
-    population covariance). k is nonnegative. Raises as banded_regression does.
-    dhat is row keff = min(k, p-1) of the NestedFactor nested at width keff
-    (factored here if None), and ahat one back-substitution on it.
+    stat is a GramBand at least min(k, p-1) wide, and k is nonnegative.
+    Raises as banded_regression does. dhat is row keff = min(k, p-1) of the
+    NestedFactor nested at width keff (factored here if None), and ahat one
+    back-substitution on it.
     """
-    p = band.shape[0] - band.shape[1] // 2
-    keff = min(k, p - 1)
-    nested = _factor_nested(band, keff, n) if nested is None else nested
+    p, keff = stat.p, min(k, stat.p - 1)
+    nested = _factor_nested(stat, keff) if nested is None else nested
     if not nested.trusted:
         # raises whenever the batched factorization failed
-        _check_columns(_nearest_first_blocks(band, keff), n)
+        _check_columns(_nearest_first_blocks(stat.band, keff), stat.n)
     dhat = nested.dhat[keff]
     bad = np.nonzero(dhat <= RESIDUAL_FLOOR * nested.dhat[0])[0]
     if bad.size:
@@ -377,51 +391,48 @@ def _regress(band, k, n, nested=None):
     ahat = np.empty((p, keff))
     ahat[:, ::-1] = nested.low[:, keff, :keff]
     _solve_lower_transposed(nested.low[:, :keff, :keff], ahat[:, ::-1])
-    return BandedRegressionStats(n=n, p=p, kj=np.minimum(np.arange(p), keff), dhat=dhat,
-                                 ahat=ahat)
+    return BandedRegressionStats(n=stat.n, p=p, kj=np.minimum(np.arange(p), keff),
+                                 dhat=dhat, ahat=ahat)
 
 
-def _regress_nested(band, k_values, n):
+def _regress_nested(stat, k_values):
     """Residual variances and predecessor log determinants at several bandwidths.
 
     Row i of dhat and of logdet, both (len(k_values), p), holds every
     column's residual variance and the log determinant of its predecessor
     Gram block (padded slots add log 1 = 0) at bandwidth k_values[i], as
-    _regress fits it. k_values are nonnegative and ascend, and band is at
-    least min(k_values[-1], p-1) wide. One NestedFactor at the widest k
-    serves every k where it is trusted; otherwise each k takes its own, and
-    _regress raises its errors on that one where it is untrusted. Returns
-    (dhat, logdet, err): err is None, or the error that _regress raised at
-    the smallest k, and then the rows stop before that k.
+    _regress fits it. k_values are nonnegative and ascend, and the GramBand
+    stat is at least min(k_values[-1], p-1) wide. One NestedFactor at the
+    widest k serves every k where it is trusted; otherwise each k takes its
+    own, and _regress raises its errors on that one where it is untrusted.
+    Returns (dhat, logdet, err): err is None, or the error that _regress
+    raised at the smallest k, and then the rows stop before that k.
     """
-    p = band.shape[0] - band.shape[1] // 2
-    keffs = np.minimum(k_values, p - 1)
-    nested = _factor_nested(band, int(keffs[-1]), n)
+    keffs = np.minimum(k_values, stat.p - 1)
+    nested = _factor_nested(stat, int(keffs[-1]))
     if nested.trusted:
         return nested.dhat[keffs], nested.logdet[keffs], None
-    dhat, logdet = np.empty((2, len(k_values), p))
+    dhat, logdet = np.empty((2, len(k_values), stat.p))
     for i, k in enumerate(k_values):
-        factor = nested if keffs[i] == keffs[-1] else _factor_nested(band, int(keffs[i]), n)
+        factor = nested if keffs[i] == keffs[-1] else _factor_nested(stat, int(keffs[i]))
         if not factor.trusted:
             try:
-                _regress(band, int(k), n, factor)
+                _regress(stat, int(k), factor)
             except (SingularDesign, DegenerateResidual) as err:
                 return dhat[:i], logdet[:i], err
         dhat[i], logdet[i] = factor.dhat[-1], factor.logdet[-1]
     return dhat, logdet, None
 
 
-def banded_regression(data, k, gram=None):
+def banded_regression(data, k):
     """Least-squares fit of every column on its k closest predecessors.
 
-    gram may be gram_band(data, w) with w >= min(k, p-1), computed once to
-    share work across bandwidths; the fit is then bit-identical to the one
-    without it. Raises SingularDesign(j) when column j's predecessor block
-    is singular, and DegenerateResidual(j) when column j's residual
-    variance is at most RESIDUAL_FLOOR times its second moment.
+    data is the n x p data matrix or a GramBand of it at least min(k, p-1)
+    wide, from which the fit is bit for bit the one from the rows. Raises
+    SingularDesign(j) when column j's predecessor block is singular, and
+    DegenerateResidual(j) when column j's residual variance is at most
+    RESIDUAL_FLOOR times its second moment.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
+    data = _rows_or_band(data)
     _integer("k", k, 0)
-    band = _gram_band(x, k) if gram is None else _checked_band(gram, p, min(k, p - 1))
-    return _regress(band, k, n)
+    return _regress(_band_at(data, k), k)

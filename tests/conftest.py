@@ -6,8 +6,8 @@ test's @settings states only its max_examples. The acceptance report is
 surfaced in the terminal summary. lower(band)
 builds the dense strictly lower A of a coefficient band for oracles,
 random_band draws a band, and widest_bisected_band gives the switch of
-norm_spectral between its band and dense paths. FITS_WITH_GRAM calls each
-public function that takes a gram= argument.
+norm_spectral between its band and dense paths. BAND_FITS calls each
+public fit that takes the data or a GramBand of it.
 """
 
 import math
@@ -16,21 +16,23 @@ import numpy as np
 from hypothesis import settings
 
 from bandchol import linalg
-from bandchol.bandwidth import select_k_posterior_mode
-from bandchol.bayes import PriorConfig, fit_posterior
+from bandchol.bandwidth import log_marginal_k, select_k_posterior_mode
+from bandchol.bayes import PriorConfig, fit_posterior, plug_in_estimator
 from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.stats import banded_regression
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
 
-# every public function with a gram= argument, fitted at bandwidth k
-FITS_WITH_GRAM = {
-    "banded_regression": lambda x, k, gram: banded_regression(x, k, gram=gram),
-    "bl_banded_estimator": lambda x, k, gram: bl_banded_estimator(x, k, gram=gram),
-    "graphical_mle_banded": lambda x, k, gram: graphical_mle_banded(x, k, gram=gram),
-    "fit_posterior": lambda x, k, gram: fit_posterior(x, PriorConfig(k), gram=gram),
-    "select_k_posterior_mode": lambda x, k, gram: select_k_posterior_mode(x, k, gram=gram),
+# every public fit of the data or a GramBand of it, at bandwidth k
+BAND_FITS = {
+    "banded_regression": banded_regression,
+    "bl_banded_estimator": bl_banded_estimator,
+    "graphical_mle_banded": graphical_mle_banded,
+    "fit_posterior": lambda data, k: fit_posterior(data, PriorConfig(k)),
+    "plug_in_estimator": lambda data, k: plug_in_estimator(fit_posterior(data, PriorConfig(k))),
+    "log_marginal_k": log_marginal_k,
+    "select_k_posterior_mode": select_k_posterior_mode,
 }
 
 

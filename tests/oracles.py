@@ -43,7 +43,7 @@ from bandchol.linalg import (
 )
 from bandchol.mcd import CholeskyFactor, _dense_symmetric
 from bandchol.mcd import compose as mcd_compose
-from bandchol.stats import _checked_band, _predecessor_blocks, gram_band
+from bandchol.stats import _predecessor_blocks, gram_band
 
 
 def check_finite(m, name="matrix"):
@@ -133,7 +133,7 @@ class SingularClique(BandcholError):
         super().__init__(f"sample covariance block of clique {self.clique} is singular")
 
 
-def graphical_mle_loop(data, k, gram=None):
+def graphical_mle_loop(data, k):
     """The k-banded graphical MLE in its clique form, one clique and one
     separator at a time (Lauritzen 1996): padded clique-block inverses of the
     sample second moments minus padded separator-block inverses.
@@ -146,7 +146,7 @@ def graphical_mle_loop(data, k, gram=None):
     keff = min(k, p - 1)
     if n <= keff + 1:
         raise ValueError(f"need n > min(k, p-1) + 1, got n={n}, k={k}")
-    band = gram_band(x, keff) if gram is None else _checked_band(gram, p, keff)
+    band = gram_band(x, keff).band
     # clique c = {c, ..., c + keff} is the block of column c + keff
     blocks = _predecessor_blocks(band, keff)
     omega = np.zeros((p, p))
@@ -172,21 +172,21 @@ def graphical_mle_loop(data, k, gram=None):
     return (omega + omega.T) / 2.0
 
 
-def regress_nested_twice(band, k_values, n):
+def regress_nested_twice(stat, k_values):
     """stats._regress_nested, whose fallback factored each untrusted
     bandwidth for its rows and again inside _regress."""
-    p = band.shape[0] - band.shape[1] // 2
+    p = stat.p
     keffs = np.minimum(k_values, p - 1)
-    nested = stats._factor_nested(band, int(keffs[-1]), n)
+    nested = stats._factor_nested(stat, int(keffs[-1]))
     if nested.trusted:
         return nested.dhat[keffs], nested.logdet[keffs], None
     dhat = np.empty((len(k_values), p))
     logdet = np.empty((len(k_values), p))
     for i, k in enumerate(k_values):
-        factor = stats._factor_nested(band, int(keffs[i]), n)
+        factor = stats._factor_nested(stat, int(keffs[i]))
         if not factor.trusted:
             try:
-                stats._regress(band, int(k), n)
+                stats._regress(stat, int(k))
             except (SingularDesign, DegenerateResidual) as err:
                 return dhat[:i], logdet[:i], err
         dhat[i], logdet[i] = factor.dhat[-1], factor.logdet[-1]
@@ -235,7 +235,7 @@ def solve_lower_transposed(low, x):
 
 
 def nested_dhat_logdet(band, kmax):
-    """The dhat and logdet rows of stats._factor_nested(band, kmax, n), both
+    """The dhat and logdet rows of stats._factor_nested at width kmax, both
     from prefix sums along the rows of the (p, K+1, K+1) factors, or None
     where the Cholesky factorization fails."""
     blocks = stats._nearest_first_blocks(band, kmax)

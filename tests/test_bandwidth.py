@@ -185,9 +185,9 @@ def test_grid_factors_once(monkeypatch):
         factored.append(np.shape(a))
         return real_cholesky(a)
 
-    def regress(g, k, n, nested=None):
+    def regress(stat, k, nested=None):
         regressed.append(k)
-        return real_regress(g, k, n, nested)
+        return real_regress(stat, k, nested)
 
     def log_k_prior(k):
         priors.append(k)
@@ -334,12 +334,12 @@ def test_resampling_factors_each_split_once(monkeypatch):
     regressions, factors = [], []
     real_regression, real_factor = competitors.banded_regression, bandwidth._factor_nested
 
-    def regression(data, k, gram=None):
+    def regression(data, k):
         regressions.append(k)
-        return real_regression(data, k, gram=gram)
+        return real_regression(data, k)
 
-    def factor(band, kmax, n):
-        nested = real_factor(band, kmax, n)
+    def factor(stat, kmax):
+        nested = real_factor(stat, kmax)
         factors.append(nested.trusted)
         return nested
 

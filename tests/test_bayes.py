@@ -201,7 +201,7 @@ def test_model_keeps_read_only_gram_band(n, p, k):
     model = fit_posterior(x, PriorConfig(k))
     keff = min(k, p - 1)
     assert model.gram.shape == (p + keff, 2 * keff + 1) and not model.gram.flags.writeable
-    wide = fit_posterior(x, PriorConfig(k), gram=gram_band(x, p + 1))
+    wide = fit_posterior(gram_band(x, p + 1), PriorConfig(k))
     np.testing.assert_array_equal(wide.gram, model.gram)
     np.testing.assert_array_equal(wide.stats.ahat, model.stats.ahat)
     blocks = _predecessor_blocks(model.gram, keff)[:, :keff, :keff]

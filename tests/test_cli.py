@@ -146,6 +146,61 @@ def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
     assert not any(hasattr(module, "gram_matrix") for module in (bandchol, *modules))
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate", "--nu0", "nan", "--k", "2", "--estimator", "bl", "--kmax", "3"], "--nu0"),
+    (["estimate", "--cap", "-1", "--estimator", "bl", "--k", "3"], "--cap"),
+    (["estimate", "--cap", "0", "--select-k", "resampling", "--splits", "2"], "--cap"),
+    (["bandwidth", "--nu0", "inf", "--scheme", "resampling", "--splits", "2"], "--nu0"),
+])
+def test_prior_flags_are_checked_for_every_command(tmp_path, capsys, argv, flag):
+    # every sidecar echoes --cap and --nu0, so both are checked as PriorConfig
+    # checks M and nu0, whether or not the command's fit or grid reads them:
+    # bad input naming the flag, and no file written
+    data = tmp_path / "data.csv"
+    write_data(data)
+    assert main([argv[0], str(data), "-o", str(tmp_path / "out.csv"), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bandchol: {flag}: expected a ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["data.csv"]
+    # before the data is read
+    assert main([argv[0], str(tmp_path / "missing.csv"), "-o", str(tmp_path / "out.csv"),
+                 *argv[1:]]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_json_is_strict(tmp_path, capsys):
+    # a number JSON cannot hold fails the write before the file is opened; an
+    # infinite cap is a valid prior, but its sidecar cannot echo it, so the
+    # command fails as bad input and, writing the sidecar first, leaves no file
+    path = tmp_path / "out.json"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_json(str(path), {"M": value})
+        assert not path.exists()
+    data = tmp_path / "data.csv"
+    write_data(data)
+    assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"), "--cap", "inf"]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--k", "2", "--estimator", "mle"]])
+def test_estimate_scans_the_data_once(tmp_path, monkeypatch, flags):
+    # read_data_csv checks the rows; the grid and the fit read their GramBand
+    data = tmp_path / "data.csv"
+    write_data(data)
+    names = []
+    real = bandchol.stats.check_finite
+
+    def counted(m, name="matrix"):
+        names.append(name)
+        return real(m, name)
+
+    monkeypatch.setattr(bandchol.stats, "check_finite", counted)
+    assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"), *flags]) == 0
+    assert names.count("data") == 1
+
+
 def test_estimate_resampling_scheme(tmp_path):
     data = tmp_path / "data.csv"
     write_data(data, n=45, p=6)
@@ -193,7 +248,7 @@ def test_estimate_writes_the_library_selection_and_table_fit(tmp_path, estimator
         k = 3
     assert main(argv) == 0
     cli.write_matrix_csv(tmp_path / "library.csv",
-                         FITS[estimator](x, k, None, {"M": PriorConfig.M, "nu0": PriorConfig.nu0}))
+                         FITS[estimator](x, k, {"M": PriorConfig.M, "nu0": PriorConfig.nu0}))
     assert (tmp_path / "omega.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
     result = json.loads((tmp_path / "omega.json").read_text())["result"]
     assert result["bandwidth"] == k

@@ -98,25 +98,20 @@ def test_collinear_columns_fail_typed():
     assert err.value.column == 4
 
 
-def test_gram_shortcut_matches_direct():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((30, 8))
-    g = gram_band(x, 4)
-    np.testing.assert_array_equal(bl_banded_estimator(x, 2),
-                                  bl_banded_estimator(x, 2, gram=g))
-    np.testing.assert_array_equal(graphical_mle_banded(x, 2),
-                                  graphical_mle_banded(x, 2, gram=g))
-
-
 def test_nested_factor_gram_is_checked():
     # a NestedFactor serves bandwidths up to its width, for the data it was
-    # built from
+    # built from, rows or their GramBand; gram takes nothing else
     x = np.random.default_rng(7).standard_normal((40, 6))
-    nested = stats._factor_nested(gram_band(x, 3), 3, 40)
+    stat = gram_band(x, 3)
+    nested = stats._factor_nested(stat, 3)
     assert nested.trusted
     for k in range(4):
-        np.testing.assert_allclose(bl_banded_estimator(x, k, gram=nested),
-                                   bl_banded_estimator(x, k), rtol=1e-12, atol=1e-14)
-    for data, k in ((x, 4), (x[:39], 2), (x[:, :5], 2), (x, -1)):
+        for data in (x, stat):
+            np.testing.assert_allclose(bl_banded_estimator(data, k, gram=nested),
+                                       bl_banded_estimator(x, k), rtol=1e-12, atol=1e-14)
+    for data, k in ((x, 4), (x[:39], 2), (x[:, :5], 2), (x, -1), (gram_band(x[:39], 3), 2)):
         with pytest.raises(ValueError):
             bl_banded_estimator(data, k, gram=nested)
+    for gram in (stat, stat.band):
+        with pytest.raises(ValueError, match="NestedFactor"):
+            bl_banded_estimator(x, 2, gram=gram)

@@ -28,7 +28,6 @@ mcd._compose_bands and mcd._add_block_inverses, are bit-identical to
 compose and to the posterior mean's np.add.at scatter into a dense matrix.
 """
 
-import dataclasses
 import warnings
 from unittest import mock
 
@@ -230,9 +229,9 @@ def test_batched_mle_matches_clique_loop(case):
     # a constant edit can be tiny enough that its column's second moment
     # underflows: gram_band raises, and so do all three fits without it
     banded = run(gram_band, x, max(k, width or 0))[0]
-    gram = None if width is None or banded[0] == "raised" else banded[1]
-    got, bl, want = (run(fn, x, k, gram)[0] for fn in (
-        graphical_mle_banded, bl_banded_estimator, oracles.graphical_mle_loop))
+    data = x if width is None or banded[0] == "raised" else banded[1]
+    got, bl = (run(fn, data, k)[0] for fn in (graphical_mle_banded, bl_banded_estimator))
+    want = run(oracles.graphical_mle_loop, x, k)[0]
     assert got[0] == bl[0], (got, bl)
     if got[0] == "raised":
         assert got == bl
@@ -258,7 +257,7 @@ def nested_factors(draw):
     n = draw(st.integers(kmax + 2, kmax + 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = 10.0 ** draw(st.integers(-8, 8)) * rng.standard_normal((n, p))
-    return np.linalg.cholesky(stats._nearest_first_blocks(gram_band(x, kmax), kmax))
+    return np.linalg.cholesky(stats._nearest_first_blocks(gram_band(x, kmax).band, kmax))
 
 
 @settings(max_examples=200)
@@ -282,31 +281,39 @@ def data_scans(fn, *args):
 
 
 def test_fits_scan_the_data_once():
+    # once from the rows, and not at all from a GramBand, whose gram_band
+    # scanned them
     x = np.random.default_rng(3).standard_normal((40, 12))
-    assert data_scans(fit_posterior, x, PriorConfig(k=3)) == 1
-    assert data_scans(select_k_posterior_mode, x, 4) == 1
-    assert data_scans(log_marginal_k, x, 2) == 1
+    stat = gram_band(x, 4)
+    for fn, args in ((fit_posterior, (PriorConfig(k=3),)), (select_k_posterior_mode, (4,)),
+                     (log_marginal_k, (2,)), (bl_banded_estimator, (3,)),
+                     (graphical_mle_banded, (3,))):
+        assert data_scans(fn, x, *args) == 1, fn.__name__
+        assert data_scans(fn, stat, *args) == 0, fn.__name__
 
 
 def test_resampling_scans_the_data_and_each_reference_group_once():
-    # every k's fit reads the factor of the estimation rows, already checked
-    # as part of x, and the reference fit checks its own rows
+    # every k's fit reads the GramBand of the estimation rows and its factor,
+    # the rows already checked as part of x, and the reference fit checks
+    # its own rows
     x = np.random.default_rng(3).standard_normal((40, 12))
     assert data_scans(select_k_resampling, x, 3, 2, 5) == 1 + 2
 
 
 def test_nested_factor_scans_data_it_was_not_built_from():
-    # the factor of x skips the scan for x itself only: NaN data of x's
-    # shape still raises the band path's ValueError
+    # a factor's fit scans rows it is given, which it was not built from, and
+    # not the GramBand it was: NaN data of x's shape still raises the band
+    # path's ValueError
     x = np.random.default_rng(5).standard_normal((30, 8))
-    scanned = stats._factor_nested(stats._gram_band(x, 3), 3, 30)
-    nested = dataclasses.replace(scanned, rows=x)
-    assert data_scans(bl_banded_estimator, x, 2, nested) == 0
+    stat = gram_band(x, 3)
+    nested = stats._factor_nested(stat, 3)
+    assert data_scans(bl_banded_estimator, stat, 2, nested) == 0
+    assert data_scans(bl_banded_estimator, x, 2, nested) == 1
     assert same_bits(bl_banded_estimator(x, 2, gram=nested),
-                     bl_banded_estimator(x, 2, gram=scanned))
+                     bl_banded_estimator(stat, 2, gram=nested))
     bad = x.copy()
     bad[4, 5] = np.nan
-    want = run(bl_banded_estimator, bad, 2, nested.band)
+    want = run(bl_banded_estimator, bad, 2)
     assert want[0][:2] == ("raised", ValueError)
     assert run(bl_banded_estimator, bad, 2, nested) == want
 
@@ -353,7 +360,7 @@ def test_solve_lower_transposed_matches_row_formula(case):
 
 @st.composite
 def nested_bands(draw):
-    """(band, K): a Gram band of width K < p of Gaussian data at scales
+    """(stat, K): a GramBand of width K < p of Gaussian data at scales
     1e-8..1e8, with n from K - 2, so some factorizations fail or are
     untrusted, and some columns duplicated."""
     p = draw(st.integers(1, 30))
@@ -364,16 +371,16 @@ def nested_bands(draw):
     for j, i in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
                               max_size=2)):
         x[:, j] = x[:, i]
-    return gram_band(x, kmax), kmax, n
+    return gram_band(x, kmax), kmax
 
 
 @settings(max_examples=300)
 @given(nested_bands())
 def test_nested_residual_variances_match_row_prefix_sums(case):
-    band, kmax, n = case
+    stat, kmax = case
     with np.errstate(all="ignore"):
-        want = oracles.nested_dhat_logdet(band, kmax)
-        nested = stats._factor_nested(band, kmax, n)
+        want = oracles.nested_dhat_logdet(stat.band, kmax)
+        nested = stats._factor_nested(stat, kmax)
         assert "logdet" not in vars(nested)
         got = None if nested.low is None else (nested.dhat, nested.logdet)
     assert (got is None) == (want is None)
@@ -396,8 +403,8 @@ def factors_seen(fn, *args):
     seen = []
     real_factor, real_bl = stats._factor_nested, bandwidth.bl_banded_estimator
 
-    def factor_nested(band, kmax, n):
-        seen.append(real_factor(band, kmax, n))
+    def factor_nested(stat, kmax):
+        seen.append(real_factor(stat, kmax))
         return seen[-1]
 
     def bl(data, k, gram=None):
@@ -449,12 +456,12 @@ def band_builder_cases(draw):
 @given(band_builder_cases())
 def test_band_builders_match_dense_oracles(case):
     x, k, width, cap = case
-    gram = None if width is None else gram_band(x, width)
+    data = x if width is None else gram_band(x, width)
     try:
         if cap == "tiny":
-            base = fit_posterior(x, PriorConfig(k), gram=gram)
+            base = fit_posterior(data, PriorConfig(k))
             cap = float(np.max(base.ig_rate / gammainccinv(base.ig_shape, 1e-150)))
-        model = fit_posterior(x, PriorConfig(k, M=cap), gram=gram)
+        model = fit_posterior(data, PriorConfig(k, M=cap))
     except (ValueError, BandcholError):
         # inadmissible, degenerate or without truncation mass: nothing to compose
         return

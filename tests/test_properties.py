@@ -38,14 +38,19 @@ band, and the CSV reader's
 fast path agrees with its csv-module path on arbitrary small files. The
 estimate and bandwidth commands, run through cli.main on small CSVs with
 degenerate columns and extreme scales, 1e-165 to 1e-150 among them,
-exit 0, 2 or 3 and never raise.
+and with valid and invalid --cap and --nu0, exit 0, 2 or 3 and never
+raise; a bad prior flag exits 2, a failed command leaves no file, and
+every sidecar parses as strict JSON.
 gram_band matches oracles.gram_matrix within its width, its Gram blocks
-match the dense padded construction, and every fit given a gram_band is
-bit for bit the fit without one.
+match the dense padded construction, and every fit of a GramBand at least
+as wide as its bandwidth is bit for bit the fit of the rows; a narrower
+one, and any GramBand given to the resampler, raises ValueError.
 """
 
 import dataclasses
 import json
+import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -82,7 +87,7 @@ from bandchol import cli, linalg, stats
 from bandchol.mcd import CholeskyFactor, compose, decompose, population_coefficients
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
 from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_band
-from conftest import FITS_WITH_GRAM, lower, random_band, widest_bisected_band
+from conftest import BAND_FITS, lower, random_band, widest_bisected_band
 
 
 @st.composite
@@ -258,10 +263,10 @@ def test_check_columns_contract(case):
     x, k = case
     n, p = x.shape
     keff = min(k, p - 1)
-    band = outcome(gram_band, x, keff)
-    if band is None or stats._factor_nested(band, keff, n).trusted:
+    stat = outcome(gram_band, x, keff)
+    if stat is None or stats._factor_nested(stat, keff).trusted:
         return
-    blocks = stats._nearest_first_blocks(band, keff)
+    blocks = stats._nearest_first_blocks(stat.band, keff)
     try:
         np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
@@ -297,7 +302,7 @@ def grid_oracle(x, k_values):
     totals = []
     for k in k_values:
         try:
-            fit = _regress(g, k, n)
+            fit = _regress(g, k)
         except (SingularDesign, DegenerateResidual) as err:
             return type(err), err.column, k
         shape = (n + prior.nu0 - fit.kj - 4) / 2.0
@@ -327,9 +332,9 @@ def grid_outcome(fn, *args):
     calls = []
     real = stats._regress
 
-    def regress(g, k, n, nested=None):
+    def regress(stat, k, nested=None):
         calls.append(k)
-        return real(g, k, n, nested)
+        return real(stat, k, nested)
 
     try:
         with mock.patch.object(stats, "_regress", regress):
@@ -499,7 +504,7 @@ def test_nested_factor_fits_match_band_path_and_lstsq(case):
     """
     x, width = case
     n, p = x.shape
-    nested = stats._factor_nested(gram_band(x, width), width, n)
+    nested = stats._factor_nested(gram_band(x, width), width)
     kappa = max(np.linalg.cond(x[:, max(0, j - width):j + 1]) for j in range(p))
     for k in range(width + 1 + (width == p - 1)):
         band_path = fit_outcome(x, k)
@@ -593,7 +598,9 @@ def test_gram_band_matches_gram_matrix(case):
         with pytest.raises(ValueError, match="underflow"):
             gram_band(x, width)
         return
-    band = gram_band(x, width)
+    stat = gram_band(x, width)
+    band = stat.band
+    assert (stat.n, stat.p, stat.width) == (n, p, w)
     assert band.shape == (p + w, 2 * w + 1) and not band.flags.writeable
     pad = np.zeros((w, 2 * w + 1))
     pad[:, w] = 1.0
@@ -607,10 +614,10 @@ def test_gram_band_matches_gram_matrix(case):
     np.testing.assert_array_equal(g, g.T)
     # the band holds nothing but the matrix's entries and the pad
     assert np.count_nonzero(band[w:]) == np.count_nonzero(g[inside])
-    wide = gram_band(x, p)
+    wide = gram_band(x, p).band
     for v in sorted({0, 1, w}):
         v = min(v, p - 1)
-        np.testing.assert_array_equal(wide[p - 1 - v:, p - 1 - v:p + v], gram_band(x, v))
+        np.testing.assert_array_equal(wide[p - 1 - v:, p - 1 - v:p + v], gram_band(x, v).band)
     for k in sorted({0, w // 2, w}):
         padded = np.eye(p + k)
         padded[k:, k:] = g
@@ -622,11 +629,13 @@ def test_gram_band_matches_gram_matrix(case):
 
 @st.composite
 def band_fit_cases(draw):
+    # widths from 0 to p past min(k, p-1), so some bands are too narrow
     p = draw(st.sampled_from([1, 2, 5, 17, 63, 64, 65, 100, 129]))
     k = draw(st.one_of(st.just(0), st.integers(0, min(p, 24))))
     n = draw(st.one_of(st.integers(1, 80), st.integers(385, 450)))
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, p))
-    return x, k, min(k, p - 1) + draw(st.integers(0, p))
+    keff = min(k, p - 1)
+    return x, k, draw(st.one_of(st.integers(keff, keff + p), st.integers(0, keff)))
 
 
 def fields(result):
@@ -637,36 +646,48 @@ def fields(result):
             for sub, value in fields(field).items()}
 
 
-def band_fit_outcomes(x, k, gram):
-    """What each public function with a gram= argument returns at bandwidth
+def band_fit_outcomes(data, k):
+    """What each public fit of data, rows or a GramBand, returns at bandwidth
     k, field by field, or the type and message of what it raises."""
     out = {}
-    for name, fit in FITS_WITH_GRAM.items():
+    for name, fit in BAND_FITS.items():
         try:
-            out[name] = fields(fit(x, k, gram))
+            out[name] = fields(fit(data, k))
         except (BandcholError, ValueError) as err:
             out[name] = (type(err), str(err))
     return out
 
 
-@settings(max_examples=150)
+@settings(max_examples=250)
 @given(band_fit_cases())
 def test_fits_given_a_gram_band_are_bit_identical(case):
-    """Every public fit given gram=gram_band(x, w), w >= min(k, p-1), returns
-    exactly the bits of the same fit without gram, or raises the same error:
-    a band's entries do not depend on its width, and the blocks a fit reads
-    are views of them."""
+    """Every public fit of gram_band(x, w), w >= min(k, p-1), returns the
+    bytes of the same fit of the rows x, or raises the same error: a band's
+    entries do not depend on its width, and the blocks a fit reads are views
+    of them. Given a narrower band, a fit raises the ValueError that names
+    gram_band, unless the fit of the rows raises a ValueError, which on
+    Gaussian data comes from the shape checks that precede the band, and
+    then it raises that one. select_k_resampling, which splits the rows,
+    raises ValueError on any GramBand."""
     x, k, w = case
-    got = band_fit_outcomes(x, k, gram_band(x, w))
-    expected = band_fit_outcomes(x, k, None)
+    stat = gram_band(x, w)
+    got = band_fit_outcomes(stat, k)
+    expected = band_fit_outcomes(x, k)
+    narrow = w < min(k, x.shape[1] - 1)
     for name, b in expected.items():
         a = got[name]
-        if isinstance(b, tuple):
+        if isinstance(b, tuple) and (not narrow or issubclass(b[0], ValueError)):
             assert a == b, name
-            continue
-        assert a.keys() == b.keys(), name
-        for field in b:
-            np.testing.assert_array_equal(a[field], b[field], err_msg=f"{name} {field}")
+        elif narrow:
+            assert a[0] is ValueError and "gram_band" in a[1], (name, a)
+        else:
+            assert a.keys() == b.keys(), name
+            for field in b:
+                got_field, want = np.asarray(a[field]), np.asarray(b[field])
+                assert (got_field.dtype, got_field.shape) == (want.dtype, want.shape), name
+                assert got_field.tobytes() == want.tobytes(), (name, field)
+    with pytest.raises(ValueError, match="GramBand"):
+        select_k_resampling(stat, max(k, 1), splits=1)
 
 
 @st.composite
@@ -1224,7 +1245,8 @@ def test_csv_fast_path_matches_csv_module(tmp_path_factory, case):
 def cli_runs(draw):
     # n, p in 1..12 with normal, constant, duplicated and zero columns at
     # scales from 1e-200 to 1e200, 1e-165 to 1e-150 among them, where the
-    # moments underflow, and the flags of one estimate command
+    # moments underflow, the flags of one estimate command, and a --cap and
+    # --nu0 that may be invalid or, as an infinite cap, valid but not JSON
     n, p = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, p))
@@ -1236,38 +1258,66 @@ def cli_runs(draw):
     select = draw(st.sampled_from([["--select-k", "mode"], ["--select-k", "resampling"],
                                    ["--k", str(draw(st.integers(0, p + 1)))]]))
     center = ["--center"] if draw(st.booleans()) else []
-    return x, ["--estimator", draw(st.sampled_from(["ll", "bl", "mle"])), *select], center
+    cap = draw(st.none() | st.sampled_from(["1e6", "3", "1e-300", "inf", "0", "-1", "nan"]))
+    nu0 = draw(st.none() | st.sampled_from(["2", "-1.5", "7", "nan", "inf", "-inf"]))
+    flags = ["--estimator", draw(st.sampled_from(["ll", "bl", "mle"])), *select]
+    return x, flags, center, cap, nu0
+
+
+def strict_json(path):
+    """The JSON file at path, parsed by a parser that rejects NaN and infinities."""
+    def reject(token):
+        raise ValueError(f"{path}: non-finite number {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+# clean data on which a bad prior flag is the only fault: the estimate's
+# fit reads no prior, so only the up-front flag checks can reject it
+CLEAN = np.random.default_rng(0).standard_normal((20, 4))
 
 
 @settings(max_examples=200)
 @given(cli_runs())
+@example((CLEAN, ["--estimator", "bl", "--k", "2"], [], "-1", None))
+@example((CLEAN, ["--estimator", "mle", "--select-k", "resampling"], [], "0", None))
 def test_cli_end_to_end(tmp_path_factory, case):
     """estimate and bandwidth --scheme both on small CSVs, through cli.main.
 
     Every run returns 0, 2 (bad input) or 3 (numerical failure) and raises
-    nothing. An estimate that exits 0 writes a finite symmetric p x p
-    matrix and a sidecar whose bandwidth is the given --k, or lies in the
-    grid 1..kmax that it echoes.
+    nothing. A --cap that is not positive or a --nu0 that is not finite
+    exits 2. A run that fails leaves no file. An estimate that exits 0
+    writes a finite symmetric p x p matrix and a sidecar whose bandwidth is
+    the given --k, or lies in the grid 1..kmax that it echoes, and every
+    sidecar parses as strict JSON.
     """
-    x, flags, center = case
+    x, flags, center, cap, nu0 = case
     p = x.shape[1]
+    # the = form, so argparse takes -inf as a value
+    common = [*center, *([f"--cap={cap}"] if cap else []), *([f"--nu0={nu0}"] if nu0 else [])]
+    bad_prior = not float(cap or 1.0) > 0 or not math.isfinite(float(nu0 or 2.0))
     tmp = tmp_path_factory.mktemp("cli")
     data, out = str(tmp / "data.csv"), str(tmp / "omega.csv")
     with open(data, "w") as fh:
         fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in x)
-    code = cli.main(["estimate", data, "-o", out, "--splits", "3", *flags, *center])
-    assert code in (0, 2, 3)
+    code = cli.main(["estimate", data, "-o", out, "--splits", "3", *flags, *common])
+    assert code in (0, 2, 3) and (code == 2 or not bad_prior)
+    assert os.path.exists(out) == os.path.exists(cli.default_sidecar(out)) == (code == 0)
     if code == 0:
         omega = np.loadtxt(out, delimiter=",", ndmin=2)
         assert omega.shape == (p, p) and np.all(np.isfinite(omega))
         np.testing.assert_array_equal(omega, omega.T)
-        with open(cli.default_sidecar(out)) as fh:
-            sidecar = json.load(fh)
+        sidecar = strict_json(cli.default_sidecar(out))
         k = sidecar["result"]["bandwidth"]
         if "--k" in flags:
             assert k == int(flags[-1])
         else:
             assert 1 <= k <= sidecar["parameters"]["kmax"]
-    code = cli.main(["bandwidth", data, "-o", str(tmp / "profile.csv"), "--scheme", "both",
-                     "--splits", "3", *center])
-    assert code in (0, 2, 3)
+    profile = str(tmp / "profile.csv")
+    code = cli.main(["bandwidth", data, "-o", profile, "--scheme", "both", "--splits", "3",
+                     *common])
+    assert code in (0, 2, 3) and (code == 2 or not bad_prior)
+    assert os.path.exists(profile) == os.path.exists(cli.default_sidecar(profile)) == (code == 0)
+    if code == 0:
+        strict_json(cli.default_sidecar(profile))

@@ -357,7 +357,7 @@ def test_replication_runs_only_the_selectors_its_estimators_read(monkeypatch, es
 def test_failed_fit_leaves_no_losses(monkeypatch):
     # every fit runs before any loss, so a replication whose second fit
     # fails records the error and no losses of the first
-    def singular(data, k, gram, prior):
+    def singular(stat, k, prior):
         raise SingularDesign(2)
 
     monkeypatch.setitem(simulate.FITS, "MLE", singular)

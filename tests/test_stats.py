@@ -12,7 +12,7 @@ from bandchol.stats import (
     banded_regression,
     gram_band,
 )
-from conftest import FITS_WITH_GRAM, lower
+from conftest import BAND_FITS, lower
 from oracles import gram_matrix
 
 
@@ -33,11 +33,13 @@ def test_gram_matrix_symbolic():
 def test_gram_band_symbolic():
     # g = [[1, 1], [1, 2]]: a pad row, then each row's g[i, i-1..i+1]
     x = np.array([[1.0, 2.0], [-1.0, 0.0]])
-    np.testing.assert_array_equal(gram_band(x, 1), [[0.0, 1.0, 0.0], [0.0, 1.0, 1.0],
-                                                    [1.0, 2.0, 0.0]])
-    np.testing.assert_array_equal(gram_band(x, 5), gram_band(x, 1))
-    np.testing.assert_array_equal(gram_band(x, 0), [[1.0], [2.0]])
-    assert not gram_band(x, 1).flags.writeable
+    stat = gram_band(x, 1)
+    np.testing.assert_array_equal(stat.band, [[0.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                                              [1.0, 2.0, 0.0]])
+    assert (stat.n, stat.p, stat.width, np.shape(stat)) == (2, 2, 1, (2, 2))
+    np.testing.assert_array_equal(gram_band(x, 5).band, stat.band)
+    np.testing.assert_array_equal(gram_band(x, 0).band, [[1.0], [2.0]])
+    assert not stat.band.flags.writeable
     with pytest.raises(ValueError, match="nonnegative"):
         gram_band(x, -1)
 
@@ -73,7 +75,7 @@ def test_gram_band_underflow_is_value_error():
     with pytest.raises(ValueError, match="underflow"):
         gram_band(np.sqrt(0.5 * stats._MOMENT_FLOOR) * column, 0)
     x[:, 2] = 0.0
-    assert gram_band(x, 1)[3, 1] == 0.0
+    assert gram_band(x, 1).band[3, 1] == 0.0
     with pytest.raises((SingularDesign, DegenerateResidual)):
         banded_regression(x, 1)
 
@@ -114,12 +116,12 @@ def test_gram_left_unchanged_and_outputs_own_their_data():
     # caller's band; neither the band nor that view may leak out
     x = np.random.default_rng(10).standard_normal((30, 8))
     g = gram_band(x, 5)
-    before = g.copy()
-    stats = banded_regression(x, 3, gram=g)
-    np.testing.assert_array_equal(g, before)
+    before = g.band.copy()
+    stats = banded_regression(g, 3)
+    np.testing.assert_array_equal(g.band, before)
     assert stats.ahat.flags.writeable and stats.ahat.flags.owndata
     stats.ahat[:] = 0.0
-    np.testing.assert_array_equal(g, before)
+    np.testing.assert_array_equal(g.band, before)
 
 
 def test_full_band_recovers_gram_inverse():
@@ -136,20 +138,11 @@ def test_dhat_monotone_in_bandwidth():
     g = gram_band(x, 7)
     prev = None
     for k in range(1, 8):
-        dhat = banded_regression(x, k, gram=g).dhat
+        dhat = banded_regression(g, k).dhat
         assert np.all(dhat > 0.0)
         if prev is not None:
             assert np.all(dhat <= prev + 1e-12)
         prev = dhat
-
-
-def test_gram_shortcut_matches_direct():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((30, 6))
-    direct = banded_regression(x, 2)
-    viagram = banded_regression(x, 2, gram=gram_band(x, 4))
-    np.testing.assert_array_equal(direct.dhat, viagram.dhat)
-    np.testing.assert_array_equal(direct.ahat, viagram.ahat)
 
 
 def test_singular_design_reports_column():
@@ -232,18 +225,18 @@ def test_bandwidth_zero_gives_diagonal_moments():
     assert stats.ahat.shape == (5, 0)
 
 
-@pytest.mark.parametrize("name", sorted(FITS_WITH_GRAM))
+@pytest.mark.parametrize("name", sorted(BAND_FITS))
 def test_gram_must_be_a_band_at_least_as_wide_as_k(name):
-    # the dense matrix, a band of data with other columns and a band
-    # narrower than k are all rejected by name; a wide enough band is taken
-    fit = FITS_WITH_GRAM[name]
+    # a GramBand narrower than min(k, p-1) is rejected by name; one as wide
+    # or wider is taken
+    fit = BAND_FITS[name]
     x = np.random.default_rng(11).standard_normal((40, 9))
-    for gram in (gram_matrix(x), gram_band(x[:, :8], 3), gram_band(x[:, :8], 4),
-                 gram_band(x.T, 3), gram_band(x, 2), gram_band(x, 3)[:, 1:-1]):
+    for w, k in ((0, 3), (2, 3), (7, 8)):
         with pytest.raises(ValueError, match="gram_band"):
-            fit(x, 3, gram)
-    fit(x, 3, gram_band(x, 3))
-    fit(x, 3, gram_band(x, 8))
+            fit(gram_band(x, w), k)
+    for w in (3, 8, 20):
+        fit(gram_band(x, w), 3)
+    fit(gram_band(x, 8), 8)
 
 
 def test_each_fit_factors_once(monkeypatch):
@@ -294,16 +287,16 @@ def test_grid_fallback_factors_each_bandwidth_once(monkeypatch):
     k_values = np.arange(1, 6)
     real = stats._factor_nested
     for data, failing_k in ((x, None), (singular, 4)):
-        band = gram_band(data, 5)
-        want = oracles.regress_nested_twice(band, k_values, 60)
+        stat = gram_band(data, 5)
+        want = oracles.regress_nested_twice(stat, k_values)
         factored = []
 
-        def factor_nested(band, kmax, n):
+        def factor_nested(stat, kmax):
             factored.append(kmax)
-            return real(band, kmax, n)
+            return real(stat, kmax)
 
         monkeypatch.setattr(stats, "_factor_nested", factor_nested)
-        dhat, logdet, err = stats._regress_nested(band, k_values, 60)
+        dhat, logdet, err = stats._regress_nested(stat, k_values)
         monkeypatch.undo()
         # the widest first, for the trust test, then each bandwidth reached once
         reached = k_values if failing_k is None else k_values[k_values <= failing_k]
