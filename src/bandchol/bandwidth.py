@@ -29,7 +29,8 @@ estimation group and a large reference group, compares the banded
 regression estimator at each candidate k against a wide-band reference
 estimate in matrix l1 norm, and picks the k with the smallest average
 distance. Within a split, one nested factorization of the estimation
-group's Gram blocks gives every candidate's fit (stats.NestedFactor).
+group's Gram blocks gives every candidate's fit, which stats._regress, the
+kernel of every fit, reads from it where it is trusted (stats.NestedFactor).
 """
 
 from dataclasses import dataclass
@@ -229,13 +230,13 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
     min(kmax, p-1) <= n//3 - 1 and 1 <= ref_bandwidth <= min(n - n//3 - 1,
     p-1): wider bands are exact or singular fits in every split.
 
-    Each split attempt factors the GramBand of the estimation group, rows
-    checked as part of data, once at width min(kmax, p-1), and every k's
-    bl_banded_estimator of that GramBand reads its fit from the
-    stats.NestedFactor through gram=, or, where it is untrusted, from the
-    band. The reference is fitted from its rows, and subtracted in place
-    from each k's fresh estimate. A GramBand holds no rows to split, so it
-    raises ValueError.
+    Each split attempt takes the GramBands of both groups, rows checked as
+    part of data, and factors the estimation group's once at width
+    min(kmax, p-1). Every k's bl_banded_estimator of that GramBand reads
+    its fit from the stats.NestedFactor through gram=, as stats._regress
+    reads a shared factor. The reference is fitted from its GramBand, and
+    subtracted in place from each k's fresh estimate. A GramBand holds no
+    rows to split, so it raises ValueError.
     """
     if isinstance(data, GramBand):
         raise ValueError("select_k_resampling splits rows, which a GramBand does not hold")
@@ -255,7 +256,7 @@ def select_k_resampling(data, kmax, splits=SPLITS, ref_bandwidth=REF_BANDWIDTH, 
         for _ in range(MAX_RETRIES):
             perm = rng.permutation(n)
             try:
-                ref = bl_banded_estimator(x[perm[n1:]], ref_bandwidth)
+                ref = bl_banded_estimator(_band_at(x[perm[n1:]], ref_bandwidth), ref_bandwidth)
                 g1 = _band_at(x[perm[:n1]], kmax)
                 nested = _factor_nested(g1, g1.width)
                 dists = []

@@ -201,10 +201,11 @@ def _selection_grid(args, n, p, resampling):
 # ---------------------------------------------------------------------------
 
 def _prepare(args, resampling):
-    """(sidecar, data, kmax, ref) of estimate or bandwidth; the --cap and --nu0
-    that every sidecar echoes, as PriorConfig checks them, and every output
-    path are checked before the data is read."""
-    _real("--cap", args.cap, lambda v: v > 0, "a positive number")
+    """(sidecar, data, kmax, ref) of estimate or bandwidth. Every output path,
+    and the --cap and --nu0 that every sidecar echoes, as PriorConfig checks
+    them and finite, as strict JSON holds them, are checked before the data
+    is read."""
+    _real("--cap", args.cap, lambda v: 0 < v < math.inf, "a finite positive number")
     _real("--nu0", args.nu0, math.isfinite, "a finite number")
     sidecar = args.sidecar or default_sidecar(args.output)
     _check_writable(args.output, sidecar)
@@ -292,6 +293,8 @@ def cmd_simulate(args):
     except json.JSONDecodeError as err:
         raise ValueError(f"{args.config}: invalid JSON: {err}") from None
     config = ExperimentConfig.from_dict(raw)
+    # summary.json echoes the cap, which strict JSON holds only when finite
+    _real("prior.M", config.cap, math.isfinite, "a finite number")
     # made before the replications run, so an unwritable directory costs no work
     try:
         os.makedirs(args.output_dir, exist_ok=True)

@@ -7,14 +7,15 @@ autoregression and the decomposable graphical model on the banded adjacency
 describe the same family, so their likelihoods peak at the same matrix
 (Lauritzen 1996). The MLE is therefore computed by the regression: it is
 bl_banded_estimator's band path under the MLE's own sample-size rule, and
-its band comes from mcd._compose_bands alone.
+its band comes from mcd._compose_bands alone. Both fit through stats,
+whose _regress alone decides how a shared NestedFactor is read.
 """
 
 import numpy as np
 
 from .linalg import _integer
 from .mcd import CholeskyFactor, compose
-from .stats import NestedFactor, banded_regression
+from .stats import NestedFactor, _regress, _rows_or_band, banded_regression
 
 
 def bl_banded_estimator(data, k, gram=None):
@@ -25,24 +26,26 @@ def bl_banded_estimator(data, k, gram=None):
     from data, the n x p data matrix or a GramBand of it.
 
     gram is None or a stats.NestedFactor of the data at least min(k, p-1)
-    wide, which select_k_resampling shares with every k of its grid. A
-    trusted one gives Ahat and dhat from every k's coefficients, equal to
-    the band path's up to rounding; an untrusted one leaves the fit to the
-    band path. Anything else, or a factor of another shape or too narrow,
-    raises ValueError.
+    wide, which select_k_resampling shares with every k of its grid and
+    stats._regress reads: the fit is the band path's up to rounding. Any
+    other gram, or a factor of another shape or too narrow, raises ValueError.
     """
     _integer("k", k, 0)
-    if not (gram is None or isinstance(gram, NestedFactor)):
+    if gram is None:
+        return _band_estimate(data, k)
+    if not isinstance(gram, NestedFactor):
         raise ValueError("gram must be a stats.NestedFactor; pass a GramBand as data")
-    fit = None if gram is None else gram.fit(data, k)
-    if fit is not None:
-        return compose(CholeskyFactor(a=fit[0], d=fit[1]))
-    return _band_estimate(data, k)
+    (n, p), keff = _rows_or_band(data).shape, min(k, gram.p - 1)
+    if (n, p) != gram.stat.shape or keff > gram.width:
+        raise ValueError(
+            f"gram must be a NestedFactor of {n} x {p} data with width >= {keff}; "
+            f"got one of {gram.stat.n} x {gram.p} data with width {gram.width}")
+    return _band_estimate(data, k, gram)
 
 
-def _band_estimate(data, k):
-    """bl_banded_estimator from rows or a GramBand, by banded_regression."""
-    st = banded_regression(data, k)
+def _band_estimate(data, k, nested=None):
+    """bl_banded_estimator by banded_regression, or from the data's factor nested."""
+    st = banded_regression(data, k) if nested is None else _regress(nested.stat, k, nested)
     return compose(CholeskyFactor(a=st.ahat, d=st.dhat))
 
 

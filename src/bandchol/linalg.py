@@ -180,18 +180,20 @@ def _solve_lower_transposed(low, x):
     slot i is final once divided by L[i, i], and its term L[i, :i] * y_i
     leaves the slots before it. A padded slot (identity factor, zero
     right-hand side) gets no term from the real slots and keeps y = 0.
-    The slots run on blocks-last copies, (k, k, p) of L and (k, ..., p) of
-    x, so that every step reads and writes contiguous rows; each entry
-    takes the same operations in the same order as on x itself.
+    The slots run on blocks-last copies, (k, ..., p) of x and, at step i,
+    (i + 1, p) of row i of L's lower triangle, so that every step reads
+    and writes contiguous rows; each entry takes the same operations in the
+    same order as on x itself.
     """
     k = low.shape[-1]
-    # L[:, i, r] as row (i, r), shaped to broadcast over x's leading axes
-    rows = np.ascontiguousarray(low.transpose(1, 2, 0)).reshape(
-        (k, k) + (1,) * (x.ndim - 2) + (low.shape[0],))
+    # shaped to broadcast over x's leading axes
+    shape = (1,) * (x.ndim - 2) + (low.shape[0],)
     y = np.moveaxis(x, -1, 0).copy()
     for i in range(k - 1, -1, -1):
-        y[i] /= rows[i, i]
-        y[:i] -= rows[i, :i] * y[i]
+        # L[:, i, r] as row r
+        row = np.ascontiguousarray(low[:, i, :i + 1].T).reshape((i + 1,) + shape)
+        y[i] /= row[i]
+        y[:i] -= row[:i] * y[i]
     x[...] = np.moveaxis(y, 0, -1)
     return x
 

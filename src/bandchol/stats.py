@@ -10,14 +10,15 @@ first columns. It costs O(n p (GRAM_TILE + w)) flops and O(p w) memory,
 where the dense X'X / n costs O(n p^2) and O(p^2); every Gram block is a
 zero-copy strided view of it (_predecessor_blocks). With the row count n it
 is a GramBand, all that a fit at a bandwidth up to w reads of the data, so
-every fit but the resampler takes one in place of the rows. Every fit
-factors the blocks in one order, nearest first, into a NestedFactor of
-width K, from which every bandwidth k <= K is read: banded_regression reads
-its one k, the posterior-mode grid every k's residual variances and log
-determinants, and the resampler, through bl_banded_estimator's gram=, every
-k's coefficients too. Column indices in the public API are 1-based, matching
-the math convention for ordered coordinates; error messages use the same
-numbering. Which bandwidths the posterior admits is decided in bayes.
+every fit takes one in place of the rows. Every fit factors the blocks in
+one order, nearest first, into a NestedFactor of width K, from which every
+bandwidth k <= K is read: the posterior-mode grid reads every k's residual
+variances and log determinants, and _regress, the one fit at a bandwidth,
+reads its k from a trusted factor shared by every k (the resampler's,
+through bl_banded_estimator's gram=) or else from its own. Column indices
+in the public API are 1-based, matching the math convention for ordered
+coordinates; error messages use the same numbering. Which bandwidths the
+posterior admits is decided in bayes.
 """
 
 from dataclasses import dataclass, field
@@ -283,8 +284,9 @@ class NestedFactor:
     and the leading block of L_S^{-1} is the inverse of L_S's leading block.
     low holds L, (p, K+1, K+1); the rows of dhat and logdet, (K + 1, p), and
     of coef, (K, p, K), are k = 0, ..., K and k = 1, ..., K. logdet, which
-    only the posterior-mode grid reads, and coef are computed on their first
-    read. All are None where the Cholesky factorization failed.
+    only the posterior-mode grid reads, and coef, which only _regress reads
+    of a shared factor, are computed on their first read. All are None where
+    the Cholesky factorization failed.
 
     The factor is trusted when no block is wider than n and every squared
     pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
@@ -314,26 +316,6 @@ class NestedFactor:
     @cached_property
     def coef(self):
         return None if self.low is None else _nested_coefficients(self.low)
-
-    def fit(self, data, k):
-        """(ahat, dhat) at bandwidth k in banded_regression's layout, or None
-        when the factor is untrusted.
-
-        k is a nonnegative integer, as bl_banded_estimator checks. ValueError
-        unless data, rows or a GramBand, has the n x p shape the factor was
-        built from and min(k, p-1) <= width. A trusted factor's residual
-        variances lie above RESIDUAL_FLOOR, so it raises no DegenerateResidual.
-        """
-        (n, p), keff = _rows_or_band(data).shape, min(k, self.p - 1)
-        if (n, p) != self.stat.shape or keff > self.width:
-            raise ValueError(
-                f"gram must be a NestedFactor of {n} x {p} data with width >= {keff}; "
-                f"got one of {self.stat.n} x {self.p} data with width {self.width}")
-        if not self.trusted:
-            return None
-        # nearest first into the band's nearest-last slots
-        ahat = self.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((self.p, 0))
-        return ahat, self.dhat[keff]
 
 
 def _factor_nested(stat, kmax):
@@ -372,13 +354,22 @@ def _nested_coefficients(factor):
 def _regress(stat, k, nested=None):
     """Least squares of every coordinate on its k closest predecessors.
 
-    stat is a GramBand at least min(k, p-1) wide, and k is nonnegative.
-    Raises as banded_regression does. dhat is row keff = min(k, p-1) of the
-    NestedFactor nested at width keff (factored here if None), and ahat one
+    stat is a GramBand at least min(k, p-1) wide, k is nonnegative, and
+    nested is None or a NestedFactor of stat at least keff = min(k, p-1)
+    wide; a trusted one gives row keff of its coefficients and dhat. Else
+    the fit raises as banded_regression does, dhat is row keff of the factor
+    at width keff (nested, if that wide, or factored here) and ahat one
     back-substitution on it.
     """
     p, keff = stat.p, min(k, stat.p - 1)
-    nested = _factor_nested(stat, keff) if nested is None else nested
+    kj = np.arange(p)
+    kj[keff:] = keff
+    if nested is not None and nested.trusted:
+        # nearest first into the band's nearest-last slots
+        ahat = nested.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((p, 0))
+        return BandedRegressionStats(n=stat.n, p=p, kj=kj, dhat=nested.dhat[keff], ahat=ahat)
+    if nested is None or nested.width != keff:
+        nested = _factor_nested(stat, keff)
     if not nested.trusted:
         # raises whenever the batched factorization failed
         _check_columns(_nearest_first_blocks(stat.band, keff), stat.n)
@@ -391,8 +382,7 @@ def _regress(stat, k, nested=None):
     ahat = np.empty((p, keff))
     ahat[:, ::-1] = nested.low[:, keff, :keff]
     _solve_lower_transposed(nested.low[:, :keff, :keff], ahat[:, ::-1])
-    return BandedRegressionStats(n=stat.n, p=p, kj=np.minimum(np.arange(p), keff),
-                                 dhat=dhat, ahat=ahat)
+    return BandedRegressionStats(n=stat.n, p=p, kj=kj, dhat=dhat, ahat=ahat)
 
 
 def _regress_nested(stat, k_values):

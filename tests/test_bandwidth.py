@@ -324,19 +324,24 @@ def test_resampling_grid_and_reference_bounds():
 
 def test_resampling_factors_each_split_once(monkeypatch):
     # each split attempt makes one reference fit through banded_regression
-    # and one nested factorization that every k's fit reads; where that
-    # factor cannot be trusted, each k falls back to the band path and its
-    # error
+    # and one nested factorization that every k's fit reads through
+    # stats._regress; where that factor cannot be trusted, each k's read
+    # falls back to the band path and its error
     from bandchol import bandwidth, competitors
 
     chol = np.linalg.cholesky(ar1_cov(0.3, 30))
     x = np.random.default_rng(42).standard_normal((150, 30)) @ chol.T
-    regressions, factors = [], []
+    regressions, reads, factors = [], [], []
     real_regression, real_factor = competitors.banded_regression, bandwidth._factor_nested
+    real_regress = competitors._regress
 
     def regression(data, k):
         regressions.append(k)
         return real_regression(data, k)
+
+    def regress(stat, k, nested=None):
+        reads.append((k, nested.trusted))
+        return real_regress(stat, k, nested)
 
     def factor(stat, kmax):
         nested = real_factor(stat, kmax)
@@ -344,19 +349,23 @@ def test_resampling_factors_each_split_once(monkeypatch):
         return nested
 
     monkeypatch.setattr(competitors, "banded_regression", regression)
+    monkeypatch.setattr(competitors, "_regress", regress)
     monkeypatch.setattr(bandwidth, "_factor_nested", factor)
     select_k_resampling(x, 5, splits=7, ref_bandwidth=10, rng=0)
     assert regressions == [10] * 7 and factors == [True] * 7
+    assert reads == [(k, True) for k in range(1, 6)] * 7
     # a column repeated 3 columns on lies outside the reference's band but
     # inside the grid's: every factor is untrusted, and the split fails at
     # k = 3 exactly as the band path fails on the same rows
     x[:, 9] = x[:, 6]
     regressions.clear()
+    reads.clear()
     factors.clear()
     with pytest.raises((SingularDesign, DegenerateResidual)) as info:
         select_k_resampling(x, 5, splits=7, ref_bandwidth=1, rng=0)
     retries = bandwidth.MAX_RETRIES
-    assert factors == [False] * retries and regressions == [1, 1, 2, 3] * retries
+    assert factors == [False] * retries and regressions == [1] * retries
+    assert reads == [(1, False), (2, False), (3, False)] * retries
     rng = np.random.default_rng(0)
     for _ in range(retries):
         perm = rng.permutation(150)

@@ -171,7 +171,7 @@ def test_prior_flags_are_checked_for_every_command(tmp_path, capsys, argv, flag)
 def test_json_is_strict(tmp_path, capsys):
     # a number JSON cannot hold fails the write before the file is opened; an
     # infinite cap is a valid prior, but its sidecar cannot echo it, so the
-    # command fails as bad input and, writing the sidecar first, leaves no file
+    # command fails as bad input naming --cap and leaves no file
     path = tmp_path / "out.json"
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -180,8 +180,49 @@ def test_json_is_strict(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_data(data)
     assert main(["estimate", str(data), "-o", str(tmp_path / "omega.csv"), "--cap", "inf"]) == 2
-    assert "not JSON compliant" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("bandchol: --cap: expected a finite ")
     assert os.listdir(tmp_path) == ["data.csv"]
+
+
+def reached(*args, **kwargs):
+    raise AssertionError("reached")
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "-o", "omega.csv"],
+    ["estimate", "-o", "omega.csv", "--select-k", "resampling", "--splits", "2"],
+    ["bandwidth", "-o", "profile.csv", "--scheme", "both", "--splits", "2"],
+])
+def test_infinite_cap_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # no strict sidecar can echo an infinite cap, so it is bad input before
+    # the data is read, any bandwidth is selected or any fit runs
+    data = tmp_path / "data.csv"
+    write_data(data)
+    for name in ("read_data_csv", "select_k_posterior_mode", "select_k_resampling"):
+        monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setitem(cli.FITS, "BL", reached)
+    monkeypatch.setitem(cli.FITS, "LL", reached)
+    name, flag, out, *rest = command
+    assert main([name, str(data), flag, str(tmp_path / out), *rest, "--cap", "inf"]) == 2
+    assert capsys.readouterr().err == (
+        "bandchol: --cap: expected a finite positive number, got inf\n")
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+@pytest.mark.parametrize("cap", ["Infinity", "1e400"])
+def test_simulate_rejects_infinite_cap_before_any_replication(tmp_path, capsys, monkeypatch,
+                                                              cap):
+    # summary.json echoes prior.M, which json.load reads as inf from either
+    # text; no replication runs and no output directory is made
+    monkeypatch.setattr(cli, "run_experiment", reached)
+    cfg = tmp_path / "config.json"
+    cfg.write_text((CONFIG_DIR / "smoke.json").read_text().rstrip()[:-1]
+                   + f', "prior": {{"M": {cap}}}}}\n')
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output-dir", str(out_dir),
+                 "--threads", "1"]) == 2
+    assert capsys.readouterr().err == "bandchol: prior.M: expected a finite number, got inf\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--k", "2", "--estimator", "mle"]])

@@ -500,7 +500,11 @@ def test_nested_factor_fits_match_band_path_and_lstsq(case):
     of every block the fits read. Tolerance, fixed before the first run:
     the l1 distance to the band path and to the oracle at most
     1e-12 * kappa_K^2 * |band path|_1, kappa_K the largest such kappa over
-    the columns, as in test_resampling_matches_dense_lstsq_oracle.
+    the columns, as in test_resampling_matches_dense_lstsq_oracle. A
+    back-substitution would pass that tolerance too, so the trusted fit
+    must also equal, byte for byte, the estimate composed from row
+    keff = min(k, p-1) of the factor's coefficients and residual variances,
+    which the resampler's recorded risks read, at k = K too.
     """
     x, width = case
     n, p = x.shape
@@ -517,6 +521,11 @@ def test_nested_factor_fits_match_band_path_and_lstsq(case):
                 np.testing.assert_array_equal(got, band_path)
             continue
         assert not isinstance(got, tuple), (k, got)
+        keff = min(k, p - 1)
+        ahat = nested.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((p, 0))
+        read = compose(CholeskyFactor(a=ahat, d=nested.dhat[keff]))
+        assert got.dtype == read.dtype and got.shape == read.shape, k
+        assert got.tobytes() == read.tobytes(), k
         tol = 1e-12 * kappa ** 2 * np.linalg.norm(band_path, 1)
         assert np.linalg.norm(got - band_path, 1) <= tol, k
         assert np.linalg.norm(got - dense_bl_oracle(x, k), 1) <= tol, k
