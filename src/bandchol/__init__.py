@@ -30,12 +30,7 @@ from .errors import (
     SingularMatrix,
     TruncationMassZero,
 )
-from .mcd import (
-    CholeskyFactor,
-    compose,
-    decompose,
-    population_coefficients,
-)
+from .mcd import CholeskyFactor, compose, decompose
 from .simulate import (
     ExperimentConfig,
     ExperimentResult,
@@ -49,6 +44,6 @@ from .simulate import (
     run_experiment,
     sample_gaussian,
 )
-from .stats import BandedRegressionStats, GramBand, banded_regression, gram_band
+from .stats import GramBand, banded_regression, gram_band, population_coefficients
 
 __version__ = "0.1.0"

@@ -8,14 +8,16 @@ each innovation variance, the posterior factorizes over columns:
     d_j | X   ~ inverse-gamma(nj/2, rate n*dhat_j/2) truncated to (0, M]
     a_j | d_j ~ normal(ahat_j, (d_j/n) * shat_j^{-1})
 
-with nj = n + nu0 - kj - 4, the hats from banded_regression and shat_j
-from the Gram band. A bandwidth k is admissible when every nj is positive,
-that is when k <= max_bandwidth(n, p, nu0). The plug-in estimator composes
-E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j), ignoring the truncation
-(negligible for large M) and the coefficients' spread; posterior_mean_omega is
-exact, its bands built by mcd._compose_bands and mcd._add_block_inverses, whose
-only caller it is. estimate_p_loss takes its Monte Carlo error at a power-of-two
-scale, so norms whose squares would overflow still give a finite one.
+with nj = n + nu0 - kj - 4, the hats the a and d of banded_regression's
+factor and shat_j from the Gram band; a PosteriorModel keeps n, ahat and
+the band, and reads kj off ahat's shape. A bandwidth k is admissible when
+every nj is positive, that is when k <= max_bandwidth(n, p, nu0). The
+plug-in estimator composes E(a_j) = ahat_j and E(1/d_j) = nj / (n*dhat_j),
+ignoring the truncation (negligible for large M) and the coefficients'
+spread; posterior_mean_omega is exact, its bands built by mcd._compose_bands
+and mcd._add_block_inverses, whose only caller it is. estimate_p_loss takes
+its Monte Carlo error at a power-of-two scale, so norms whose squares would
+overflow still give a finite one.
 """
 
 import math
@@ -60,9 +62,11 @@ def ig_cdf(x, shape, rate):
 
 @dataclass
 class PosteriorModel:
-    """Column posteriors fitted under the cap M, and the data's Gram band at width keff."""
+    """Column posteriors fitted from n rows under the cap M, centred on the
+    (p, keff) coefficient band ahat, and the data's Gram band at width keff."""
 
-    stats: object
+    n: int
+    ahat: np.ndarray = field(repr=False)
     ig_shape: np.ndarray
     ig_rate: np.ndarray
     trunc_mass: np.ndarray
@@ -70,12 +74,13 @@ class PosteriorModel:
     gram: np.ndarray = field(repr=False)
 
     @property
-    def n(self):
-        return self.stats.n
+    def p(self):
+        return self.ahat.shape[0]
 
     @property
-    def p(self):
-        return self.stats.p
+    def kj(self):
+        """Column j's predecessor count min(j-1, keff), 1-based j."""
+        return np.minimum(np.arange(self.p), self.ahat.shape[1])
 
 
 def max_bandwidth(n, p, nu0):
@@ -123,14 +128,15 @@ def fit_posterior(data, prior):
     """
     _check_admissible(data, prior.k, prior.nu0)
     stat = _band_at(_rows_or_band(data), prior.k)
-    st = _regress(stat, prior.k)
-    shape, rate, mass = _conjugate_terms(st.n, st.kj, st.dhat, prior)
+    ahat, dhat = _regress(stat, prior.k)
+    kj = np.minimum(np.arange(stat.p), ahat.shape[1])
+    shape, rate, mass = _conjugate_terms(stat.n, kj, dhat, prior)
     bad = np.nonzero(mass == 0.0)[0]
     if bad.size:
         j = bad[0]
         raise TruncationMassZero(j + 1, prior.M, rate[j] / shape[j])
-    return PosteriorModel(stats=st, ig_shape=shape, ig_rate=rate, trunc_mass=mass, M=prior.M,
-                          gram=stat.band)
+    return PosteriorModel(n=stat.n, ahat=ahat, ig_shape=shape, ig_rate=rate, trunc_mass=mass,
+                          M=prior.M, gram=stat.band)
 
 
 def plug_in_estimator(model):
@@ -139,12 +145,12 @@ def plug_in_estimator(model):
     Returns (I - Ahat)' diag(nj / (n*dhat_j)) (I - Ahat).
     """
     d = model.ig_rate / model.ig_shape
-    return compose(CholeskyFactor(a=model.stats.ahat, d=d))
+    return compose(CholeskyFactor(a=model.ahat, d=d))
 
 
 def _predecessor_factors(model):
     """Natural-order Cholesky factors L of the identity-padded predecessor blocks."""
-    keff = model.stats.ahat.shape[1]
+    keff = model.ahat.shape[1]
     return np.linalg.cholesky(_predecessor_blocks(model.gram, keff)[:, :keff, :keff])
 
 
@@ -158,14 +164,12 @@ def _sample_columns(model, draws, rng):
     inverse-gamma via the inverse upper-tail CDF on the precision scale,
     which stays accurate when the truncation mass is tiny.
     """
-    st = model.stats
-    p, keff = st.ahat.shape
+    p, keff = model.ahat.shape
     u = np.empty((draws, p))
     # the normals z, turned into L^{-T} z in place below
     w = np.zeros((draws, p, keff))
-    for j, gen in enumerate(rng.spawn(p)):
+    for j, (gen, kj) in enumerate(zip(rng.spawn(p), model.kj)):
         u[:, j] = gen.random(draws)
-        kj = st.kj[j]
         if kj:
             w[:, j, keff - kj:] = gen.standard_normal((draws, kj))
     tail = (1.0 - u) * model.trunc_mass
@@ -173,7 +177,7 @@ def _sample_columns(model, draws, rng):
     # cov = (d/n) L^{-T} L^{-1}, so w = L^{-T} z solves L' w = z for all draws
     # and columns at once; the padded slots, where z is 0, stay 0
     linalg._solve_lower_transposed(_predecessor_factors(model), w)
-    a = st.ahat + (np.sqrt(1.0 / st.n) * np.sqrt(d))[..., None] * w
+    a = model.ahat + (np.sqrt(1.0 / model.n) * np.sqrt(d))[..., None] * w
     return d, a
 
 
@@ -193,7 +197,7 @@ def posterior_mean_omega(model):
     """
     gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
     d = model.ig_rate / model.ig_shape / gain
-    bands = _compose_bands(CholeskyFactor(a=model.stats.ahat, d=d))
+    bands = _compose_bands(CholeskyFactor(a=model.ahat, d=d))
     _add_block_inverses(bands, _predecessor_factors(model), model.n)
     return _dense_symmetric(bands)
 

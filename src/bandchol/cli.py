@@ -38,7 +38,7 @@ from .bandwidth import (
     select_k_resampling,
 )
 from .bayes import PriorConfig, max_bandwidth
-from .errors import BandcholError
+from .errors import BandcholError, EmptyGrid
 from .linalg import _real, _row_spans
 from .simulate import FITS, ExperimentConfig, records_csv_text, run_experiment, summary_payload
 from .stats import _band_at, as_data_matrix
@@ -218,7 +218,12 @@ def _select(scheme, args, data, kmax, ref):
     how clearly it won (the mode's normalized probability and log-gap to the
     runner-up, or the runner-up's average risk minus its own; each null on a
     one-point grid) and the log posterior or risk at each k. data is the
-    rows, or for the mode a GramBand of them at least min(kmax, p-1) wide."""
+    rows, or for the mode a GramBand of them at least min(kmax, p-1) wide.
+    A default kmax below 1 raises EmptyGrid naming the sizes behind it."""
+    if kmax < 1 and args.kmax is None:
+        n, p = np.shape(data)
+        raise EmptyGrid(f"no bandwidth to select: n={n}, p={p} and nu0={args.nu0} admit no "
+                        "k >= 1 (k <= p - 1, n + nu0 - k - 4 > 0); estimate --k 0 fits without one")
     if scheme == "mode":
         post = select_k_posterior_mode(data, kmax, prior=PriorConfig(0, M=args.cap, nu0=args.nu0))
         return (post.mode, {"mode_probability": post.mode_probability,

@@ -45,8 +45,9 @@ def bl_banded_estimator(data, k, gram=None):
 
 def _band_estimate(data, k, nested=None):
     """bl_banded_estimator by banded_regression, or from the data's factor nested."""
-    st = banded_regression(data, k) if nested is None else _regress(nested.stat, k, nested)
-    return compose(CholeskyFactor(a=st.ahat, d=st.dhat))
+    if nested is None:
+        return compose(banded_regression(data, k))
+    return compose(CholeskyFactor(*_regress(nested.stat, k, nested)))
 
 
 def graphical_mle_banded(data, k):

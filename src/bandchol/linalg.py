@@ -9,7 +9,8 @@ largest magnitude is infinite or NaN is not symmetric, and no entries are
 subtracted to say so. _bands is the one reader of a square matrix's band:
 is_symmetric and norm_spectral read a narrow one once, for the symmetry
 test and, in norm_spectral, the check for non-finite entries and the band
-it searches. Inputs are dense matrices.
+it searches, and stats.population_coefficients reads a covariance
+matrix's band through it. Inputs are dense matrices.
 norm_spectral brackets the extreme eigenvalues of a narrow symmetric band by
 Cholesky factorizations of its shifts, O(p b^2) each, at trial points that
 the Rayleigh quotients of inverse iteration steps on the same factors guide,

@@ -6,14 +6,16 @@ coefficients of the regression of coordinate j on its predecessors, and
 d_j is the innovation variance of that regression. Banding A by k is the
 same as truncating each regression to the k closest predecessors.
 
-A k-banded A is stored as its (p, k) coefficient band, the layout of
-BandedRegressionStats.ahat: row j holds the coefficients on coordinates
-j-k, ..., j-1, nearest last, and the slots left of the first coordinate
-are zero. decompose returns the full band, k = p - 1, from one Cholesky
-factorization. A k-banded omega is built as its (k+1, p) lower bands, row s
-holding (c+s, c), and written dense once by _dense_symmetric; the only band
-builders are _compose_bands (O(p k^2)), which compose and every estimator
-densify, and _add_block_inverses, the posterior mean's block-inverse sum.
+A k-banded A is stored as its (p, k) coefficient band: row j holds the
+coefficients on coordinates j-k, ..., j-1, nearest last, and the slots left
+of the first coordinate are zero. A CholeskyFactor is that band and d, and
+the one type of a fitted factor: stats.banded_regression returns the sample
+factor and stats.population_coefficients the population one. decompose
+returns the full band, k = p - 1, from one Cholesky factorization. A
+k-banded omega is built as its (k+1, p) lower bands, row s holding (c+s, c),
+and written dense once by _dense_symmetric; the only band builders are
+_compose_bands (O(p k^2)), which compose and every estimator densify, and
+_add_block_inverses, the posterior mean's block-inverse sum.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .stats import GramBand, _dense_to_band, _regress
 
 
 @lru_cache(maxsize=32)
@@ -147,17 +148,3 @@ def decompose(omega):
     a = np.ndarray((p, p - 1), buffer=wide, strides=(s0 + s1, s1)).copy()
     return CholeskyFactor(a=a, d=1.0 / tdiag**2)
 
-
-def population_coefficients(sigma, k):
-    """Banded regression coefficients implied by a covariance matrix.
-
-    For each coordinate j, regress on the k closest predecessors under
-    sigma: a_j solves sigma[Z_j, Z_j] a_j = sigma[Z_j, j], and d_j is the
-    residual variance. k >= p - 1 reproduces decompose(inv(sigma)).
-    Raises DegenerateResidual(j) when coordinate j is a numerically exact
-    combination of its predecessors.
-    """
-    sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
-    linalg._integer("k", k, 0)
-    st = _regress(GramBand(np.inf, _dense_to_band(sigma, min(k, sigma.shape[0] - 1))), k)
-    return CholeskyFactor(a=st.ahat, d=st.dhat)

@@ -10,15 +10,15 @@ first columns. It costs O(n p (GRAM_TILE + w)) flops and O(p w) memory,
 where the dense X'X / n costs O(n p^2) and O(p^2); every Gram block is a
 zero-copy strided view of it (_predecessor_blocks). With the row count n it
 is a GramBand, all that a fit at a bandwidth up to w reads of the data, so
-every fit takes one in place of the rows. Every fit factors the blocks in
-one order, nearest first, into a NestedFactor of width K, from which every
-bandwidth k <= K is read: the posterior-mode grid reads every k's residual
-variances and log determinants, and _regress, the one fit at a bandwidth,
-reads its k from a trusted factor shared by every k (the resampler's,
-through bl_banded_estimator's gram=) or else from its own. Column indices
-in the public API are 1-based, matching the math convention for ordered
-coordinates; error messages use the same numbering. Which bandwidths the
-posterior admits is decided in bayes.
+every fit takes one in place of the rows, and population_coefficients fits
+a covariance matrix's band. Every fit factors the blocks in one order,
+nearest first, into a NestedFactor of width K, from which every bandwidth
+k <= K is read: the posterior-mode grid reads every k's residual variances
+and log determinants, and _regress, the one fit at a bandwidth, reads its
+factor (A, d), a mcd.CholeskyFactor's band and d, from a trusted factor
+shared by every k (the resampler's, through bl_banded_estimator's gram=) or
+else from its own. Public column indices, as in error messages, are 1-based.
+Which bandwidths the posterior admits is decided in bayes.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateResidual, SingularDesign
-from .linalg import _integer, _invert_lower, _solve_lower_transposed, check_finite
+from .linalg import _bands, _integer, _invert_lower, _solve_lower_transposed, _spd_factor
+from .linalg import check_finite
+from .mcd import CholeskyFactor
 
 # a residual variance at most this fraction of its column's second moment
 # counts as an exact fit
@@ -118,14 +120,7 @@ def _gram_band(x, width):
     """gram_band of a validated data matrix x and a nonnegative width."""
     n, p = x.shape
     w = min(int(width), p - 1)
-    cols = 2 * w + 1
-    # w spare rows below take the lower half's zeros from past the last column
-    band = np.zeros((p + 2 * w, cols))
-    e = band.itemsize
-    centre = (w * cols + w) * e
-    upper = np.ndarray((p, w + 1), buffer=band, offset=centre, strides=(cols * e, e))
-    lower = np.ndarray((p, w + 1), buffer=band, offset=centre,
-                       strides=(cols * e, (cols - 1) * e))
+    band, upper, lower = _padded_band(p, w)
     # columns past a tile that its product reaches, at least one (see above)
     past = max(w, 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,17 +145,19 @@ def _gram_band(x, width):
     return band
 
 
-def _dense_to_band(m, w):
-    """The padded row band of width w, gram_band's layout, of a dense symmetric
-    matrix m, in O(p w)."""
-    p = m.shape[0]
-    band = np.zeros((p + w, 2 * w + 1))
-    band[:w, w] = 1.0
-    rows, offsets = np.indices((p, 2 * w + 1))
-    cols = rows + offsets - w
-    inside = (cols >= 0) & (cols < p)
-    band[w:][inside] = m[rows[inside], cols[inside]]
-    return band
+def _padded_band(p, w):
+    """A zero padded row band of width w with w spare rows, and its two (p,
+    w + 1) views whose row i, column d write g[i, i+d] to band row w + i,
+    column w + d and to row w + i + d, column w - d; the spare rows, cut off
+    as band[:p + w], take the second view's zeros from past the last column."""
+    cols = 2 * w + 1
+    band = np.zeros((p + 2 * w, cols))
+    e = band.itemsize
+    centre = (w * cols + w) * e
+    upper = np.ndarray((p, w + 1), buffer=band, offset=centre, strides=(cols * e, e))
+    lower = np.ndarray((p, w + 1), buffer=band, offset=centre,
+                       strides=(cols * e, (cols - 1) * e))
+    return band, upper, lower
 
 
 def _rows_or_band(data):
@@ -179,23 +176,6 @@ def _band_at(data, k):
         raise ValueError(f"a fit at bandwidth {k} needs gram_band(data, w) with "
                          f"w >= {keff}; got w = {w}")
     return GramBand(data.n, data.band[w - keff:, w - keff:w + keff + 1])
-
-
-@dataclass
-class BandedRegressionStats:
-    """Per-column least-squares statistics at a common bandwidth k.
-
-    Column j (1-based) regresses on its kj[j-1] = min(j-1, k) closest
-    predecessors. ahat (p, keff), keff = min(k, p-1), holds the coefficients
-    on j-keff, ..., j-1, of which the trailing kj are real and the padded
-    slots zero: the band layout of mcd.CholeskyFactor.
-    """
-
-    n: int
-    p: int
-    kj: np.ndarray
-    dhat: np.ndarray
-    ahat: np.ndarray = field(repr=False)
 
 
 def _check_columns(blocks, n):
@@ -356,18 +336,17 @@ def _regress(stat, k, nested=None):
 
     stat is a GramBand at least min(k, p-1) wide, k is nonnegative, and
     nested is None or a NestedFactor of stat at least keff = min(k, p-1)
-    wide; a trusted one gives row keff of its coefficients and dhat. Else
-    the fit raises as banded_regression does, dhat is row keff of the factor
-    at width keff (nested, if that wide, or factored here) and ahat one
-    back-substitution on it.
+    wide. Returns (ahat, dhat), banded_regression's a and d: a trusted nested
+    gives views of row keff of its coefficients and dhat. Else the fit raises
+    as banded_regression does, dhat is row keff of the factor at width keff
+    (nested, if that wide, or factored here) and ahat one back-substitution
+    on it.
     """
-    p, keff = stat.p, min(k, stat.p - 1)
-    kj = np.arange(p)
-    kj[keff:] = keff
+    keff = min(k, stat.p - 1)
     if nested is not None and nested.trusted:
         # nearest first into the band's nearest-last slots
-        ahat = nested.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((p, 0))
-        return BandedRegressionStats(n=stat.n, p=p, kj=kj, dhat=nested.dhat[keff], ahat=ahat)
+        ahat = nested.coef[keff - 1, :, keff - 1::-1] if keff else np.zeros((stat.p, 0))
+        return ahat, nested.dhat[keff]
     if nested is None or nested.width != keff:
         nested = _factor_nested(stat, keff)
     if not nested.trusted:
@@ -379,10 +358,10 @@ def _regress(stat, k, nested=None):
         raise DegenerateResidual(bad[0] + 1, float(dhat[bad[0]]))
     # L_S' a = l gives the coefficients nearest first, here in a reversed view
     # that leaves them nearest last; a padded slot has l = 0 and stays 0
-    ahat = np.empty((p, keff))
+    ahat = np.empty((stat.p, keff))
     ahat[:, ::-1] = nested.low[:, keff, :keff]
     _solve_lower_transposed(nested.low[:, :keff, :keff], ahat[:, ::-1])
-    return BandedRegressionStats(n=stat.n, p=p, kj=kj, dhat=dhat, ahat=ahat)
+    return ahat, dhat
 
 
 def _regress_nested(stat, k_values):
@@ -415,14 +394,38 @@ def _regress_nested(stat, k_values):
 
 
 def banded_regression(data, k):
-    """Least-squares fit of every column on its k closest predecessors.
+    """The sample factor CholeskyFactor(a=ahat, d=dhat) at bandwidth k: row j
+    of the (p, keff) band ahat, keff = min(k, p-1), and dhat_j are the least-
+    squares coefficients and divisor-n residual variance of column j on its
+    min(j-1, k) closest predecessors.
 
-    data is the n x p data matrix or a GramBand of it at least min(k, p-1)
-    wide, from which the fit is bit for bit the one from the rows. Raises
+    data is the n x p data matrix or a GramBand of it at least keff wide,
+    from which the fit is bit for bit the one from the rows. Raises
     SingularDesign(j) when column j's predecessor block is singular, and
     DegenerateResidual(j) when column j's residual variance is at most
     RESIDUAL_FLOOR times its second moment.
     """
     data = _rows_or_band(data)
     _integer("k", k, 0)
-    return _regress(_band_at(data, k), k)
+    return CholeskyFactor(*_regress(_band_at(data, k), k))
+
+
+def population_coefficients(sigma, k):
+    """Banded regression coefficients implied by a covariance matrix.
+
+    For each coordinate j, regress on the k closest predecessors under
+    sigma: a_j solves sigma[Z_j, Z_j] a_j = sigma[Z_j, j], and d_j is the
+    residual variance. k >= p - 1 reproduces mcd.decompose(inv(sigma)).
+    Raises DegenerateResidual(j) when coordinate j is a numerically exact
+    combination of its predecessors.
+    """
+    sigma = _spd_factor(sigma, "covariance matrix")[0]
+    _integer("k", k, 0)
+    p = sigma.shape[0]
+    w = min(k, p - 1)
+    band, upper, lower = _padded_band(p, w)
+    # sigma is exactly symmetric, so its upper diagonals serve both halves
+    upper[:] = lower[:] = _bands(sigma, w)[1].T
+    band = band[:p + w]
+    band[:w, w] = 1.0
+    return CholeskyFactor(*_regress(GramBand(np.inf, band), k))

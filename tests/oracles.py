@@ -23,7 +23,9 @@ dense compose by np.add.at; and, from before linalg._bands read a square
 matrix's band once, the lower band copied diagonal by diagonal, the
 symmetry test's loop over the diagonals, and norm_spectral's front end on
 a symmetric input, with its finiteness check over the concatenated
-diagonals.
+diagonals; and population_coefficients with a covariance matrix's band
+gathered through index arrays, before it was written through the Gram
+band's two strided views.
 """
 
 import numpy as np
@@ -266,9 +268,9 @@ def compose(factor):
 def posterior_mean_scatter(model):
     """bayes.posterior_mean_omega, its inverse blocks added into the dense
     compose by np.add.at."""
-    p, keff = model.stats.ahat.shape
+    p, keff = model.ahat.shape
     gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
-    omega = mcd_compose(CholeskyFactor(a=model.stats.ahat,
+    omega = mcd_compose(CholeskyFactor(a=model.ahat,
                                        d=model.ig_rate / model.ig_shape / gain))
     m = linalg._invert_lower(_predecessor_factors(model))
     # slot a of column j is coordinate j - keff + a; padded slots (< 0) are left out
@@ -333,3 +335,25 @@ def norm_spectral_symmetric(m):
             lo, hi = _dense_extremes(m)
             return max(-lo, hi)
     return None
+
+
+def dense_to_band(m, w):
+    """The padded row band of width w, gram_band's layout, of a dense symmetric
+    matrix m, in O(p w)."""
+    p = m.shape[0]
+    band = np.zeros((p + w, 2 * w + 1))
+    band[:w, w] = 1.0
+    rows, offsets = np.indices((p, 2 * w + 1))
+    cols = rows + offsets - w
+    inside = (cols >= 0) & (cols < p)
+    band[w:][inside] = m[rows[inside], cols[inside]]
+    return band
+
+
+def population_coefficients(sigma, k):
+    """stats.population_coefficients, fitting dense_to_band of sigma."""
+    sigma = linalg._spd_factor(sigma, "covariance matrix")[0]
+    linalg._integer("k", k, 0)
+    band = dense_to_band(sigma, min(k, sigma.shape[0] - 1))
+    ahat, dhat = stats._regress(stats.GramBand(np.inf, band), k)
+    return CholeskyFactor(a=ahat, d=dhat)

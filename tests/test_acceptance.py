@@ -17,6 +17,7 @@ from bandchol.cli import main
 from bandchol.competitors import bl_banded_estimator
 from bandchol.mcd import CholeskyFactor, compose, decompose
 from bandchol.simulate import ExperimentConfig, TrueModelSpec, run_experiment
+from bandchol.stats import banded_regression
 from conftest import random_band
 from oracles import graphical_mle_loop, gram_matrix
 
@@ -143,9 +144,8 @@ def test_criterion_07_posterior_moment_oracle():
         models.append((x, model))
         d, _ = _sample_columns(model, draws, np.random.default_rng(rng.integers(2**32)))
         theta = 1.0 / d
-        st = model.stats
-        nj = st.n + 2.0 - st.kj - 4  # default nu0 = 2
-        target = nj / (st.n * st.dhat)
+        nj = model.n + 2.0 - model.kj - 4  # default nu0 = 2
+        target = nj / (model.n * banded_regression(x, k).d)
         stderr = theta.std(axis=0, ddof=1) / np.sqrt(draws)
         z = np.max(np.abs(theta.mean(axis=0) - target) / stderr)
         worst_z = max(worst_z, z)
@@ -153,19 +153,18 @@ def test_criterion_07_posterior_moment_oracle():
     cov_ok = True
     worst_cov_z = 0.0
     for x, model in models[:5]:
-        st = model.stats
-        j = st.p - 1
-        if st.kj[j] == 0:
+        j = model.p - 1
+        if model.kj[j] == 0:
             continue
         d, a = _sample_columns(model, draws, np.random.default_rng(7))
         # dividing by sqrt(d) removes the variance mixing, so w is exactly
         # Gaussian with covariance shat^{-1}/n and entrywise MC error
         # sqrt((T_ii T_jj + T_ij^2) / draws); the last column's band has
         # no padded slots
-        w = (a[:, j] - st.ahat[j][None, :]) / np.sqrt(d[:, j])[:, None]
+        w = (a[:, j] - model.ahat[j][None, :]) / np.sqrt(d[:, j])[:, None]
         emp = w.T @ w / draws
-        shat = gram_matrix(x)[j - st.kj[j]:j, j - st.kj[j]:j]
-        target = np.linalg.inv(shat) / st.n
+        shat = gram_matrix(x)[j - model.kj[j]:j, j - model.kj[j]:j]
+        target = np.linalg.inv(shat) / model.n
         diag = np.diag(target)
         stderr = np.sqrt((np.outer(diag, diag) + target**2) / draws)
         z = np.max(np.abs(emp - target) / stderr)

@@ -65,7 +65,7 @@ def test_log_marginal_matches_quadrature_oracle():
         oracle += np.log(val)
     st = banded_regression(x, k)
     # the first column regresses on nothing: nj = n + nu0 - 0 - 4
-    oracle += np.log(ig_cdf(M, (n + nu0 - 4) / 2.0, n * st.dhat[0] / 2.0))
+    oracle += np.log(ig_cdf(M, (n + nu0 - 4) / 2.0, n * st.d[0] / 2.0))
     offset = (p - 1) * (n / 2.0) * np.log(2.0 * np.pi)
     mine = log_marginal_k(x, k, prior=PriorConfig(0, M=M, nu0=nu0))
     assert mine == pytest.approx(oracle + offset, abs=1e-6)

@@ -26,6 +26,7 @@ from bandchol.bayes import (
 from bandchol.errors import SingularDesign, TruncationMassZero
 from bandchol.mcd import CholeskyFactor, compose
 from bandchol.simulate import TrueModelSpec, sample_gaussian
+from bandchol.stats import banded_regression
 from conftest import lower
 from oracles import gram_matrix
 
@@ -64,7 +65,7 @@ def test_posterior_dof_precondition():
     rng = np.random.default_rng(0)
     model = fit_posterior(rng.standard_normal((8, 4)), PriorConfig(k=2))
     np.testing.assert_array_equal(2.0 * model.ig_shape, [6.0, 5.0, 4.0, 4.0])
-    np.testing.assert_array_equal(model.stats.kj, [0, 1, 2, 2])
+    np.testing.assert_array_equal(model.kj, [0, 1, 2, 2])
     # the bound is checked before the regression can fail
     x = rng.standard_normal((6, 5))
     x[:, 1] = x[:, 0]
@@ -104,13 +105,13 @@ def test_plug_in_symbolic_single_column():
 
 
 def test_plug_in_matches_composed_means():
-    rng = np.random.default_rng(0)
-    model = fitted(rng, n=60, p=5, k=2)
-    st = model.stats
+    data = np.random.default_rng(0).standard_normal((60, 5))
+    model = fit_posterior(data, PriorConfig(k=2))
     omega = plug_in_estimator(model)
-    nj = st.n + 2.0 - st.kj - 4
+    nj = model.n + 2.0 - model.kj - 4
+    dhat = banded_regression(data, 2).d
     # dense oracle (I - A)' D^{-1} (I - A)
-    b = (np.eye(st.p) - lower(st.ahat)) / np.sqrt(st.n * st.dhat / nj)[:, None]
+    b = (np.eye(model.p) - lower(model.ahat)) / np.sqrt(model.n * dhat / nj)[:, None]
     np.testing.assert_allclose(omega, b.T @ b, atol=1e-14)
 
 
@@ -152,21 +153,21 @@ def sample_columns_oracle(model, data, draws, rng):
     from scipy.special import gammainccinv
 
     g = gram_matrix(data)
-    st = model.stats
-    p, keff = st.ahat.shape
+    p, keff = model.ahat.shape
     d = np.empty((draws, p))
     a = np.zeros((draws, p, keff))
     for j, gen in enumerate(rng.spawn(p)):
         tail = (1.0 - gen.random(draws)) * model.trunc_mass[j]
         d[:, j] = 1.0 / (gammainccinv(model.ig_shape[j], tail) / model.ig_rate[j])
-        kj = st.kj[j]
+        kj = model.kj[j]
         if kj == 0:
             continue
         z = gen.standard_normal((draws, kj))
         lo = keff - kj
         low = np.linalg.cholesky(g[j - kj:j, j - kj:j])
         w = solve_triangular(low, z.T, trans="T", lower=True).T
-        a[:, j, lo:] = st.ahat[j, lo:] + (np.sqrt(1.0 / st.n) * np.sqrt(d[:, j]))[:, None] * w
+        scale = np.sqrt(1.0 / model.n) * np.sqrt(d[:, j])
+        a[:, j, lo:] = model.ahat[j, lo:] + scale[:, None] * w
     return d, a
 
 
@@ -186,7 +187,7 @@ def test_vectorized_sampler_matches_column_oracle(n, p, k):
             # padded slots, and every slot of a kj = 0 column, stay exactly zero
             keff = a.shape[2]
             for j in range(p):
-                np.testing.assert_array_equal(a[:, j, :keff - model.stats.kj[j]], 0.0)
+                np.testing.assert_array_equal(a[:, j, :keff - model.kj[j]], 0.0)
 
 
 @pytest.mark.parametrize("n, p, k", [(40, 9, 3), (20, 6, 0), (30, 6, 9), (10, 1, 2),
@@ -203,11 +204,11 @@ def test_model_keeps_read_only_gram_band(n, p, k):
     assert model.gram.shape == (p + keff, 2 * keff + 1) and not model.gram.flags.writeable
     wide = fit_posterior(gram_band(x, p + 1), PriorConfig(k))
     np.testing.assert_array_equal(wide.gram, model.gram)
-    np.testing.assert_array_equal(wide.stats.ahat, model.stats.ahat)
+    np.testing.assert_array_equal(wide.ahat, model.ahat)
     blocks = _predecessor_blocks(model.gram, keff)[:, :keff, :keff]
     for j in range(p):
-        pad = keff - model.stats.kj[j]
-        z = x[:, j - model.stats.kj[j]:j]
+        pad = keff - model.kj[j]
+        z = x[:, j - model.kj[j]:j]
         np.testing.assert_allclose(blocks[j, pad:, pad:], z.T @ z / n, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(blocks[j, :pad], np.eye(keff)[:pad])
         np.testing.assert_array_equal(blocks[j, :, :pad], np.eye(keff)[:, :pad])
@@ -241,10 +242,9 @@ def test_sampled_coefficient_covariance():
 
     d, a = _sample_columns(model, draws, np.random.default_rng(7))
     j = 3  # 0-based column with kj = 2, its predecessors are columns 1 and 2
-    st = model.stats
-    centered = a[:, j] - st.ahat[j][None, :]
+    centered = a[:, j] - model.ahat[j][None, :]
     cov = centered.T @ centered / draws
-    target = np.mean(d[:, j]) / st.n * np.linalg.inv(gram_matrix(x)[1:3, 1:3])
+    target = np.mean(d[:, j]) / model.n * np.linalg.inv(gram_matrix(x)[1:3, 1:3])
     np.testing.assert_allclose(cov, target, rtol=0.05, atol=1e-6)
 
 

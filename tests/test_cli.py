@@ -499,12 +499,15 @@ def test_simulate_names_malformed_field(tmp_path, capsys, field, edit):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", [
+SELECTING_COMMANDS = [
     ["estimate", "-o", "omega.csv"],
     ["estimate", "-o", "omega.csv", "--select-k", "resampling"],
     ["bandwidth", "-o", "profile.csv"],
     ["bandwidth", "-o", "profile.csv", "--scheme", "resampling"],
-])
+]
+
+
+@pytest.mark.parametrize("command", SELECTING_COMMANDS)
 def test_empty_bandwidth_grid_is_bad_input(tmp_path, capsys, command):
     # --kmax 0 leaves no bandwidth to select from: bad input (exit 2), not
     # a numerical failure (exit 3)
@@ -515,6 +518,22 @@ def test_empty_bandwidth_grid_is_bad_input(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "bandwidth grid 1..0 is empty" in err and "numerical failure" not in err
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("n, p", [(4, 1), (3, 5)])
+@pytest.mark.parametrize("command", SELECTING_COMMANDS)
+def test_empty_default_grid_names_its_sizes(tmp_path, capsys, command, n, p):
+    # without --kmax the grid is empty when p = 1 or n + nu0 <= 5; the
+    # message names the sizes behind it, not a grid that no flag set, and
+    # the fit that needs no selection
+    data = tmp_path / "data.csv"
+    write_data(data, n=n, p=p)
+    name, flag, out, *rest = command
+    assert main([name, str(data), flag, str(tmp_path / out), *rest]) == 2
+    err = capsys.readouterr().err
+    assert f"n={n}, p={p} and nu0=2.0" in err and "--k 0" in err, err
+    assert "1..0" not in err and "numerical failure" not in err
     assert not (tmp_path / out).exists()
 
 

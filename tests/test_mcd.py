@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from bandchol.mcd import (
-    CholeskyFactor,
-    compose,
-    decompose,
-    population_coefficients,
-)
+from bandchol.mcd import CholeskyFactor, compose, decompose
 from bandchol.simulate import make_ar4_precision
+from bandchol.stats import population_coefficients
 from conftest import lower, random_band
 
 

@@ -44,7 +44,7 @@ from bandchol.competitors import bl_banded_estimator, graphical_mle_banded
 from bandchol.errors import BandcholError, DegenerateResidual, SingularDesign
 from bandchol.linalg import norm_fro, norm_l1, norm_linf
 from bandchol.mcd import CholeskyFactor, compose
-from bandchol.stats import as_data_matrix, gram_band
+from bandchol.stats import as_data_matrix, banded_regression, gram_band
 from conftest import random_band
 
 NORMS = {"l1": (norm_l1, oracles.norm_l1), "linf": (norm_linf, oracles.norm_linf),
@@ -465,6 +465,6 @@ def test_band_builders_match_dense_oracles(case):
     except (ValueError, BandcholError):
         # inadmissible, degenerate or without truncation mass: nothing to compose
         return
-    factor = CholeskyFactor(a=model.stats.ahat, d=model.stats.dhat)
+    factor = banded_regression(data, k)
     assert same_bits(compose(factor), oracles.compose(factor))
     assert_same(run(posterior_mean_omega, model), run(oracles.posterior_mean_scatter, model))

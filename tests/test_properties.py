@@ -19,7 +19,8 @@ dense per-column lstsq replay of its splits, and every bandwidth's BL
 estimate read from one shared nested factorization matches the band path
 and lstsq, or raises the band path's error. On singular and nearly singular
 matrices, the SPD factorization, decompose and population_coefficients
-fail with typed errors too.
+fail with typed errors too, and on SPD matrices population_coefficients
+returns the bytes of a fit of the band gathered by index arrays.
 
 compose of a coefficient band matches the dense product built from
 lower(band), norm_spectral matches the dense symmetric eigensolver on
@@ -84,9 +85,10 @@ from bandchol.errors import (
 )
 import oracles
 from bandchol import cli, linalg, stats
-from bandchol.mcd import CholeskyFactor, compose, decompose, population_coefficients
+from bandchol.mcd import CholeskyFactor, compose, decompose
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
 from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_band
+from bandchol.stats import population_coefficients
 from conftest import BAND_FITS, lower, random_band, widest_bisected_band
 
 
@@ -134,12 +136,12 @@ def test_degenerate_inputs_fail_typed(case):
     x, k = case
     stats = outcome(banded_regression, x, k)
     if stats is not None:
-        assert_finite("banded_regression", stats.dhat, stats.ahat)
-        assert np.all(stats.dhat > 0.0)
+        assert_finite("banded_regression", stats.d, stats.a)
+        assert np.all(stats.d > 0.0)
     model = outcome(fit_posterior, x, PriorConfig(k))
     if model is not None:
         assert_finite("fit_posterior", model.ig_shape, model.ig_rate, model.trunc_mass)
-        assert np.all(model.stats.dhat > 0.0)
+        assert np.all(model.ig_rate > 0.0)
         assert_finite("plug_in_estimator", plug_in_estimator(model))
     value = outcome(log_marginal_k, x, k)
     if value is not None:
@@ -191,6 +193,34 @@ def test_near_singular_spd_inputs_fail_typed(case):
 
 
 @st.composite
+def spd_matrices(draw):
+    """An SPD matrix of order p <= 30, its upper triangle off exact symmetry
+    by a relative 1e-14, inside SYM_TOL."""
+    p = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((p, p))
+    m = a @ a.T + draw(st.sampled_from([1e-3, 1.0, float(p)])) * np.eye(p)
+    upper = np.triu_indices(p, 1)
+    m[upper] *= 1.0 + 1e-14 * rng.uniform(-1.0, 1.0, len(upper[0]))
+    return m
+
+
+@settings(max_examples=100)
+@given(spd_matrices())
+def test_population_coefficients_match_gathered_band_oracle(sigma):
+    """At every k up to p, population_coefficients, which writes the
+    symmetrized sigma's band through the Gram band's two strided views,
+    returns the bytes of the fit of the band that oracles.dense_to_band
+    gathers through index arrays."""
+    for k in range(sigma.shape[0] + 1):
+        got = population_coefficients(sigma, k)
+        want = oracles.population_coefficients(sigma, k)
+        for field in ("a", "d"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (k, field)
+
+
+@st.composite
 def regression_data(draw):
     p = draw(st.integers(1, 12))
     k = draw(st.integers(0, p + 1))
@@ -215,22 +245,23 @@ def test_banded_regression_matches_lstsq(case):
     assert_matches_lstsq(x, banded_regression(x, k))
 
 
-def assert_matches_lstsq(x, stats):
-    """Every column's ahat and dhat against a per-column lstsq fit on its
-    real predecessors; the padded slots are exactly zero."""
+def assert_matches_lstsq(x, factor):
+    """Every column's coefficients and residual variance in a fitted factor
+    against a per-column lstsq fit on its real predecessors; the padded
+    slots are exactly zero."""
     n, p = x.shape
-    keff = stats.ahat.shape[1]
+    keff = factor.a.shape[1]
     for j in range(p):
-        kj = stats.kj[j]
+        kj = min(j, keff)
         z = x[:, j - kj:j]
         coef = np.linalg.lstsq(z, x[:, j], rcond=None)[0]
         resid = x[:, j] - z @ coef
         # the kernel solves the normal equations, whose error grows with
         # the squared condition number of the design
         tol = 1e-14 * (np.linalg.cond(x[:, j - kj:j + 1]) ** 2 if kj else 1.0)
-        np.testing.assert_allclose(stats.ahat[j, keff - kj:], coef, rtol=0, atol=tol)
-        np.testing.assert_array_equal(stats.ahat[j, :keff - kj], 0.0)
-        assert abs(stats.dhat[j] - resid @ resid / n) <= tol * np.mean(x[:, j] ** 2)
+        np.testing.assert_allclose(factor.a[j, keff - kj:], coef, rtol=0, atol=tol)
+        np.testing.assert_array_equal(factor.a[j, :keff - kj], 0.0)
+        assert abs(factor.d[j] - resid @ resid / n) <= tol * np.mean(x[:, j] ** 2)
 
 
 @st.composite
@@ -302,15 +333,16 @@ def grid_oracle(x, k_values):
     totals = []
     for k in k_values:
         try:
-            fit = _regress(g, k)
+            _, dhat = _regress(g, k)
         except (SingularDesign, DegenerateResidual) as err:
             return type(err), err.column, k
-        shape = (n + prior.nu0 - fit.kj - 4) / 2.0
-        rate = n * fit.dhat / 2.0
+        kj = np.minimum(np.arange(p), k)
+        shape = (n + prior.nu0 - kj - 4) / 2.0
+        rate = n * dhat / 2.0
         logdet = np.array([
-            2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(dense[j - kj:j, j - kj:j]))))
-            for j, kj in enumerate(fit.kj)])
-        col_terms = (-0.5 * (fit.kj * np.log(n / (2.0 * np.pi)) + logdet)
+            2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(dense[j - kj[j]:j, j - kj[j]:j]))))
+            for j in range(p)])
+        col_terms = (-0.5 * (kj * np.log(n / (2.0 * np.pi)) + logdet)
                      + gammaln(shape) - shape * np.log(rate))
         mass = ig_cdf(prior.M, shape, rate)
         with np.errstate(divide="ignore"):
@@ -676,8 +708,9 @@ def test_fits_given_a_gram_band_are_bit_identical(case):
     of them. Given a narrower band, a fit raises the ValueError that names
     gram_band, unless the fit of the rows raises a ValueError, which on
     Gaussian data comes from the shape checks that precede the band, and
-    then it raises that one. select_k_resampling, which splits the rows,
-    raises ValueError on any GramBand."""
+    then it raises that one. banded_regression returns a CholeskyFactor
+    whose compose has the bytes of bl_banded_estimator. select_k_resampling,
+    which splits the rows, raises ValueError on any GramBand."""
     x, k, w = case
     stat = gram_band(x, w)
     got = band_fit_outcomes(stat, k)
@@ -695,6 +728,11 @@ def test_fits_given_a_gram_band_are_bit_identical(case):
                 got_field, want = np.asarray(a[field]), np.asarray(b[field])
                 assert (got_field.dtype, got_field.shape) == (want.dtype, want.shape), name
                 assert got_field.tobytes() == want.tobytes(), (name, field)
+    # the fit is the sample factor, which bl_banded_estimator composes
+    factor = outcome(banded_regression, x, k)
+    if factor is not None:
+        assert isinstance(factor, CholeskyFactor)
+        assert compose(factor).tobytes() == bl_banded_estimator(x, k).tobytes()
     with pytest.raises(ValueError, match="GramBand"):
         select_k_resampling(stat, max(k, 1), splits=1)
 
@@ -1123,7 +1161,7 @@ def test_sampler_matches_dense_replay(case):
         xj = x[:, j - kj:j]
         s_j = xj.T @ xj / n
         w = np.linalg.solve(np.linalg.cholesky(s_j).T, z.T).T
-        a_j = model.stats.ahat[j, keff - kj:] + np.sqrt(d_j / n)[:, None] * w
+        a_j = model.ahat[j, keff - kj:] + np.sqrt(d_j / n)[:, None] * w
         kappa = np.linalg.cond(s_j)
         tol = (np.sqrt(d_j / n) * (1e-11 * kappa ** 2 + 4 * eps)
                * np.linalg.norm(w, axis=1))[:, None]

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from bandchol import stats
 from bandchol.errors import DegenerateResidual, SingularDesign
-from bandchol.mcd import CholeskyFactor, compose
+from bandchol.mcd import compose
 from bandchol.stats import (
     as_data_matrix,
     banded_regression,
@@ -84,10 +84,10 @@ def test_banded_regression_symbolic():
     x = np.array([[1.0, 2.0], [-1.0, 0.0]])
     stats = banded_regression(x, 1)
     # regression of column 2 on column 1 under raw moments: slope 1, d = 1
-    np.testing.assert_allclose(stats.ahat, [[0.0], [1.0]])
-    np.testing.assert_allclose(stats.dhat, [1.0, 1.0])
-    np.testing.assert_array_equal(stats.kj, [0, 1])
-    np.testing.assert_allclose(lower(stats.ahat), [[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_allclose(stats.a, [[0.0], [1.0]])
+    np.testing.assert_allclose(stats.d, [1.0, 1.0])
+    assert stats.a.shape == (2, 1)
+    np.testing.assert_allclose(lower(stats.a), [[0.0, 0.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize("n, p, k", [
@@ -100,15 +100,15 @@ def test_banded_regression_head_tail_consistency(n, p, k):
     x = np.random.default_rng(1).standard_normal((n, p))
     stats = banded_regression(x, k)
     keff = min(k, p - 1)
-    assert stats.ahat.shape == (p, keff)
+    assert stats.a.shape == (p, keff)
     for j in range(p):
-        lo, pad = max(0, j - k), keff - stats.kj[j]
+        lo, pad = max(0, j - k), keff - min(j, keff)
         z = x[:, lo:j]
         coef = np.linalg.lstsq(z, x[:, j], rcond=None)[0]
         resid = x[:, j] - z @ coef
-        np.testing.assert_allclose(stats.ahat[j, pad:], coef, atol=1e-10)
-        np.testing.assert_array_equal(stats.ahat[j, :pad], 0.0)
-        assert stats.dhat[j] == pytest.approx(resid @ resid / n, abs=1e-12)
+        np.testing.assert_allclose(stats.a[j, pad:], coef, atol=1e-10)
+        np.testing.assert_array_equal(stats.a[j, :pad], 0.0)
+        assert stats.d[j] == pytest.approx(resid @ resid / n, abs=1e-12)
 
 
 def test_gram_left_unchanged_and_outputs_own_their_data():
@@ -119,8 +119,8 @@ def test_gram_left_unchanged_and_outputs_own_their_data():
     before = g.band.copy()
     stats = banded_regression(g, 3)
     np.testing.assert_array_equal(g.band, before)
-    assert stats.ahat.flags.writeable and stats.ahat.flags.owndata
-    stats.ahat[:] = 0.0
+    assert stats.a.flags.writeable and stats.a.flags.owndata
+    stats.a[:] = 0.0
     np.testing.assert_array_equal(g.band, before)
 
 
@@ -128,7 +128,7 @@ def test_full_band_recovers_gram_inverse():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((60, 8))
     stats = banded_regression(x, 7)
-    omega = compose(CholeskyFactor(a=stats.ahat, d=stats.dhat))
+    omega = compose(stats)
     np.testing.assert_allclose(omega, np.linalg.inv(gram_matrix(x)), atol=1e-8)
 
 
@@ -138,7 +138,7 @@ def test_dhat_monotone_in_bandwidth():
     g = gram_band(x, 7)
     prev = None
     for k in range(1, 8):
-        dhat = banded_regression(g, k).dhat
+        dhat = banded_regression(g, k).d
         assert np.all(dhat > 0.0)
         if prev is not None:
             assert np.all(dhat <= prev + 1e-12)
@@ -199,7 +199,7 @@ def test_recheck_of_nearly_collinear_huge_columns_fits():
     resid = x[:, 2] - x[:, :2] @ coef
     # the normal equations' error bound of test_banded_regression_matches_lstsq
     tol = 1e-14 * np.linalg.cond(x) ** 2 * np.mean(x[:, 2] ** 2)
-    assert abs(stats.dhat[2] - resid @ resid / 3) <= tol
+    assert abs(stats.d[2] - resid @ resid / 3) <= tol
 
 
 def test_residual_floor_is_relative_to_scale():
@@ -207,8 +207,8 @@ def test_residual_floor_is_relative_to_scale():
     base = banded_regression(x, 2)
     for s in (1e-8, 1e8):
         st = banded_regression(s * x, 2)
-        np.testing.assert_allclose(st.dhat, s**2 * base.dhat, rtol=1e-12)
-        np.testing.assert_allclose(st.ahat, base.ahat, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(st.d, s**2 * base.d, rtol=1e-12)
+        np.testing.assert_allclose(st.a, base.a, rtol=1e-12, atol=1e-14)
         # a duplicated column is still an exact fit at every scale
         dup = s * x
         dup[:, 3] = dup[:, 2]
@@ -221,8 +221,8 @@ def test_bandwidth_zero_gives_diagonal_moments():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((20, 5))
     stats = banded_regression(x, 0)
-    np.testing.assert_allclose(stats.dhat, np.mean(x * x, axis=0))
-    assert stats.ahat.shape == (5, 0)
+    np.testing.assert_allclose(stats.d, np.mean(x * x, axis=0))
+    assert stats.a.shape == (5, 0)
 
 
 @pytest.mark.parametrize("name", sorted(BAND_FITS))
@@ -246,8 +246,8 @@ def test_each_fit_factors_once(monkeypatch):
     # blocks; the SPD check of a covariance matrix is not batched
     from bandchol.bayes import PriorConfig, fit_posterior, sample_posterior
     from bandchol.competitors import bl_banded_estimator
-    from bandchol.mcd import population_coefficients
     from bandchol.simulate import make_ar1_cov, sample_gaussian
+    from bandchol.stats import population_coefficients
 
     x = sample_gaussian(make_ar1_cov(0.3, 30), 150, 42)
     sigma = gram_matrix(x)
