@@ -201,31 +201,32 @@ def _selection_grid(args, n, p, resampling):
 # ---------------------------------------------------------------------------
 
 def _prepare(args, resampling):
-    """(sidecar, data, kmax, ref) of estimate or bandwidth. Every output path,
-    and the --cap and --nu0 that every sidecar echoes, as PriorConfig checks
-    them and finite, as strict JSON holds them, are checked before the data
-    is read."""
+    """(sidecar, prior, data, kmax, ref) of estimate or bandwidth. Every
+    output path, and the --cap and --nu0 that every sidecar echoes, as
+    PriorConfig checks them and finite, as strict JSON holds them, are
+    checked before the data is read, and prior is their PriorConfig."""
     _real("--cap", args.cap, lambda v: 0 < v < math.inf, "a finite positive number")
     _real("--nu0", args.nu0, math.isfinite, "a finite number")
     sidecar = args.sidecar or default_sidecar(args.output)
     _check_writable(args.output, sidecar)
     x = read_data_csv(args.data, header=args.header, center=args.center)
-    return (sidecar, x, *_selection_grid(args, *x.shape, resampling))
+    return (sidecar, PriorConfig(0, M=args.cap, nu0=args.nu0), x,
+            *_selection_grid(args, *x.shape, resampling))
 
 
-def _select(scheme, args, data, kmax, ref):
+def _select(scheme, args, prior, data, kmax, ref):
     """(k, diagnostics, profile) of scheme on 1..kmax: the chosen bandwidth,
     how clearly it won (the mode's normalized probability and log-gap to the
     runner-up, or the runner-up's average risk minus its own; each null on a
-    one-point grid) and the log posterior or risk at each k. data is the
-    rows, or for the mode a GramBand of them at least min(kmax, p-1) wide.
+    one-point grid) and the log posterior under prior or risk at each k. data
+    is the rows, or for the mode a GramBand of them at least min(kmax, p-1) wide.
     A default kmax below 1 raises EmptyGrid naming the sizes behind it."""
     if kmax < 1 and args.kmax is None:
         n, p = np.shape(data)
         raise EmptyGrid(f"no bandwidth to select: n={n}, p={p} and nu0={args.nu0} admit no "
                         "k >= 1 (k <= p - 1, n + nu0 - k - 4 > 0); estimate --k 0 fits without one")
     if scheme == "mode":
-        post = select_k_posterior_mode(data, kmax, prior=PriorConfig(0, M=args.cap, nu0=args.nu0))
+        post = select_k_posterior_mode(data, kmax, prior=prior)
         return (post.mode, {"mode_probability": post.mode_probability,
                             "mode_log_gap": post.log_gap}, post.log_posterior)
     sel = select_k_resampling(data, kmax, splits=args.splits, ref_bandwidth=ref,
@@ -250,16 +251,17 @@ def _write_sidecar(path, args, x, parameters, result):
 
 def cmd_estimate(args):
     resampling = args.k is None and args.select_k == "resampling"
-    sidecar, x, kmax, ref = _prepare(args, resampling)
+    sidecar, prior, x, kmax, ref = _prepare(args, resampling)
     # one GramBand of the rows, which read_data_csv checked, serves the
     # posterior-mode grid and the fit at any bandwidth up to its width
     stat = _band_at(x, max(0, args.k if args.k is not None else kmax))
     if args.k is not None:
         k, source, diagnostics = args.k, "explicit", {}
     else:
-        k, diagnostics, _ = _select(args.select_k, args, x if resampling else stat, kmax, ref)
+        k, diagnostics, _ = _select(args.select_k, args, prior, x if resampling else stat,
+                                    kmax, ref)
         source = args.select_k
-    omega = FITS[args.estimator.upper()](stat, k, {"M": args.cap, "nu0": args.nu0})
+    omega = FITS[args.estimator.upper()](stat, k, prior)
     # the sidecar first: its strict JSON is the one write that can still fail
     _write_sidecar(sidecar, args, x, {
         "estimator": args.estimator, "k": args.k, "select_k": args.select_k,
@@ -271,12 +273,12 @@ def cmd_estimate(args):
 
 def cmd_bandwidth(args):
     schemes = ("mode", "resampling") if args.scheme == "both" else (args.scheme,)
-    sidecar, x, kmax, ref = _prepare(args, "resampling" in schemes)
+    sidecar, prior, x, kmax, ref = _prepare(args, "resampling" in schemes)
     lines = ["scheme,k,value"]
     selected = {}
     result = {"selected": selected}
     for scheme in schemes:
-        selected[scheme], diagnostics, profile = _select(scheme, args, x, kmax, ref)
+        selected[scheme], diagnostics, profile = _select(scheme, args, prior, x, kmax, ref)
         result.update(diagnostics)
         lines += [f"{scheme},{k},{format(value, '.17g')}"
                   for k, value in enumerate(profile, start=1)]

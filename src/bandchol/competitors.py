@@ -1,14 +1,12 @@
 """Frequentist banded precision estimators used as baselines.
 
 Both estimators share the raw divisor-n moments of the posterior model but
-use plain least-squares plug-ins instead of posterior means. The regression
-form and the graphical maximum likelihood form coincide: a banded Gaussian
-autoregression and the decomposable graphical model on the banded adjacency
-describe the same family, so their likelihoods peak at the same matrix
-(Lauritzen 1996). The MLE is therefore computed by the regression: it is
-bl_banded_estimator's band path under the MLE's own sample-size rule, and
-its band comes from mcd._compose_bands alone. Both fit through stats,
-whose _regress alone decides how a shared NestedFactor is read.
+use plain least-squares plug-ins instead of posterior means. A banded
+Gaussian autoregression and the decomposable graphical model on the banded
+adjacency describe the same family, so their likelihoods peak at the same
+matrix (Lauritzen 1996): graphical_mle_banded is bl_banded_estimator's band
+path under the MLE's own sample-size rule, and a simulation's MLE is its
+BL2 fit. Both fit through stats, whose _regress reads a shared NestedFactor.
 """
 
 import numpy as np

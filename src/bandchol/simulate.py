@@ -4,18 +4,20 @@ An experiment draws Gaussian data from a chosen truth, selects a
 bandwidth, forms the requested estimators, and records losses against the
 true precision matrix over many replications. FITS and ESTIMATORS are the
 one list of estimators, which bandchol estimate shares: each simulation
-name is a fit at the bandwidth of one selector, and a replication runs
-only the selectors its estimators read. Replication r derives its
-RNG streams from (seed, r) by counter-based mixing, so results do not
-depend on worker count or scheduling, and a rerun with the same config is
-byte-identical. Each process builds a truth once and keeps the Cholesky
-factor of its covariance, which draws every replication's data.
+name is a fit at the bandwidth of one selector. A replication runs only
+the selectors its estimators read, and fits and scores each distinct
+(bandwidth, fit) pair once: MLE and BL2 share the BL fit at k_mode, which
+BL1 joins when k_bl = k_mode. Replication r derives its RNG streams from
+(seed, r) by counter-based mixing, so results do not depend on worker
+count or scheduling, and a rerun with the same config is byte-identical.
+Each process builds a truth once and keeps the Cholesky factor of its
+covariance, which draws every replication's data.
 """
 
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from multiprocessing import get_context
 
@@ -231,20 +233,19 @@ def evaluate_losses(estimate, truth, losses=LOSSES):
 # estimators
 # ---------------------------------------------------------------------------
 
-# fit name -> the dense estimate at bandwidth k from stat, the data's GramBand
-# at least min(k, p-1) wide (or the data itself), and prior, the variance
-# prior's M and nu0 as PriorConfig keywords: the posterior plug-in, the
-# banded regression estimator and the banded graphical MLE
+# fit name -> the dense estimate at bandwidth k from stat, the data's GramBand at
+# least min(k, p-1) wide (or the rows), and a PriorConfig whose M and nu0 the LL
+# fit reads: the posterior plug-in, the banded regression estimator, the banded MLE
 FITS = {
-    "LL": lambda stat, k, prior: plug_in_estimator(fit_posterior(stat, PriorConfig(k, **prior))),
+    "LL": lambda stat, k, prior: plug_in_estimator(fit_posterior(stat, replace(prior, k=k))),
     "BL": lambda stat, k, prior: bl_banded_estimator(stat, k),
     "MLE": lambda stat, k, prior: graphical_mle_banded(stat, k),
 }
 
 # simulation estimator -> (the RepRecord field holding its bandwidth, its fit):
-# k_mode from the posterior-mode grid, k_bl from the resampling selector
+# k_mode from the posterior-mode grid, k_bl from the resampler; the MLE is the BL fit
 ESTIMATORS = {"LL": ("k_mode", "LL"), "BL1": ("k_bl", "BL"),
-              "BL2": ("k_mode", "BL"), "MLE": ("k_mode", "MLE")}
+              "BL2": ("k_mode", "BL"), "MLE": ("k_mode", "BL")}
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +293,12 @@ class ExperimentConfig:
         _integer("selection.kmax", self.kmax)
         if self.kmax < 1:
             raise EmptyGrid(f"selection.kmax: bandwidth grid 1..{self.kmax} is empty")
-        widest = max_bandwidth(self.n, self.p, self.nu0)
+        widest, why = max_bandwidth(self.n, self.p, self.nu0), ""
+        if "MLE" in self.estimators and self.n - 2 < widest:
+            widest, why = self.n - 2, " (the MLE needs n > kmax + 1)"
         if self.kmax > widest:
             raise ValueError(f"selection.kmax={self.kmax} exceeds the largest "
-                             f"admissible bandwidth {widest}")
+                             f"admissible bandwidth {widest}{why}")
         if any(ESTIMATORS[est][0] == "k_bl" for est in self.estimators):
             _check_resampling(self.n, self.p, self.kmax, self.ref_bandwidth,
                               names=("selection.kmax", "selection.reference_bandwidth"))
@@ -376,23 +379,22 @@ def _run_rep(config, rep):
         # every bandwidth below is at most kmax, so one band serves the
         # grid and every estimator
         stat = gram_band(data, config.kmax)
-        prior = {"M": config.cap, "nu0": config.nu0}
+        prior = PriorConfig(0, M=config.cap, nu0=config.nu0)
         sources = {ESTIMATORS[est][0] for est in config.estimators}
         if "k_mode" in sources:
-            record.k_mode = select_k_posterior_mode(stat, config.kmax,
-                                                    prior=PriorConfig(0, **prior)).mode
+            record.k_mode = select_k_posterior_mode(stat, config.kmax, prior=prior).mode
         if "k_bl" in sources:
             record.k_bl = select_k_resampling(
                 data, config.kmax, splits=config.splits,
                 ref_bandwidth=config.ref_bandwidth, rng=split_rng,
             ).mode
-        # every fit runs before any loss, so a failed fit leaves no losses
-        estimates = {}
-        for est in config.estimators:
-            source, fit = ESTIMATORS[est]
-            estimates[est] = FITS[fit](stat, getattr(record, source), prior)
-        for est in config.estimators:
-            record.losses[est] = evaluate_losses(estimates[est], omega0, config.losses)
+        # one fit, then one score, per distinct (bandwidth, fit) pair: every
+        # fit runs before any loss, so a failed fit leaves no losses
+        pairs = {est: (getattr(record, ESTIMATORS[est][0]), ESTIMATORS[est][1])
+                 for est in config.estimators}
+        fits = {(k, fit): FITS[fit](stat, k, prior) for k, fit in dict.fromkeys(pairs.values())}
+        losses = {pair: evaluate_losses(fits[pair], omega0, config.losses) for pair in fits}
+        record.losses = {est: losses[pair] for est, pair in pairs.items()}
     except BandcholError as err:
         record.error = f"{type(err).__name__}: {err}"
     record.wall_time_s = time.perf_counter() - start

@@ -265,8 +265,8 @@ class NestedFactor:
     low holds L, (p, K+1, K+1); the rows of dhat and logdet, (K + 1, p), and
     of coef, (K, p, K), are k = 0, ..., K and k = 1, ..., K. logdet, which
     only the posterior-mode grid reads, and coef, which only _regress reads
-    of a shared factor, are computed on their first read. All are None where
-    the Cholesky factorization failed.
+    of a shared factor, are computed on their first read. low and dhat are
+    None where the Cholesky factorization failed.
 
     The factor is trusted when no block is wider than n and every squared
     pivot lies above PIVOT_RECHECK of its diagonal entry. The last pivot is
@@ -288,14 +288,12 @@ class NestedFactor:
 
     @cached_property
     def logdet(self):
-        if self.low is None:
-            return None
         diag = np.diagonal(self.low, axis1=1, axis2=2)[:, :self.width]
         return np.vstack([np.zeros(self.p), 2.0 * np.cumsum(np.log(diag), axis=1).T])
 
     @cached_property
     def coef(self):
-        return None if self.low is None else _nested_coefficients(self.low)
+        return _nested_coefficients(self.low)
 
 
 def _factor_nested(stat, kmax):

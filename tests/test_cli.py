@@ -288,8 +288,7 @@ def test_estimate_writes_the_library_selection_and_table_fit(tmp_path, estimator
         argv += ["--k", "3"]
         k = 3
     assert main(argv) == 0
-    cli.write_matrix_csv(tmp_path / "library.csv",
-                         FITS[estimator](x, k, {"M": PriorConfig.M, "nu0": PriorConfig.nu0}))
+    cli.write_matrix_csv(tmp_path / "library.csv", FITS[estimator](x, k, PriorConfig(0)))
     assert (tmp_path / "omega.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
     result = json.loads((tmp_path / "omega.json").read_text())["result"]
     assert result["bandwidth"] == k
@@ -460,6 +459,21 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--output-dir", str(out_dir)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    missing = tmp_path / "missing.json"
+    assert main(["simulate", "--config", str(missing), "--output-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"bandchol: cannot read {missing}: ")
+    assert not out_dir.exists()
+
+
+def test_simulate_unwritable_summary_is_bad_input(tmp_path, capsys):
+    # summary.json is opened after the replications ran; a directory in its
+    # place exits 2 with one line naming it
+    (tmp_path / "summary.json").mkdir()
+    assert main(["simulate", "--config", str(CONFIG_DIR / "smoke.json"),
+                 "--output-dir", str(tmp_path), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bandchol: cannot write {tmp_path / 'summary.json'}: ")
+    assert err.count("\n") == 1 and not (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.parametrize("field, edit", [
@@ -477,16 +491,20 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     ("losses", {"losses": ["fro", "fro"]}),
     ("selection.kmax", {"n": 50, "p": 30, "estimators": ["BL1"], "selection": {}}),
     ("model.coeffs", {"model": {"variant": "ar4", "coeffs": [0.9, 0.9, 0.9, 0.9]}}),
+    ("selection: expected a JSON object", {"selection": [2]}),
+    ("selection.kmax=7 exceeds the largest admissible bandwidth 6 (the MLE",
+     {"n": 8, "p": 10, "estimators": ["MLE"], "selection": {"kmax": 7}, "prior": {"nu0": 4}}),
 ], ids=["rho-string", "hurst-null", "coeffs-number", "rho-list-under-ar4", "rho-under-fgn",
         "estimators-number", "losses-null", "estimators-string", "coeffs-string-entry",
         "M-true", "estimators-repeated", "losses-repeated", "kmax-beyond-split",
-        "coeffs-not-positive-definite"])
+        "coeffs-not-positive-definite", "selection-not-object", "kmax-beyond-mle"])
 def test_simulate_names_malformed_field(tmp_path, capsys, field, edit):
     # a field of the wrong type is bad input that names the field, not a
     # TypeError, and "M": true is not read as 1.0; a repeated name, a
-    # default grid wider than a resampling split can fit, and ar4
-    # coefficients whose precision matrix is not positive definite at this
-    # p, name theirs too, and so does a parameter the model does not read
+    # default grid wider than a resampling split can fit, a grid wider than
+    # the MLE admits, and ar4 coefficients whose precision matrix is not
+    # positive definite at this p, name theirs too, and so does a parameter
+    # the model does not read
     config = {"model": {"variant": "ar1", "rho": 0.3}, "n": 30, "p": 8, "reps": 1,
               "estimators": ["LL"], "losses": ["fro"], "selection": {"kmax": 2}}
     cfg = tmp_path / "config.json"
@@ -545,13 +563,15 @@ def test_empty_default_grid_names_its_sizes(tmp_path, capsys, command, n, p):
     (["bandwidth", "{data}", "-o", "{tmp}/profile.csv", "--sidecar", "{missing}/s.json"],
      "{missing}/s.json"),
     (["simulate", "--config", "{config}", "--output-dir", "{data}"], "{data}"),
+    (["estimate", "{data}", "-o", "{tmp}"], "{tmp}"),
 ], ids=["estimate-output", "estimate-sidecar", "bandwidth-output", "bandwidth-sidecar",
-        "simulate-output-dir"])
+        "simulate-output-dir", "estimate-output-directory"])
 def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch, command, unwritable):
-    # an output path in a missing directory, or an output directory that is
-    # a file, exits 2 with one line naming it and no traceback, and leaves
-    # no file behind: every output path is checked before the fit, and
-    # simulate checks its directory before it runs a replication
+    # an output path in a missing directory or that is a directory, or an
+    # output directory that is a file, exits 2 with one line naming it and
+    # no traceback, and leaves no file behind: every output path is checked
+    # before the fit, and simulate checks its directory before it runs a
+    # replication
     paths = {"data": tmp_path / "data.csv", "missing": tmp_path / "missing",
              "tmp": tmp_path, "config": CONFIG_DIR / "smoke.json"}
     write_data(paths["data"])

@@ -28,6 +28,12 @@ def test_norm_spectral_nilpotent():
     assert linalg.norm_spectral(np.array([[0.0, 2.0], [0.0, 0.0]])) == 2.0
 
 
+def test_norm_spectral_of_vector_and_empty_input():
+    with pytest.raises(ValueError, match="norm_spectral expects a matrix"):
+        linalg.norm_spectral(np.ones(3))
+    assert linalg.norm_spectral(np.zeros((0, 0))) == 0.0
+
+
 def test_norm_spectral_general_matches_svd():
     # largest singular value of [[1,2],[3,4]], frozen from np.linalg.svd
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -223,3 +229,7 @@ def test_spd_factor_symmetrizes_and_validates():
         linalg._spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(SingularMatrix):
         linalg._spd_factor(np.diag([1.0, 0.0]))
+    # a non-square array is neither symmetric nor a factorable matrix
+    assert not linalg.is_symmetric(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+        linalg._spd_factor(np.ones((2, 3)))

@@ -45,6 +45,7 @@ def test_ar1_precision_inverts_cov():
     # tridiagonal by construction
     idx = np.arange(10)
     np.testing.assert_array_equal(omega[np.abs(idx[:, None] - idx) > 1], 0.0)
+    np.testing.assert_array_equal(ar1_precision(0.3, 1), [[1.0]])
 
 
 @pytest.mark.parametrize("rho, p", [(1.0, 5), (1.5, 4), (0.3, 0)])
@@ -64,6 +65,8 @@ def test_ar4_precision_values():
     np.testing.assert_array_equal(omega, omega.T)
     for p in (10, 100, 500):
         assert np.linalg.eigvalsh(make_ar4_precision(p))[0] > 0.0
+    with pytest.raises(ValueError, match="coeffs must supply lags 1..4"):
+        make_ar4_precision(8, (0.4, 0.2, 0.2))
 
 
 def test_fgn_cov_values():
@@ -226,6 +229,10 @@ def test_evaluate_losses_matches_norms():
     assert out["fro"] == pytest.approx(norm_fro(diff))
     only = evaluate_losses(est, truth, losses=("fro",))
     assert set(only) == {"fro"}
+    with pytest.raises(ValueError, match=r"shape mismatch: estimate \(6, 6\) vs truth \(5, 5\)"):
+        evaluate_losses(est, np.eye(5))
+    with pytest.raises(ValueError, match="unknown loss 'l1'"):
+        evaluate_losses(est, truth, losses=("fro", "l1"))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +269,10 @@ def test_config_validation():
                          kmax=15, ref_bandwidth=34)
     ExperimentConfig(model=TrueModelSpec("ar1", 30), n=50, estimators=("BL1",), kmax=15)
     ExperimentConfig(model=TrueModelSpec("ar1", 30), n=50, estimators=("LL",))
+    # the grid may not be wider than the prior admits
+    with pytest.raises(ValueError, match="selection.kmax=10 exceeds the largest admissible "
+                                         r"bandwidth 9$"):
+        small_config(kmax=10)
     with pytest.raises(ValueError):
         small_config(estimators=("LL", "XX"))
     with pytest.raises(ValueError):
@@ -322,13 +333,15 @@ def test_run_experiment_deterministic():
 
 def test_estimator_table_is_the_list_of_names():
     # a config accepts exactly the table's names, by default all of them, and
-    # each is a FITS entry at a RepRecord bandwidth; FITS has no unused fit
+    # each is a FITS entry at a RepRecord bandwidth; the MLE is the BL fit,
+    # so FITS["MLE"] serves bandchol estimate --estimator mle alone
     assert small_config(estimators=ExperimentConfig.estimators).estimators == \
         tuple(simulate.ESTIMATORS) == ("LL", "BL1", "BL2", "MLE")
     for name, (source, fit) in simulate.ESTIMATORS.items():
         assert small_config(estimators=(name,)).estimators == (name,)
         assert source in ("k_mode", "k_bl") and fit in simulate.FITS
-    assert {fit for _, fit in simulate.ESTIMATORS.values()} == set(simulate.FITS)
+    assert {fit for _, fit in simulate.ESTIMATORS.values()} == {"LL", "BL"}
+    assert tuple(simulate.FITS) == ("LL", "BL", "MLE")
     with pytest.raises(ValueError, match=r"\['LL', 'BL1', 'BL2', 'MLE'\], got \['BL'\]"):
         small_config(estimators=["BL"])
     with pytest.raises(ValueError, match="estimators"):
@@ -360,10 +373,47 @@ def test_failed_fit_leaves_no_losses(monkeypatch):
     def singular(stat, k, prior):
         raise SingularDesign(2)
 
-    monkeypatch.setitem(simulate.FITS, "MLE", singular)
+    monkeypatch.setitem(simulate.FITS, "BL", singular)
     rec = simulate._run_rep(small_config(estimators=("LL", "MLE")), 0)
     assert rec.error == f"SingularDesign: {SingularDesign(2)}"
     assert rec.losses == {} and rec.k_mode is not None
+
+
+def test_replication_fits_each_distinct_estimate_once(monkeypatch):
+    # MLE and BL2 are the BL fit at k_mode, and BL1 is that fit too when
+    # k_bl = k_mode: each distinct (bandwidth, fit) pair is fitted once, in
+    # the order of the estimators, and its estimators share its losses
+    calls = []
+    for name, fit in list(simulate.FITS.items()):
+        monkeypatch.setitem(simulate.FITS, name, lambda stat, k, prior, name=name, fit=fit:
+                            calls.append((name, k)) or fit(stat, k, prior))
+    # replication 0 selects k_bl = k_mode = 1, replication 1 k_bl = 3
+    config = small_config(model=TrueModelSpec("ar4", 10), n=60, kmax=5, reps=2)
+    seen = set()
+    for rep in range(config.reps):
+        calls.clear()
+        rec = simulate._run_rep(config, rep)
+        same = rec.k_bl == rec.k_mode
+        seen.add(same)
+        assert calls == [("LL", rec.k_mode), ("BL", rec.k_bl)] + \
+            ([] if same else [("BL", rec.k_mode)])
+        assert rec.losses["MLE"] == rec.losses["BL2"]
+        assert (rec.losses["BL1"] == rec.losses["BL2"]) == same
+    assert seen == {True, False}
+
+
+def test_mle_bounds_the_grid_at_construction():
+    # the MLE needs n > min(k, p-1) + 1, so a config requesting it admits
+    # kmax <= n - 2, which the prior alone (nu0 = 4 admits k <= n - 1)
+    # does not enforce; the message names the field and the MLE
+    model = TrueModelSpec("ar1", 10)
+    with pytest.raises(ValueError, match=r"^selection\.kmax=7 exceeds the largest admissible "
+                                         r"bandwidth 6 \(the MLE needs n > kmax \+ 1\)$"):
+        ExperimentConfig(model, n=8, nu0=4.0, kmax=7, estimators=("LL", "BL2", "MLE"))
+    ExperimentConfig(model, n=8, nu0=4.0, kmax=7, estimators=("LL", "BL2"))
+    config = ExperimentConfig(model, n=8, nu0=4.0, kmax=6, estimators=("LL", "BL2", "MLE"),
+                              reps=2)
+    assert all(rec.error is None for rec in run_experiment(config).records)
 
 
 def test_run_experiment_worker_count_invariant():
@@ -440,6 +490,21 @@ def test_records_csv_shape():
     assert len(lines) == 3 and text.endswith("\n")
     for line in lines[1:]:
         assert line.endswith(",")  # empty error field
+
+
+def test_records_csv_failed_row():
+    # a failed replication keeps its bandwidths, leaves every loss cell
+    # empty and writes its error with ';' for each ','
+    config = small_config(reps=2, estimators=("LL", "BL1"), losses=("fro", "linf"))
+    records = [simulate.RepRecord(rep=0, k_mode=2, k_bl=1,
+                                  losses={"LL": {"fro": 0.5, "linf": 1.25},
+                                         "BL1": {"fro": 0.75, "linf": 2.0}}),
+               simulate.RepRecord(rep=1, k_mode=3, error="SingularDesign: column 2, rank 1")]
+    result = simulate.ExperimentResult(config=config, records=records, summary={}, n_failed=1)
+    assert records_csv_text(result) == (
+        "rep,k_mode,k_bl,LL_fro,LL_linf,BL1_fro,BL1_linf,error\n"
+        "0,2,1,0.5,1.25,0.75,2,\n"
+        "1,3,,,,,,SingularDesign: column 2; rank 1\n")
 
 
 def test_summary_payload_shape():
