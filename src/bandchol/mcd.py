@@ -71,25 +71,28 @@ def compose(factor):
 
 def _compose_bands(factor):
     """The (k+1, p) lower bands of compose(factor), k the factor's band width.
-    The einsum overflows silently, and _dense_symmetric rejects the result;
+    The entries of B = D^{-1/2} (I - A) are stored one slot per row, so the
+    einsum multiplies and sums whole contiguous rows, term by term in the
+    order of a scratch band with one row per coordinate, and so to the same
+    bits. It overflows silently, and _dense_symmetric rejects the result;
     the divide could warn only where some a / sqrt(d) exceeds the largest
     float, which no fit's coefficients and residual variances reach."""
     p, k = factor.a.shape
-    # b[m, t] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
-    # past slot k and past the last row
-    b = np.zeros((p + 2 * k, 2 * k + 1))
+    # bt[t, m] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
+    # past slot k and past the last row; each slot t is one contiguous row
+    bt = np.zeros((2 * k + 1, p + 2 * k))
     root = np.sqrt(factor.d)
-    b[:p, 0] = 1.0 / root
+    bt[0, :p] = 1.0 / root
     # a / (-root) is -(a / root) exactly
-    np.divide(factor.a[:, ::-1], -root[:, None], out=b[:p, 1:k + 1])
+    np.divide(factor.a[:, ::-1].T, -root, out=bt[1:k + 1, :p])
     # omega[c+s, c] = sum_t B[c+s+t, c+s] * B[c+s+t, c]
-    #              = sum_t b[c+s+t, t] * b[c+s+t, t+s],
-    # for every offset s at once from two strided views of b; the terms that
-    # leave the band or the matrix read its zeros
-    s0, s1 = b.strides
-    left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
-    right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
-    return np.einsum("sct,sct->sc", left, right)
+    #              = sum_t bt[t, c+s+t] * bt[t+s, c+s+t],
+    # for every offset s at once from two strided views of bt, c along the
+    # contiguous axis; the terms that leave the band or the matrix read its zeros
+    s0, s1 = bt.strides
+    left = np.ndarray((k + 1, k + 1, p), buffer=bt, strides=(s1, s0 + s1, s1))
+    right = np.ndarray((k + 1, k + 1, p), buffer=bt, strides=(s0 + s1, s0 + s1, s1))
+    return np.einsum("stc,stc->sc", left, right)
 
 
 def _dense_symmetric(bands):

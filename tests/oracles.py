@@ -16,7 +16,9 @@ the back-substitution on a stack of factors, along the rows of its
 (p, ...) arrays, before it moved to blocks-last copies; the nested
 factor's residual variances and log determinants as the factorization
 computed both, before the log determinants waited for their first read;
-compose with its scratch band negated and then divided; and, from before
+compose with its scratch band negated and then divided; mcd._compose_bands
+on a (p + 2k, 2k + 1) scratch band, one row per coordinate, before its
+slots moved to contiguous rows; and, from before
 mcd._add_block_inverses summed every block inverse into bands, the exact
 posterior mean with its inverse predecessor blocks scattered into the
 dense compose by np.add.at; and, from before linalg._bands read a square
@@ -213,9 +215,10 @@ def nested_coefficients(factor):
     return coef
 
 
-def top_eigenvalue_bisection(minus_band, lo, hi, tol):
+def top_eigenvalue_bisection(minus_band, lo, hi, tol, start):
     """linalg._top_eigenvalue by plain bisection: each dpbtrf of
-    mid * I - A moves one end of the bracket to its midpoint."""
+    mid * I - A moves one end of the bracket to its midpoint; the start
+    vector and first trial point are not read."""
     work = np.empty_like(minus_band, order="F")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -263,6 +266,27 @@ def compose(factor):
     left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
     right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
     return _dense_symmetric(np.einsum("sct,sct->sc", left, right))
+
+
+def compose_bands(factor):
+    """mcd._compose_bands with b[m, t] = B[m, m-t], the slots t of a row m
+    next to each other, reduced over t along the last axis of its views."""
+    p, k = factor.a.shape
+    # b[m, t] = B[m, m-t] for B = D^{-1/2} (I - A), zero left of column 0,
+    # past slot k and past the last row
+    b = np.zeros((p + 2 * k, 2 * k + 1))
+    root = np.sqrt(factor.d)
+    b[:p, 0] = 1.0 / root
+    # a / (-root) is -(a / root) exactly
+    np.divide(factor.a[:, ::-1], -root[:, None], out=b[:p, 1:k + 1])
+    # omega[c+s, c] = sum_t B[c+s+t, c+s] * B[c+s+t, c]
+    #              = sum_t b[c+s+t, t] * b[c+s+t, t+s],
+    # for every offset s at once from two strided views of b; the terms that
+    # leave the band or the matrix read its zeros
+    s0, s1 = b.strides
+    left = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0, s0, s0 + s1))
+    right = np.ndarray((k + 1, p, k + 1), buffer=b, strides=(s0 + s1, s0, s0 + s1))
+    return np.einsum("sct,sct->sc", left, right)
 
 
 def posterior_mean_scatter(model):

@@ -73,26 +73,70 @@ def test_norm_spectral_uses_banded_solver_on_narrow_bands(monkeypatch):
 
 
 def test_band_norm_with_top_eigenvector_orthogonal_to_start():
-    """2 x 2 blocks [[0, -1], [-1, 0]]: the constant start vector is an
-    eigenvector of lambda_min = -1, so the guided trials get no hold on
-    lambda_max = 1 and the search falls back to plain bisection, within its
-    bound of 2 * 51 + 1 factorizations."""
+    """2 x 2 blocks [[0, -1], [-1, 0]], plus shift * I: the constant start
+    vector is an eigenvector of lambda_min = shift - 1, so the Lanczos run
+    stops after one step with both Ritz pairs on it. Unshifted, -M's pair
+    has the norm, 1, as its Rayleigh quotient, and one test shows that
+    lambda_max cannot exceed it. At shift 0.5 the norm is lambda_max = 1.5,
+    on which neither the Ritz pair nor the inverse iteration from it gets a
+    hold, and the search falls back to plain bisection; both stay within
+    the bound of 2 * 51 + 1 factorizations."""
     p = 100
-    m = np.zeros((p, p))
-    for i in range(0, p, 2):
-        m[i, i + 1] = m[i + 1, i] = -1.0
-    calls = []
+    for shift in (0.0, 0.5):
+        m = shift * np.eye(p)
+        for i in range(0, p, 2):
+            m[i, i + 1] = m[i + 1, i] = -1.0
+        calls = []
+        real = linalg.dpbtrf
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(linalg, "dpbtrf", counted):
+            got = linalg.norm_spectral(m)
+        assert calls and all(shape == (2, p) for shape in calls)
+        assert got == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(m))), rel=1e-12, abs=0.0)
+        assert len(calls) <= 2 * 51 + 1
+
+
+def test_p_loss_draw_differences_take_few_factorizations():
+    """The k = 4 posterior-draw differences from an ar4 truth at p = 200,
+    five seeds of ten draws, each take at most 20 dpbtrf calls.
+
+    Each end of the spectrum starts from a Lanczos Ritz pair whose Rayleigh
+    quotient is already the lower end of its bracket. A trial just above it
+    succeeds, and inverse iteration from the Ritz vector brings the quotient
+    within the stopping width in about two more. With one test between the
+    ends, and the second end searched only when that test fails, a norm
+    takes about 5. 20 leaves room for a dozen failed or unproductive
+    guesses, which the search makes only while its remaining factorizations
+    can still bisect the bracket. These draws took 5 at the median and at
+    most 13, where the search from the Gershgorin bracket alone took up to
+    61 when a failed early guess left it plain bisection.
+    """
+    from bandchol import bayes
+    from bandchol.mcd import CholeskyFactor, compose
+    from bandchol.simulate import TrueModelSpec, sample_gaussian
+
+    sigma, omega0 = TrueModelSpec("ar4", 200).build()
+    model = bayes.fit_posterior(sample_gaussian(sigma, 200, np.random.default_rng(0)),
+                                bayes.PriorConfig(4))
+    counts = []
     real = linalg.dpbtrf
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        counts[-1] += 1
         return real(*args, **kwargs)
 
     with mock.patch.object(linalg, "dpbtrf", counted):
-        got = linalg.norm_spectral(m)
-    assert calls and all(shape == (2, p) for shape in calls)
-    assert got == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(m))), rel=1e-12, abs=0.0)
-    assert len(calls) <= 2 * 51 + 1
+        for seed in range(5):
+            d, a = bayes._sample_columns(model, 10, np.random.default_rng(seed))
+            for s in range(10):
+                counts.append(0)
+                linalg.norm_spectral(compose(CholeskyFactor(a=a[s], d=d[s])) - omega0)
+    assert len(counts) == 50 and min(counts) > 0
+    assert max(counts) <= 20
 
 
 def test_norm_l1_linf_max():
@@ -172,6 +216,12 @@ def test_infinite_entries_are_not_symmetric():
         assert not linalg.is_symmetric(m)
 
 
+def test_empty_matrix_is_symmetric_with_no_bandwidth():
+    empty = np.zeros((0, 0))
+    assert linalg._bandwidths(empty) == (0, 0)
+    assert linalg.is_symmetric(empty)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues and factorizations
 # ---------------------------------------------------------------------------
@@ -233,3 +283,5 @@ def test_spd_factor_symmetrizes_and_validates():
     assert not linalg.is_symmetric(np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
         linalg._spd_factor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^covariance matrix is empty$"):
+        linalg._spd_factor(np.zeros((0, 0)), "covariance matrix")

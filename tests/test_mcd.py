@@ -138,6 +138,11 @@ def test_decompose_rejects_indefinite():
         decompose(np.diag([1.0, -2.0]))
 
 
+def test_decompose_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="^precision matrix is empty$"):
+        decompose(np.zeros((0, 0)))
+
+
 def test_decompose_of_banded_precision_vanishes_beyond_band():
     # an exactly k0-banded omega has a k0-banded factor, and decompose
     # returns exact zeros in every slot more than k0 places back
@@ -185,3 +190,8 @@ def test_population_coefficients_full_band_matches_decompose():
     factor = decompose(omega)
     np.testing.assert_allclose(full.a, factor.a, atol=1e-9)
     np.testing.assert_allclose(full.d, factor.d, atol=1e-9)
+
+
+def test_population_coefficients_rejects_empty_covariance():
+    with pytest.raises(ValueError, match="^covariance matrix is empty$"):
+        population_coefficients(np.zeros((0, 0)), 0)

@@ -23,7 +23,9 @@ fail with typed errors too, and on SPD matrices population_coefficients
 returns the bytes of a fit of the band gathered by index arrays.
 
 compose of a coefficient band matches the dense product built from
-lower(band), norm_spectral matches the dense symmetric eigensolver on
+lower(band), its bands are bit for bit those of the einsum over a row per
+coordinate at scales from 1e-150 to 1e150, sign bits included,
+norm_spectral matches the dense symmetric eigensolver on
 either side of its switch to the band bisection and on adversarial bands,
 within its bound on factorizations and close to plain bisection's value,
 the dense extreme eigenvalues match it
@@ -31,7 +33,8 @@ on adversarial dense matrices, the norm of a general matrix matches the
 SVD, and on symmetric and non-finite inputs on both sides of SYM_SCAN_RATIO
 and of BAND_BISECTION_LIMIT norm_spectral is bit for bit the oracle of its
 front end from before linalg._bands, errors included; is_symmetric matches
-the dense formula, NaN included; estimate_p_loss matches
+the dense formula, NaN included; the band subtraction that estimate_p_loss
+makes is bit for bit the dense one; estimate_p_loss matches
 eigvalsh and numpy's dense l-infinity and Frobenius norms over the same
 draws, the posterior sampler matches a dense replay of its random streams,
 tiny truncation masses included, CholeskyFactor rejects every malformed
@@ -84,7 +87,7 @@ from bandchol.errors import (
     SingularMatrix,
 )
 import oracles
-from bandchol import cli, linalg, stats
+from bandchol import cli, linalg, mcd, stats
 from bandchol.mcd import CholeskyFactor, compose, decompose
 from bandchol.simulate import ar1_precision, make_ar1_cov, sample_gaussian
 from bandchol.stats import _regress, as_data_matrix, banded_regression, gram_band
@@ -759,7 +762,37 @@ def test_compose_matches_dense_oracle(case):
     np.testing.assert_array_equal(omega, omega.T)
     assert np.max(np.abs(omega - oracle)) <= 1e-13 * np.max(np.abs(oracle))
     outside = np.abs(np.subtract.outer(np.arange(p), np.arange(p))) > k
-    assert np.all(omega[outside] == 0.0)
+    # +0, as linalg._minus_within takes it there
+    assert np.all(omega[outside] == 0.0) and not np.signbit(omega[outside]).any()
+
+
+@st.composite
+def extreme_band_factors(draw):
+    """A factor of any order p >= 1 and width 0 <= k < p, coefficients and
+    innovation variances at one of the scales 1e-150 to 1e150 each, and
+    some real slots +0 or -0 besides the zero padded ones."""
+    p = draw(st.integers(1, 40))
+    k = draw(st.integers(0, p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_band(rng, p, k, 10.0 ** draw(st.integers(-150, 150)))
+    zeros = (rng.random((p, k)) < draw(st.sampled_from([0.0, 0.3, 1.0]))) & (a != 0.0)
+    a[zeros] = draw(st.sampled_from([0.0, -0.0]))
+    d = 10.0 ** (draw(st.integers(-150, 150)) + rng.uniform(-2.0, 2.0, p))
+    return a, d
+
+
+@settings(max_examples=300)
+@given(extreme_band_factors())
+@example((np.zeros((1, 0)), np.ones(1)))
+def test_compose_bands_match_row_band_oracle(case):
+    """mcd._compose_bands, whose slots lie along contiguous rows, is bit for
+    bit the einsum over a row per coordinate (oracles.compose_bands), sign
+    bits and the overflows of extreme scales included."""
+    factor = CholeskyFactor(a=case[0], d=case[1])
+    got, want = mcd._compose_bands(factor), oracles.compose_bands(factor)
+    assert got.shape == want.shape == (factor.a.shape[1] + 1, factor.p)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @st.composite
@@ -1029,7 +1062,8 @@ def symmetric_or_non_finite(draw):
     entry past its lower bandwidth above the diagonal, 1e-14 of the largest
     one, which leaves it symmetric to SYM_TOL with a wider upper bandwidth,
     and NaN or an infinity in a symmetric pair. Orders 250 and 300 search
-    bands with b >= 8, whose Gershgorin row sums depend on the memory order."""
+    bands with b >= 8, whose Gershgorin row sums would round differently if
+    _band_norm summed them in the memory order of its input."""
     p = draw(st.integers(1, 150) | st.sampled_from([250, 300]))
     scan, switch = p // linalg.SYM_SCAN_RATIO, widest_bisected_band(p)
     b = min(p - 1, draw(st.sampled_from([0, scan, scan + 1, switch, switch + 1, p - 1])))
@@ -1061,6 +1095,46 @@ def test_norm_spectral_matches_front_end_oracle(m):
     want = value_or_error(oracles.norm_spectral_symmetric, m)
     assert want is not None
     assert value_or_error(linalg.norm_spectral, m) == want
+
+
+@st.composite
+def banded_pairs(draw):
+    """Square m and m0 of order p, zero more than w diagonals off the main
+    one, on either side of SYM_SCAN_RATIO's switch to the band: m +0 off the
+    band, as compose writes it, m0 +-0, both normal or +-0 on it; m0
+    C-ordered, Fortran-ordered or a strided view."""
+    p = draw(st.integers(1, 120))
+    scan = p // linalg.SYM_SCAN_RATIO
+    w = min(p - 1, draw(st.sampled_from([0, 1, scan, scan + 1]) | st.integers(0, p - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    pair = []
+    for off_band in (offsets <= w, offsets >= 0):
+        m = np.where(offsets <= w, rng.standard_normal((p, p)), 0.0)
+        m[rng.random((p, p)) < 0.2] = 0.0
+        m[(rng.random((p, p)) < 0.2) & (m == 0.0) & off_band] = -0.0
+        pair.append(m)
+    m, m0 = pair
+    layout = draw(st.sampled_from(["C", "F", "view"]))
+    if layout == "F":
+        m0 = np.asfortranarray(m0)
+    elif layout == "view":
+        m0 = np.repeat(m0, 2, axis=1)[:, ::2]
+    return m, m0, w
+
+
+@settings(max_examples=300)
+@given(banded_pairs())
+def test_minus_within_matches_dense_subtraction(case):
+    """linalg._minus_within, which touches a narrow band only, gives the
+    bytes of m - m0, sign bits of zero included, for one m after another."""
+    m, m0, w = case
+    minus_m0 = linalg._minus_within(m0, w)
+    for m in (m, m[::-1, ::-1].copy()):
+        want = m - m0
+        got = minus_m0(m)
+        assert got is m
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -171,6 +171,11 @@ def test_sample_gaussian_factors_sigma_once(monkeypatch):
         sample_gaussian(sigma, 0, 0)
 
 
+def test_sample_gaussian_rejects_empty_covariance():
+    with pytest.raises(ValueError, match="^covariance matrix is empty$"):
+        sample_gaussian(np.zeros((0, 0)), 3, 0)
+
+
 @pytest.mark.parametrize("model", [TrueModelSpec("ar1", 8, rho=0.4),
                                    TrueModelSpec("ar4", 9),
                                    TrueModelSpec("fgn", 10, hurst=0.8)])
