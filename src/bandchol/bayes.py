@@ -216,10 +216,8 @@ def estimate_p_loss(model, omega0, draws, norm="spectral", rng=0):
         raise ValueError("omega0 must match the model dimension")
     linalg._integer("draws", draws, 1)
     fn = linalg.NORMS_BY_NAME[norm]
-    # a draw is +0 past keff diagonals and omega0 zero past its bandwidths,
-    # so they differ only within the wider of the two
-    minus_omega0 = linalg._minus_within(omega0, max(*linalg._bandwidths(omega0),
-                                                    model.ahat.shape[1]))
+    # a draw is +0 past keff diagonals; _minus_within reads omega0's band
+    minus_omega0 = linalg._minus_within(omega0, model.ahat.shape[1])
     d, a = _sample_columns(model, draws, np.random.default_rng(rng))
     vals = np.empty(draws)
     for s in range(draws):

@@ -39,7 +39,7 @@ from .bandwidth import (
 )
 from .bayes import PriorConfig, max_bandwidth
 from .errors import BandcholError, EmptyGrid
-from .linalg import _real, _row_spans
+from .linalg import _real
 from .simulate import FITS, ExperimentConfig, records_csv_text, run_experiment, summary_payload
 from .stats import _band_at, as_data_matrix
 
@@ -128,6 +128,14 @@ def _check_writable(*paths):
         if os.path.isdir(path) or not os.access(
                 path if os.path.exists(path) else directory, os.W_OK):
             raise ValueError(f"cannot write {path}: not a writable file")
+
+
+def _row_spans(mask):
+    """First and last True column of each row of a boolean matrix, and
+    whether the row has one at all (both spans read 0 and p-1 if not)."""
+    first = np.argmax(mask, axis=1)
+    last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+    return first, last, mask[np.arange(len(mask)), first]
 
 
 def write_matrix_csv(path, m):

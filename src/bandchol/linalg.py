@@ -2,18 +2,20 @@
 
 All functions accept anything convertible to a float ndarray and reject
 non-finite entries in one pass: one reduction in check_finite, and none in
-norm_l1, norm_linf and norm_fro unless the norm is not finite. Symmetry is
-always checked in relative terms against the largest entry magnitude, after
-a forward scan for each row's first nonzero finds the lower bandwidth and a
-count of the nonzeros inside that band the upper one (_bandwidths); a
-matrix whose largest magnitude is infinite or NaN is not symmetric, and no
-entries are subtracted to say so. _bands is the one reader of a square
-matrix's band: is_symmetric and norm_spectral read a narrow one once, for
-the symmetry test and, in norm_spectral, the check for non-finite entries
-and the band it searches, and stats.population_coefficients reads a
-covariance matrix's band through it. _minus_within subtracts a matrix
-that vanishes off a narrow band from others that do, on that band alone,
-as bayes.estimate_p_loss does for each draw. Inputs are dense matrices.
+norm_l1, norm_linf and norm_fro unless the norm is not finite. _band_read
+is the one reader of a square matrix's band: a forward scan for each row's
+first nonzero finds the lower bandwidth, and the band is read once
+(_bands) when it is narrow and holds every nonzero entry. is_symmetric and
+norm_spectral share that read (_symmetric), which checks symmetry in
+relative terms against the largest entry magnitude on the band's diagonals,
+or by the dense formula for any other matrix; a matrix whose largest
+magnitude is infinite or NaN is not symmetric, and no entries are
+subtracted to say so. In norm_spectral the same read gives the check for
+non-finite entries and the band it searches. _minus_within reads a
+truth's band the same way and subtracts it, on that band alone, from
+matrices that vanish off it, as bayes.estimate_p_loss does for each draw.
+stats.population_coefficients reads a covariance matrix's band through
+_bands. Inputs are dense matrices.
 norm_spectral brackets the extreme eigenvalues of a narrow symmetric band by
 Cholesky factorizations of its shifts, O(p b^2) each, starting from the
 Ritz pairs of a few Lanczos steps, O(p b) each, at trial points that the
@@ -36,7 +38,6 @@ matmul, whose summation order the nested coefficients' exact tests pin.
 
 import math
 import numbers
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
@@ -70,9 +71,9 @@ BISECTION_STEPS = 51
 # LANCZOS_STEPS + b // 2 Lanczos steps, O(p b) each, a few trials' worth of
 # factorizations, O(p b^2) each
 LANCZOS_STEPS = 6
-# the symmetry test reads only the 2w + 1 in-band diagonals (_bands) of a
-# matrix whose wider bandwidth w has SYM_SCAN_RATIO * w <= p, and takes the
-# dense formula over all p^2 entries otherwise
+# the symmetry test reads only the 2b + 1 in-band diagonals (_bands) of a
+# matrix whose lower bandwidth b has SYM_SCAN_RATIO * b <= p and no nonzero
+# above its band, and takes the dense formula over all p^2 entries otherwise
 SYM_SCAN_RATIO = 25
 
 
@@ -107,51 +108,35 @@ def is_symmetric(m):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return _symmetric_within(m, max(_bandwidths(m)))[0]
+    return _symmetric(m, _band_read(m)[1])
 
 
-def _row_spans(mask):
-    """First and last True column of each row of a boolean matrix, and
-    whether the row has one at all (both spans read 0 and p-1 if not)."""
-    first = np.argmax(mask, axis=1)
-    last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
-    return first, last, mask[np.arange(len(mask)), first]
+def _band_read(m):
+    """The lower bandwidth b of a square m, the largest i - j over its
+    nonzero entries m[i, j] and 0 when there are none, and _bands(m, b) when
+    that band is narrow, SYM_SCAN_RATIO * b <= p, and holds every nonzero
+    entry of m, else None. NaN and infinities count as nonzero.
 
-
-def _bandwidths(m):
-    """Lower and upper bandwidth of a square matrix: the largest i - j and
-    j - i over its nonzero entries m[i, j], and 0 when there are none. NaN
-    and infinities count as nonzero.
-
-    The lower bandwidth comes from each row's first nonzero, a forward scan
-    that stops there. The upper one is found inside that band when no
-    nonzero lies outside it (_upper_within), and otherwise from each row's
-    last nonzero, a scan of the reversed rows."""
+    b comes from each row's first nonzero, a forward scan that stops there,
+    and is p - 1, with no scan, when the bottom-left entry is nonzero. The band
+    holds every nonzero entry when its diagonals hold as many as m does. A
+    matrix with a nonzero above its lower band is symmetric to tolerance at
+    best, so it takes the dense formula."""
     p = m.shape[0]
     if not p:
-        return 0, 0
-    if m[-1, 0] != 0 and m[0, -1] != 0:
-        return p - 1, p - 1
+        return 0, None
+    if p > 1 and m[-1, 0] != 0:
+        return p - 1, None
     mask = m != 0
     idx = np.arange(p)
     first = np.argmax(mask, axis=1)
-    has = mask[idx, first]
-    lower = int(np.max((idx - first)[has], initial=0))
-    upper = _upper_within(mask, lower)
-    if upper is None:
-        last = _row_spans(mask)[1]
-        upper = int(np.max((last - idx)[has], initial=0))
-    return lower, upper
-
-
-@lru_cache(maxsize=64)
-def _band_corners(w):
-    """Read-only (w, 2w) masks of the entries within w of the diagonal in the
-    first w rows' first 2w columns, and in the last w rows' last 2w columns."""
-    top = np.tri(w, 2 * w, w, dtype=bool)
-    bottom = ~np.tri(w, 2 * w, -1, dtype=bool)
-    top.flags.writeable = bottom.flags.writeable = False
-    return top, bottom
+    b = int(np.max((idx - first)[mask[idx, first]], initial=0))
+    if SYM_SCAN_RATIO * b > p:
+        return b, None
+    bands = _bands(m, b)
+    # the diagonal is in both halves
+    inside = np.count_nonzero(bands) - np.count_nonzero(bands[1, 0])
+    return b, bands if inside == np.count_nonzero(mask) else None
 
 
 def _skewed(m, w):
@@ -163,39 +148,19 @@ def _skewed(m, w):
     return np.lib.stride_tricks.as_strided(m[w:], (p - 2 * w, 2 * w + 1), (row + col, col))
 
 
-def _upper_within(mask, w):
-    """The upper bandwidth of a square boolean mask when its every True
-    entry lies within w diagonals of the main one, else None; None also when
-    2w >= p, where the band is most of the matrix. The count of True entries
-    inside the band, its uncut rows read through _skewed and its corners
-    through _band_corners, is compared with the count over the whole mask;
-    then the diagonals w, w - 1, ... above the main one are tested until one
-    holds a True entry."""
-    p = mask.shape[0]
-    if 2 * w >= p:
-        return None
-    inside = np.count_nonzero(_skewed(mask, w))
-    if w:
-        top, bottom = _band_corners(w)
-        inside += (np.count_nonzero(mask[:w, :2 * w] & top)
-                   + np.count_nonzero(mask[p - w:, p - 2 * w:] & bottom))
-    if inside != np.count_nonzero(mask):
-        return None
-    for d in range(w, 0, -1):
-        if np.diagonal(mask, d).any():
-            return d
-    return 0
-
-
 def _minus_within(m0, w):
-    """The function m -> (m -= m0), in place, for square m that are +0 more
-    than w diagonals off the main one, where m0 is +-0. A narrow band,
-    SYM_SCAN_RATIO * w <= p, is copied out of m0 once, its uncut rows through
-    _skewed and its w x 2w corners whole, and subtracted from each m in
-    O(p w); every entry left out is +0 - (+-0) = +0, which m already holds.
-    A wide one is subtracted whole."""
+    """The function m -> (m -= m0), in place, for square m of m0's order that
+    are +0 more than w diagonals off the main one. When m0's band holds its
+    every nonzero entry (_band_read), m0 is +-0 more than v = max(w, b0)
+    diagonals off, b0 its lower bandwidth, and a narrow band,
+    SYM_SCAN_RATIO * v <= p, is copied out of m0 once, its uncut rows
+    through _skewed and its v x 2v corners whole, and subtracted from each m
+    in O(p v); every entry left out is +0 - (+-0) = +0, which m already
+    holds. Any other m0 is subtracted whole."""
     p = m0.shape[0]
-    if SYM_SCAN_RATIO * w > p:
+    b0, bands = _band_read(m0)
+    w = max(w, b0)
+    if bands is None or SYM_SCAN_RATIO * w > p:
         return lambda m: np.subtract(m, m0, out=m)
     rows = _skewed(m0, w).copy()
     top, bottom = m0[:w, :2 * w].copy(), m0[p - w:, p - 2 * w:].copy()
@@ -223,23 +188,19 @@ def _bands(m, w):
     return bands
 
 
-def _symmetric_within(m, width, finite=False):
-    """is_symmetric for a square m with no nonzero entry more than width
-    diagonals off the main one, and the _bands(m, width) that a narrow band,
-    SYM_SCAN_RATIO * width <= p, is tested on in O(p * width), as m and m.T
-    are both exactly zero off it; None for a wide band, which takes the dense
-    formula, then the cheaper one. A non-finite entry fails both tests, or,
+def _symmetric(m, bands, finite=False):
+    """is_symmetric for a square m whose _band_read gave bands: tested on
+    them in O(p b), as m and m.T are both exactly zero off them, or, for
+    None, by the dense formula. A non-finite entry fails both tests, or,
     with finite, raises check_finite's ValueError before any arithmetic."""
-    bands = None if SYM_SCAN_RATIO * width > m.shape[0] else _bands(m, width)
     entries = m if bands is None else bands
     if finite:
         check_finite(entries)
     lower, upper = (m, m.T) if bands is None else bands
     scale = np.max(np.abs(entries), initial=0.0)
     # an infinite or NaN scale fails before inf - inf can warn
-    symmetric = np.isfinite(scale) and (
+    return np.isfinite(scale) and (
         scale == 0.0 or np.max(np.abs(lower - upper)) <= SYM_TOL * scale)
-    return symmetric, bands
 
 
 def _spd_factor(m, name="matrix"):
@@ -563,11 +524,10 @@ def norm_spectral(m):
     if p != m.shape[1]:
         check_finite(m)
     else:
-        lower, upper = _bandwidths(m)
-        symmetric, bands = _symmetric_within(m, max(lower, upper), finite=True)
-        if symmetric:
-            if BAND_BISECTION_LIMIT * lower * lower <= p ** 3:
-                return _band_norm((_bands(m, lower) if bands is None else bands)[0, :lower + 1])
+        b, bands = _band_read(m)
+        if _symmetric(m, bands, finite=True):
+            if BAND_BISECTION_LIMIT * b * b <= p ** 3:
+                return _band_norm((_bands(m, b) if bands is None else bands)[0])
             lo, hi = _dense_extremes(m)
             return max(-lo, hi)
     return float(np.linalg.svd(m, compute_uv=False)[0])

@@ -25,7 +25,8 @@ dense compose by np.add.at; and, from before linalg._bands read a square
 matrix's band once, the lower band copied diagonal by diagonal, the
 symmetry test's loop over the diagonals, and norm_spectral's front end on
 a symmetric input, with its finiteness check over the concatenated
-diagonals; and population_coefficients with a covariance matrix's band
+diagonals and its lower and upper bandwidths, here read off np.nonzero;
+and population_coefficients with a covariance matrix's band
 gathered through index arrays, before it was written through the Gram
 band's two strided views.
 """
@@ -42,7 +43,6 @@ from bandchol.linalg import (
     SYM_SCAN_RATIO,
     SYM_TOL,
     _band_norm,
-    _bandwidths,
     _dense_extremes,
 )
 from bandchol.mcd import CholeskyFactor, _dense_symmetric
@@ -315,6 +315,14 @@ def _lower_band(m, b):
     return band
 
 
+def bandwidths(m):
+    """The lower and upper bandwidth of a square m, the largest i - j and
+    j - i over its nonzero entries m[i, j], NaN and infinities included, and
+    0 when there are none."""
+    rows, cols = np.nonzero(m)
+    return int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+
+
 def _symmetric_within(m, width):
     """is_symmetric for a square m with no nonzero entry more than width
     diagonals off the main one.
@@ -348,7 +356,7 @@ def norm_spectral_symmetric(m):
     if p != m.shape[1]:
         check_finite(m)
     else:
-        lower, upper = _bandwidths(m)
+        lower, upper = bandwidths(m)
         width = max(lower, upper)
         # only zeros lie off the band: a narrow one is checked on its diagonals
         check_finite(m if SYM_SCAN_RATIO * width > p else

@@ -301,6 +301,25 @@ def test_loss_norms_disagree_in_general():
     assert vals["fro"] >= vals["spectral"] > 0.0
 
 
+def test_p_loss_of_a_non_symmetric_truth_matches_dense_draws():
+    """A truth with a nonzero above its narrow lower band (p = 30, b = 1) is
+    subtracted whole: the spectral P-loss is the mean of the dense 2-norms
+    of compose(draw) - omega0, the draws taken from _sample_columns with the
+    same rng, within the 1e-12 of the dense-oracle tests in
+    test_properties.py."""
+    p = 30
+    model = fitted(np.random.default_rng(15), n=60, p=p, k=1)
+    omega0 = np.eye(p) + 0.3 * (np.eye(p, k=-1) + np.eye(p, k=1))
+    omega0[0, 5] = 0.5
+    assert linalg._band_read(omega0) == (1, None)
+    d, a = _sample_columns(model, 5, np.random.default_rng(16))
+    values = [np.linalg.norm(compose(CholeskyFactor(a=a[s], d=d[s])) - omega0, 2)
+              for s in range(5)]
+    mean, err = estimate_p_loss(model, omega0, 5, rng=16)
+    assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0.0)
+    assert abs(err - np.std(values, ddof=1) / np.sqrt(5)) <= 2e-12 * max(values)
+
+
 def test_p_loss_spectral_norms_take_few_factorizations():
     """The ten k = 4 posterior-draw differences of an ar4 model at
     n = p = 500 (data seed 0, draws with rng = 1) take the band path, at most

@@ -263,9 +263,8 @@ def test_estimate_bl_and_mle_agree(tmp_path):
                  "--estimator", "bl", "--k", "2"]) == 0
     assert main(["estimate", str(data), "-o", str(mle_out),
                  "--estimator", "mle", "--k", "2"]) == 0
-    bl = np.loadtxt(bl_out, delimiter=",")
-    mle = np.loadtxt(mle_out, delimiter=",")
-    assert np.max(np.abs(bl - mle)) <= 1e-8
+    # graphical_mle_banded is the BL fit: the files match byte for byte
+    assert bl_out.read_bytes() == mle_out.read_bytes()
 
 
 @pytest.mark.parametrize("estimator", sorted(FITS))
@@ -798,9 +797,8 @@ def test_bundled_reference_config(tmp_path):
     assert set(summary) == {"LL", "BL1", "BL2", "MLE"}
     assert abs(summary["LL"]["spectral"]["mean"] - 0.720) <= 0.05
     for loss in ("spectral", "linf", "fro"):
-        # same selected bandwidth, provably identical estimates
-        assert summary["BL2"][loss]["mean"] == pytest.approx(
-            summary["MLE"][loss]["mean"], abs=1e-8)
+        # one fit at the same selected bandwidth, scored once
+        assert summary["BL2"][loss]["mean"] == summary["MLE"][loss]["mean"]
 
 
 def test_module_invocation_subprocess(tmp_path):

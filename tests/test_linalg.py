@@ -204,21 +204,22 @@ def test_symmetric_l1_equals_linf():
 
 def test_infinite_entries_are_not_symmetric():
     # an infinite scale fails without computing inf - inf, on the dense
-    # formula (p = 2) and on the band read (p = 30)
+    # formula (inf above the lower band, at p = 2 and p = 30) and on the
+    # band read (inf on the diagonal, or in a pair next to it at p = 30)
     upper = np.array([[1.0, np.inf], [0.0, 1.0]])
-    wide = np.eye(30)
-    wide[0, 1] = np.inf
+    above = np.eye(30)
+    above[0, 1] = np.inf
     pair = np.eye(30)
     pair[0, 1] = pair[1, 0] = np.inf
-    for m, band_read in ((upper, False), (np.diag([np.inf, 1.0]), False), (wide, True),
+    for m, band_read in ((upper, False), (np.diag([np.inf, 1.0]), True), (above, False),
                          (pair, True)):
-        assert (linalg._symmetric_within(m, 1)[1] is not None) == band_read
+        assert (linalg._band_read(m)[1] is not None) == band_read
         assert not linalg.is_symmetric(m)
 
 
 def test_empty_matrix_is_symmetric_with_no_bandwidth():
     empty = np.zeros((0, 0))
-    assert linalg._bandwidths(empty) == (0, 0)
+    assert linalg._band_read(empty) == (0, None)
     assert linalg.is_symmetric(empty)
 
 

@@ -907,7 +907,7 @@ def test_band_norm_matches_bisection_oracle_on_adversarial_bands(m):
     carry the rounding of one band solve, O(b * eps) relative. Tolerance:
     1e-13 relative, and exactly 0 for the zero matrix.
     """
-    band = linalg._bands(m, linalg._bandwidths(m)[0])[0]
+    band = linalg._bands(m, oracles.bandwidths(m)[0])[0]
     with mock.patch.object(linalg, "_top_eigenvalue", oracles.top_eigenvalue_bisection):
         want = linalg._band_norm(band)
     got = linalg.norm_spectral(m)
@@ -1042,15 +1042,17 @@ def nan_pair(p):
 @example(nan_pair(30))
 def test_is_symmetric_matches_dense_formula(m):
     """is_symmetric, which reads only the in-band diagonals of a narrow band,
-    gives exactly the dense formula's answer, and _bandwidths the largest
-    i - j and j - i over the nonzero entries. At p = 20 a NaN pair next to
-    the diagonal takes the dense formula, at p = 30 the band read."""
+    gives exactly the dense formula's answer. _band_read gives the largest
+    i - j over the nonzero entries, and reads the band exactly when it is
+    narrow and no nonzero lies above it. At p = 20 a NaN pair next to the
+    diagonal takes the dense formula, at p = 30 the band read."""
     scale = np.max(np.abs(m))
     dense = scale == 0.0 or np.max(np.abs(m - m.T)) <= linalg.SYM_TOL * scale
     assert linalg.is_symmetric(m) == dense
-    rows, cols = np.nonzero(m)
-    expected = (int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0)))
-    assert linalg._bandwidths(m) == expected
+    lower, upper = oracles.bandwidths(m)
+    b, bands = linalg._band_read(m)
+    assert b == lower
+    assert (bands is not None) == (linalg.SYM_SCAN_RATIO * lower <= len(m) and upper <= lower)
 
 
 @st.composite
@@ -1060,8 +1062,8 @@ def symmetric_or_non_finite(draw):
     band read and whose lower bandwidth lies on either side of
     BAND_BISECTION_LIMIT's switch to the band search. It may carry one
     entry past its lower bandwidth above the diagonal, 1e-14 of the largest
-    one, which leaves it symmetric to SYM_TOL with a wider upper bandwidth,
-    and NaN or an infinity in a symmetric pair. Orders 250 and 300 search
+    one, which leaves it symmetric to SYM_TOL with a wider upper bandwidth
+    and sends it to the dense symmetry test, and NaN or an infinity in a symmetric pair. Orders 250 and 300 search
     bands with b >= 8, whose Gershgorin row sums would round differently if
     _band_norm summed them in the memory order of its input."""
     p = draw(st.integers(1, 150) | st.sampled_from([250, 300]))
@@ -1099,22 +1101,29 @@ def test_norm_spectral_matches_front_end_oracle(m):
 
 @st.composite
 def banded_pairs(draw):
-    """Square m and m0 of order p, zero more than w diagonals off the main
-    one, on either side of SYM_SCAN_RATIO's switch to the band: m +0 off the
-    band, as compose writes it, m0 +-0, both normal or +-0 on it; m0
-    C-ordered, Fortran-ordered or a strided view."""
+    """Square m and m0 of order p, zero more than w and w0 diagonals off the
+    main one, each width on either side of SYM_SCAN_RATIO's switch to the
+    band: m +0 off its band, as compose writes it, m0 +-0, both normal or
+    +-0 on their bands; at times one nonzero of m0 above its band, as a
+    non-symmetric truth has; m0 C-ordered, Fortran-ordered or a strided
+    view."""
     p = draw(st.integers(1, 120))
     scan = p // linalg.SYM_SCAN_RATIO
-    w = min(p - 1, draw(st.sampled_from([0, 1, scan, scan + 1]) | st.integers(0, p - 1)))
+    widths = st.sampled_from([0, 1, scan, scan + 1]) | st.integers(0, p - 1)
+    w, w0 = min(p - 1, draw(widths)), min(p - 1, draw(widths))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offsets = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     pair = []
-    for off_band in (offsets <= w, offsets >= 0):
-        m = np.where(offsets <= w, rng.standard_normal((p, p)), 0.0)
+    for width, signed in ((w, offsets <= w), (w0, offsets >= 0)):
+        m = np.where(offsets <= width, rng.standard_normal((p, p)), 0.0)
         m[rng.random((p, p)) < 0.2] = 0.0
-        m[(rng.random((p, p)) < 0.2) & (m == 0.0) & off_band] = -0.0
+        m[(rng.random((p, p)) < 0.2) & (m == 0.0) & signed] = -0.0
         pair.append(m)
     m, m0 = pair
+    if w0 < p - 1 and draw(st.booleans()):
+        d = draw(st.integers(w0 + 1, p - 1))
+        i = draw(st.integers(0, p - 1 - d))
+        m0[i, i + d] = 1.0
     layout = draw(st.sampled_from(["C", "F", "view"]))
     if layout == "F":
         m0 = np.asfortranarray(m0)
@@ -1126,8 +1135,9 @@ def banded_pairs(draw):
 @settings(max_examples=300)
 @given(banded_pairs())
 def test_minus_within_matches_dense_subtraction(case):
-    """linalg._minus_within, which touches a narrow band only, gives the
-    bytes of m - m0, sign bits of zero included, for one m after another."""
+    """linalg._minus_within, which touches a narrow band only and subtracts
+    an m0 with a nonzero above its lower band whole, gives the bytes of
+    m - m0, sign bits of zero included, for one m after another."""
     m, m0, w = case
     minus_m0 = linalg._minus_within(m0, w)
     for m in (m, m[::-1, ::-1].copy()):
