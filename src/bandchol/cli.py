@@ -39,7 +39,7 @@ from .bandwidth import (
 )
 from .bayes import PriorConfig, max_bandwidth
 from .errors import BandcholError, EmptyGrid
-from .linalg import _real
+from .linalg import _integer, _real
 from .simulate import FITS, ExperimentConfig, records_csv_text, run_experiment, summary_payload
 from .stats import _band_at, as_data_matrix
 
@@ -187,8 +187,7 @@ def _selection_grid(args, n, p, resampling):
 
     When a resampling scheme runs, the defaults are also capped at the
     widest bands its splits can fit (bandwidth._split_widths), and a
-    nonempty grid is checked as select_k_resampling checks it, naming the
-    flags.
+    nonempty grid is checked as select_k_resampling checks it, naming flags.
     """
     kmax = args.kmax if args.kmax is not None else min(KMAX_CAP, max_bandwidth(n, p, args.nu0))
     ref = args.ref_bandwidth if args.ref_bandwidth is not None \
@@ -209,12 +208,14 @@ def _selection_grid(args, n, p, resampling):
 # ---------------------------------------------------------------------------
 
 def _prepare(args, resampling):
-    """(sidecar, prior, data, kmax, ref) of estimate or bandwidth. Every
-    output path, and the --cap and --nu0 that every sidecar echoes, as
-    PriorConfig checks them and finite, as strict JSON holds them, are
-    checked before the data is read, and prior is their PriorConfig."""
+    """(sidecar, prior, data, kmax, ref) of estimate or bandwidth, prior the
+    flags' PriorConfig. Every output path and every flag a sidecar echoes,
+    --cap and --nu0 finite (strict JSON) and as PriorConfig checks them,
+    --seed and --splits as select_k_resampling does, is checked first."""
     _real("--cap", args.cap, lambda v: 0 < v < math.inf, "a finite positive number")
     _real("--nu0", args.nu0, math.isfinite, "a finite number")
+    _integer("--seed", args.seed, 0)
+    _integer("--splits", args.splits, 1)
     sidecar = args.sidecar or default_sidecar(args.output)
     _check_writable(args.output, sidecar)
     x = read_data_csv(args.data, header=args.header, center=args.center)

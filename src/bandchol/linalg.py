@@ -29,11 +29,9 @@ _spd_factor is the one step that validates and factors an SPD input,
 _solve_lower_transposed the one back-substitution on a stack of padded
 band factors, shared by stats._regress (nearest first) and the sampler,
 and _invert_lower the one inversion of a stack of triangular factors,
-shared by stats._nested_coefficients and, for the posterior mean,
-mcd._add_block_inverses. The back-substitution runs on blocks-last copies,
-the p factors along the last, contiguous axis, so that each of its k steps
-is a few whole-row operations; the inversion keeps its per-row batched
-matmul, whose summation order the nested coefficients' exact tests pin.
+shared by stats._nested_coefficients and mcd._add_block_inverses (the
+posterior mean). Both step through the k slots on blocks-last copies, the
+p factors along the last, contiguous axis; the inverse keeps that layout.
 """
 
 import math
@@ -254,15 +252,16 @@ def _solve_lower_transposed(low, x):
 
 
 def _invert_lower(low):
-    """The inverses M = L^{-1} of (p, k, k) lower triangular factors L, row
-    by row for all factors at once: M[i] = (e_i - L[i, :i] M[:i]) / L[i, i]."""
+    """The inverses M = L^{-1} of (p, k, k) lower triangular factors L, as a
+    blocks-last (k, k, p) array: M[i] = (e_i - L[i, :i] M[:i]) / L[i, i] for
+    all factors at once, one contraction over contiguous p-long rows per i."""
+    low = np.ascontiguousarray(low.transpose(1, 2, 0))
     m = np.zeros(low.shape)
-    for i in range(low.shape[-1]):
-        row = m[:, i, :i + 1]
-        row[:, i] = 1.0
-        if i:
-            row[:, :i] -= np.matmul(low[:, i, None, :i], m[:, :i, :i])[:, 0]
-        row /= low[:, i, i, None]
+    for i in range(low.shape[0]):
+        row = m[i, :i + 1]
+        row[i] = 1.0
+        row[:i] -= np.einsum("sc,src->rc", low[i, :i], m[:i, :i])
+        row /= low[i, i]
     return m
 
 

@@ -123,7 +123,7 @@ def _add_block_inverses(bands, low, n):
     (padding). An entry that overflows is left for _dense_symmetric to reject."""
     w = low.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        m = linalg._invert_lower(low)
+        m = linalg._invert_lower(low).transpose(2, 0, 1)
         # S^{-1} = M'M for M = L^{-1}; b descends, so each entry sums its blocks in ascending c
         inv = m.swapaxes(1, 2) @ m / n
         for b in range(w - 1, -1, -1):

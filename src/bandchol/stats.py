@@ -318,10 +318,10 @@ def _factor_nested(stat, kmax):
 def _nested_coefficients(factor):
     """coef[k-1, j, r] = a_k[r] = sum_{i<k} M[i, r] l[j, i], M = low[j]^{-1},
     for the (p, K+1, K+1) lower factors [[low, 0], [l', .]]: a_{i+1} =
-    a_i + l_i M[i], added in order of i on a blocks-last (K, K, p) array,
-    whose rows are contiguous, and returned as a (K, p, K) view of it."""
+    a_i + l_i M[i], added in order of i on _invert_lower's blocks-last
+    (K, K, p) inverse, whose rows are contiguous, and returned as a (K, p, K) view."""
     kmax = factor.shape[1] - 1
-    m = np.ascontiguousarray(_invert_lower(factor[:, :kmax, :kmax]).transpose(1, 2, 0))
+    m = _invert_lower(factor[:, :kmax, :kmax])
     l = np.ascontiguousarray(factor[:, kmax, :kmax].T)
     coef = np.multiply(m, l[:, None, :], out=m)
     for i in range(1, kmax):

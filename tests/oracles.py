@@ -10,7 +10,7 @@ that competitors.graphical_mle_banded now is, one Cholesky factorization
 and one cho_solve per clique and separator, added into a dense matrix; the
 posterior-mode grid's fallback as it was when it factored a bandwidth once
 for its rows and again inside _regress; the nested coefficients with the
-row recursion for the inverse factors inside their loop; the band norm's
+blocks-last row recursion for the inverse factors inside their loop; the band norm's
 extreme eigenvalue by plain bisection, one midpoint per Cholesky test;
 the back-substitution on a stack of factors, along the rows of its
 (p, ...) arrays, before it moved to blocks-last copies; the nested
@@ -198,20 +198,22 @@ def regress_nested_twice(stat, k_values):
 
 
 def nested_coefficients(factor):
-    """stats._nested_coefficients with the row recursion inside its loop."""
-    p, kmax = factor.shape[0], factor.shape[1] - 1
-    low, l = factor[:, :kmax, :kmax], factor[:, kmax, :kmax]
-    m = np.zeros((p, kmax, kmax))
-    coef = np.empty((kmax, p, kmax))
-    acc = np.zeros((p, kmax))
+    """stats._nested_coefficients with the blocks-last row recursion of
+    linalg._invert_lower inside its loop, each inverse row added into the
+    coefficients as soon as it is computed."""
+    kmax = factor.shape[1] - 1
+    low = np.ascontiguousarray(factor[:, :kmax, :kmax].transpose(1, 2, 0))
+    l = np.ascontiguousarray(factor[:, kmax, :kmax].T)
+    m = np.zeros(low.shape)
+    coef = np.empty((kmax, factor.shape[0], kmax))
+    acc = np.zeros((kmax, factor.shape[0]))
     for i in range(kmax):
-        row = m[:, i, :i + 1]
-        row[:, i] = 1.0
-        if i:
-            row[:, :i] -= np.matmul(low[:, i, None, :i], m[:, :i, :i])[:, 0]
-        row /= low[:, i, i, None]
-        acc[:, :i + 1] += l[:, i, None] * row
-        coef[i] = acc
+        row = m[i, :i + 1]
+        row[i] = 1.0
+        row[:i] -= np.einsum("sc,src->rc", low[i, :i], m[:i, :i])
+        row /= low[i, i]
+        acc[:i + 1] += l[i] * row
+        coef[i] = acc.T
     return coef
 
 
@@ -296,7 +298,7 @@ def posterior_mean_scatter(model):
     gain = ig_cdf(model.M, model.ig_shape + 1.0, model.ig_rate) / model.trunc_mass
     omega = mcd_compose(CholeskyFactor(a=model.ahat,
                                        d=model.ig_rate / model.ig_shape / gain))
-    m = linalg._invert_lower(_predecessor_factors(model))
+    m = linalg._invert_lower(_predecessor_factors(model)).transpose(2, 0, 1)
     # slot a of column j is coordinate j - keff + a; padded slots (< 0) are left out
     at = np.arange(p)[:, None] + np.arange(-keff, 0)
     r, c = np.broadcast_arrays(at[:, :, None], at[:, None, :])

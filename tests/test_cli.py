@@ -154,13 +154,35 @@ def test_one_gram_matrix_per_command(tmp_path, monkeypatch):
 ])
 def test_prior_flags_are_checked_for_every_command(tmp_path, capsys, argv, flag):
     # every sidecar echoes --cap and --nu0, so both are checked as PriorConfig
-    # checks M and nu0, whether or not the command's fit or grid reads them:
-    # bad input naming the flag, and no file written
+    # checks M and nu0, whether or not the command's fit or grid reads them
+    assert_rejected_before_reading(tmp_path, capsys, argv, f"{flag}: expected a ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate", "--splits", "0", "--seed", "-1"], "--seed"),
+    (["estimate", "--splits", "0"], "--splits"),
+    (["estimate", "--select-k", "resampling", "--seed", "-1"], "--seed"),
+    (["estimate", "--select-k", "resampling", "--splits", "-2"], "--splits"),
+    (["bandwidth", "--splits", "-2"], "--splits"),
+    (["bandwidth", "--seed", "-3"], "--seed"),
+    (["bandwidth", "--scheme", "resampling", "--seed", "-3"], "--seed"),
+    (["bandwidth", "--scheme", "resampling", "--splits", "0"], "--splits"),
+])
+def test_seed_and_splits_are_checked_for_every_scheme(tmp_path, capsys, argv, flag):
+    # every sidecar echoes --seed and --splits, so a negative seed or fewer
+    # than one split is bad input under either scheme, as select_k_resampling
+    # checks them
+    assert_rejected_before_reading(tmp_path, capsys, argv, f"{flag}: expected an integer >= ")
+
+
+def assert_rejected_before_reading(tmp_path, capsys, argv, message):
+    """argv exits 2 with one line that starts with message, writes no file,
+    and fails the same way when its data file is missing."""
     data = tmp_path / "data.csv"
     write_data(data)
     assert main([argv[0], str(data), "-o", str(tmp_path / "out.csv"), *argv[1:]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"bandchol: {flag}: expected a ") and err.count("\n") == 1
+    assert err.startswith(f"bandchol: {message}") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["data.csv"]
     # before the data is read
     assert main([argv[0], str(tmp_path / "missing.csv"), "-o", str(tmp_path / "out.csv"),

@@ -13,11 +13,14 @@ collinear and constant columns. It matches the clique-by-clique loop
 within 1e-12 of its largest entry on Gaussian data, and where the loop
 finds a singular clique the regression raises SingularDesign or
 DegenerateResidual. The nested coefficients, whose inverse factors
-now come from the shared row recursion, are bit-identical to the loop that
-ran it inline. The back-substitution on blocks-last copies, stacks of one
-and of several right-hand sides, K = 0 and 1 included, the nested factor's
-residual variances and log determinants, and compose dividing its scratch
-band once are bit-identical to the formulas they replaced.
+now come from the shared blocks-last row recursion, are bit-identical to
+the loop that runs it inline, and, in bounds that hold in any summation
+order, solve their triangular systems as np.linalg.solve does, their
+inverse factors times the factors giving the identity. The
+back-substitution on blocks-last copies, stacks of one and of several
+right-hand sides, K = 0 and 1 included, the nested factor's residual
+variances and log determinants, and compose dividing its scratch band
+once are bit-identical to the formulas they replaced.
 fit_posterior, the posterior-mode grid and the resampler scan the data
 for non-finite entries once per call; a NestedFactor still scans data it
 was not built from.
@@ -264,6 +267,49 @@ def nested_factors(draw):
 @given(nested_factors())
 def test_nested_coefficients_match_inline_recursion(low):
     assert np.array_equal(stats._nested_coefficients(low), oracles.nested_coefficients(low))
+
+
+@settings(max_examples=200)
+@given(nested_factors())
+def test_nested_coefficients_solve_their_triangular_systems(factor):
+    """Bounds that hold in any summation order, u = 2^-53 the unit roundoff
+    and gamma_k = k u / (1 - k u).
+
+    Inverse: for the K x K factors L and M = _invert_lower(L), |L M - I| <=
+    2 (K + 1) u |L| |M| entrywise. Column r of M is a forward substitution
+    for L x = e_r, whose computed x has a backward error of at most
+    gamma_K |L| in any order of its sums (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 8.5), so |L M - I| <= gamma_K |L| |M|; forming
+    L M here adds at most gamma_K |L| |M| more, and the extra u per K covers
+    the subtraction of I and the 1 / (1 - K u) factors.
+
+    Coefficients: row k of _nested_coefficients, a_k, lies within
+    4 k^2 u kappa ||a||_2 of a = np.linalg.solve(T', l[:k]), T the leading
+    k x k block of L and kappa its 2-norm condition number, and is exactly
+    0 past slot k. The leading k x k block of M inverts T, so with T M =
+    I + R, |R| <= gamma_k |T| |M| as above, and a* the exact solution,
+    M' l = (I + R') T^-T l = a* + R' a*. Here ||R||_2 <= gamma_k
+    || |T| |M| ||_2 <= k gamma_k kappa, as || |B| ||_2 <= sqrt(k) ||B||_2;
+    forming M' l adds at most sqrt(k) gamma_k ||M||_2 ||l||_2 <= sqrt(k)
+    gamma_k kappa ||a*||_2. The LU solve of a triangular system pivots
+    nowhere and errs by at most sqrt(k) gamma_k kappa ||a*||_2. The sum,
+    (k + 2 sqrt(k)) gamma_k kappa ||a*||_2 <= 3 k^2 u kappa ||a*||_2 to
+    first order, leaves room below the bound for the second-order terms
+    and for ||a||_2 in place of ||a*||_2.
+    """
+    u = np.finfo(float).eps / 2
+    kmax = factor.shape[1] - 1
+    low, l = factor[:, :kmax, :kmax], factor[:, kmax, :kmax]
+    m = linalg._invert_lower(low).transpose(2, 0, 1)
+    gap = np.abs(low @ m - np.eye(kmax))
+    assert np.all(gap <= 2 * (kmax + 1) * u * (np.abs(low) @ np.abs(m)))
+    coef = stats._nested_coefficients(factor)
+    for k in range(1, kmax + 1):
+        t = low[:, :k, :k]
+        want = np.linalg.solve(t.swapaxes(1, 2), l[:, :k, None])[..., 0]
+        bound = 4 * k**2 * u * np.linalg.cond(t) * np.linalg.norm(want, axis=1)
+        assert np.all(np.linalg.norm(coef[k - 1, :, :k] - want, axis=1) <= bound)
+        assert not coef[k - 1, :, k:].any()
 
 
 def data_scans(fn, *args):
